@@ -15,7 +15,11 @@ function sequence, ESG_1Q computes three quantities:
   known upper bound).
 
 The suffix minima only depend on the stage list, so they are precomputed
-once per search in :class:`SuffixBounds`.
+once per search in :class:`SuffixBounds`.  The search itself evaluates the
+three sums inline, without a :class:`PathBounds` per extension, but in the
+association order of :meth:`SuffixBounds.bounds_for_extension` —
+``(prefix + entry) + suffix`` — because float addition is not associative
+and the bounds decide which paths survive.
 """
 
 from __future__ import annotations

@@ -127,6 +127,9 @@ class ESGPolicy(SchedulingPolicy):
         #: function of (app, stage).  Only the remaining-budget factor is
         #: per-request; it is applied with the original operation order.
         self._fresh_group_cache: dict[tuple[str, str], tuple[tuple[str, ...], float, float]] = {}
+        #: Search inputs by (function, stage, first-stage batch cap); see
+        #: :meth:`_stage_specs`.
+        self._spec_cache: dict[tuple[str, str, int | None], StageSearchSpec] = {}
 
     # ------------------------------------------------------------------
     # SchedulingPolicy lifecycle
@@ -143,6 +146,7 @@ class ESGPolicy(SchedulingPolicy):
         """Drop memoized plans (call after changing profiles or distributions)."""
         self._plan_cache.clear()
         self._fresh_group_cache.clear()
+        self._spec_cache.clear()
 
     def distribution_for(self, app_name: str) -> SLODistribution:
         """The SLO distribution of an application (computed lazily if needed)."""
@@ -281,22 +285,37 @@ class ESGPolicy(SchedulingPolicy):
         )
         return tuple(group_stage_ids), group_remaining, remaining_total
 
-    def _stage_specs(self, queue: AFWQueue, group_stage_ids: list[str]) -> list[StageSearchSpec]:
-        """Build the per-stage search inputs, applying the ablation filters."""
+    def _stage_specs(self, queue: AFWQueue, stage_ids: list[str]) -> list[StageSearchSpec]:
+        """Build the per-stage search inputs, applying the ablation filters.
+
+        Only the queue's own stage, when it leads ``stage_ids``, is capped at
+        the queue length: a larger batch cannot be formed right now.  Specs
+        are memoized per (function, stage, cap); the cap is clamped to the
+        largest batch option, above which it filters nothing, so the cache
+        stays bounded.
+        """
         store = self.context.profile_store
         workflow = queue.workflow
+        largest_batch = self.context.config_space.batch_options[-1]
         specs: list[StageSearchSpec] = []
-        for position, stage_id in enumerate(group_stage_ids):
-            profile = store.profile(workflow.function_of(stage_id))
-            max_batch = len(queue) if position == 0 else None
-            entries = self._filtered_entries(profile, max_batch)
-            specs.append(
-                StageSearchSpec(
+        for position, stage_id in enumerate(stage_ids):
+            function = workflow.function_of(stage_id)
+            cap = (
+                min(len(queue), largest_batch)
+                if position == 0 and stage_id == queue.stage_id
+                else None
+            )
+            key = (function, stage_id, cap)
+            spec = self._spec_cache.get(key)
+            if spec is None:
+                profile = store.profile(function)
+                spec = StageSearchSpec(
                     stage_id=stage_id,
                     function_name=profile.spec.name,
-                    entries=entries,
+                    entries=self._filtered_entries(profile, cap),
                 )
-            )
+                self._spec_cache[key] = spec
+            specs.append(spec)
         return specs
 
     def _filtered_entries(
@@ -330,7 +349,7 @@ class ESGPolicy(SchedulingPolicy):
             # First stage of this request: plan the whole workflow once.
             workflow = queue.workflow
             stage_ids = workflow.topological_order()
-            stages = self._stage_specs_for_plan(queue, stage_ids)
+            stages = self._stage_specs(queue, stage_ids)
             result = esg_1q_search(
                 stages, request.slo_ms, k=self.k, max_paths=self.max_paths
             )
@@ -353,19 +372,6 @@ class ESGPolicy(SchedulingPolicy):
             plan_miss=miss,
             reported_overhead_ms=plan_overhead_ms,
         )
-
-    def _stage_specs_for_plan(self, queue: AFWQueue, stage_ids: list[str]) -> list[StageSearchSpec]:
-        store = self.context.profile_store
-        workflow = queue.workflow
-        specs = []
-        for position, stage_id in enumerate(stage_ids):
-            profile = store.profile(workflow.function_of(stage_id))
-            max_batch = len(queue) if position == 0 and stage_id == queue.stage_id else None
-            entries = self._filtered_entries(profile, max_batch)
-            specs.append(
-                StageSearchSpec(stage_id=stage_id, function_name=profile.spec.name, entries=entries)
-            )
-        return specs
 
     # ------------------------------------------------------------------
     # Dispatch

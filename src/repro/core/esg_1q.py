@@ -4,10 +4,10 @@ Given the sequence of remaining stages of a function group and a target
 latency (the group's SLO quota), ESG_1Q finds configuration *paths* — one
 ``(batch, #vCPUs, #vGPUs)`` configuration per stage — that meet the target
 with the smallest per-job resource cost.  The search walks the stages in
-order, extending every surviving partial path with each configuration of the
-next stage (configurations sorted by increasing latency, so time-based
-pruning can ``break`` out of the rest of the list), and applies the
-dual-blade pruning bounds of :mod:`repro.core.bounds`:
+order, extending every surviving partial path with the configurations of the
+next stage (sorted by increasing latency, so time-based pruning can
+``break`` out of the rest of the list), and applies the dual-blade pruning
+bounds of :mod:`repro.core.bounds`:
 
 * **time blade** — if even the fastest completion of the extended path
   exceeds the target latency, the extension (and every slower configuration
@@ -21,12 +21,28 @@ to K complete paths sorted by increasing cost.  When no path can meet the
 target, the fallback "default path" (every stage at its fastest
 configuration) is returned so the scheduler can still make progress, as in
 ``setDefaultPaths`` of Figure 3(b).
+
+The search is exact but does not visit every configuration one by one.
+While the cost threshold is fixed (it only moves when an extension
+survives), the cost bound ``(prefix + x) + remaining`` is monotone in the
+entry cost ``x`` under IEEE rounding.  So the first entry that can pass the
+cost blade lies on the walk of "next strictly cheaper" entries from the
+current one (a per-stage table), and every entry it skips is provably
+rejected.  The search follows that walk, bisects the sorted latencies for
+the time blade's break point when that comes first, and adds the skipped
+entries to ``expansions`` and ``pruned_cost`` arithmetically.
+Paths, their order and all three counts equal those of the entry-by-entry
+scan, so the modeled scheduling overhead ``per_expansion_ms * expansions``
+is unchanged; ``docs/performance.md`` gives the full argument.
 """
 
 from __future__ import annotations
 
+import math
 import time as _time
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Sequence
 
 from repro.core.bounds import SuffixBounds
@@ -38,18 +54,51 @@ __all__ = ["StageSearchSpec", "PathCandidate", "ESG1QResult", "esg_1q_search"]
 
 @dataclass(frozen=True)
 class StageSearchSpec:
-    """Search input for one stage: its configuration list sorted by latency."""
+    """Search input for one stage: its configuration list sorted by latency.
+
+    The flat tables the search reads are built once here, so a spec reused
+    across searches (the policy memoizes them) costs nothing per search.
+    """
 
     stage_id: str
     function_name: str
     entries: tuple[ProfileEntry, ...]
+    #: Per-job cost of the cheapest configuration.
+    min_cost_cents: float = field(init=False, repr=False, compare=False)
+    _latencies: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _costs: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _configs: tuple[Configuration, ...] = field(init=False, repr=False, compare=False)
+    _suffix_min_costs: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    #: ``_next_cheaper[j]``: the first index after ``j`` whose per-job cost
+    #: is strictly below entry ``j``'s, or ``len(entries)`` if there is none.
+    _next_cheaper: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.entries:
             raise ValueError(f"stage {self.stage_id!r} has no configuration entries")
-        lat = [e.latency_ms for e in self.entries]
+        lat = tuple(e.latency_ms for e in self.entries)
         if any(lat[i] > lat[i + 1] for i in range(len(lat) - 1)):
             raise ValueError(f"entries of stage {self.stage_id!r} must be sorted by latency")
+        costs = tuple(e.per_job_cost_cents for e in self.entries)
+        n = len(costs)
+        suffix = [0.0] * n + [float("inf")]
+        next_cheaper = [n] * n
+        running = float("inf")
+        cheaper: list[int] = []  # after the pops: j's cheaper walk, nearest on top
+        for j in range(n - 1, -1, -1):
+            running = min(running, costs[j])
+            suffix[j] = running
+            while cheaper and costs[cheaper[-1]] >= costs[j]:
+                cheaper.pop()
+            if cheaper:
+                next_cheaper[j] = cheaper[-1]
+            cheaper.append(j)
+        object.__setattr__(self, "min_cost_cents", min(costs))
+        object.__setattr__(self, "_latencies", lat)
+        object.__setattr__(self, "_costs", costs)
+        object.__setattr__(self, "_configs", tuple(e.config for e in self.entries))
+        object.__setattr__(self, "_suffix_min_costs", tuple(suffix))
+        object.__setattr__(self, "_next_cheaper", tuple(next_cheaper))
 
     @classmethod
     def from_profile(
@@ -69,11 +118,6 @@ class StageSearchSpec:
         return self.entries[0].latency_ms
 
     @property
-    def min_cost_cents(self) -> float:
-        """Per-job cost of the cheapest configuration."""
-        return min(e.per_job_cost_cents for e in self.entries)
-
-    @property
     def fastest_cost_cents(self) -> float:
         """Per-job cost of the fastest configuration."""
         return self.entries[0].per_job_cost_cents
@@ -91,14 +135,7 @@ class StageSearchSpec:
         blade — a sound shortcut because it only skips entries whose
         ``rscLow`` is provably at least the current pruning threshold.
         """
-        costs = [e.per_job_cost_cents for e in self.entries]
-        out = [0.0] * (len(costs) + 1)
-        out[-1] = float("inf")
-        running = float("inf")
-        for j in range(len(costs) - 1, -1, -1):
-            running = min(running, costs[j])
-            out[j] = running
-        return tuple(out)
+        return self._suffix_min_costs
 
 
 @dataclass(frozen=True)
@@ -153,13 +190,10 @@ class ESG1QResult:
         return out
 
 
-@dataclass
-class _PartialPath:
-    """Internal: a prefix of a configuration path."""
-
-    configs: list[Configuration] = field(default_factory=list)
-    latency_ms: float = 0.0
-    cost_cents: float = 0.0
+#: Sort keys of the search's ``(cost, latency, configs)`` path tuples.  Sorting
+#: on the whole tuple would compare configurations and reorder cost ties.
+_BY_COST = itemgetter(0)
+_BY_COST_THEN_LATENCY = itemgetter(0, 1)
 
 
 def _suffix_bounds(stages: Sequence[StageSearchSpec]) -> SuffixBounds:
@@ -195,7 +229,8 @@ def esg_1q_search(
         first stage's entries should already be restricted to batch sizes
         that the queue can currently form.
     target_latency_ms:
-        The group's latency quota (``GSLO`` in Algorithm 1).
+        The group's latency quota (``GSLO`` in Algorithm 1).  ``+inf`` means
+        no time limit; NaN is rejected.
     k:
         Number of solutions kept in the configuration priority queue
         (the paper's ``K``, default 5).
@@ -204,7 +239,8 @@ def esg_1q_search(
         exceeded, only the cheapest are kept (the paper's pruning normally
         keeps the frontier far below this).
     max_expansions:
-        Safety cap on the total number of path extensions examined.
+        Safety cap on the total number of path extensions examined, checked
+        before each partial path is extended.
 
     Returns
     -------
@@ -217,6 +253,8 @@ def esg_1q_search(
         raise ValueError("esg_1q_search needs at least one stage")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if math.isnan(target_latency_ms):
+        raise ValueError(f"target_latency_ms must not be NaN, got {target_latency_ms!r}")
     if target_latency_ms <= 0:
         # A non-positive budget can legitimately happen when a request has
         # already blown its deadline; nothing can meet it, so return the
@@ -235,85 +273,100 @@ def esg_1q_search(
     # repro: allow[REP001] search_time_ms is a diagnostic on the result (figures 10/11 report real search cost); scheduling overhead in simulations is modeled via per_expansion_ms, never this measurement
     start_time = _time.perf_counter()
     suffix = _suffix_bounds(stages)
-    stage_suffix_min_costs = [stage.suffix_min_costs() for stage in stages]
+    min_latency_suffix = suffix.min_latency_suffix
+    min_cost_suffix = suffix.min_cost_suffix
+    fastest_cost_suffix = suffix.fastest_cost_suffix
 
-    # best_full_paths_maxCost in the paper: the K-th smallest achievable
-    # completion cost seen so far (list kept sorted, ascending).
+    # best_full_paths_maxCost in the paper: the K smallest achievable
+    # completion costs seen so far (ascending); min_rsc[-1] is the threshold.
     min_rsc: list[float] = [float("inf")] * k
 
-    paths: list[_PartialPath] = [_PartialPath()]
-    complete: list[PathCandidate] = []
+    # Partial paths as (cost, latency, configs) tuples.
+    paths: list[tuple[float, float, tuple[Configuration, ...]]] = [(0.0, 0.0, ())]
+    complete: list[tuple[float, float, tuple[Configuration, ...]]] = []
     expansions = 0
     pruned_time = 0
     pruned_cost = 0
     truncated = False
 
-    num_stages = len(stages)
+    last_index = len(stages) - 1
     for stage_index, stage in enumerate(stages):
-        is_last = stage_index == num_stages - 1
-        new_paths: list[_PartialPath] = []
+        is_last = stage_index == last_index
+        new_paths = complete if is_last else []
         # Expanding cheap prefixes first lets their rscFastest values tighten
         # the cost blade before expensive prefixes are considered.
-        paths.sort(key=lambda p: p.cost_cents)
-        suffix_min_cost = stage_suffix_min_costs[stage_index]
-        remaining_min_cost = suffix.min_cost_suffix[stage_index + 1]
-        for path in paths:
+        paths.sort(key=_BY_COST)
+        latencies = stage._latencies
+        costs = stage._costs
+        configs = stage._configs
+        suffix_min_cost = stage._suffix_min_costs
+        next_cheaper = stage._next_cheaper
+        num_entries = len(costs)
+        # The bounds' suffix terms, with the scan's association order:
+        # (prefix + entry) + remaining.
+        rest_latency = min_latency_suffix[stage_index + 1]
+        rest_cost = min_cost_suffix[stage_index + 1]
+        rest_fastest_cost = fastest_cost_suffix[stage_index + 1]
+        latency_room = target_latency_ms - rest_latency  # bisection guesses only
+        for position, (path_cost, path_latency, path_configs) in enumerate(paths):
             if expansions >= max_expansions:
                 truncated = True
                 break
-            for entry_index, entry in enumerate(stage.entries):
-                # Early exit on the cost blade: if even the cheapest of the
-                # remaining (slower) entries cannot beat the current K-th
-                # best completion cost, none of them can survive.
-                if (
-                    path.cost_cents + suffix_min_cost[entry_index] + remaining_min_cost
-                    >= min_rsc[-1]
-                ):
-                    pruned_cost += 1
-                    break
-                expansions += 1
-                bounds = suffix.bounds_for_extension(
-                    path.latency_ms,
-                    path.cost_cents,
-                    entry.latency_ms,
-                    entry.per_job_cost_cents,
-                    stage_index + 1,
-                )
-                if bounds.t_low_ms >= target_latency_ms:
-                    # Entries are sorted by latency: every later entry can
-                    # only be slower, so stop scanning this stage's list.
+            # Early exit on the cost blade: if even the cheapest entry cannot
+            # beat the current K-th best completion cost, none can survive.
+            # Paths are sorted by cost and the threshold only falls, so every
+            # later path fails at its first entry too.
+            if path_cost + suffix_min_cost[0] + rest_cost >= min_rsc[-1]:
+                pruned_cost += len(paths) - position
+                break
+            j = 0
+            while True:
+                threshold = min_rsc[-1]
+                # Some entry at or after j passes the cost blade; find the
+                # first one, p, on the walk of strictly cheaper entries: every
+                # entry the walk skips costs at least as much as one seen to
+                # fail, so it fails too (the bound is monotone in cost).
+                p = j
+                while path_cost + costs[p] + rest_cost >= threshold:
+                    p = next_cheaper[p]
+                if path_latency + latencies[p] + rest_latency >= target_latency_ms:
+                    # The time blade breaks at some b in j..p.  Bisecting the
+                    # sorted latencies on the rearranged bound gives a guess;
+                    # the exact bound decides by stepping from it.
+                    b = bisect_left(latencies, latency_room - path_latency, j, p)
+                    while b > j and (
+                        path_latency + latencies[b - 1] + rest_latency >= target_latency_ms
+                    ):
+                        b -= 1
+                    while path_latency + latencies[b] + rest_latency < target_latency_ms:
+                        b += 1
+                    # Entries j..b-1 were expanded and cost-pruned; entry b
+                    # was expanded and time-pruned.
+                    expansions += b - j + 1
+                    pruned_cost += b - j
                     pruned_time += 1
                     break
-                if bounds.rsc_low_cents >= min_rsc[-1]:
+                # Entries j..p-1 were expanded and cost-pruned; p survives
+                # and tightens the cost blade with its achievable completion.
+                expansions += p - j + 1
+                pruned_cost += p - j
+                cost = path_cost + costs[p]
+                fastest_completion = cost + rest_fastest_cost
+                if fastest_completion < threshold:
+                    insort(min_rsc, fastest_completion)
+                    min_rsc.pop()
+                new_paths.append((cost, path_latency + latencies[p], path_configs + (configs[p],)))
+                j = p + 1
+                if j == num_entries:
+                    break
+                if path_cost + suffix_min_cost[j] + rest_cost >= min_rsc[-1]:
                     pruned_cost += 1
-                    continue
-                # Tighten the cost blade with this achievable completion.
-                _insert_sorted_capped(min_rsc, bounds.rsc_fastest_cents)
-                new_latency = path.latency_ms + entry.latency_ms
-                new_cost = path.cost_cents + entry.per_job_cost_cents
-                if is_last:
-                    complete.append(
-                        PathCandidate(
-                            configs=tuple(path.configs) + (entry.config,),
-                            latency_ms=new_latency,
-                            cost_cents=new_cost,
-                        )
-                    )
-                else:
-                    new_paths.append(
-                        _PartialPath(
-                            configs=path.configs + [entry.config],
-                            latency_ms=new_latency,
-                            cost_cents=new_cost,
-                        )
-                    )
-        if truncated:
-            break
-        if is_last:
+                    break
+        if truncated or is_last:
             break
         if len(new_paths) > max_paths:
-            new_paths.sort(key=lambda p: p.cost_cents)
-            new_paths = new_paths[:max_paths]
+            new_paths.sort(key=_BY_COST)
+            del new_paths[max_paths:]
         paths = new_paths
         if not paths:
             break
@@ -321,12 +374,15 @@ def esg_1q_search(
     # repro: allow[REP001] closes the diagnostic-only measurement started above
     search_time_ms = (_time.perf_counter() - start_time) * 1000.0
 
-    complete.sort(key=lambda c: (c.cost_cents, c.latency_ms))
+    complete.sort(key=_BY_COST_THEN_LATENCY)
     feasible = bool(complete)
     if not feasible:
         result_paths = _default_paths(stages)
     else:
-        result_paths = complete[:k]
+        result_paths = [
+            PathCandidate(configs=path_configs, latency_ms=latency, cost_cents=cost)
+            for cost, latency, path_configs in complete[:k]
+        ]
     return ESG1QResult(
         paths=result_paths,
         target_latency_ms=target_latency_ms,
@@ -337,15 +393,3 @@ def esg_1q_search(
         search_time_ms=search_time_ms,
         stage_ids=tuple(s.stage_id for s in stages),
     )
-
-
-def _insert_sorted_capped(values: list[float], new_value: float) -> None:
-    """Insert ``new_value`` into the ascending list, keeping its length fixed."""
-    if new_value >= values[-1]:
-        return
-    # Linear insertion: the list has K elements (K is small, default 5).
-    for i, v in enumerate(values):
-        if new_value < v:
-            values.insert(i, new_value)
-            values.pop()
-            return

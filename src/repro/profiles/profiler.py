@@ -10,6 +10,7 @@ scheduling policy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -31,10 +32,15 @@ class ProfileEntry:
     per_job_cost_cents: float
 
     def __post_init__(self) -> None:
-        if self.latency_ms <= 0:
-            raise ValueError(f"latency_ms must be positive, got {self.latency_ms}")
-        if self.task_cost_cents < 0 or self.per_job_cost_cents < 0:
-            raise ValueError("costs must be non-negative")
+        # Non-finite values are rejected explicitly: NaN fails every
+        # comparison, so ``<= 0`` alone would let it through, and the
+        # search's bisection and cost jumps rely on ordered, finite values.
+        if not (math.isfinite(self.latency_ms) and self.latency_ms > 0):
+            raise ValueError(f"latency_ms must be positive and finite, got {self.latency_ms!r}")
+        for name in ("task_cost_cents", "per_job_cost_cents"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
 
 
 @dataclass

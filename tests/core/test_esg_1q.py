@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from repro.core.bruteforce import brute_force_search
 from repro.core.esg_1q import StageSearchSpec, esg_1q_search
-from repro.profiles.configuration import ConfigurationSpace
-from repro.profiles.profiler import ProfileStore
+from repro.profiles.configuration import Configuration, ConfigurationSpace
+from repro.profiles.profiler import ProfileEntry, ProfileStore
 from repro.workloads.applications import image_classification
 
 
@@ -43,6 +43,36 @@ class TestStageSearchSpec:
         entries = tuple(reversed(profile.sorted_by_latency()))
         with pytest.raises(ValueError):
             StageSearchSpec(stage_id="s1", function_name="deblur", entries=entries)
+
+    def test_nan_latency_cannot_hide_unsorted_entries(self):
+        # In [slow, NaN, fast] both pairwise "a > b" checks are False, so the
+        # descending list used to pass; the NaN entry can no longer be built.
+        with pytest.raises(ValueError, match="nan"):
+            ProfileEntry(
+                Configuration(1, 1, 2),
+                latency_ms=float("nan"),
+                task_cost_cents=1.0,
+                per_job_cost_cents=1.0,
+            )
+
+    def test_jump_tables(self):
+        costs = (5.0, 7.0, 5.0, 3.0, 3.0, 8.0, 1.0)
+        entries = tuple(
+            ProfileEntry(
+                Configuration(1, 1, j + 1),
+                latency_ms=float(j + 1),
+                task_cost_cents=c,
+                per_job_cost_cents=c,
+            )
+            for j, c in enumerate(costs)
+        )
+        spec = StageSearchSpec(stage_id="s1", function_name="f", entries=entries)
+        # The first later entry with a strictly lower cost (7 = none).
+        assert spec._next_cheaper == (3, 2, 3, 6, 6, 6, 7)
+        assert spec.suffix_min_costs() == (1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, float("inf"))
+        assert spec.min_cost_cents == 1.0
+        assert spec._costs == costs
+        assert spec._latencies == tuple(float(j + 1) for j in range(len(costs)))
 
     def test_empty_entries_rejected(self):
         with pytest.raises(ValueError):
@@ -105,6 +135,20 @@ class TestSearchBasics:
             esg_1q_search([], 100.0)
         with pytest.raises(ValueError):
             esg_1q_search(specs, 100.0, k=0)
+
+    def test_nan_target_rejected(self, small_store):
+        # NaN fails every comparison: it used to pass as a met target.
+        specs = make_specs(small_store, IC_FUNCTIONS)
+        with pytest.raises(ValueError, match="nan"):
+            esg_1q_search(specs, float("nan"))
+
+    def test_infinite_target_means_no_time_limit(self, small_store):
+        specs = make_specs(small_store, IC_FUNCTIONS)
+        result = esg_1q_search(specs, float("inf"), k=5)
+        assert result.feasible
+        assert result.pruned_time == 0
+        unbounded = esg_1q_search(specs, 1e12, k=5)
+        assert result.paths == unbounded.paths
 
     def test_max_batch_respected_in_first_stage(self, small_store):
         specs = make_specs(small_store, IC_FUNCTIONS, max_batch=1)

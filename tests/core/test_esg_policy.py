@@ -210,6 +210,48 @@ class TestAblationSwitches:
         assert request.plan_miss_count == 1
 
 
+class TestSearchInputs:
+    def test_only_a_leading_queue_stage_is_capped(self, bound_esg, small_store):
+        wf = bound_esg.context.workflows["image_classification"]
+        queue = make_queue(wf, "s2")
+        for i in range(2):
+            add_request(queue, i, slo_factor=1.2, store=small_store)
+
+        def largest_batches(stage_ids):
+            specs = bound_esg._stage_specs(queue, stage_ids)
+            return [max(e.config.batch_size for e in spec.entries) for spec in specs]
+
+        largest = small_store.space.batch_options[-1]
+        assert largest_batches(["s2", "s3"]) == [2, largest]
+        # The queue's stage further down a whole-workflow plan is not capped.
+        assert largest_batches(["s1", "s2", "s3"]) == [largest, largest, largest]
+
+    def test_specs_are_memoized_with_a_bounded_cap(self, bound_esg, small_store):
+        wf = bound_esg.context.workflows["image_classification"]
+        queue = make_queue(wf, "s1")
+        largest = small_store.space.batch_options[-1]
+        specs = []
+        for i in range(3 * largest):
+            add_request(queue, i, slo_factor=1.2, store=small_store)
+            specs.append(bound_esg._stage_specs(queue, ["s1"])[0])
+        assert {key[2] for key in bound_esg._spec_cache} == set(range(1, largest + 1))
+        # From the largest batch option on, the cap filters nothing.
+        assert all(spec is specs[largest - 1] for spec in specs[largest - 1 :])
+        uncapped = small_store.profile(wf.function_of("s1")).sorted_by_latency()
+        assert specs[-1].entries == uncapped
+
+    def test_invalidate_drops_cached_specs(self, bound_esg, small_store):
+        wf = bound_esg.context.workflows["image_classification"]
+        queue = make_queue(wf, "s1")
+        add_request(queue, 0, slo_factor=1.2, store=small_store)
+        first = bound_esg._stage_specs(queue, ["s1"])[0]
+        bound_esg.invalidate_plan_cache()
+        assert not bound_esg._spec_cache
+        again = bound_esg._stage_specs(queue, ["s1"])[0]
+        assert again is not first
+        assert again == first
+
+
 class TestDispatchIntegration:
     def test_select_invoker_prefers_predecessor_node(self, bound_esg, small_store):
         wf = bound_esg.context.workflows["image_classification"]

@@ -20,6 +20,20 @@ class TestProfileEntry:
         with pytest.raises(ValueError):
             ProfileEntry(Configuration(1, 1, 1), latency_ms=1.0, task_cost_cents=-1.0, per_job_cost_cents=1.0)
 
+    @pytest.mark.parametrize("latency", [float("nan"), float("inf")])
+    def test_rejects_non_finite_latency(self, latency):
+        with pytest.raises(ValueError, match=f"latency_ms .* got {latency!r}"):
+            ProfileEntry(
+                Configuration(1, 1, 1), latency_ms=latency, task_cost_cents=1.0, per_job_cost_cents=1.0
+            )
+
+    @pytest.mark.parametrize("field", ["task_cost_cents", "per_job_cost_cents"])
+    @pytest.mark.parametrize("cost", [float("nan"), float("inf")])
+    def test_rejects_non_finite_cost(self, field, cost):
+        costs = {"task_cost_cents": 1.0, "per_job_cost_cents": 1.0, field: cost}
+        with pytest.raises(ValueError, match=f"{field} .* got {cost!r}"):
+            ProfileEntry(Configuration(1, 1, 1), latency_ms=1.0, **costs)
+
 
 class TestFunctionProfile:
     def test_entries_cover_whole_space(self, small_store, small_space):
