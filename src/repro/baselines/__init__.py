@@ -5,7 +5,9 @@
   SLO distributed over stages by average service time.
 * :class:`FaSTGSharePolicy` — per-function enumeration guided by
   throughput-per-vGPU; GPU-fragmentation-minimising placement; the same
-  service-time SLO distribution.
+  service-time SLO distribution.  Both derive from
+  :class:`~repro.baselines.enumeration.EnumerationPolicy` and differ only
+  in the rank key and the placement key.
 * :class:`OrionPolicy` — best-first search over the joint per-stage
   configuration vector with a search-time cutoff; the plan is fixed at the
   first stage of each request (no adaptation).

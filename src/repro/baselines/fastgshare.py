@@ -15,92 +15,26 @@ with frequent spikes.
 
 from __future__ import annotations
 
-from repro.baselines.service_time_slo import service_time_fractions
-from repro.cluster.policy_api import AFWQueue, SchedulingContext, SchedulingDecision, SchedulingPolicy
+from typing import Callable
+
+from repro.baselines.enumeration import EnumerationPolicy
 from repro.profiles.configuration import Configuration
 from repro.profiles.profiler import ProfileEntry
 
 __all__ = ["FaSTGSharePolicy"]
 
 
-class FaSTGSharePolicy(SchedulingPolicy):
+class FaSTGSharePolicy(EnumerationPolicy):
     """Per-function enumeration maximising throughput per vGPU."""
 
     name = "FaST-GShare"
-    #: Always reports 0.0 scheduling overhead, so plan timing is skippable.
-    deterministic_overhead = True
 
-    def __init__(self, *, candidates: int = 3) -> None:
-        """Create the policy.
-
-        Parameters
-        ----------
-        candidates:
-            Number of alternative configurations handed to the controller.
-        """
-        super().__init__()
-        if candidates < 1:
-            raise ValueError("candidates must be >= 1")
-        self.num_candidates = candidates
-        self._fractions: dict[str, dict[str, float]] = {}
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def on_bind(self, context: SchedulingContext) -> None:
-        """Precompute the service-time SLO fractions of every workflow."""
-        self._fractions = {
-            name: service_time_fractions(workflow, context.profile_store)
-            for name, workflow in context.workflows.items()
-        }
-
-    def stage_slo_ms(self, queue: AFWQueue, slo_ms: float) -> float:
-        """Static per-stage share of the end-to-end SLO (no adaptation)."""
-        fractions = self._fractions.get(queue.app_name)
-        if fractions is None:
-            fractions = service_time_fractions(queue.workflow, self.context.profile_store)
-            self._fractions[queue.app_name] = fractions
-        return slo_ms * fractions[queue.stage_id]
-
-    # ------------------------------------------------------------------
-    # Configuration choice
-    # ------------------------------------------------------------------
-    def _gpu_efficiency(self, entry: ProfileEntry) -> float:
-        """Throughput per vGPU (higher means better GPU multiplexing)."""
+    def rank_key(self, entry: ProfileEntry) -> tuple[float, ...]:
+        """Highest throughput per vGPU (the best GPU multiplexing), then the
+        lowest per-job cost, then the lowest latency."""
         throughput = 1000.0 * entry.config.batch_size / entry.latency_ms
-        return throughput / entry.config.vgpus
+        return (-(throughput / entry.config.vgpus), entry.per_job_cost_cents, entry.latency_ms)
 
-    def plan(self, queue: AFWQueue, now_ms: float) -> SchedulingDecision | None:
-        """Pick the configuration with the best throughput-per-vGPU within the sub-SLO."""
-        if queue.is_empty:
-            return None
-        profile = self.context.profile_store.profile(queue.function_name)
-        entries = profile.sorted_by_latency(max_batch=len(queue))
-        request = queue.oldest_job().request
-        stage_slo = self.stage_slo_ms(queue, request.slo_ms)
-
-        feasible = [e for e in entries if e.latency_ms <= stage_slo]
-        if not feasible:
-            feasible = [entries[0]]
-        ranked = sorted(
-            feasible,
-            key=lambda e: (-self._gpu_efficiency(e), e.per_job_cost_cents, e.latency_ms),
-        )
-        candidates = [e.config for e in ranked[: self.num_candidates]]
-        # A single scan of the profile table: report zero overhead (like
-        # Aquatope's lookup) so runs stay deterministic across machines.
-        return SchedulingDecision(candidates=candidates, reported_overhead_ms=0.0)
-
-    # ------------------------------------------------------------------
-    # Placement: minimise GPU fragmentation
-    # ------------------------------------------------------------------
-    def select_invoker(
-        self, config: Configuration, queue: AFWQueue, now_ms: float
-    ) -> int | None:
+    def fit_key(self, config: Configuration) -> Callable[[int, int], object]:
         """Pack the GPU as tightly as possible (fewest leftover vGPUs)."""
-        cluster = self.context.cluster
-        best = cluster.best_fitting_invoker(
-            config,
-            key=lambda cpu, gpu: (gpu - config.vgpus, cpu - config.vcpus),
-        )
-        return None if best is None else best.invoker_id
+        return lambda cpu, gpu: (gpu - config.vgpus, cpu - config.vcpus)

@@ -17,20 +17,19 @@ throughput-maximising configuration choice implemented here.
 
 from __future__ import annotations
 
-from repro.baselines.service_time_slo import service_time_fractions
-from repro.cluster.policy_api import AFWQueue, SchedulingContext, SchedulingDecision, SchedulingPolicy
+from typing import Callable
+
+from repro.baselines.enumeration import EnumerationPolicy
 from repro.profiles.configuration import Configuration
 from repro.profiles.profiler import ProfileEntry
 
 __all__ = ["INFlessPolicy"]
 
 
-class INFlessPolicy(SchedulingPolicy):
+class INFlessPolicy(EnumerationPolicy):
     """Per-function enumeration maximising throughput under a stage sub-SLO."""
 
     name = "INFless"
-    #: Always reports 0.0 scheduling overhead, so plan timing is skippable.
-    deterministic_overhead = True
 
     def __init__(self, *, candidates: int = 3, resource_weight_vgpu: float = 2.0) -> None:
         """Create the policy.
@@ -44,84 +43,22 @@ class INFlessPolicy(SchedulingPolicy):
             Relative weight of a vGPU versus a vCPU in the resource
             efficiency tie-breaker.
         """
-        super().__init__()
-        if candidates < 1:
-            raise ValueError("candidates must be >= 1")
-        self.num_candidates = candidates
+        super().__init__(candidates=candidates)
         self.resource_weight_vgpu = resource_weight_vgpu
-        self._fractions: dict[str, dict[str, float]] = {}
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def on_bind(self, context: SchedulingContext) -> None:
-        """Precompute the service-time SLO fractions of every workflow."""
-        self._fractions = {
-            name: service_time_fractions(workflow, context.profile_store)
-            for name, workflow in context.workflows.items()
-        }
+    def rank_key(self, entry: ProfileEntry) -> tuple[float, ...]:
+        """Highest throughput, then throughput per weighted resource unit,
+        then the lowest per-job cost."""
+        config = entry.config
+        throughput = 1000.0 * config.batch_size / entry.latency_ms
+        resources = config.vcpus + self.resource_weight_vgpu * config.vgpus
+        return (-throughput, -(throughput / resources), entry.per_job_cost_cents)
 
-    def stage_slo_ms(self, queue: AFWQueue, slo_ms: float) -> float:
-        """The share of the end-to-end SLO this stage is allowed to use.
-
-        Note that the fraction is applied to the *original* SLO, not the
-        remaining budget: INFless does not adjust later stages when earlier
-        stages run late, which is one of the shortcomings the paper studies.
-        """
-        fractions = self._fractions.get(queue.app_name)
-        if fractions is None:
-            fractions = service_time_fractions(queue.workflow, self.context.profile_store)
-            self._fractions[queue.app_name] = fractions
-        return slo_ms * fractions[queue.stage_id]
-
-    # ------------------------------------------------------------------
-    # Configuration choice
-    # ------------------------------------------------------------------
-    def _efficiency(self, entry: ProfileEntry) -> float:
-        """Throughput per weighted resource unit (higher is better)."""
-        throughput = 1000.0 * entry.config.batch_size / entry.latency_ms
-        resources = entry.config.vcpus + self.resource_weight_vgpu * entry.config.vgpus
-        return throughput / resources
-
-    def _throughput(self, entry: ProfileEntry) -> float:
-        """Jobs per second of a configuration."""
-        return 1000.0 * entry.config.batch_size / entry.latency_ms
-
-    def plan(self, queue: AFWQueue, now_ms: float) -> SchedulingDecision | None:
-        """Pick the throughput-maximising configuration within the stage sub-SLO."""
-        if queue.is_empty:
-            return None
-        profile = self.context.profile_store.profile(queue.function_name)
-        entries = profile.sorted_by_latency(max_batch=len(queue))
-        request = queue.oldest_job().request
-        stage_slo = self.stage_slo_ms(queue, request.slo_ms)
-
-        feasible = [e for e in entries if e.latency_ms <= stage_slo]
-        if not feasible:
-            # Nothing meets the stage budget: fall back to the fastest option.
-            feasible = [profile.sorted_by_latency(max_batch=len(queue))[0]]
-        ranked = sorted(
-            feasible,
-            key=lambda e: (-self._throughput(e), -self._efficiency(e), e.per_job_cost_cents),
+    def fit_key(self, config: Configuration) -> Callable[[int, int], object]:
+        """Best fit: the least stranded capacity, a vGPU weighing double."""
+        shape = self.context.cluster.config
+        total_vcpus = shape.vcpus_per_invoker
+        total_vgpus = shape.vgpus_per_invoker
+        return lambda cpu, gpu: (cpu - config.vcpus) / total_vcpus + 2.0 * (
+            (gpu - config.vgpus) / total_vgpus
         )
-        candidates = [e.config for e in ranked[: self.num_candidates]]
-        # A single scan of the profile table: report zero overhead (like
-        # Aquatope's lookup) so runs stay deterministic across machines.
-        return SchedulingDecision(candidates=candidates, reported_overhead_ms=0.0)
-
-    # ------------------------------------------------------------------
-    # Placement: minimise resource fragmentation (best fit)
-    # ------------------------------------------------------------------
-    def select_invoker(
-        self, config: Configuration, queue: AFWQueue, now_ms: float
-    ) -> int | None:
-        """Choose the fitting node that leaves the least stranded capacity."""
-        cluster = self.context.cluster
-        total_vcpus = cluster.config.vcpus_per_invoker
-        total_vgpus = cluster.config.vgpus_per_invoker
-        best = cluster.best_fitting_invoker(
-            config,
-            key=lambda cpu, gpu: (cpu - config.vcpus) / total_vcpus
-            + 2.0 * ((gpu - config.vgpus) / total_vgpus),
-        )
-        return None if best is None else best.invoker_id

@@ -38,7 +38,7 @@ from typing import Callable, Iterator, Literal
 from repro.cluster.invoker import Invoker
 from repro.cluster.container import DEFAULT_KEEP_ALIVE_MS, ContainerState
 from repro.profiles.configuration import Configuration
-from repro.utils.validation import ensure_positive_int
+from repro.utils.validation import ensure_positive, ensure_positive_int
 
 __all__ = ["ClusterConfig", "ClusterState"]
 
@@ -61,6 +61,7 @@ class ClusterConfig:
         ensure_positive_int(self.num_invokers, "num_invokers")
         ensure_positive_int(self.vcpus_per_invoker, "vcpus_per_invoker")
         ensure_positive_int(self.vgpus_per_invoker, "vgpus_per_invoker")
+        ensure_positive(self.keep_alive_ms, "keep_alive_ms")
         if self.index_mode not in ("indexed", "scan"):
             raise ValueError(f"invalid index_mode {self.index_mode!r}")
 

@@ -36,6 +36,7 @@ from repro.profiles.perf_model import PerformanceModel
 from repro.profiles.pricing import PricingModel
 from repro.profiles.specs import FunctionSpec
 from repro.profiles.profiler import ProfileStore
+from repro.utils.validation import ensure_positive, ensure_positive_int
 from repro.workloads.dag import Workflow
 from repro.workloads.request import Job, Request
 
@@ -62,10 +63,10 @@ class ControllerConfig:
     prewarm_enabled: bool = True
 
     def __post_init__(self) -> None:
-        if self.tick_interval_ms <= 0:
-            raise ValueError("tick_interval_ms must be positive")
-        if self.recheck_rounds_before_min < 1:
-            raise ValueError("recheck_rounds_before_min must be >= 1")
+        ensure_positive(self.tick_interval_ms, "tick_interval_ms")
+        if self.tick_interval_ms == _INF:
+            raise ValueError(f"tick_interval_ms must be finite, got {self.tick_interval_ms!r}")
+        ensure_positive_int(self.recheck_rounds_before_min, "recheck_rounds_before_min")
         if self.initial_warm not in ("home", "all", "none"):
             raise ValueError(f"invalid initial_warm {self.initial_warm!r}")
 
@@ -153,6 +154,15 @@ class Controller:
         self._skip_plan_timing: bool = self.fast_mode and getattr(
             self.policy, "deterministic_overhead", False
         )
+        # Failed-attempt memo, kept only for policies with pure decisions
+        # (``SchedulingPolicy.pure_decisions``).  Maps the key of each queue
+        # whose attempt failed since the last dispatch of the current pass
+        # to what that attempt recorded: ``(overhead_ms, decision)``, or
+        # ``()`` when plan() declined.  ``_failed_forced`` holds the queues
+        # whose forced-minimum dispatch failed in the same window.
+        pure = getattr(self.policy, "pure_decisions", False)
+        self._failed_attempts: dict[tuple[str, str], tuple] | None = {} if pure else None
+        self._failed_forced: set[tuple[str, str]] | None = set() if pure else None
 
     # ------------------------------------------------------------------
     # Setup
@@ -586,7 +596,15 @@ class Controller:
         empty queue is a no-op in the scan (its ``continue`` also skips the
         recheck retry), so the filtered walk dispatches identically while
         touching O(non-empty) queues instead of O(all).
+
+        Within one pass ``now_ms`` is fixed and only a dispatch changes the
+        queues, the free capacity or the containers.  For a policy with
+        pure decisions, a queue's failed attempt therefore fails again until
+        the next dispatch, and the retry replays it from the failed-attempt
+        memo (see :meth:`_try_schedule_queue`).  The memo never outlives the
+        pass: events between passes change the state without a dispatch.
         """
+        self._forget_failures()
         if self._indexed:
             keys = self._all_keys_sorted()
             if not keys:
@@ -660,29 +678,42 @@ class Controller:
         return dispatched
 
     def _try_schedule_queue(self, queue: AFWQueue, now_ms: float) -> bool:
-        """Plan + dispatch one queue; returns True if a task was dispatched."""
+        """Plan + dispatch one queue; returns True if a task was dispatched.
+
+        A retry of an attempt that failed since the last dispatch of the
+        pass (pure policies only) calls neither the policy nor the cluster:
+        it records what the failed attempt recorded, the overhead sample
+        and the plan-attempt count of a pre-planned decision, and fails.
+        """
+        failed = self._failed_attempts
+        key = (queue.app_name, queue.stage_id)
+        if failed is not None:
+            attempt = failed.get(key)
+            if attempt is not None:
+                if attempt:
+                    overhead_ms, decision = attempt
+                    self.metrics.overhead_ms_samples.append(overhead_ms)
+                    if decision.used_preplanned:
+                        self.metrics.record_plan_attempt(miss=decision.plan_miss)
+                return False
         if self._skip_plan_timing:
             # The policy models its overhead deterministically, so the
             # wall-clock measurement around plan() would be discarded.
             decision = self.policy.plan(queue, now_ms)
-            if decision is None:
-                return False
-            overhead_ms = decision.reported_overhead_ms
-            if overhead_ms is None:
-                overhead_ms = 0.0
+            measured_ms = 0.0
         else:
             # repro: allow[REP001] compat fallback for policies that do not model their overhead — the measurement is discarded whenever reported_overhead_ms is set, and all built-in policies set it
             start = _time.perf_counter()
             decision = self.policy.plan(queue, now_ms)
             # repro: allow[REP001] second half of the fallback measurement above
             measured_ms = (_time.perf_counter() - start) * 1000.0
-            if decision is None:
-                return False
-            overhead_ms = (
-                decision.reported_overhead_ms
-                if decision.reported_overhead_ms is not None
-                else measured_ms
-            )
+        if decision is None:
+            if failed is not None:
+                failed[key] = ()
+            return False
+        overhead_ms = decision.reported_overhead_ms
+        if overhead_ms is None:
+            overhead_ms = measured_ms
 
         if self.fast_mode:
             # Inlined ``metrics.record_overhead`` (live collector).
@@ -710,31 +741,41 @@ class Controller:
                     continue
                 self._dispatch_fast(queue, config, invoker_id, now_ms, overhead_ms)
                 return True
-            return False
-
-        self.metrics.record_overhead(overhead_ms)
-        if decision.used_preplanned:
-            self.metrics.record_plan_attempt(miss=decision.plan_miss)
-
-        for candidate in decision.candidates:
-            config = self._clip_to_queue(candidate, queue)
-            invoker_id = self.policy.select_invoker(config, queue, now_ms)
-            if invoker_id is None:
-                continue
-            invoker = self.cluster.invoker(invoker_id)
-            if not invoker.can_fit(config):
-                continue
-            self._dispatch(queue, config, invoker_id, now_ms, overhead_ms)
-            return True
+        else:
+            self.metrics.record_overhead(overhead_ms)
+            if decision.used_preplanned:
+                self.metrics.record_plan_attempt(miss=decision.plan_miss)
+            for candidate in decision.candidates:
+                config = self._clip_to_queue(candidate, queue)
+                invoker_id = self.policy.select_invoker(config, queue, now_ms)
+                if invoker_id is None:
+                    continue
+                invoker = self.cluster.invoker(invoker_id)
+                if not invoker.can_fit(config):
+                    continue
+                self._dispatch(queue, config, invoker_id, now_ms, overhead_ms)
+                return True
+        if failed is not None:
+            failed[key] = (overhead_ms, decision)
         return False
 
     def _force_minimum_dispatch(self, queue: AFWQueue, now_ms: float) -> bool:
-        """Dispatch the queue head with the minimum configuration if possible."""
+        """Dispatch the queue head with the minimum configuration if possible.
+
+        A failure is remembered like a failed attempt (pure policies only):
+        it records nothing, so a repeat before the next dispatch of the pass
+        just fails.
+        """
+        failed_forced = self._failed_forced
+        if failed_forced is not None and queue.key in failed_forced:
+            return False
         config = self.profile_store.space.minimum
         invoker_id = self.policy.select_invoker(config, queue, now_ms)
         if invoker_id is None or not self.cluster.invoker(invoker_id).can_fit(config):
             fallback = self.cluster.most_available_invoker(config)
             if fallback is None:
+                if failed_forced is not None:
+                    failed_forced.add(queue.key)
                 return False
             invoker_id = fallback.invoker_id
         self.metrics.record_forced_min_dispatch()
@@ -765,6 +806,15 @@ class Controller:
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
+    def _forget_failures(self) -> None:
+        """Empty the failed-attempt memo: a dispatch or a new pass began."""
+        # A forced-minimum attempt only follows a failed attempt of the same
+        # queue, so the forced set is empty whenever the memo is.
+        if self._failed_attempts:
+            self._failed_attempts.clear()
+            if self._failed_forced:
+                self._failed_forced.clear()
+
     def _dispatch(
         self,
         queue: AFWQueue,
@@ -776,6 +826,7 @@ class Controller:
         """Create the task, charge its latency components, reserve resources."""
         if self.fast_mode:
             return self._dispatch_fast(queue, config, invoker_id, now_ms, overhead_ms)
+        self._forget_failures()
         invoker = self.cluster.invoker(invoker_id)
         spec = self.profile_store.profile(queue.function_name).spec
         jobs = queue.pop_batch(min(config.batch_size, len(queue)))
@@ -860,6 +911,7 @@ class Controller:
         overhead) + duration``, ``cost = rate * duration``), so summaries
         stay byte-identical.
         """
+        self._forget_failures()
         invoker = self.cluster.invokers[invoker_id]
         function_name = queue.function_name
         spec = self._spec_cache.get(function_name)

@@ -210,6 +210,16 @@ class SchedulingPolicy(abc.ABC):
     #: value would be discarded in favour of the reported one anyway.
     deterministic_overhead: bool = False
 
+    #: Policies whose :meth:`plan` and :meth:`select_invoker` are
+    #: deterministic functions of the queue, ``now_ms`` and the cluster
+    #: state, write nothing the run can observe (private memo caches are
+    #: fine) and report a modeled overhead may set this.  The controller
+    #: then remembers a queue's failed attempt until the next dispatch or
+    #: the end of the scheduling pass and replays its records instead of
+    #: calling the policy again.  Planners that write per-request state
+    #: (``static_plan``, ``plan_miss_count``) must leave it ``False``.
+    pure_decisions: bool = False
+
     def __init__(self) -> None:
         self._context: SchedulingContext | None = None
 

@@ -39,6 +39,7 @@ from repro.profiles.perf_model import (
 from repro.profiles.pricing import PricingModel
 from repro.profiles.profiler import ProfileStore
 from repro.utils.rng import derive_rng
+from repro.utils.validation import ensure_non_negative
 from repro.workloads.dag import Workflow
 from repro.workloads.request import Request
 from repro.workloads.stream import RequestStream
@@ -271,8 +272,7 @@ class SimulationConfig:
     churn: "ChurnSchedule | None" = None
 
     def __post_init__(self) -> None:
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        ensure_non_negative(self.noise_sigma, "noise_sigma")
         if self.max_events <= 0:
             raise ValueError("max_events must be positive")
         if self.loop_mode not in LOOP_MODES:

@@ -28,7 +28,7 @@ from typing import Iterator
 
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.container import DEFAULT_KEEP_ALIVE_MS
-from repro.utils.validation import ensure_positive_int
+from repro.utils.validation import ensure_positive, ensure_positive_int
 
 __all__ = [
     "ClusterTopology",
@@ -58,8 +58,7 @@ class ClusterTopology:
         ensure_positive_int(self.num_invokers, "num_invokers")
         ensure_positive_int(self.vcpus_per_invoker, "vcpus_per_invoker")
         ensure_positive_int(self.vgpus_per_invoker, "vgpus_per_invoker")
-        if self.keep_alive_ms <= 0:
-            raise ValueError(f"keep_alive_ms must be > 0, got {self.keep_alive_ms}")
+        ensure_positive(self.keep_alive_ms, "keep_alive_ms")
 
     @property
     def total_vcpus(self) -> int:

@@ -89,8 +89,11 @@ class ESGPolicy(SchedulingPolicy):
             which already folds in every time- and urgency-dependent
             input).  The ESG_1Q search is a pure function of those inputs,
             so cache hits return byte-identical decisions (including the
-            modeled overhead); the controller's recheck retries within one
-            tick are the main beneficiary.  Only active when
+            modeled overhead).  Most hits are first-stage plans of fresh
+            requests, which share a quota per application.  A recheck
+            retry reaches this cache only after a dispatch earlier in the
+            same pass; the controller replays the other failed retries
+            without calling :meth:`plan`.  Only active when
             ``per_expansion_ms`` models overhead deterministically —
             wall-clock measurement mode always re-runs the search.
         name:
@@ -116,6 +119,11 @@ class ESGPolicy(SchedulingPolicy):
         # With a modeled overhead the wall-clock plan timing is discarded
         # anyway, so the fast loop may skip measuring it.
         self.deterministic_overhead = per_expansion_ms is not None
+        # Adaptive plans write no request state, and a modeled overhead is
+        # the same on every retry, so the controller may replay a failed
+        # attempt instead of repeating it.  Static plans write
+        # ``static_plan`` and ``plan_miss_count``.
+        self.pure_decisions = adaptive and per_expansion_ms is not None
         if name is not None:
             self.name = name
         self._distributions: dict[str, SLODistribution] = {}

@@ -21,15 +21,15 @@ def ensure_positive(value: float, name: str) -> float:
 def ensure_positive_int(value: int, name: str) -> int:
     """Return ``value`` if it is a strictly positive integer."""
     if not isinstance(value, (int,)) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+        raise TypeError(f"{name} must be an int, got {value!r} ({type(value).__name__})")
     if value <= 0:
         raise ValueError(f"{name} must be a positive integer, got {value}")
     return value
 
 
 def ensure_non_negative(value: float, name: str) -> float:
-    """Return ``value`` if it is >= 0, else raise ``ValueError``."""
-    if value < 0:
+    """Return ``value`` if it is >= 0, else raise ``ValueError`` (NaN included)."""
+    if not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
     return float(value)
 

@@ -11,6 +11,7 @@ from repro.cluster.datatransfer import DataTransferModel
 from repro.cluster.policy_api import AFWQueue, SchedulingContext
 from repro.profiles.configuration import Configuration
 from repro.workloads.applications import build_paper_applications, image_classification
+from repro.workloads.dag import Workflow
 from repro.workloads.request import Job, Request
 
 
@@ -79,6 +80,31 @@ class TestSharedBehaviour:
         queue = make_loaded_queue(small_store, slo_factor=0.01)
         decision = bound_policy.plan(queue, now_ms=1.0)
         assert decision is not None and len(decision.candidates) >= 1
+
+    def test_cached_decisions_match_a_fresh_policy(self, bound_policy, small_store):
+        # Vary each part of the cache key: function, queue length below and
+        # above the largest batch option, and stage sub-SLO.
+        largest = small_store.space.batch_options[-1]
+        shapes = [
+            (stage_id, jobs, slo_factor)
+            for stage_id in ("s1", "s2")
+            for jobs in (1, 2, largest, largest + 3)
+            for slo_factor in (0.01, 1.2, 3.0)
+        ]
+        queues = [make_loaded_queue(small_store, *shape) for shape in shapes]
+        # Single-stage apps of different functions share one stage sub-SLO.
+        for function in sorted(small_store.profiles):
+            wf = Workflow(name=f"single-{function}")
+            wf.add_stage("s1", function)
+            queue = AFWQueue(app_name=wf.name, stage_id="s1", function_name=function, workflow=wf)
+            request = Request(request_id=0, workflow=wf, arrival_ms=0.0, slo_ms=400.0)
+            queue.push(Job(request=request, stage_id="s1", ready_ms=0.0))
+            queues.append(queue)
+        for queue in queues + queues:
+            fresh = type(bound_policy)()
+            fresh.bind(bound_policy.context)
+            expected = fresh.plan(queue, now_ms=1.0)
+            assert bound_policy.plan(queue, now_ms=1.0).candidates == expected.candidates
 
 
 class TestINFlessSpecifics:

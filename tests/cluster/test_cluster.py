@@ -23,6 +23,14 @@ class TestClusterConfig:
         with pytest.raises(ValueError):
             ClusterConfig(vgpus_per_invoker=-1)
 
+    @pytest.mark.parametrize("keep_alive_ms", [-5.0, 0.0, float("nan")])
+    def test_keep_alive_must_be_positive(self, keep_alive_ms):
+        with pytest.raises(ValueError, match=f"keep_alive_ms must be > 0, got {keep_alive_ms!r}"):
+            ClusterConfig(keep_alive_ms=keep_alive_ms)
+
+    def test_infinite_keep_alive_accepted(self):
+        assert ClusterConfig(keep_alive_ms=float("inf")).keep_alive_ms == float("inf")
+
 
 class TestClusterState:
     def test_builds_requested_invokers(self):

@@ -321,6 +321,22 @@ class TestManyQueues:
         assert not controller.has_pending_work()
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("tick_ms", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tick_interval_must_be_positive_and_finite(self, tick_ms):
+        with pytest.raises(ValueError, match=f"tick_interval_ms must be .*, got {tick_ms!r}"):
+            ControllerConfig(tick_interval_ms=tick_ms)
+
+    @pytest.mark.parametrize("rounds", [0, -1, 2.5, True])
+    def test_recheck_rounds_must_be_a_positive_int(self, rounds):
+        with pytest.raises((TypeError, ValueError), match=f"recheck_rounds_before_min .*{rounds!r}"):
+            ControllerConfig(recheck_rounds_before_min=rounds)
+
+    def test_nan_noise_sigma_rejected(self):
+        with pytest.raises(ValueError, match="noise_sigma must be >= 0, got nan"):
+            SimulationConfig(noise_sigma=float("nan"))
+
+
 class TestSimulationGuards:
     def test_empty_request_list_rejected(self, store):
         with pytest.raises(ValueError):

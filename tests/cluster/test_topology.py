@@ -49,6 +49,10 @@ class TestTopology:
         with pytest.raises(ValueError):
             ClusterTopology(name="bad", num_invokers=4, keep_alive_ms=0.0)
 
+    def test_nan_keep_alive_rejected(self):
+        with pytest.raises(ValueError, match="keep_alive_ms must be > 0, got nan"):
+            ClusterTopology(name="bad", num_invokers=4, keep_alive_ms=float("nan"))
+
     def test_register_refuses_silent_redefinition(self):
         with pytest.raises(ValueError, match="replace=True"):
             register_topology(ClusterTopology(name="paper-16", num_invokers=1))

@@ -1,8 +1,17 @@
-"""Write the golden ESG run summaries under ``tests/golden/esg/``.
+"""Write the golden run summaries under ``tests/golden/``.
 
 Each file holds one ``RunSummary`` as JSON, every float in its exact
-``repr``: one ESG variant (the paper's ESG, static planning, and the two
-Figure 12 ablations) on ``paper-relaxed-heavy`` at one seed.
+``repr``.  The corpus is a lattice of ``(policy, scenario, seed)`` cases
+in two groups:
+
+* ``esg/``: the ESG variants (the paper's ESG, static planning, and the
+  two Figure 12 ablations) on ``paper-relaxed-heavy``;
+* ``retry/``: INFless, FaST-GShare, ESG and Orion on ``overload-spike``
+  and on ``churn-eviction-storm`` with the ``pid-default`` autoscaler.
+  The enumeration baselines park many queues on the controller's recheck
+  list there and retry them on every tick, so these cases pin the retry
+  path.
+
 ``test_golden_replay.py`` re-runs every case and compares the text byte
 for byte, so a change to any decision, count or float shows up there.
 
@@ -12,6 +21,7 @@ root:
     PYTHONPATH=src python tests/golden/make_golden.py --force
 
 Without ``--force`` the script refuses to overwrite an existing file.
+``--out DIR`` writes the corpus under another directory instead.
 """
 
 from __future__ import annotations
@@ -19,40 +29,86 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.core.esg import ESGPolicy
-from repro.experiments import ExperimentConfig, run_experiment
+from repro.experiments import ExperimentConfig, make_policy, run_experiment
 
-GOLDEN_DIR = Path(__file__).resolve().parent / "esg"
-SCENARIO = "paper-relaxed-heavy"
+GOLDEN_DIR = Path(__file__).resolve().parent
 NUM_REQUESTS = 100
 SEEDS = (1, 2)
-#: ESG constructor overrides of each variant, by file-name label.
+#: ESG constructor overrides of each ``esg/`` variant, by file-name label.
 VARIANTS: dict[str, dict[str, object]] = {
     "esg": {},
     "esg-static": {"adaptive": False, "name": "ESG static"},
     "esg-no-gpu-sharing": {"gpu_sharing": False, "name": "ESG w/o GPU sharing"},
     "esg-no-batching": {"batching": False, "name": "ESG w/o batching"},
 }
+#: Policies of the ``retry/`` group, by their ``make_policy`` names.
+RETRY_POLICIES = ("INFless", "FaST-GShare", "ESG", "Orion")
+#: Scenarios of the ``retry/`` group and the autoscaler each runs with.
+RETRY_SCENARIOS: dict[str, str | None] = {
+    "overload-spike": None,
+    "churn-eviction-storm": "pid-default",
+}
 
 
-def cases() -> list[tuple[str, int]]:
-    """Every ``(variant, seed)`` pair of the corpus."""
-    return [(variant, seed) for variant in VARIANTS for seed in SEEDS]
+@dataclass(frozen=True)
+class Case:
+    """One golden run: a policy on a scenario at one seed."""
+
+    group: str
+    #: An ESG variant label (``esg/``) or a ``make_policy`` name (``retry/``).
+    policy: str
+    scenario: str
+    seed: int
+    autoscale: str | None = None
+
+    @property
+    def id(self) -> str:
+        """Test id; the ``esg/`` ids predate the ``retry/`` group."""
+        if self.group == "esg":
+            return f"{self.policy}-{self.seed}"
+        return f"{self.policy}-{self.scenario}-{self.seed}"
+
+    @property
+    def path(self) -> Path:
+        """File of the case, relative to the corpus directory."""
+        if self.group == "esg":
+            return Path("esg") / f"{self.policy}-seed{self.seed}.json"
+        label = self.policy.lower()
+        return Path(self.group) / f"{label}-{self.scenario}-seed{self.seed}.json"
 
 
-def file_name(variant: str, seed: int) -> str:
-    return f"{variant}-seed{seed}.json"
+def cases() -> list[Case]:
+    """Every case of the corpus."""
+    esg = [
+        Case("esg", variant, "paper-relaxed-heavy", seed)
+        for variant in VARIANTS
+        for seed in SEEDS
+    ]
+    retry = [
+        Case("retry", policy, scenario, seed, autoscale)
+        for scenario, autoscale in RETRY_SCENARIOS.items()
+        for policy in RETRY_POLICIES
+        for seed in SEEDS
+    ]
+    return esg + retry
 
 
-def render(variant: str, seed: int) -> str:
+def render(case: Case) -> str:
     """Run one case and return its summary as canonical JSON text."""
+    if case.group == "esg":
+        policy = ESGPolicy(**VARIANTS[case.policy])
+    else:
+        policy = make_policy(case.policy)
     result = run_experiment(
-        ESGPolicy(**VARIANTS[variant]),
-        config=ExperimentConfig(num_requests=NUM_REQUESTS, seed=seed),
-        scenario=SCENARIO,
+        policy,
+        config=ExperimentConfig(
+            num_requests=NUM_REQUESTS, seed=case.seed, autoscale=case.autoscale
+        ),
+        scenario=case.scenario,
     )
     return json.dumps(asdict(result.summary), indent=2, sort_keys=True) + "\n"
 
@@ -62,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--force", action="store_true", help="overwrite existing golden files")
     parser.add_argument("--out", type=Path, default=GOLDEN_DIR, help="output directory")
     args = parser.parse_args(argv)
-    targets = {case: args.out / file_name(*case) for case in cases()}
+    targets = {case: args.out / case.path for case in cases()}
     existing = sorted(str(path) for path in targets.values() if path.exists())
     if existing and not args.force:
         print(
@@ -71,9 +127,9 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 1
-    args.out.mkdir(parents=True, exist_ok=True)
-    for (variant, seed), path in targets.items():
-        path.write_text(render(variant, seed))
+    for case, path in targets.items():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(render(case))
         print(f"wrote {path}")
     return 0
 

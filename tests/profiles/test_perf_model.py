@@ -111,6 +111,12 @@ class TestModelParameters:
 
 
 class TestNoisyModel:
+    def test_nan_sigma_rejected(self):
+        with pytest.raises(ValueError, match="sigma must be >= 0, got nan"):
+            NoisyPerformanceModel(
+                base=AnalyticalPerformanceModel(), rng=derive_rng(0, "t"), sigma=float("nan")
+            )
+
     def test_zero_sigma_equals_base(self):
         base = AnalyticalPerformanceModel()
         noisy = NoisyPerformanceModel(base=base, rng=derive_rng(0, "t"), sigma=0.0)

@@ -71,3 +71,10 @@ class TestCostArithmetic:
             PricingModel(vcpu_dollars_per_hour=-1.0)
         with pytest.raises(ValueError):
             PricingModel(vgpu_dollars_per_hour=-0.5)
+
+
+class TestValidation:
+    @pytest.mark.parametrize("field", ["vcpu_dollars_per_hour", "vgpu_dollars_per_hour"])
+    def test_nan_price_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 0, got nan"):
+            PricingModel(**{field: float("nan")})

@@ -63,6 +63,12 @@ class TestFunctionSpec:
         with pytest.raises(ValueError):
             FunctionSpec(name="", model_name="m", base_exec_ms=10.0, cold_start_ms=1.0, input_mb=1.0)
 
+    @pytest.mark.parametrize("field", ["cold_start_ms", "input_mb", "output_mb"])
+    def test_nan_rejected(self, field):
+        values = {"base_exec_ms": 10.0, "cold_start_ms": 1.0, "input_mb": 1.0, field: float("nan")}
+        with pytest.raises(ValueError, match=f"{field} must be >= 0, got nan"):
+            FunctionSpec(name="x", model_name="m", **values)
+
 
 class TestRegistry:
     def test_get_unknown_function_lists_available(self):

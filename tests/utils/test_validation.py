@@ -24,6 +24,10 @@ class TestEnsurePositive:
         with pytest.raises(ValueError):
             ensure_positive(-1.0, "x")
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="x must be > 0, got nan"):
+            ensure_positive(float("nan"), "x")
+
 
 class TestEnsurePositiveInt:
     def test_accepts_positive_int(self):
@@ -41,6 +45,10 @@ class TestEnsurePositiveInt:
         with pytest.raises(TypeError):
             ensure_positive_int(2.0, "n")
 
+    def test_type_error_names_the_value(self):
+        with pytest.raises(TypeError, match=r"n must be an int, got 2\.5 \(float\)"):
+            ensure_positive_int(2.5, "n")
+
 
 class TestEnsureNonNegative:
     def test_accepts_zero(self):
@@ -49,6 +57,13 @@ class TestEnsureNonNegative:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             ensure_non_negative(-0.1, "x")
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="x must be >= 0, got nan"):
+            ensure_non_negative(float("nan"), "x")
+
+    def test_accepts_infinity(self):
+        assert ensure_non_negative(float("inf"), "x") == float("inf")
 
 
 class TestEnsureInRange:
