@@ -17,6 +17,7 @@ from repro.baselines.service_time_slo import service_time_fractions
 from repro.cluster.policy_api import AFWQueue, SchedulingContext, SchedulingDecision, SchedulingPolicy
 from repro.profiles.configuration import Configuration
 from repro.profiles.profiler import ProfileEntry
+from repro.utils.validation import ensure_positive_int
 
 __all__ = ["EnumerationPolicy"]
 
@@ -26,9 +27,11 @@ class EnumerationPolicy(SchedulingPolicy):
 
     #: Always reports 0.0 scheduling overhead, so plan timing is skippable.
     deterministic_overhead = True
-    #: plan() reads the queue and the profiles, select_invoker() the free
-    #: capacity; neither writes anything the run can observe.
+    #: plan() reads the queue's length and head job and the profiles,
+    #: select_invoker() the free capacity; neither reads ``now_ms`` or
+    #: writes anything the run can observe.
     pure_decisions = True
+    time_invariant_decisions = True
 
     def __init__(self, *, candidates: int = 3) -> None:
         """Create the policy.
@@ -37,12 +40,10 @@ class EnumerationPolicy(SchedulingPolicy):
         ----------
         candidates:
             How many alternative configurations to hand the controller (the
-            best by the rank key first).
+            best by the rank key first); a positive ``int``.
         """
         super().__init__()
-        if candidates < 1:
-            raise ValueError("candidates must be >= 1")
-        self.num_candidates = candidates
+        self.num_candidates = ensure_positive_int(candidates, "candidates")
         self._fractions: dict[str, dict[str, float]] = {}
         #: Decisions by (function, queue length capped at the largest batch
         #: option, stage sub-SLO): plan() reads nothing else.

@@ -41,9 +41,13 @@ class INFlessPolicy(EnumerationPolicy):
             best by the throughput metric first).
         resource_weight_vgpu:
             Relative weight of a vGPU versus a vCPU in the resource
-            efficiency tie-breaker.
+            efficiency tie-breaker; finite and ``>= 0``.
         """
         super().__init__(candidates=candidates)
+        if not 0.0 <= resource_weight_vgpu < float("inf"):
+            raise ValueError(
+                f"resource_weight_vgpu must be finite and >= 0, got {resource_weight_vgpu!r}"
+            )
         self.resource_weight_vgpu = resource_weight_vgpu
 
     def rank_key(self, entry: ProfileEntry) -> tuple[float, ...]:

@@ -20,7 +20,11 @@ per-event cost stays (near-)constant as the cluster grows:
   :meth:`ClusterState.warm_invokers_for`;
 * **counters** replace the ``sum(...)`` sweeps behind
   :meth:`ClusterState.total_available_vcpus` / ``total_available_vgpus``
-  and the prewarmer's resident-container counts.
+  and the prewarmer's resident-container counts;
+* a **capacity epoch**, :attr:`ClusterState.capacity_epoch`, counts the
+  changes to any node's free capacity and the joins (kept in both index
+  modes), so the controller can tell that no capacity moved since it
+  recorded a failed attempt.
 
 Setting ``ClusterConfig(index_mode="scan")`` switches every query back to
 the original linear scans (the pre-index reference path).  Both paths return
@@ -167,6 +171,11 @@ class ClusterState:
     #: with no capacity query in between cancels to a no-op instead of four
     #: heap operations.
     _pending_moves: dict[int, tuple[int, int]] | None = field(init=False, repr=False)
+    #: Bumped on every change to any node's free capacity and on every
+    #: join, in both index modes.  While it is unchanged, every node's free
+    #: capacity is what it was (a leave of a node with no free capacity
+    #: left changes nothing a placement can see, so it need not bump it).
+    capacity_epoch: int = field(init=False, default=0, repr=False)
 
     def __post_init__(self) -> None:
         self.invokers = [
@@ -184,14 +193,7 @@ class ClusterState:
         self._bucket_of = [full] * self.config.num_invokers
         for invoker in self.invokers:
             self._capacity.add(full, invoker.invoker_id)
-            if self._indexed:
-                # Scan mode skips cluster-level index maintenance entirely,
-                # keeping it an honest pre-refactor baseline: its queries
-                # never read these structures, and paying bucket moves /
-                # warm-set updates would overstate the indexed speedup.
-                invoker.bind_cluster_callbacks(
-                    self._capacity_changed, self._containers_changed
-                )
+            self._bind(invoker)
         self._free_vcpus = self.config.total_vcpus
         self._free_vgpus = self.config.total_vgpus
         self._total_vcpus = self.config.total_vcpus
@@ -204,15 +206,30 @@ class ClusterState:
     # ------------------------------------------------------------------
     # Index maintenance (invoked by the invokers' change callbacks)
     # ------------------------------------------------------------------
+    def _bind(self, invoker: Invoker) -> None:
+        """Wire ``invoker``'s change callbacks to this cluster.
+
+        Scan mode skips cluster-level index maintenance, keeping it an
+        honest pre-refactor baseline: its queries never read these
+        structures, and paying bucket moves / warm-set updates would
+        overstate the indexed speedup.  It keeps only the capacity epoch.
+        """
+        invoker.bind_cluster_callbacks(
+            self._capacity_changed, self._containers_changed if self._indexed else None
+        )
+
     def _capacity_changed(self, invoker: Invoker) -> None:
         i = invoker.invoker_id
         old = self._bucket_of[i]
         new = (invoker.total_vcpus - invoker._used_vcpus, invoker.gpu.total_vgpus - invoker.gpu._used_vgpus)
         if new == old:
             return
+        self.capacity_epoch += 1
+        self._bucket_of[i] = new
+        if not self._indexed:
+            return
         self._free_vcpus += new[0] - old[0]
         self._free_vgpus += new[1] - old[1]
-        self._bucket_of[i] = new
         pending = self._pending_moves
         if pending is not None:
             origin = pending.get(i)
@@ -451,9 +468,10 @@ class ClusterState:
 
         Mirrors ``__post_init__``: the new invoker is appended (ids are
         dense and never reused), registered with the capacity index in both
-        index modes, and wired to the incremental callbacks only when
-        indexing is on.  The home-invoker memo depends on the cluster size,
-        so a join invalidates it.
+        index modes, and wired to the callbacks.  The home-invoker memo
+        depends on the cluster size, so a join invalidates it.  A join
+        changes no existing node's free capacity but adds a node that may
+        fit what fit nowhere before, so it bumps the capacity epoch.
         """
         invoker = Invoker(
             invoker_id=len(self.invokers),
@@ -465,8 +483,8 @@ class ClusterState:
         bucket = (invoker.total_vcpus, invoker.total_vgpus)
         self._bucket_of.append(bucket)
         self._capacity.add(bucket, invoker.invoker_id)
-        if self._indexed:
-            invoker.bind_cluster_callbacks(self._capacity_changed, self._containers_changed)
+        self._bind(invoker)
+        self.capacity_epoch += 1
         self._free_vcpus += invoker.total_vcpus
         self._free_vgpus += invoker.total_vgpus
         self._total_vcpus += invoker.total_vcpus
@@ -496,8 +514,8 @@ class ClusterState:
         invoker._used_vcpus = 0
         invoker.gpu._used_vgpus = 0
         invoker.active = False
-        # Re-bucket to (0, 0); no-op in scan mode (callback unbound there),
-        # where the bucket index is never read.
+        # Re-bucket to (0, 0) (scan mode only bumps the capacity epoch,
+        # and neither mode does when the node had no free capacity left).
         invoker._capacity_changed()
         return evicted
 

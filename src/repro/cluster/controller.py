@@ -45,6 +45,11 @@ __all__ = ["ControllerConfig", "Controller"]
 _INF = float("inf")
 
 
+def _unchanged(stamp: tuple, jobs, epoch: int) -> bool:
+    """True if a stamp's capacity epoch, queue length and head job are current."""
+    return stamp[0] == epoch and stamp[1] == len(jobs) and stamp[2] is jobs[0]
+
+
 @dataclass(frozen=True)
 class ControllerConfig:
     """Tunable behaviour of the controller (identical across policies)."""
@@ -156,13 +161,19 @@ class Controller:
         )
         # Failed-attempt memo, kept only for policies with pure decisions
         # (``SchedulingPolicy.pure_decisions``).  Maps the key of each queue
-        # whose attempt failed since the last dispatch of the current pass
-        # to what that attempt recorded: ``(overhead_ms, decision)``, or
-        # ``()`` when plan() declined.  ``_failed_forced`` holds the queues
-        # whose forced-minimum dispatch failed in the same window.
+        # whose last attempt failed to ``(stamp, attempt)``: the stamp of
+        # the state it failed in (see :meth:`_stamp`) and what it recorded,
+        # ``(overhead_ms, decision)`` or ``()`` when plan() declined.
+        # ``_failed_forced`` maps the queues whose last forced-minimum
+        # dispatch failed to the stamp of that failure.
         pure = getattr(self.policy, "pure_decisions", False)
+        self._time_invariant: bool = pure and getattr(
+            self.policy, "time_invariant_decisions", False
+        )
         self._failed_attempts: dict[tuple[str, str], tuple] | None = {} if pure else None
-        self._failed_forced: set[tuple[str, str]] | None = set() if pure else None
+        self._failed_forced: dict[tuple[str, str], tuple] | None = {} if pure else None
+        #: Scheduling passes run so far (the pass part of a stamp).
+        self._passes: int = 0
 
     # ------------------------------------------------------------------
     # Setup
@@ -598,13 +609,17 @@ class Controller:
         touching O(non-empty) queues instead of O(all).
 
         Within one pass ``now_ms`` is fixed and only a dispatch changes the
-        queues, the free capacity or the containers.  For a policy with
-        pure decisions, a queue's failed attempt therefore fails again until
-        the next dispatch, and the retry replays it from the failed-attempt
-        memo (see :meth:`_try_schedule_queue`).  The memo never outlives the
-        pass: events between passes change the state without a dispatch.
+        queues, the free capacity or the containers, and every dispatch
+        changes the free capacity.  For a policy with pure decisions, a
+        queue's failed attempt therefore fails again while the capacity
+        epoch and the pass are unchanged, and the retry replays it from the
+        failed-attempt memo (see :meth:`_try_schedule_queue`).  For a
+        policy with time-invariant decisions the record outlives the pass
+        while the capacity epoch and the queue's length and head job are
+        unchanged, and a pass whose every attempt would replay a failure is
+        applied in bulk (see :meth:`_replay_failed_pass`).
         """
-        self._forget_failures()
+        self._passes += 1
         if self._indexed:
             keys = self._all_keys_sorted()
             if not keys:
@@ -629,6 +644,8 @@ class Controller:
             order = [keys[(self._rr_offset + i) % n] for i in range(n)]
         dispatched = 0
         self._rr_offset = (self._rr_offset + 1) % n
+        if self._time_invariant and self._replay_failed_pass(order):
+            return 0
 
         for key in order:
             queue = self._queues[key]
@@ -677,19 +694,114 @@ class Controller:
                     queue.recheck_rounds = 0
         return dispatched
 
+    def _replay_failed_pass(self, order: list[tuple[str, str]]) -> bool:
+        """Apply a pass that cannot dispatch without trying any queue.
+
+        Time-invariant policies only.  Unless every queue the pass would
+        try (the non-empty queues of ``order`` and of the recheck list)
+        holds a matching failed-attempt record, and every queue whose
+        ``recheck_rounds`` reaches ``recheck_rounds_before_min`` in the pass
+        holds a matching forced-minimum record, this changes nothing and
+        returns False.  Otherwise every attempt of the pass would replay a
+        failure, so nothing dispatches and nothing a stamp reads changes,
+        and this applies the per-attempt loop's effects in its order and
+        returns True.  After visit ``i`` the list holds the parked queues
+        and the visits up to ``i`` that were not parked (a queue that
+        dispatched and then failed in its last visit), so visit ``i``
+        records its own sample and then the list's; each queue sees one
+        recheck round per visit from the one that parked it on; and empty
+        queues leave the list at the first visit.
+        """
+        queues = self._queues
+        visits = [key for key in order if queues[key].jobs]
+        if not visits:
+            return False
+        failed = self._failed_attempts
+        forced = self._failed_forced
+        epoch = self.cluster.capacity_epoch
+        parked = [key for key in self._recheck if queues[key].jobs]
+        # The recheck rounds each queue sees in the pass.
+        n = len(visits)
+        rounds = dict.fromkeys(parked, n)
+        for i, key in enumerate(visits):
+            rounds.setdefault(key, n - i)
+        limit = self.config.recheck_rounds_before_min
+        attempts = {}
+        # Time-invariant records ignore the pass part of their stamps.
+        for key, seen in rounds.items():
+            queue = queues[key]
+            entry = failed.get(key)
+            if entry is None or not _unchanged(entry[0], queue.jobs, epoch):
+                return False
+            if queue.recheck_rounds + seen >= limit:
+                stamp = forced.get(key)
+                if stamp is None or not _unchanged(stamp, queue.jobs, epoch):
+                    return False
+            attempts[key] = entry[1]
+
+        metrics = self.metrics
+        samples = metrics.overhead_ms_samples
+        was_parked = set(parked)
+        newly_parked = []
+        listed = [attempts[key][0] for key in parked if attempts[key]]
+        for key in visits:
+            attempt = attempts[key]
+            if attempt:
+                samples.append(attempt[0])
+            if key not in was_parked:
+                newly_parked.append(key)
+                if attempt:
+                    listed.append(attempt[0])
+            samples.extend(listed)
+        for key, seen in rounds.items():
+            attempt = attempts[key]
+            if attempt and attempt[1].used_preplanned:
+                # Every non-empty queue is visited: one attempt, then one
+                # per recheck round.
+                metrics.plan_attempts += seen + 1
+                if attempt[1].plan_miss:
+                    metrics.plan_misses += seen + 1
+            queues[key].recheck_rounds += seen
+        for key in self._recheck:
+            if not queues[key].jobs:
+                queues[key].recheck_rounds = 0
+        self._recheck = parked + newly_parked
+        return True
+
+    def _stamp(self, queue: AFWQueue) -> tuple:
+        """The state a failed attempt of the non-empty ``queue`` fails in.
+
+        ``(capacity epoch, queue length, head job, pass)``.  A pure
+        policy's attempt reads the queue, the cluster and ``now_ms``;
+        inside a pass only a dispatch changes them, and every dispatch
+        bumps the epoch.  A time-invariant policy's attempt reads only the
+        free capacity and the queue's length and head, so its records
+        ignore the pass.
+        """
+        jobs = queue.jobs
+        return (self.cluster.capacity_epoch, len(jobs), jobs[0], self._passes)
+
+    def _stamp_matches(self, stamp: tuple, queue: AFWQueue) -> bool:
+        """True if an attempt that failed in ``stamp`` would fail again now."""
+        return _unchanged(stamp, queue.jobs, self.cluster.capacity_epoch) and (
+            self._time_invariant or stamp[3] == self._passes
+        )
+
     def _try_schedule_queue(self, queue: AFWQueue, now_ms: float) -> bool:
         """Plan + dispatch one queue; returns True if a task was dispatched.
 
-        A retry of an attempt that failed since the last dispatch of the
-        pass (pure policies only) calls neither the policy nor the cluster:
-        it records what the failed attempt recorded, the overhead sample
-        and the plan-attempt count of a pre-planned decision, and fails.
+        A retry of an attempt that failed in a matching stamp (pure
+        policies only, see :meth:`_stamp`) calls neither the policy nor the
+        cluster: it records what the failed attempt recorded, the overhead
+        sample and the plan-attempt count of a pre-planned decision, and
+        fails.
         """
         failed = self._failed_attempts
         key = (queue.app_name, queue.stage_id)
         if failed is not None:
-            attempt = failed.get(key)
-            if attempt is not None:
+            entry = failed.get(key)
+            if entry is not None and self._stamp_matches(entry[0], queue):
+                attempt = entry[1]
                 if attempt:
                     overhead_ms, decision = attempt
                     self.metrics.overhead_ms_samples.append(overhead_ms)
@@ -709,7 +821,7 @@ class Controller:
             measured_ms = (_time.perf_counter() - start) * 1000.0
         if decision is None:
             if failed is not None:
-                failed[key] = ()
+                failed[key] = (self._stamp(queue), ())
             return False
         overhead_ms = decision.reported_overhead_ms
         if overhead_ms is None:
@@ -756,26 +868,27 @@ class Controller:
                 self._dispatch(queue, config, invoker_id, now_ms, overhead_ms)
                 return True
         if failed is not None:
-            failed[key] = (overhead_ms, decision)
+            failed[key] = (self._stamp(queue), (overhead_ms, decision))
         return False
 
     def _force_minimum_dispatch(self, queue: AFWQueue, now_ms: float) -> bool:
         """Dispatch the queue head with the minimum configuration if possible.
 
         A failure is remembered like a failed attempt (pure policies only):
-        it records nothing, so a repeat before the next dispatch of the pass
-        just fails.
+        it records nothing, so a repeat in a matching stamp just fails.
         """
         failed_forced = self._failed_forced
-        if failed_forced is not None and queue.key in failed_forced:
-            return False
+        if failed_forced is not None:
+            stamp = failed_forced.get(queue.key)
+            if stamp is not None and self._stamp_matches(stamp, queue):
+                return False
         config = self.profile_store.space.minimum
         invoker_id = self.policy.select_invoker(config, queue, now_ms)
         if invoker_id is None or not self.cluster.invoker(invoker_id).can_fit(config):
             fallback = self.cluster.most_available_invoker(config)
             if fallback is None:
                 if failed_forced is not None:
-                    failed_forced.add(queue.key)
+                    failed_forced[queue.key] = self._stamp(queue)
                 return False
             invoker_id = fallback.invoker_id
         self.metrics.record_forced_min_dispatch()
@@ -806,15 +919,6 @@ class Controller:
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def _forget_failures(self) -> None:
-        """Empty the failed-attempt memo: a dispatch or a new pass began."""
-        # A forced-minimum attempt only follows a failed attempt of the same
-        # queue, so the forced set is empty whenever the memo is.
-        if self._failed_attempts:
-            self._failed_attempts.clear()
-            if self._failed_forced:
-                self._failed_forced.clear()
-
     def _dispatch(
         self,
         queue: AFWQueue,
@@ -826,7 +930,6 @@ class Controller:
         """Create the task, charge its latency components, reserve resources."""
         if self.fast_mode:
             return self._dispatch_fast(queue, config, invoker_id, now_ms, overhead_ms)
-        self._forget_failures()
         invoker = self.cluster.invoker(invoker_id)
         spec = self.profile_store.profile(queue.function_name).spec
         jobs = queue.pop_batch(min(config.batch_size, len(queue)))
@@ -911,7 +1014,6 @@ class Controller:
         overhead) + duration``, ``cost = rate * duration``), so summaries
         stay byte-identical.
         """
-        self._forget_failures()
         invoker = self.cluster.invokers[invoker_id]
         function_name = queue.function_name
         spec = self._spec_cache.get(function_name)

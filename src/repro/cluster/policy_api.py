@@ -214,11 +214,24 @@ class SchedulingPolicy(abc.ABC):
     #: deterministic functions of the queue, ``now_ms`` and the cluster
     #: state, write nothing the run can observe (private memo caches are
     #: fine) and report a modeled overhead may set this.  The controller
-    #: then remembers a queue's failed attempt until the next dispatch or
-    #: the end of the scheduling pass and replays its records instead of
-    #: calling the policy again.  Planners that write per-request state
-    #: (``static_plan``, ``plan_miss_count``) must leave it ``False``.
+    #: then remembers a queue's failed attempt, stamped with the cluster's
+    #: capacity epoch, the queue's length and head job and the scheduling
+    #: pass, and replays its records instead of calling the policy again
+    #: while the stamp still matches.  Planners that write per-request
+    #: state (``static_plan``, ``plan_miss_count``) must leave it ``False``.
     pure_decisions: bool = False
+
+    #: Policies with :attr:`pure_decisions` whose :meth:`plan` and
+    #: :meth:`select_invoker` read only the queue's length and head job and
+    #: each node's free capacity (never ``now_ms``, containers or the rest
+    #: of the queue) may set this.  The pass is then left out of the
+    #: stamp, so a failed attempt is replayed across scheduling passes
+    #: until a capacity change, a join or a change to the queue's length or
+    #: head, and a pass in which every attempt would replay a failure is
+    #: applied in bulk without trying any queue.  Like
+    #: :attr:`pure_decisions` it describes the policy's code and is not a
+    #: run option.
+    time_invariant_decisions: bool = False
 
     def __init__(self) -> None:
         self._context: SchedulingContext | None = None

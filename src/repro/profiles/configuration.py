@@ -130,13 +130,10 @@ class ConfigurationSpace:
 
         The paper uses this configuration to define the baseline latency
         ``L`` from which SLOs are derived, and as the forced fallback when a
-        queue has waited too long in the recheck list.
+        queue has waited too long in the recheck list.  It is the first
+        entry of the product, which is built from the sorted options.
         """
-        return Configuration(
-            batch_size=self.batch_options[0],
-            vcpus=self.vcpu_options[0],
-            vgpus=self.vgpu_options[0],
-        )
+        return self._configs[0]
 
     @property
     def maximum(self) -> Configuration:

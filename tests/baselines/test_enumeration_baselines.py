@@ -140,6 +140,33 @@ class TestINFlessSpecifics:
         with pytest.raises(ValueError):
             INFlessPolicy(candidates=0)
 
+    def test_fractional_candidates_count_rejected_at_construction(self):
+        with pytest.raises(TypeError, match="candidates"):
+            INFlessPolicy(candidates=2.5)
+
+    def test_bool_candidates_count_rejected(self):
+        with pytest.raises(TypeError, match="candidates"):
+            INFlessPolicy(candidates=True)
+
+    def test_negative_vgpu_weight_rejected(self):
+        # With -0.5 a (1 vCPU, 2 vGPU) configuration weighs 0 and its rank
+        # key divided by zero mid-run.
+        with pytest.raises(ValueError, match="resource_weight_vgpu"):
+            INFlessPolicy(resource_weight_vgpu=-0.5)
+
+    def test_nan_vgpu_weight_rejected(self):
+        with pytest.raises(ValueError, match="resource_weight_vgpu"):
+            INFlessPolicy(resource_weight_vgpu=float("nan"))
+
+    def test_infinite_vgpu_weight_rejected(self):
+        with pytest.raises(ValueError, match="resource_weight_vgpu"):
+            INFlessPolicy(resource_weight_vgpu=float("inf"))
+
+    def test_zero_vgpu_weight_ranks_every_configuration(self, small_store):
+        policy = INFlessPolicy(resource_weight_vgpu=0.0)
+        policy.bind(make_context(small_store))
+        assert policy.plan(make_loaded_queue(small_store, jobs=2), 1.0) is not None
+
 
 class TestFaSTGShareSpecifics:
     def test_prefers_gpu_efficient_configs_over_infless(self, small_store):
@@ -167,3 +194,7 @@ class TestFaSTGShareSpecifics:
     def test_invalid_candidates_count(self):
         with pytest.raises(ValueError):
             FaSTGSharePolicy(candidates=0)
+
+    def test_fractional_candidates_count_rejected_at_construction(self):
+        with pytest.raises(TypeError, match="candidates"):
+            FaSTGSharePolicy(candidates=2.5)

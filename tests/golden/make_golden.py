@@ -6,11 +6,13 @@ in two groups:
 
 * ``esg/``: the ESG variants (the paper's ESG, static planning, and the
   two Figure 12 ablations) on ``paper-relaxed-heavy``;
-* ``retry/``: INFless, FaST-GShare, ESG and Orion on ``overload-spike``
-  and on ``churn-eviction-storm`` with the ``pid-default`` autoscaler.
-  The enumeration baselines park many queues on the controller's recheck
+* ``retry/``: INFless, FaST-GShare, ESG and Orion on ``overload-spike``,
+  on ``harvest-severe-normal``, and on ``churn-eviction-storm`` and
+  ``churn-eviction-fail`` with the ``pid-default`` autoscaler.  The
+  enumeration baselines park many queues on the controller's recheck
   list there and retry them on every tick, so these cases pin the retry
-  path.
+  path; the churn cases add node resizes, joins, leaves and request
+  purges while queues are parked.
 
 ``test_golden_replay.py`` re-runs every case and compares the text byte
 for byte, so a change to any decision, count or float shows up there.
@@ -51,6 +53,8 @@ RETRY_POLICIES = ("INFless", "FaST-GShare", "ESG", "Orion")
 RETRY_SCENARIOS: dict[str, str | None] = {
     "overload-spike": None,
     "churn-eviction-storm": "pid-default",
+    "harvest-severe-normal": None,
+    "churn-eviction-fail": "pid-default",
 }
 
 

@@ -61,6 +61,24 @@ class TestConfigurationSpace:
         assert space.minimum == Configuration(1, 1, 1)
         assert space.maximum == Configuration(4, 4, 2)
 
+    @pytest.mark.parametrize(
+        "space",
+        [
+            ConfigurationSpace(),
+            ConfigurationSpace.small(),
+            ConfigurationSpace.paper_256(),
+            ConfigurationSpace(batch_options=(4, 2), vcpu_options=(8, 3), vgpu_options=(7, 2)),
+        ],
+        ids=["default", "small", "paper-256", "unsorted"],
+    )
+    def test_minimum_is_the_precomputed_smallest_option_triple(self, space):
+        assert space.minimum == Configuration(
+            batch_size=space.batch_options[0],
+            vcpus=space.vcpu_options[0],
+            vgpus=space.vgpu_options[0],
+        )
+        assert space.minimum is space.minimum
+
     def test_contains(self):
         space = ConfigurationSpace.small()
         assert Configuration(2, 2, 1) in space
