@@ -21,21 +21,13 @@ sides, whole-process ``ru_maxrss`` reported once per row as context):
 The end-to-end run uses the paper's ESG policy on a single-stage
 application under relaxed-heavy arrivals: one task per request keeps the
 simulated-event count (and hence wall time) proportional to the request
-count — ~9k requests/s under ``loop_mode="compat"``, ~2.4x that under the
-default ``loop_mode="fast"``, so the million-request row completes in
-under a minute.
-
-* **Throughput** — the same streaming run timed untraced (no tracemalloc)
-  under ``loop_mode="fast"`` and ``loop_mode="compat"``: requests/s per
-  mode plus the speedup ratio, with the two ``RunSummary``s asserted
-  byte-identical (the parity anchor) and the ratio asserted against
-  :data:`THROUGHPUT_SPEEDUP_FLOOR` at 100k+ requests so the event-loop
-  overhaul stays regression-pinned, not claimed.
+count (~20k requests/s), so the million-request row completes in under a
+minute.  Single-loop throughput itself is gated by the repository
+benchmark's ``single-stage`` workload (``perfbench/``).
 
 Environment knobs::
 
     REPRO_BENCH_WORKLOAD_SIZES=10000,100000,1000000  # sweep sizes
-    REPRO_BENCH_THROUGHPUT_REQUESTS=100000           # throughput-row size
     REPRO_BENCH_JSON=bench_workload_scale.json       # also write BENCH JSON here
 """
 
@@ -47,7 +39,6 @@ import os
 import resource
 import time
 import tracemalloc
-from dataclasses import asdict
 
 from conftest import run_once
 
@@ -74,22 +65,6 @@ MIN_REQUESTS_FOR_MEMORY_ASSERT = 100_000
 #: regression: the materialized workload *alone* peaks at ~384 MB at 1M,
 #: before any metrics retention.
 E2E_PEAK_CEILING_BYTES = 256 * 1024 * 1024
-
-#: Floor on the fast/compat throughput ratio, asserted at 100k+ requests.
-#: Measured: ~2.6x at 100k and ~2.4x at 1M on the reference box (fast
-#: ~21-26k req/s vs compat ~9-10k req/s, end to end including summary
-#: finalisation).  The ROADMAP target for the event-loop overhaul was 5x;
-#: byte-identical parity with the compat anchor caps the achievable gain
-#: at the cost of the scheduling logic itself (see
-#: ``benchmarks/profile_hotpath.py`` for where the remaining time goes),
-#: so the pinned floor is the measured gain with CI-noise margin, not the
-#: aspiration.
-THROUGHPUT_SPEEDUP_FLOOR = 2.0
-
-#: Below this the ratio is interpreter-noise dominated; smoke sweeps only
-#: check parity and completeness.
-MIN_REQUESTS_FOR_SPEEDUP_ASSERT = 100_000
-
 
 def sweep_sizes() -> tuple[int, ...]:
     raw = os.environ.get("REPRO_BENCH_WORKLOAD_SIZES")
@@ -200,74 +175,14 @@ def run_end_to_end_streaming(store, num_requests: int) -> dict:
     }
 
 
-def throughput_requests(sizes: tuple[int, ...]) -> int:
-    raw = os.environ.get("REPRO_BENCH_THROUGHPUT_REQUESTS")
-    if raw:
-        return int(raw)
-    return max(sizes)
-
-
-def run_throughput_comparison(store, num_requests: int) -> dict:
-    """The same streaming run under ``loop_mode`` fast vs compat, untraced.
-
-    Timed without tracemalloc (tracing would distort the very constant
-    costs the fast loop removes).  Each mode gets a fresh generator seeded
-    identically, so the workloads match sample for sample; the two run
-    summaries are asserted byte-identical before any throughput claim.
-    """
-    rows = {}
-    summaries = {}
-    for mode in ("fast", "compat"):
-        generator = WorkloadGenerator(
-            applications=[build_application("single_stage_classification")],
-            setting=RELAXED_HEAVY,
-            profile_store=store,
-            rng=derive_rng(42, "bench-workload-e2e"),
-        )
-        gc.collect()
-        start = time.perf_counter()
-        simulation = Simulation(
-            policy=make_policy("ESG"),
-            requests=generator.stream(num_requests),
-            profile_store=store,
-            config=SimulationConfig(
-                seed=42, loop_mode=mode, metrics=MetricsConfig(mode="streaming")
-            ),
-            setting_name=RELAXED_HEAVY.name,
-        )
-        summary = simulation.run()
-        elapsed = time.perf_counter() - start
-        summaries[mode] = summary
-        assert summary.num_completed == num_requests, (mode, summary.num_completed)
-        rows[mode] = {
-            "run_s": round(elapsed, 2),
-            "requests_per_s": round(num_requests / elapsed),
-        }
-    # The parity anchor: fast must not buy throughput with drift.
-    assert asdict(summaries["fast"]) == asdict(summaries["compat"]), (
-        "fast/compat summaries diverged"
-    )
-    return {
-        "requests": num_requests,
-        "fast": rows["fast"],
-        "compat": rows["compat"],
-        "speedup": round(
-            rows["fast"]["requests_per_s"] / max(1, rows["compat"]["requests_per_s"]), 2
-        ),
-        "speedup_floor": THROUGHPUT_SPEEDUP_FLOOR,
-    }
-
-
 def run_workload_scale_sweep(sizes: tuple[int, ...]) -> dict:
     store = build_profile_store()
     rows = [measure_workload_layer(store, num_requests) for num_requests in sizes]
     end_to_end = run_end_to_end_streaming(store, max(sizes))
-    throughput = run_throughput_comparison(store, throughput_requests(sizes))
     return {
         "benchmark": "workload_scale",
         "sizes": rows,
         "end_to_end": end_to_end,
-        "throughput": throughput,
     }
 
 
@@ -298,14 +213,6 @@ def render_rows(report: dict) -> str:
         f"{e2e['run_s']}s ({e2e['requests_per_s']}/s), tracemalloc peak "
         f"{e2e['peak_bytes'] / 1e6:.1f} MB (ceiling {e2e['peak_ceiling_bytes'] / 1e6:.0f} MB)"
     )
-    tp = report["throughput"]
-    lines.append(
-        f"throughput (untraced, {tp['requests']} requests): "
-        f"fast {tp['fast']['requests_per_s']}/s vs compat "
-        f"{tp['compat']['requests_per_s']}/s = {tp['speedup']}x "
-        f"(floor {tp['speedup_floor']}x at "
-        f"{MIN_REQUESTS_FOR_SPEEDUP_ASSERT}+; summaries byte-identical)"
-    )
     return "\n".join(lines)
 
 
@@ -327,9 +234,3 @@ def test_workload_scale_memory(benchmark):
     assert e2e["completed"] == e2e["requests"], e2e
     assert e2e["peak_bytes"] < e2e["peak_ceiling_bytes"], e2e
 
-    # The event-loop gain, regression-pinned: at 100k+ requests the fast
-    # loop must clear the measured floor (parity is asserted inside the
-    # comparison regardless of size).
-    tp = report["throughput"]
-    if tp["requests"] >= MIN_REQUESTS_FOR_SPEEDUP_ASSERT:
-        assert tp["speedup"] >= THROUGHPUT_SPEEDUP_FLOOR, tp

@@ -1,7 +1,7 @@
-"""Hot-path profile of a ``loop_mode="fast"`` streaming run.
+"""Hot-path profile of a streaming run.
 
 Runs one end-to-end simulation (the same single-stage relaxed-heavy
-configuration as ``bench_workload_scale.py``'s throughput row) under
+configuration as ``bench_workload_scale.py``'s end-to-end row) under
 cProfile and buckets the per-function ``tottime`` by subsystem — event
 loop vs dispatch/policy vs controller vs metrics vs cluster state — so
 every future PR can see where the next bottleneck moved without
@@ -9,9 +9,10 @@ re-deriving the breakdown.  The result is printed as a table and emitted
 as a BENCH JSON artifact next to the scale benchmarks.
 
 cProfile inflates small-function call costs (~2.5-3x wall clock on the
-fast loop, which is exactly the many-small-calls shape tracing is worst
+event loop, which is exactly the many-small-calls shape tracing is worst
 at), so the *shares* are the signal here, never the absolute seconds —
-throughput claims live in ``bench_workload_scale.py``, timed untraced.
+throughput claims live in the repository benchmark (``perfbench/``),
+timed untraced.
 
 Environment knobs::
 
@@ -78,7 +79,7 @@ def bucket_of(filename: str) -> str:
 
 
 def run_profiled(num_requests: int) -> dict:
-    """One fast-mode streaming run under cProfile; returns the breakdown."""
+    """One streaming run under cProfile; returns the breakdown."""
     store = build_profile_store()
     generator = WorkloadGenerator(
         applications=[build_application("single_stage_classification")],
@@ -90,9 +91,7 @@ def run_profiled(num_requests: int) -> dict:
         policy=make_policy("ESG"),
         requests=generator.stream(num_requests),
         profile_store=store,
-        config=SimulationConfig(
-            seed=42, loop_mode="fast", metrics=MetricsConfig(mode="streaming")
-        ),
+        config=SimulationConfig(seed=42, metrics=MetricsConfig(mode="streaming")),
         setting_name=RELAXED_HEAVY.name,
     )
     profiler = cProfile.Profile()
@@ -158,7 +157,7 @@ def emit_bench_json(report: dict) -> None:
 
 def render_report(report: dict) -> str:
     lines = [
-        f"Hot-path profile  ({report['requests']} requests, fast loop, traced "
+        f"Hot-path profile  ({report['requests']} requests, traced "
         f"{report['run_s']}s = {report['requests_per_s']}/s under cProfile)",
         f"{'bucket':>14}  {'tottime s':>10}  {'share':>6}",
     ]

@@ -300,8 +300,8 @@ class AutoscaleSpec:
     :class:`~repro.experiments.runner.ExperimentConfig` carry (and what the
     result store hashes): the live controller state is rebuilt per run, per
     function, from these parameters alone — no RNG, no seed input — so one
-    spec reproduces the same decisions in every loop mode, index mode and
-    worker process.  Threshold parameters are ignored by ``kind="pid"`` and
+    spec reproduces the same decisions in every index mode and worker
+    process.  Threshold parameters are ignored by ``kind="pid"`` and
     vice versa; ``max_step`` doubles as the learned agent's step bound.
     """
 

@@ -164,13 +164,18 @@ class ClusterState:
     _total_vgpus: int = field(init=False, repr=False)
     _warm_index: dict[str, set[int]] = field(init=False, repr=False)
     _live_counts: dict[str, int] = field(init=False, repr=False)
-    _home_cache: dict[tuple[str, str], int] | None = field(init=False, repr=False)
-    #: ``loop_mode="fast"``: defer capacity-bucket moves until a query needs
-    #: them.  ``None`` = eager (the compat anchor); otherwise maps invoker id
-    #: -> the bucket its pending move starts from.  A reserve/release pair
-    #: with no capacity query in between cancels to a no-op instead of four
-    #: heap operations.
-    _pending_moves: dict[int, tuple[int, int]] | None = field(init=False, repr=False)
+    #: Memo of :meth:`home_invoker_id` (pure in its arguments and the
+    #: cluster size, so a join clears it): saves a sha256 digest per
+    #: locality decision.
+    _home_cache: dict[tuple[str, str], int] = field(init=False, repr=False)
+    #: Capacity-bucket moves deferred until a query needs them: invoker id
+    #: -> the bucket its pending move starts from.  The free-capacity
+    #: counters stay exact on every change; :meth:`_flush_capacity_moves`
+    #: applies the moves before any read of the bucket index, so readers
+    #: observe exactly the state eager moves would have built.  A
+    #: reserve/release pair with no capacity query in between cancels to a
+    #: no-op instead of four heap operations.
+    _pending_moves: dict[int, tuple[int, int]] = field(init=False, repr=False)
     #: Bumped on every change to any node's free capacity and on every
     #: join, in both index modes.  While it is unchanged, every node's free
     #: capacity is what it was (a leave of a node with no free capacity
@@ -200,8 +205,8 @@ class ClusterState:
         self._total_vgpus = self.config.total_vgpus
         self._warm_index = {}
         self._live_counts = {}
-        self._home_cache = None
-        self._pending_moves = None
+        self._home_cache = {}
+        self._pending_moves = {}
 
     # ------------------------------------------------------------------
     # Index maintenance (invoked by the invokers' change callbacks)
@@ -231,28 +236,13 @@ class ClusterState:
         self._free_vcpus += new[0] - old[0]
         self._free_vgpus += new[1] - old[1]
         pending = self._pending_moves
-        if pending is not None:
-            origin = pending.get(i)
-            if origin is None:
-                pending[i] = old
-            elif origin == new:
-                # The node is back in the bucket every index reader last
-                # saw: both heap moves cancel.
-                del pending[i]
-            return
-        self._capacity.move(old, new, i)
-
-    def enable_lazy_capacity(self) -> None:
-        """Defer capacity-bucket maintenance to query time (fast mode).
-
-        The free-capacity counters stay exact on every change; only the
-        bucket membership moves are batched, flushed by
-        :meth:`_flush_capacity_moves` before any read of the bucket index.
-        Readers therefore observe exactly the state the eager path would
-        have built.
-        """
-        if self._pending_moves is None:
-            self._pending_moves = {}
+        origin = pending.get(i)
+        if origin is None:
+            pending[i] = old
+        elif origin == new:
+            # The node is back in the bucket every index reader last saw:
+            # both heap moves cancel.
+            del pending[i]
 
     def _flush_capacity_moves(self) -> None:
         pending = self._pending_moves
@@ -306,26 +296,16 @@ class ClusterState:
         same function can land on different homes (matching the AFW-queue
         separation of the paper).
         """
-        cache = self._home_cache
-        if cache is not None:
-            key = (app_name, function_name)
-            home = cache.get(key)
-            if home is None:
-                home = self._hash_home(app_name, function_name)
-                cache[key] = home
-            return home
-        return self._hash_home(app_name, function_name)
+        key = (app_name, function_name)
+        home = self._home_cache.get(key)
+        if home is None:
+            home = self._hash_home(app_name, function_name)
+            self._home_cache[key] = home
+        return home
 
     def _hash_home(self, app_name: str, function_name: str) -> int:
         digest = hashlib.sha256(f"{app_name}/{function_name}".encode()).digest()
         return int.from_bytes(digest[:4], "big") % len(self.invokers)
-
-    def enable_home_cache(self) -> None:
-        """Memoize :meth:`home_invoker_id` (pure in its arguments and the
-        fixed cluster size), used by ``loop_mode="fast"`` runs to avoid a
-        sha256 digest per locality decision."""
-        if self._home_cache is None:
-            self._home_cache = {}
 
     # ------------------------------------------------------------------
     # Cluster-wide queries
@@ -489,8 +469,7 @@ class ClusterState:
         self._free_vgpus += invoker.total_vgpus
         self._total_vcpus += invoker.total_vcpus
         self._total_vgpus += invoker.total_vgpus
-        if self._home_cache is not None:
-            self._home_cache.clear()
+        self._home_cache.clear()
         return invoker
 
     def apply_leave(self, invoker_id: int) -> list:

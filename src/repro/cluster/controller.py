@@ -91,16 +91,12 @@ class Controller:
     prewarmer: PrewarmManager | None = None
     #: Callback used to emit new events into the simulation's event loop.
     event_sink: Callable[[Event], None] = field(default=lambda event: None)
-    #: ``loop_mode="fast"``: the simulation's FastEventLoop, set by the
-    #: simulator so the hot dispatch/expiry paths can push heap entries
+    #: The simulation's :class:`~repro.cluster.simulator.EventLoop`, set by
+    #: the simulator so the hot dispatch/expiry paths can push heap entries
     #: directly instead of going through ``event_sink``; ``None`` keeps
-    #: every emission on the sink callback (the compat anchor, and any
-    #: embedder that wires a custom sink).
-    fast_events: "object | None" = field(default=None, repr=False)
-    #: ``loop_mode="fast"``: gate per-tick memoization (profile-spec
-    #: lookups in :meth:`_dispatch`).  Compat mode keeps the original
-    #: per-call lookups as the byte-identity parity anchor.
-    fast_mode: bool = False
+    #: every emission on the sink callback (for an embedder that wires a
+    #: custom sink).
+    event_loop: "object | None" = field(default=None, repr=False)
 
     _queues: dict[tuple[str, str], AFWQueue] = field(default_factory=dict, repr=False)
     _workflows: dict[str, Workflow] = field(default_factory=dict, repr=False)
@@ -119,18 +115,18 @@ class Controller:
     #: matter how same-timestamp events interleave in the simulation loop.
     _expiry_heap: list[tuple[float, int, Container]] = field(default_factory=list, repr=False)
     _expiry_seq: "itertools.count[int]" = field(default_factory=itertools.count, repr=False)
-    #: Fast-mode memo: function name -> profiled FunctionSpec (immutable for
-    #: the life of a run; compat mode re-reads the profile store per dispatch).
+    #: Memo: function name -> profiled FunctionSpec (immutable for the life
+    #: of a run).
     _spec_cache: dict[str, "FunctionSpec"] = field(default_factory=dict, repr=False)
-    #: Fast-mode memo: one canonical :class:`Configuration` per
+    #: Memo: one canonical :class:`Configuration` per
     #: ``(batch, vcpus, vgpus)`` shape, replacing the fresh frozen-dataclass
     #: allocation (plus validation) every clip would otherwise pay.
     _batch_cache: dict[tuple[int, int, int], Configuration] = field(
         default_factory=dict, repr=False
     )
-    #: Fast-mode memo: ``(vcpus, vgpus)`` -> price rate in cents/ms.
+    #: Memo: ``(vcpus, vgpus)`` -> price rate in cents/ms.
     _rate_cache: dict[tuple[int, int], float] = field(default_factory=dict, repr=False)
-    #: Fast-mode memo: function name -> ``(local, remote)`` transfer latency
+    #: Memo: function name -> ``(local, remote)`` transfer latency
     #: (pure in the function's input size and the fixed transfer model).
     _transfer_cache: dict[str, tuple[float, float]] = field(
         default_factory=dict, repr=False
@@ -155,10 +151,8 @@ class Controller:
         self._indexed: bool = self.cluster.indexed
         self._metrics_streaming: bool = self.metrics.is_streaming
         # Policies that model their scheduling overhead deterministically
-        # let the fast path skip the wall-clock measurement around plan().
-        self._skip_plan_timing: bool = self.fast_mode and getattr(
-            self.policy, "deterministic_overhead", False
-        )
+        # let the controller skip the wall-clock measurement around plan().
+        self._skip_plan_timing: bool = getattr(self.policy, "deterministic_overhead", False)
         # Failed-attempt memo, kept only for policies with pure decisions
         # (``SchedulingPolicy.pure_decisions``).  Maps the key of each queue
         # whose last attempt failed to ``(stamp, attempt)``: the stamp of
@@ -256,103 +250,57 @@ class Controller:
     # ------------------------------------------------------------------
     def on_request_arrival(self, request: Request, now_ms: float) -> None:
         """Register a new request and enqueue its source-stage jobs."""
-        if self.fast_mode:
-            workflow = request.workflow
-            app_name = workflow.name
-            self._workflows.setdefault(app_name, workflow)
-            # Inlined ``metrics.register_request`` (live collector).
-            metrics = self.metrics
-            if self._metrics_streaming:
-                metrics._total.registered += 1
-                acc = metrics._per_app.get(app_name)
-                if acc is None:
-                    acc = metrics._app(app_name)
-                acc.registered += 1
-                if acc.slo_ms is None:
-                    acc.slo_ms = request.slo_ms
-                if request.completed_ms is not None:
-                    # Synthetic feeds may register pre-completed requests.
-                    metrics._fold_completion_fast(request)
-            else:
-                metrics.requests.append(request)
-            topo = workflow.topology()
-            queues = self._queues
-            nonempty = self._nonempty
-            for stage_id in topo.sources:
-                key = (app_name, stage_id)
-                queue = queues.get(key)
-                if queue is None:
-                    queue = self.queue_for(app_name, stage_id)
-                # Inlined ``queue.push``: the job key always matches the
-                # queue here, so the defensive validation and the listener
-                # indirection reduce to the append plus the two counters.
-                queue.jobs.append(Job(request=request, stage_id=stage_id, ready_ms=now_ms))
-                self._pending_jobs += 1
-                nonempty.add(key)
-            prewarmer = self.prewarmer
-            if prewarmer is not None:
-                for stage in topo.stages:
-                    prewarmer.observe_arrival(app_name, stage.function_name, now_ms)
-            return
-        self.register_workflow(request.workflow)
-        self.metrics.register_request(request)
-        for stage_id in request.workflow.sources():
-            queue = self.queue_for(request.app_name, stage_id)
-            queue.push(Job(request=request, stage_id=stage_id, ready_ms=now_ms))
-        if self.prewarmer is not None:
-            for stage in request.workflow.stages():
-                self.prewarmer.observe_arrival(request.app_name, stage.function_name, now_ms)
+        workflow = request.workflow
+        app_name = workflow.name
+        self._workflows.setdefault(app_name, workflow)
+        # Inlined ``metrics.register_request`` (live collector).
+        metrics = self.metrics
+        if self._metrics_streaming:
+            metrics._total.registered += 1
+            acc = metrics._per_app.get(app_name)
+            if acc is None:
+                acc = metrics._app(app_name)
+            acc.registered += 1
+            if acc.slo_ms is None:
+                acc.slo_ms = request.slo_ms
+            if request.completed_ms is not None:
+                # Synthetic feeds may register pre-completed requests.
+                metrics._fold_completion(request)
+        else:
+            metrics.requests.append(request)
+        topo = workflow.topology()
+        queues = self._queues
+        nonempty = self._nonempty
+        for stage_id in topo.sources:
+            key = (app_name, stage_id)
+            queue = queues.get(key)
+            if queue is None:
+                queue = self.queue_for(app_name, stage_id)
+            # Inlined ``queue.push``: the job key always matches the
+            # queue here, so the defensive validation and the listener
+            # indirection reduce to the append plus the two counters.
+            queue.jobs.append(Job(request=request, stage_id=stage_id, ready_ms=now_ms))
+            self._pending_jobs += 1
+            nonempty.add(key)
+        prewarmer = self.prewarmer
+        if prewarmer is not None:
+            for stage in topo.stages:
+                prewarmer.observe_arrival(app_name, stage.function_name, now_ms)
 
     def on_task_completion(self, task: Task, now_ms: float) -> None:
-        """Release resources, advance requests, enqueue successor jobs."""
-        if self.fast_mode:
-            self._on_task_completion_fast(task, now_ms)
-            return
+        """Release resources, advance requests, enqueue successor jobs.
+
+        The resource release mutates the counters directly (the
+        reserve/release pairing is controller-internal, so the defensive
+        re-validation is skipped) and ends in the single capacity
+        notification of ``Invoker.release``; stage bookkeeping reads the
+        workflow's cached topology, and the request-completion time is the
+        ``max`` over its sinks' completion times.
+        """
         if self._churn:
             if task.task_id in self._cancelled_tasks:
                 # The task's invoker left mid-flight: resources and container
                 # are gone already, and its jobs were requeued or failed.
-                self._cancelled_tasks.discard(task.task_id)
-                return
-            self._inflight.pop(task.task_id, None)
-        invoker = self.cluster.invoker(task.invoker_id)
-        invoker.release(task.config)
-        container = self._task_containers.pop(task.task_id, None)
-        if container is not None:
-            container.release_task(now_ms, invoker.keep_alive_ms)
-            self._arm_expiry(container)
-
-        for job in task.jobs:
-            request = job.request
-            if self._churn and request.evicted_ms is not None:
-                # Terminally evicted (on_evict="fail"): surviving sibling
-                # tasks still release resources above, but the request's DAG
-                # does not advance any further.
-                continue
-            was_complete = request.is_complete
-            request.record_stage_completion(task.stage_id, now_ms, task.invoker_id)
-            if request.is_complete and not was_complete:
-                # Exactly-once completion notification: retained collectors
-                # ignore it, streaming collectors fold the latency sample.
-                self.metrics.record_completion(request)
-            for succ in request.workflow.successors(task.stage_id):
-                if request.stage_is_ready(succ):
-                    queue = self.queue_for(request.app_name, succ)
-                    queue.push(Job(request=request, stage_id=succ, ready_ms=now_ms))
-
-    def _on_task_completion_fast(self, task: Task, now_ms: float) -> None:
-        """``loop_mode="fast"`` variant of :meth:`on_task_completion`.
-
-        Same observable effects with the constant costs stripped: the
-        resource release mutates the counters directly (the reserve/release
-        pairing is controller-internal, so the defensive re-validation is
-        skipped) and ends in the same single capacity notification; stage
-        bookkeeping reads the workflow's cached topology instead of
-        re-copying adjacency lists, and the request-completion fold keeps
-        the original ``max`` over sink completion times.
-        """
-        if self._churn:
-            if task.task_id in self._cancelled_tasks:
                 self._cancelled_tasks.discard(task.task_id)
                 return
             self._inflight.pop(task.task_id, None)
@@ -386,6 +334,9 @@ class Controller:
         for job in task.jobs:
             request = job.request
             if self._churn and request.evicted_ms is not None:
+                # Terminally evicted (on_evict="fail"): surviving sibling
+                # tasks still release resources above, but the request's DAG
+                # does not advance any further.
                 continue
             topo = request.workflow.topology()
             scm = request.stage_completion_ms
@@ -406,9 +357,9 @@ class Controller:
                 else:
                     request.completed_ms = max(scm[sink] for sink in sinks)
                 if not was_complete and streaming:
-                    # Retained mode derives completion by scanning, so only
-                    # the streaming fold is charged here.
-                    metrics._fold_completion_fast(request)
+                    # Exactly-once completion fold: retained mode derives
+                    # completion by scanning, so only streaming folds here.
+                    metrics._fold_completion(request)
             successors = topo.succ[stage_id]
             if successors:
                 pred_of = topo.pred
@@ -455,9 +406,9 @@ class Controller:
                 self._expiry_heap,
                 (deadline, next(self._expiry_seq), container),
             )
-            fe = self.fast_events
+            fe = self.event_loop
             if fe is not None:
-                # Inlined ``FastEventLoop.push`` for the housekeeping heap:
+                # Inlined ``EventLoop.push`` for the housekeeping heap:
                 # ContainerExpireEvent keeps the default sort priority 1 and
                 # its deadline (now + keep-alive) is always >= 0.
                 heapq.heappush(
@@ -578,8 +529,8 @@ class Controller:
         """Drop every queued job of ``request`` (it will never be scheduled).
 
         Rebuilds each affected deque in place and maintains the pending
-        counter / non-empty set directly, the same way the fast dispatch
-        path does.
+        counter / non-empty set directly, the same way the dispatch path
+        does.
         """
         for key in self._all_keys_sorted():
             queue = self._queues[key]
@@ -625,7 +576,7 @@ class Controller:
             if not keys:
                 return 0
             n = len(keys)
-            if self.fast_mode and len(self._nonempty) <= 1:
+            if len(self._nonempty) <= 1:
                 # Rotating a list of at most one element is the identity, so
                 # the pivot lookup and bisect split are skipped outright —
                 # the common shape of single-application streaming runs.
@@ -814,7 +765,7 @@ class Controller:
             decision = self.policy.plan(queue, now_ms)
             measured_ms = 0.0
         else:
-            # repro: allow[REP001] compat fallback for policies that do not model their overhead — the measurement is discarded whenever reported_overhead_ms is set, and all built-in policies set it
+            # repro: allow[REP001] measured-overhead fallback for policies that do not model their overhead — the measurement is discarded whenever reported_overhead_ms is set, and all built-in policies set it
             start = _time.perf_counter()
             decision = self.policy.plan(queue, now_ms)
             # repro: allow[REP001] second half of the fallback measurement above
@@ -827,46 +778,35 @@ class Controller:
         if overhead_ms is None:
             overhead_ms = measured_ms
 
-        if self.fast_mode:
-            # Inlined ``metrics.record_overhead`` (live collector).
-            if overhead_ms < 0:
-                raise ValueError(f"overhead must be >= 0, got {overhead_ms}")
-            self.metrics.overhead_ms_samples.append(overhead_ms)
-            if decision.used_preplanned:
-                self.metrics.record_plan_attempt(miss=decision.plan_miss)
-            qlen = len(queue.jobs)
-            select_invoker = self.policy.select_invoker
-            invokers = self.cluster.invokers
-            for candidate in decision.candidates:
-                if candidate.batch_size > qlen:
-                    config = self._config_with_batch(candidate, qlen if qlen else 1)
-                else:
-                    config = candidate
-                invoker_id = select_invoker(config, queue, now_ms)
-                if invoker_id is None:
-                    continue
-                invoker = invokers[invoker_id]
-                if config.vcpus > invoker.total_vcpus - invoker._used_vcpus:
-                    continue
-                gpu = invoker.gpu
-                if config.vgpus > gpu.total_vgpus - gpu._used_vgpus:
-                    continue
-                self._dispatch_fast(queue, config, invoker_id, now_ms, overhead_ms)
-                return True
-        else:
-            self.metrics.record_overhead(overhead_ms)
-            if decision.used_preplanned:
-                self.metrics.record_plan_attempt(miss=decision.plan_miss)
-            for candidate in decision.candidates:
-                config = self._clip_to_queue(candidate, queue)
-                invoker_id = self.policy.select_invoker(config, queue, now_ms)
-                if invoker_id is None:
-                    continue
-                invoker = self.cluster.invoker(invoker_id)
-                if not invoker.can_fit(config):
-                    continue
-                self._dispatch(queue, config, invoker_id, now_ms, overhead_ms)
-                return True
+        # Inlined ``metrics.record_overhead`` (live collector).
+        if not 0.0 <= overhead_ms < _INF:
+            raise ValueError(
+                f"policy {self.policy.name!r} reported a scheduling overhead of "
+                f"{overhead_ms!r} ms; it must be finite and >= 0"
+            )
+        self.metrics.overhead_ms_samples.append(overhead_ms)
+        if decision.used_preplanned:
+            self.metrics.record_plan_attempt(miss=decision.plan_miss)
+        qlen = len(queue.jobs)
+        select_invoker = self.policy.select_invoker
+        invokers = self.cluster.invokers
+        for candidate in decision.candidates:
+            # Cap the batch size at the number of queued jobs.
+            if candidate.batch_size > qlen:
+                config = self._config_with_batch(candidate, qlen if qlen else 1)
+            else:
+                config = candidate
+            invoker_id = select_invoker(config, queue, now_ms)
+            if invoker_id is None:
+                continue
+            invoker = invokers[invoker_id]
+            if config.vcpus > invoker.total_vcpus - invoker._used_vcpus:
+                continue
+            gpu = invoker.gpu
+            if config.vgpus > gpu.total_vgpus - gpu._used_vgpus:
+                continue
+            self._dispatch(queue, config, invoker_id, now_ms, overhead_ms)
+            return True
         if failed is not None:
             failed[key] = (self._stamp(queue), (overhead_ms, decision))
         return False
@@ -896,14 +836,8 @@ class Controller:
         self._dispatch(queue, config, invoker_id, now_ms, 0.0)
         return True
 
-    def _clip_to_queue(self, config: Configuration, queue: AFWQueue) -> Configuration:
-        """Cap the batch size at the number of queued jobs."""
-        if config.batch_size > len(queue):
-            return config.with_batch(max(1, len(queue)))
-        return config
-
     def _config_with_batch(self, config: Configuration, batch_size: int) -> Configuration:
-        """Canonical clipped configuration (fast mode).
+        """Canonical clipped configuration.
 
         Equal by value to ``config.with_batch(batch_size)``; the memo keeps
         one frozen instance per shape so repeated clips cost a dict lookup
@@ -927,92 +861,19 @@ class Controller:
         now_ms: float,
         overhead_ms: float,
     ) -> Task:
-        """Create the task, charge its latency components, reserve resources."""
-        if self.fast_mode:
-            return self._dispatch_fast(queue, config, invoker_id, now_ms, overhead_ms)
-        invoker = self.cluster.invoker(invoker_id)
-        spec = self.profile_store.profile(queue.function_name).spec
-        jobs = queue.pop_batch(min(config.batch_size, len(queue)))
-        effective = config.with_batch(len(jobs)) if len(jobs) != config.batch_size else config
+        """Create the task, charge its latency components, reserve resources.
 
-        # Container: warm start if the function is resident on the node, else
-        # cold-start a new container (which then stays resident).
-        container = invoker.resident_container(queue.function_name, now_ms)
-        if container is not None:
-            cold_ms = 0.0
-        else:
-            cold_ms = spec.cold_start_ms
-            container = Container(
-                function_name=queue.function_name,
-                invoker_id=invoker_id,
-                state=ContainerState.STARTING,
-                warm_at_ms=now_ms + cold_ms,
-            )
-            invoker.add_container(container)
-        container.assign_task()
-
-        # Data transfer: local when the predecessor stage ran on this node.
-        transfer_ms = 0.0
-        for job in jobs:
-            preds = job.request.workflow.predecessors(job.stage_id)
-            if not preds:
-                # Source stages fetch the user input from remote storage for
-                # every policy alike.
-                job_transfer = self.transfer_model.remote_transfer_ms(spec.input_mb)
-                self.metrics.record_transfer(local=False)
-            else:
-                pred_invoker = job.request.predecessor_invoker(job.stage_id)
-                local = pred_invoker == invoker_id
-                job_transfer = self.transfer_model.transfer_ms(spec.input_mb, local=local)
-                self.metrics.record_transfer(local=local)
-            transfer_ms = max(transfer_ms, job_transfer)
-
-        exec_ms = self.runtime_perf_model.latency_ms(spec, effective)
-        charged_overhead = overhead_ms if self.config.count_overhead_in_latency else 0.0
-
-        task = Task(
-            app_name=queue.app_name,
-            stage_id=queue.stage_id,
-            function_name=queue.function_name,
-            jobs=jobs,
-            config=effective,
-            invoker_id=invoker_id,
-            dispatch_ms=now_ms,
-            overhead_ms=charged_overhead,
-            cold_start_ms=cold_ms,
-            transfer_ms=transfer_ms,
-            exec_ms=exec_ms,
-            policy_name=self.policy.name,
-        )
-        task.cost_cents = self.pricing.task_cost_cents(effective, task.duration_ms)
-
-        invoker.reserve(effective)
-        self._task_containers[task.task_id] = container
-        if self._churn:
-            self._inflight[task.task_id] = task
-        self.metrics.record_task(task)
-        self.event_sink(TaskCompletionEvent(time_ms=task.finish_ms, task=task))
-        return task
-
-    def _dispatch_fast(
-        self,
-        queue: AFWQueue,
-        config: Configuration,
-        invoker_id: int,
-        now_ms: float,
-        overhead_ms: float,
-    ) -> Task:
-        """``loop_mode="fast"`` variant of :meth:`_dispatch`.
-
-        Builds the identical task with the per-dispatch constant costs
-        memoized: the function spec, the clipped configuration, the two
-        possible transfer latencies and the price rate are each pure in
-        run-constant inputs, and the residency scan / resource reservation
-        mutate the same counters the invoker methods would.  Every float is
-        produced by the same operations in the same order as the compat
-        path (``duration = cold + transfer + exec``, ``finish = (dispatch +
-        overhead) + duration``, ``cost = rate * duration``), so summaries
-        stay byte-identical.
+        The container is a warm start if the function is resident on the
+        node, else a new container cold-starts there (and then stays
+        resident).  Data transfer is local when the predecessor stage ran
+        on this node; source stages fetch the user input from remote
+        storage.  The per-dispatch constant costs are memoized (the
+        function spec, the clipped configuration, the two possible transfer
+        latencies and the price rate are each pure in run-constant inputs),
+        and the residency scan and resource reservation mutate the counters
+        the invoker and container methods would.  The floats are
+        ``duration = cold + transfer + exec``, ``finish = (dispatch +
+        overhead) + duration`` and ``cost = rate * duration``.
         """
         invoker = self.cluster.invokers[invoker_id]
         function_name = queue.function_name
@@ -1181,9 +1042,9 @@ class Controller:
             metrics.tasks.append(task)
 
         finish = now_ms + charged_overhead + duration_ms
-        fe = self.fast_events
+        fe = self.event_loop
         if fe is not None:
-            # Inlined ``FastEventLoop.push``: TaskCompletionEvent is a real
+            # Inlined ``EventLoop.push``: TaskCompletionEvent is a real
             # (non-housekeeping) event with the default sort priority 1, and
             # ``finish`` >= ``now_ms`` >= 0 so the push-time validation is
             # statically satisfied.

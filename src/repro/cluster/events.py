@@ -145,8 +145,7 @@ class InvokerJoinEvent(Event):
 
     Housekeeping like every churn event: capacity changes only matter while
     productive work remains, so a schedule extending past the workload's end
-    never keeps the run alive or trips the horizon — identically in both
-    loop modes.
+    never keeps the run alive or trips the horizon.
     """
 
     housekeeping: ClassVar[bool] = True

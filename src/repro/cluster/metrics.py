@@ -187,10 +187,11 @@ class _AppAccumulator:
     """Streaming-mode accumulator for one application (or the whole run).
 
     Holds exactly what the summary needs: integer counters, the running cost
-    sum, a Welford :class:`RunningStats` over latencies (cheap mean/std
-    introspection without a sort), and three parallel compact buffers —
-    ``completed_ms`` / ``request_ids`` / ``latency_ms`` — from which the
-    exact latency quantiles are computed in canonical completion order.
+    sum, three parallel compact buffers — ``completed_ms`` / ``request_ids``
+    / ``latency_ms`` — from which the exact latency quantiles are computed in
+    canonical completion order, and a Welford :class:`RunningStats` over
+    the latencies (cheap mean/std introspection without a sort), brought up
+    to date from the buffer on read.
     """
 
     __slots__ = (
@@ -217,16 +218,6 @@ class _AppAccumulator:
         #: SLO budget of the first registered request (all requests of one
         #: application share one SLO within a run); None until one arrives.
         self.slo_ms: float | None = None
-
-    def fold_completion(self, request: Request) -> None:
-        latency = request.latency_ms
-        self.completed += 1
-        if request.slo_hit:
-            self.slo_hits += 1
-        self.completed_ms.append(request.completed_ms)
-        self.request_ids.append(request.request_id)
-        self.latency_ms.append(latency)
-        self.latency_stats.update(latency)
 
     def ordered_latencies(self) -> list[float]:
         """Latencies in canonical ``(completed_ms, request_id)`` order.
@@ -422,36 +413,23 @@ class MetricsCollector:
         self._fold_completion(request)
 
     def _fold_completion(self, request: Request) -> None:
-        acc = self._app(request.app_name)
-        if acc.completed >= acc.registered:
-            # Cheap misuse guard: catches a request folded twice (registered
-            # pre-completed *and* notified via record_completion) and
-            # completions of never-registered requests, both of which would
-            # otherwise silently corrupt rates (e.g. slo_hit_rate > 1).
-            raise ValueError(
-                f"completion of request {request.request_id} would exceed the "
-                f"registered request count of app {request.app_name!r}; was the "
-                "request registered, and its completion recorded only once?"
-            )
-        self._total.fold_completion(request)
-        acc.fold_completion(request)
+        """Fold one completed request into the streaming accumulators.
 
-    def _fold_completion_fast(self, request: Request) -> None:
-        """``loop_mode="fast"`` streaming fold (same observable state).
-
-        Folds the identical sample into the identical buffers with the
-        per-call constants stripped: the latency/SLO properties are inlined
-        (``latency = completed - arrival``, ``hit = latency <= slo``) and
-        the Welford :class:`RunningStats` update is deferred —
+        The latency/SLO properties are inlined (``latency = completed -
+        arrival``, ``hit = latency <= slo``) and the Welford
+        :class:`RunningStats` update is deferred:
         :meth:`latency_running_stats` replays the buffered samples in fold
-        order on first read, which reproduces the eager update sequence
-        exactly.  The misuse guard is kept.
+        order on first read.
         """
         app_name = request.workflow.name
         acc = self._per_app.get(app_name)
         if acc is None:
             acc = self._per_app[app_name] = _AppAccumulator()
         if acc.completed >= acc.registered:
+            # Cheap misuse guard: catches a request folded twice (registered
+            # pre-completed *and* notified via record_completion) and
+            # completions of never-registered requests, both of which would
+            # otherwise silently corrupt rates (e.g. slo_hit_rate > 1).
             raise ValueError(
                 f"completion of request {request.request_id} would exceed the "
                 f"registered request count of app {app_name!r}; was the "
@@ -495,8 +473,11 @@ class MetricsCollector:
     def record_overhead(self, overhead_ms: float) -> None:
         """Record one scheduling-overhead sample (one plan() invocation)."""
         self._check_not_placeholder()
-        if overhead_ms < 0:
-            raise ValueError(f"overhead must be >= 0, got {overhead_ms}")
+        if not 0.0 <= overhead_ms < float("inf"):
+            raise ValueError(
+                f"policy {self.policy_name!r} reported a scheduling overhead of "
+                f"{overhead_ms!r} ms; it must be finite and >= 0"
+            )
         self.overhead_ms_samples.append(overhead_ms)
 
     def record_plan_attempt(self, *, miss: bool) -> None:
@@ -649,9 +630,8 @@ class MetricsCollector:
         if acc is None:
             return RunningStats()
         if acc.latency_stats.count != len(acc.latency_ms):
-            # Fast-mode folds defer the Welford updates; replaying the
-            # buffered samples in fold order reproduces the eager update
-            # sequence bit for bit.
+            # Folds defer the Welford updates; replay the buffered samples
+            # in fold order.
             stats = RunningStats()
             for sample in acc.latency_ms:
                 stats.update(sample)

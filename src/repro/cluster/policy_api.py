@@ -198,15 +198,9 @@ class SchedulingPolicy(abc.ABC):
     #: Human-readable policy name used in reports and figures.
     name: str = "abstract"
 
-    #: Set by the simulation before :meth:`bind` when it runs with
-    #: ``loop_mode="fast"``.  Policies may gate internal memoization on
-    #: this flag; any cache so gated must preserve byte-identical
-    #: decisions — compat mode is the parity anchor that proves it.
-    fast_mode: bool = False
-
     #: Policies whose :attr:`SchedulingDecision.reported_overhead_ms` is
     #: always a deterministic model (never ``None``) may set this to let the
-    #: fast loop skip the wall-clock plan timing entirely — the measured
+    #: controller skip the wall-clock plan timing entirely — the measured
     #: value would be discarded in favour of the reported one anyway.
     deterministic_overhead: bool = False
 

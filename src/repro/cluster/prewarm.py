@@ -70,86 +70,57 @@ class PrewarmManager:
     max_warm_per_function: int = 8
     enabled: bool = True
     _demand: dict[tuple[str, str], _FunctionDemand] = field(default_factory=dict, repr=False)
-    #: ``loop_mode="fast"`` memos (``None`` = disabled, the compat anchor):
-    #: per-function minimum-config service time, the sorted function list,
-    #: and the per-function demand grouping — all pure functions of state
-    #: that only changes when a *new* (app, function) key appears.
-    _service_ms: dict[str, float] | None = field(default=None, repr=False)
+    #: Memos, each a pure function of state that only changes when a *new*
+    #: (app, function) key appears: the per-function minimum-config service
+    #: time, the sorted function list, and the per-function demand grouping
+    #: (keyed in first-arrival order, never in hash order).
+    _service_ms: dict[str, float] = field(default_factory=dict, repr=False)
     _functions_sorted: list[str] | None = field(default=None, repr=False)
-    _by_function: dict[str, list[_FunctionDemand]] | None = field(default=None, repr=False)
-    #: Fast-mode memo of :meth:`desired_warm_instances`: the result is a pure
+    _by_function: dict[str, list[_FunctionDemand]] = field(default_factory=dict, repr=False)
+    #: Memo of :meth:`desired_warm_instances`: the result is a pure
     #: function of the function's demand entries, which only change on
     #: arrivals — ``observe_arrival`` marks the function dirty and every
     #: other tick reuses the cached count.
     _desired_cache: dict[str, int] = field(default_factory=dict, repr=False)
-    _desired_dirty: set[str] | None = field(default=None, repr=False)
+    _desired_dirty: set[str] = field(default_factory=set, repr=False)
 
     def __post_init__(self) -> None:
         ensure_positive(self.safety_factor, "safety_factor")
         if self.max_warm_per_function < 1:
             raise ValueError("max_warm_per_function must be >= 1")
 
-    def enable_profile_cache(self) -> None:
-        """Turn on the fast-mode memos (idempotent; call before the run)."""
-        if self._service_ms is None:
-            self._service_ms = {}
-            # Sorted so _by_function's key order is a pure function of the
-            # demand keys, never of PYTHONHASHSEED (REP004): today's readers
-            # sort or set-ify it, but a future direct iteration must not
-            # inherit hash order silently.
-            self._by_function = {
-                fn: [d for (a, f), d in self._demand.items() if f == fn]
-                for fn in sorted({f for (_, f) in self._demand})
-            }
-            self._functions_sorted = None
-            self._desired_dirty = set(self._by_function)
-
     # ------------------------------------------------------------------
     # Observation
     # ------------------------------------------------------------------
     def observe_arrival(self, app_name: str, function_name: str, now_ms: float) -> None:
-        """Record one job arrival for (application, function) at ``now_ms``."""
-        if self._service_ms is not None:
-            # Fast mode: ``now_ms`` comes from the event loop, which already
-            # validated it, and the steady-state path (known key, prior
-            # arrival) inlines the EWMA fold with the exact same float
-            # expression as :meth:`EWMA.update`.
-            demand = self._demand.get((app_name, function_name))
-            if demand is not None:
-                last = demand.last_arrival_ms
-                if last is not None:
-                    interval = now_ms - last
-                    if interval < 0.1:
-                        interval = 0.1
-                    ewma = demand.interval_ewma
-                    value = ewma._value
-                    ewma._value = (
-                        interval
-                        if value is None
-                        else ewma.alpha * interval + (1.0 - ewma.alpha) * value
-                    )
-                    ewma._count += 1
-                demand.last_arrival_ms = now_ms
-                demand.observed_arrivals += 1
-                self._desired_dirty.add(function_name)
-                return
-        else:
-            ensure_non_negative(now_ms, "now_ms")
-        key = (app_name, function_name)
-        demand = self._demand.get(key)
+        """Record one job arrival for (application, function) at ``now_ms``.
+
+        ``now_ms`` comes from the event loop, which already validated it,
+        and the steady-state path (known key, prior arrival) inlines the
+        EWMA fold with the exact same float expression as
+        :meth:`EWMA.update`.
+        """
+        demand = self._demand.get((app_name, function_name))
         if demand is None:
+            ensure_non_negative(now_ms, "now_ms")
             demand = _FunctionDemand()
-            self._demand[key] = demand
-            if self._by_function is not None:
-                self._by_function.setdefault(function_name, []).append(demand)
-                self._functions_sorted = None
-        if demand.last_arrival_ms is not None:
-            interval = max(0.1, now_ms - demand.last_arrival_ms)
-            demand.interval_ewma.update(interval)
+            self._demand[(app_name, function_name)] = demand
+            self._by_function.setdefault(function_name, []).append(demand)
+            self._functions_sorted = None
+        last = demand.last_arrival_ms
+        if last is not None:
+            interval = now_ms - last
+            if interval < 0.1:
+                interval = 0.1
+            ewma = demand.interval_ewma
+            value = ewma._value
+            ewma._value = (
+                interval if value is None else ewma.alpha * interval + (1.0 - ewma.alpha) * value
+            )
+            ewma._count += 1
         demand.last_arrival_ms = now_ms
         demand.observed_arrivals += 1
-        if self._desired_dirty is not None:
-            self._desired_dirty.add(function_name)
+        self._desired_dirty.add(function_name)
 
     def predicted_interval_ms(self, app_name: str, function_name: str) -> float | None:
         """EWMA-predicted inter-arrival interval, or ``None`` if unobserved."""
@@ -180,52 +151,31 @@ class PrewarmManager:
         instances — padded by ``safety_factor``.
         """
         dirty = self._desired_dirty
-        if dirty is not None and function_name not in dirty:
+        if function_name not in dirty:
             cached = self._desired_cache.get(function_name)
             if cached is not None:
                 return cached
         total_rate_per_ms = 0.0
-        if self._by_function is not None:
-            # Same demands in the same (insertion) order as the dict scan
-            # below, so the float fold is identical — just without walking
-            # every other function's entries.
-            demands = self._by_function.get(function_name, ())
-            for demand in demands:
-                interval = demand.interval_ewma._value
-                if interval is None or demand.observed_arrivals < 2:
-                    continue
-                total_rate_per_ms += 1.0 / interval
-        else:
-            for (app, fn), demand in self._demand.items():
-                if fn != function_name:
-                    continue
-                interval = demand.interval_ewma.value
-                if interval is None or demand.observed_arrivals < 2:
-                    # Too few observations: assume one instance is enough.
-                    total_rate_per_ms += 0.0
-                    continue
-                total_rate_per_ms += 1.0 / interval
+        # The function's demands in first-arrival order.
+        for demand in self._by_function.get(function_name, ()):
+            interval = demand.interval_ewma._value
+            if interval is None or demand.observed_arrivals < 2:
+                # Too few observations: assume one instance is enough.
+                continue
+            total_rate_per_ms += 1.0 / interval
         if total_rate_per_ms == 0.0:
-            if dirty is not None:
-                self._desired_cache[function_name] = 1
-                dirty.discard(function_name)
-            return 1
-        if self._service_ms is not None:
+            desired = 1
+        else:
             service_ms = self._service_ms.get(function_name)
             if service_ms is None:
                 service_ms = self.profile_store.profile(function_name).latency_ms(
                     self.profile_store.space.minimum
                 )
                 self._service_ms[function_name] = service_ms
-        else:
-            service_ms = self.profile_store.profile(function_name).latency_ms(
-                self.profile_store.space.minimum
-            )
-        concurrency = total_rate_per_ms * service_ms * self.safety_factor
-        desired = int(min(self.max_warm_per_function, max(1, math.ceil(concurrency))))
-        if dirty is not None:
-            self._desired_cache[function_name] = desired
-            dirty.discard(function_name)
+            concurrency = total_rate_per_ms * service_ms * self.safety_factor
+            desired = int(min(self.max_warm_per_function, max(1, math.ceil(concurrency))))
+        self._desired_cache[function_name] = desired
+        dirty.discard(function_name)
         return desired
 
     # ------------------------------------------------------------------
@@ -241,13 +191,9 @@ class PrewarmManager:
         if not self.enabled:
             return []
         plans: list[PrewarmPlan] = []
-        if self._by_function is not None:
-            if self._functions_sorted is None:
-                self._functions_sorted = sorted(self._by_function)
-            functions = self._functions_sorted
-        else:
-            functions = sorted({fn for (_, fn) in self._demand})
-        for fn in functions:
+        if self._functions_sorted is None:
+            self._functions_sorted = sorted(self._by_function)
+        for fn in self._functions_sorted:
             desired = self.desired_warm_instances(fn)
             resident = cluster.resident_container_count(fn)
             missing = desired - resident

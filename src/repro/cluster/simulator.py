@@ -39,15 +39,13 @@ from repro.profiles.perf_model import (
 from repro.profiles.pricing import PricingModel
 from repro.profiles.profiler import ProfileStore
 from repro.utils.rng import derive_rng
-from repro.utils.validation import ensure_non_negative
+from repro.utils.validation import ensure_non_negative, ensure_positive, ensure_positive_int
 from repro.workloads.dag import Workflow
 from repro.workloads.request import Request
 from repro.workloads.stream import RequestStream
 
 __all__ = [
-    "LOOP_MODES",
     "EventLoop",
-    "FastEventLoop",
     "SimulationConfig",
     "Simulation",
     "EventHandler",
@@ -62,123 +60,33 @@ SimulationHook = Callable[["Simulation"], None]
 #: An observer invoked after every handled event.
 EventHook = Callable[["Simulation", Event], None]
 
-#: Event-loop implementations accepted by :class:`SimulationConfig`:
-#: ``"fast"`` (default) runs the split-heap queue, cached handler dispatch
-#: and chunked arrival pulls; ``"compat"`` keeps the original single-heap
-#: loop as the byte-identity parity anchor (same discipline as
-#: ``ClusterConfig.index_mode="scan"``).  Summaries are byte-identical.
-LOOP_MODES = ("fast", "compat")
-
-#: How many arrivals the fast loop pulls from a RequestStream per refill.
+#: How many arrivals the loop pulls from a RequestStream per refill.
 #: Bounded (the queue holds at most this many pending arrivals on top of
 #: in-flight work) but large enough to amortise stream re-entry; relative
 #: arrival order and the arrivals-outrank-ties ``sort_priority`` make the
-#: chunked push order-equivalent to the one-pending-arrival compat scheme.
+#: chunked push order-equivalent to pushing every arrival up front.
 ARRIVAL_CHUNK = 256
 
 
 class EventLoop:
-    """A min-heap of events ordered by time (ties broken by the event's
-    ``sort_priority``, then insertion order).
+    """A split-heap event queue ordered by ``(time_ms, sort_priority, counter)``.
 
-    The priority rank exists for one reason: request arrivals must pop
-    ahead of any other event scheduled for the same instant, whether they
-    were pushed up front (materialized workloads push every arrival before
-    the run starts, so their insertion order alone used to guarantee this)
-    or lazily mid-run (streaming workloads push arrival *k+1* only when
-    arrival *k* fires).  Making the rank part of the key keeps the two
-    scheduling styles byte-identical even on exact time collisions.
+    Ties at one instant break by the event's ``sort_priority``, then by
+    insertion order.  The priority rank exists for one reason: request
+    arrivals must pop ahead of any other event scheduled for the same
+    instant, whether they were pushed up front (materialized workloads) or
+    in chunks mid-run (streaming workloads), so the two scheduling styles
+    stay byte-identical even on exact time collisions.
 
     Housekeeping events (``event.housekeeping``, e.g. container-expiry
-    timers) are tracked separately: they are popped in global time order
-    like any other event, but the loop exposes :attr:`has_real` /
-    :meth:`peek_real_time` so the simulator can end a run — and apply the
-    horizon check — based only on *productive* events.  Without this, a
-    drained workload would be kept "running" for ten more simulated minutes
-    of keep-alive timers.
-    """
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, int, Event]] = []
-        #: Mirror heap of the (time, priority, counter) keys of
-        #: non-housekeeping events.  ``None`` until the first housekeeping
-        #: event is pushed: a run that never schedules expiry timers (scan
-        #: mode) never pays for the mirror at all, and while every pending
-        #: event is real the main heap answers the real-only queries
-        #: directly.
-        self._real_keys: list[tuple[float, int, int]] | None = None
-        self._counter = itertools.count()
-
-    def push(self, event: Event) -> None:
-        """Schedule an event (``time_ms`` must be non-negative)."""
-        time_ms = event.time_ms
-        if time_ms < 0:
-            raise ValueError(f"event time must be >= 0, got {time_ms}")
-        key = (time_ms, event.sort_priority, next(self._counter))
-        if event.housekeeping and self._real_keys is None:
-            # First housekeeping event: materialize the mirror from the
-            # current heap, which at this point holds only real events.
-            # Projecting each 4-tuple entry to its unique 3-tuple key
-            # preserves the heap invariant, so no re-heapify is needed.
-            self._real_keys = [entry[:3] for entry in self._heap]
-        heapq.heappush(self._heap, (*key, event))
-        if self._real_keys is not None and not event.housekeeping:
-            heapq.heappush(self._real_keys, key)
-
-    def pop(self) -> Event:
-        """Remove and return the earliest event."""
-        if not self._heap:
-            raise IndexError("event loop is empty")
-        time_ms, priority, counter, event = heapq.heappop(self._heap)
-        if self._real_keys is not None and not event.housekeeping:
-            # The popped event is the global minimum, so when it is a real
-            # event it is also the minimum of the real-key mirror heap.
-            heapq.heappop(self._real_keys)
-        return event
-
-    def peek_time(self) -> float:
-        """Time of the earliest pending event."""
-        if not self._heap:
-            raise IndexError("event loop is empty")
-        return self._heap[0][0]
-
-    def peek_real_time(self) -> float:
-        """Time of the earliest pending non-housekeeping event."""
-        if self._real_keys is None:
-            if not self._heap:
-                raise IndexError("no productive event is pending")
-            return self._heap[0][0]
-        if not self._real_keys:
-            raise IndexError("no productive event is pending")
-        return self._real_keys[0][0]
-
-    @property
-    def has_real(self) -> bool:
-        """True while a non-housekeeping event is pending."""
-        if self._real_keys is None:
-            return bool(self._heap)
-        return bool(self._real_keys)
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def empty(self) -> bool:
-        """True when no event is pending."""
-        return not self._heap
-
-
-class FastEventLoop:
-    """Split-heap event queue: the ``loop_mode="fast"`` implementation.
-
-    Totally order-equivalent to :class:`EventLoop`: both order events by
-    ``(time_ms, sort_priority, counter)`` with a single shared counter, so
-    interleaving two heaps — one for productive events, one for
-    housekeeping timers — and always popping the smaller head reproduces
-    the single-heap pop sequence exactly (keys are unique because the
-    counter is, so the head comparison never ties).  The split removes the
-    compat loop's mirror-heap double bookkeeping and makes the real-only
-    queries (:attr:`has_real`, :meth:`peek_real_time`) O(1) list checks.
+    timers) live in their own heap.  Both heaps draw from one shared
+    counter, so always popping the smaller head reproduces the pop sequence
+    of a single heap exactly (keys are unique because the counter is, so
+    the head comparison never ties).  The split makes the real-only queries
+    (:attr:`has_real`, :meth:`peek_real_time`) O(1) list checks: the
+    simulator ends a run, and applies the horizon check, on *productive*
+    events only.  Without this, a drained workload would be kept "running"
+    for ten more simulated minutes of keep-alive timers.
     """
 
     __slots__ = ("_real", "_housekeeping", "_counter")
@@ -189,10 +97,10 @@ class FastEventLoop:
         self._counter = itertools.count()
 
     def push(self, event: Event) -> None:
-        """Schedule an event (``time_ms`` must be non-negative)."""
+        """Schedule an event (``time_ms`` must be a number >= 0)."""
         time_ms = event.time_ms
-        if time_ms < 0:
-            raise ValueError(f"event time must be >= 0, got {time_ms}")
+        if not time_ms >= 0:
+            raise ValueError(f"event time must be >= 0, got {time_ms!r}")
         entry = (time_ms, event.sort_priority, next(self._counter), event)
         if event.housekeeping:
             heapq.heappush(self._housekeeping, entry)
@@ -262,23 +170,14 @@ class SimulationConfig:
     #: How the run's metrics are stored: retained object lists (default) or
     #: streaming per-app accumulators.  Summaries are byte-identical.
     metrics: MetricsConfig = field(default_factory=MetricsConfig)
-    #: Event-loop implementation: ``"fast"`` (split-heap queue, cached
-    #: dispatch, chunked arrival pulls, memoized hot-path lookups) or
-    #: ``"compat"`` (the original loop, kept as the parity anchor).
-    #: Summaries are byte-identical.
-    loop_mode: str = "fast"
     #: Optional cluster-churn schedule (timed invoker join/leave/resize
     #: housekeeping events).  ``None`` keeps the paper's static testbed.
     churn: "ChurnSchedule | None" = None
 
     def __post_init__(self) -> None:
         ensure_non_negative(self.noise_sigma, "noise_sigma")
-        if self.max_events <= 0:
-            raise ValueError("max_events must be positive")
-        if self.loop_mode not in LOOP_MODES:
-            raise ValueError(
-                f"loop_mode must be one of {LOOP_MODES}, got {self.loop_mode!r}"
-            )
+        ensure_positive(self.max_time_ms, "max_time_ms")
+        ensure_positive_int(self.max_events, "max_events")
 
 
 class Simulation:
@@ -287,9 +186,10 @@ class Simulation:
     The workload is either a materialized ``Sequence[Request]`` (every
     arrival event pre-registered up front — the default, debuggable path)
     or a lazy :class:`~repro.workloads.stream.RequestStream`, which the
-    simulation pulls *on demand*: exactly one arrival event is pending at
-    any time, and popping it schedules the next one from the stream.  With
-    a streaming metrics collector this bounds the whole run's footprint —
+    simulation pulls *on demand*: at most one chunk of
+    :data:`ARRIVAL_CHUNK` arrivals is pending at any time, and popping the
+    last one schedules the next chunk from the stream.  With a streaming
+    metrics collector this bounds the whole run's footprint —
     no request list, no upfront event flood — while remaining
     byte-identical to the materialized run (arrivals outrank same-time
     events via ``Event.sort_priority``, mirroring the upfront push order).
@@ -304,7 +204,7 @@ class Simulation:
     #: Class-level handler registry; the base ``Event`` entry dispatches to
     #: ``event.apply(simulation)`` so new event types work out of the box.
     _handlers: ClassVar[dict[type, EventHandler]] = {}
-    #: Bumped on every :meth:`register_handler` call; the fast loop's
+    #: Bumped on every :meth:`register_handler` call; the loop's
     #: per-instance dispatch cache compares against it each event so
     #: registrations made mid-run take effect immediately.
     _handlers_version: ClassVar[int] = 0
@@ -324,24 +224,19 @@ class Simulation:
         if stream is None and not requests:
             raise ValueError("a simulation needs at least one request")
         self.config = config or SimulationConfig()
-        fast = self.config.loop_mode == "fast"
-        self._loop_fast = fast
         self.policy = policy
         #: The materialized workload; stays empty for streaming runs (the
         #: stream is consumed, never retained).
         self.requests = [] if stream is not None else list(requests)
         self.profile_store = profile_store
         self.cluster = ClusterState(config=self.config.cluster)
-        if fast:
-            self.cluster.enable_home_cache()
-            self.cluster.enable_lazy_capacity()
         self.metrics = MetricsCollector(
             policy_name=policy.name,
             setting_name=setting_name,
             config=self.config.metrics,
             horizon_ms=self.config.max_time_ms,
         )
-        self.events = FastEventLoop() if fast else EventLoop()
+        self.events = EventLoop()
         self.now_ms = 0.0
         self._tick_scheduled = False
         self._processed_events = 0
@@ -350,10 +245,9 @@ class Simulation:
         self._event_hooks: list[EventHook] = []
         self._progress_hooks: list[tuple[SimulationHook, int]] = []
         self._horizon_hooks: list[SimulationHook] = []
-        #: Fast-loop dispatch cache: concrete event type -> resolved
-        #: dispatch record (see :meth:`_dispatch_record`).  Invalidated
-        #: whenever the class registry version moves or an instance
-        #: handler is added.
+        #: Dispatch cache: concrete event type -> resolved dispatch record
+        #: (see :meth:`_dispatch_record`).  Invalidated whenever the class
+        #: registry version moves or an instance handler is added.
         self._dispatch_cache: dict[
             type, tuple[EventHandler | None, bool, bool, bool]
         ] = {}
@@ -364,7 +258,6 @@ class Simulation:
                 base=AnalyticalPerformanceModel(),
                 rng=derive_rng(self.config.seed, "runtime-noise", policy.name),
                 sigma=self.config.noise_sigma,
-                buffered=fast,
             )
         self.runtime_perf_model = runtime_perf_model
         self.transfer_model = transfer_model or DataTransferModel()
@@ -372,9 +265,6 @@ class Simulation:
         prewarmer = PrewarmManager(
             profile_store=profile_store, enabled=self.config.controller.prewarm_enabled
         )
-        if fast:
-            prewarmer.enable_profile_cache()
-        policy.fast_mode = fast
         self.controller = Controller(
             policy=policy,
             cluster=self.cluster,
@@ -386,8 +276,7 @@ class Simulation:
             config=self.config.controller,
             prewarmer=prewarmer,
             event_sink=self.events.push,
-            fast_events=self.events if fast else None,
-            fast_mode=fast,
+            event_loop=self.events,
         )
 
         if stream is not None:
@@ -413,13 +302,9 @@ class Simulation:
 
         self._streaming_workload = stream is not None
         self._pending_arrivals = 0
-        if stream is not None and fast:
+        if stream is not None:
             self._arrival_source = stream.iter_chunks(ARRIVAL_CHUNK)
             if not self._push_arrival_chunk():
-                raise ValueError("a simulation needs at least one request")
-        elif stream is not None:
-            self._arrival_source = iter(stream)
-            if not self._schedule_next_arrival():
                 raise ValueError("a simulation needs at least one request")
         else:
             self._arrival_source = None
@@ -428,46 +313,27 @@ class Simulation:
                     RequestArrivalEvent(time_ms=request.arrival_ms, request=request)
                 )
 
-        # Churn events go in last, at a fixed point of construction, so both
-        # loop modes assign them identical tie-break counters: they sit after
-        # every arrival pushed at init and before anything emitted mid-run.
-        # Equal-time collisions with arrivals are resolved by sort_priority
-        # (arrivals rank 0, churn 1), which also covers compat streaming
-        # runs, where later arrivals are pushed one at a time mid-run.
+        # Churn events go in last, at a fixed point of construction, so their
+        # tie-break counters sit after every arrival pushed at init and before
+        # anything emitted mid-run.  Equal-time collisions with arrivals are
+        # resolved by sort_priority (arrivals rank 0, churn 1), which also
+        # covers streaming runs, whose later arrival chunks are pushed mid-run.
         churn = self.config.churn
         if churn is not None:
             self.controller.enable_churn(churn.on_evict)
             for action in churn.actions:
                 self.events.push(action.to_event())
 
-    def _schedule_next_arrival(self) -> bool:
-        """Pull one request from the workload stream and schedule its arrival.
-
-        Compat streaming runs keep exactly one pending arrival event: the
-        next one is scheduled when the current one pops (see :meth:`run`),
-        so the event queue holds in-flight work only, never the whole
-        workload.  Returns False once the stream is exhausted.
-        """
-        if self._arrival_source is None:
-            return False
-        pair = next(self._arrival_source, None)
-        if pair is None:
-            self._arrival_source = None
-            return False
-        arrival_ms, request = pair
-        self.events.push(RequestArrivalEvent(time_ms=arrival_ms, request=request))
-        return True
-
     def _push_arrival_chunk(self) -> bool:
         """Pull up to :data:`ARRIVAL_CHUNK` requests and schedule them all.
 
-        The fast loop's streaming refill.  Order-equivalent to the
-        one-pending-arrival compat scheme: arrivals come off the stream in
-        non-decreasing time with equal ``sort_priority`` and increasing
-        counters, so every not-yet-due arrival sits strictly behind the
-        next due one in the queue and the pop sequence is unchanged; the
-        queue simply holds at most one chunk of future arrivals instead of
-        exactly one.  Returns False once the stream is exhausted.
+        The streaming refill, pushed when the previous chunk's last arrival
+        pops.  Order-equivalent to pushing the whole workload up front:
+        arrivals come off the stream in non-decreasing time with equal
+        ``sort_priority`` and increasing counters, so every not-yet-due
+        arrival sits strictly behind the next due one in the queue and the
+        pop sequence is unchanged; the queue simply holds at most one chunk
+        of future arrivals.  Returns False once the stream is exhausted.
         """
         source = self._arrival_source
         if source is None:
@@ -476,9 +342,9 @@ class Simulation:
         if not chunk:
             self._arrival_source = None
             return False
-        # Inlined ``FastEventLoop.push`` (this refill only runs in fast
-        # mode): arrival times are validated non-negative by the Request
-        # constructor, and arrivals carry sort priority 0.
+        # Inlined ``EventLoop.push``: arrival times are validated finite and
+        # non-negative by the Request constructor, and arrivals carry sort
+        # priority 0.
         events = self.events
         real = events._real
         counter = events._counter
@@ -536,41 +402,20 @@ class Simulation:
         self._instance_handlers[event_type] = handler
         self._dispatch_cache.clear()
 
-    def _dispatch(self, event: Event) -> None:
-        """Route ``event`` to a handler: instance registrations win outright.
-
-        All of this simulation's handlers are consulted (walking the event's
-        MRO) before any class-registered one, so a per-instance handler for a
-        base type beats a process-wide handler for the exact type — matching
-        :meth:`add_handler`'s precedence promise.
-        """
-        mro = type(event).__mro__
-        for klass in mro:
-            handler = self._instance_handlers.get(klass)
-            if handler is not None:
-                handler(self, event)
-                return
-        for klass in mro:
-            handler = self._handlers.get(klass)
-            if handler is not None:
-                handler(self, event)
-                return
-        raise TypeError(f"no handler registered for event type {type(event).__name__}")
-
     def _dispatch_record(
         self, event_type: type
     ) -> tuple[EventHandler | None, bool, bool, bool]:
         """Resolve and cache dispatch for one concrete event type.
 
         The record is ``(handler, housekeeping, is_tick, is_arrival)``.
-        Resolution walks the instance registrations first, then the class
-        registry — the exact precedence of :meth:`_dispatch`, so an
-        instance handler for a *base* type still beats a class handler for
-        the exact type.  When resolution lands on the default base-Event
-        entry, ``handler`` is stored as ``None`` and the fast loop calls
-        ``event.apply(self)`` directly, skipping one indirection on the
-        hot path.  The two ``isinstance`` checks of the compat loop are
-        folded into the cached booleans.
+        Resolution walks the instance registrations first (along the event
+        type's MRO), then the class registry, so an instance handler for a
+        *base* type still beats a class handler for the exact type —
+        :meth:`add_handler`'s precedence promise.  When resolution lands on
+        the default base-Event entry, a core event type is routed to its
+        module-level trampoline, and any other type stores ``None`` and the
+        loop calls ``event.apply(self)`` directly, skipping one indirection
+        on the hot path.
         """
         mro = event_type.__mro__
         handler: EventHandler | None = None
@@ -594,7 +439,7 @@ class Simulation:
             # intermediate frame on every event; exact-type keying means any
             # subclass with an overridden ``apply`` (or a registered
             # handler, resolved above) is untouched.
-            handler = _FAST_APPLY.get(event_type) if self._loop_fast else None
+            handler = _FAST_APPLY.get(event_type)
         record = (
             handler,
             bool(event_type.housekeeping),
@@ -637,60 +482,17 @@ class Simulation:
         timers) neither keep the run alive nor count toward the horizon:
         the loop drains them only while productive events remain, exactly
         like the per-tick expiry scan stops when the workload does.
-        """
-        if self._loop_fast:
-            return self._run_fast()
-        while self.events.has_real:
-            if self._processed_events >= self.config.max_events:
-                self._truncated = True
-                break
-            if self.events.peek_real_time() > self.config.max_time_ms:
-                self._truncated = True
-                for horizon_hook in self._horizon_hooks:
-                    horizon_hook(self)
-                break
-            event = self.events.pop()
-            self.now_ms = max(self.now_ms, event.time_ms)
-            if isinstance(event, SchedulerTickEvent):
-                # Engine-owned invariant: the pending tick is consumed the
-                # moment it is popped, no matter which handler processes it.
-                self._tick_scheduled = False
-            elif isinstance(event, RequestArrivalEvent) and self._arrival_source is not None:
-                # Engine-owned invariant for streaming workloads: popping an
-                # arrival schedules the next one, regardless of which
-                # handler processes the event.
-                self._schedule_next_arrival()
-            self._dispatch(event)
-            # Housekeeping events are free: counting them against
-            # max_events (or the progress cadence) would make indexed runs
-            # (which schedule expiry timers) diverge from scan runs.
-            if not event.housekeeping:
-                self._processed_events += 1
-            for event_hook in self._event_hooks:
-                event_hook(self, event)
-            if not event.housekeeping:
-                for progress_hook, every in self._progress_hooks:
-                    if self._processed_events % every == 0:
-                        progress_hook(self)
-            self._maybe_schedule_tick()
-        self.metrics.truncated = self._truncated
-        return self.metrics.summary()
 
-    def _run_fast(self) -> RunSummary:
-        """The ``loop_mode="fast"`` drain loop.
-
-        Semantically identical to the compat loop in :meth:`run` — same
-        stop conditions, same per-event bookkeeping, same hook cadence —
-        but with the per-event constant costs stripped: handlers, the
-        housekeeping flag and the tick/arrival engine invariants come from
-        the per-type dispatch cache instead of MRO walks and ``isinstance``
-        checks; hook loops are skipped outright while no hooks are
-        registered; the split heaps are popped inline instead of through
-        :meth:`FastEventLoop.pop`; the tick reschedule check reads the
-        controller's pending-job counter without a method call; and the
-        cyclic garbage collector is paused for the duration of the drain —
-        the loop allocates and drops large object graphs (jobs, tasks,
-        events) that are all acyclic, so collector sweeps only add pauses.
+        Per-event constant costs are stripped: handlers, the housekeeping
+        flag and the tick/arrival engine invariants come from the per-type
+        dispatch cache instead of MRO walks and ``isinstance`` checks; hook
+        loops are skipped outright while no hooks are registered; the split
+        heaps are popped inline instead of through :meth:`EventLoop.pop`;
+        the tick reschedule check reads the controller's pending-job counter
+        without a method call; and the cyclic garbage collector is paused
+        for the duration of the drain — the loop allocates and drops large
+        object graphs (jobs, tasks, events) that are all acyclic, so
+        collector sweeps only add pauses.
         """
         events = self.events
         config = self.config
@@ -737,8 +539,12 @@ class Simulation:
                     record = self._dispatch_record(type(event))
                 handler, housekeeping, is_tick, is_arrival = record
                 if is_tick:
+                    # Engine-owned invariant: the pending tick is consumed the
+                    # moment it is popped, no matter which handler runs it.
                     self._tick_scheduled = False
                 elif is_arrival and self._arrival_source is not None:
+                    # Streaming workloads: popping the last arrival of a chunk
+                    # pushes the next chunk, whichever handler runs it.
                     self._pending_arrivals -= 1
                     if self._pending_arrivals <= 0:
                         self._push_arrival_chunk()
@@ -746,6 +552,9 @@ class Simulation:
                     event.apply(self)
                 else:
                     handler(self, event)
+                # Housekeeping events are free: counting them against
+                # max_events (or the progress cadence) would make indexed
+                # runs (which schedule expiry timers) diverge from scan runs.
                 if not housekeeping:
                     processed += 1
                     self._processed_events = processed
@@ -770,17 +579,6 @@ class Simulation:
                 gc.enable()
         self.metrics.truncated = self._truncated
         return self.metrics.summary()
-
-    def _maybe_schedule_tick(self) -> None:
-        """Keep the controller ticking while work is pending."""
-        if self._tick_scheduled:
-            return
-        if not self.controller.has_pending_work():
-            return
-        self._tick_scheduled = True
-        self.events.push(
-            SchedulerTickEvent(time_ms=self.now_ms + self.config.controller.tick_interval_ms)
-        )
 
     # ------------------------------------------------------------------
     # Introspection helpers (used by tests and experiments)
@@ -812,7 +610,7 @@ class Simulation:
 # Default dispatch: any event type without a more specific handler applies
 # itself.  Registered once at import time; experiments can shadow it for
 # individual event types via ``Simulation.register_handler``.  Named (not a
-# lambda) so the fast loop's dispatch cache can recognise it by identity and
+# lambda) so the loop's dispatch cache can recognise it by identity and
 # call ``event.apply`` without the extra indirection.
 def _apply_dispatch(simulation: Simulation, event: Event) -> None:
     event.apply(simulation)
@@ -821,7 +619,7 @@ def _apply_dispatch(simulation: Simulation, event: Event) -> None:
 Simulation.register_handler(Event, _apply_dispatch)
 
 
-# Fast-loop trampolines: each mirrors the corresponding ``Event.apply`` body
+# Trampolines: each mirrors the corresponding ``Event.apply`` body
 # exactly, skipping the ``apply`` frame.  Keyed by *exact* concrete type in
 # ``_FAST_APPLY`` — subclasses (which may override ``apply``) never match and
 # keep the default ``event.apply`` route.
@@ -830,10 +628,7 @@ def _fast_arrival_apply(simulation: Simulation, event: "RequestArrivalEvent") ->
 
 
 def _fast_completion_apply(simulation: Simulation, event: "TaskCompletionEvent") -> None:
-    # These trampolines are only installed for fast-mode simulations, whose
-    # controller always runs in fast mode — skip the ``on_task_completion``
-    # mode branch as well.
-    simulation.controller._on_task_completion_fast(event.task, simulation.now_ms)
+    simulation.controller.on_task_completion(event.task, simulation.now_ms)
 
 
 def _fast_tick_apply(simulation: Simulation, event: SchedulerTickEvent) -> None:

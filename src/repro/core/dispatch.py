@@ -21,7 +21,7 @@ from repro.cluster.container import ContainerState
 from repro.cluster.invoker import Invoker
 from repro.profiles.configuration import Configuration
 
-__all__ = ["locality_first_invoker", "locality_first_invoker_fast"]
+__all__ = ["locality_first_invoker"]
 
 _BUSY = ContainerState.BUSY
 _WARM = ContainerState.WARM
@@ -83,70 +83,13 @@ def locality_first_invoker(
     int | None
         The selected invoker id, or ``None`` when no node can currently host
         the configuration.
-    """
-    any_warm_elsewhere = cluster.has_warm_invoker(function_name, now_ms)
 
-    # 1. Predecessor's node (data locality).  If taking it would force a cold
-    #    start while a warm container exists elsewhere, defer it: a multi-
-    #    second model load is never worth saving a few milliseconds of data
-    #    transfer, and the controller knows both costs from the profiles.
-    if predecessor_invoker_id is not None:
-        predecessor = cluster.invoker(predecessor_invoker_id)
-        if predecessor.can_fit(config) and (
-            predecessor.has_any_container(function_name, now_ms) or not any_warm_elsewhere
-        ):
-            return predecessor_invoker_id
-
-    # 2. Home invoker.
-    home_id = cluster.home_invoker_id(app_name, function_name)
-    home = cluster.invoker(home_id)
-    if home.can_fit(config) and (
-        home.has_any_container(function_name, now_ms) or not any_warm_elsewhere
-    ):
-        return home_id
-
-    # 3. Other warm invokers (most available resources first).
-    warm = [
-        inv
-        for inv in cluster.warm_invokers_for(function_name, now_ms)
-        if inv.can_fit(config) and inv.invoker_id != home_id
-    ]
-    if warm:
-        best = max(warm, key=lambda inv: (inv.available_vgpus, inv.available_vcpus, -inv.invoker_id))
-        return best.invoker_id
-
-    # 3b. Locality / home fallbacks without the warm-container requirement.
-    if predecessor_invoker_id is not None and cluster.invoker(predecessor_invoker_id).can_fit(config):
-        return predecessor_invoker_id
-    if home.can_fit(config):
-        return home_id
-
-    # 4. Cold fallback: the fitting node with the most available resources.
-    fallback = cluster.most_available_invoker(config)
-    if fallback is not None:
-        return fallback.invoker_id
-    return None
-
-
-def locality_first_invoker_fast(
-    cluster: ClusterState,
-    app_name: str,
-    function_name: str,
-    config: Configuration,
-    now_ms: float,
-    *,
-    predecessor_invoker_id: int | None = None,
-) -> int | None:
-    """``loop_mode="fast"`` variant of :func:`locality_first_invoker`.
-
-    Implements the identical selection rule with the per-call constant
-    costs stripped: residency checks walk the invokers' live-container
-    lists directly, capacity checks read the resource counters without the
-    ``can_fit`` indirection, and the warm-node argmax of step 3 iterates
-    the cluster's warm-index set unsorted — its ``(vgpus, vcpus, -id)``
-    key is unique per node, so the winner cannot depend on iteration
-    order.  Returns the same invoker id as the reference function for any
-    cluster state, in both indexed and scan mode.
+    Residency checks walk the invokers' live-container lists directly,
+    capacity checks read the resource counters without the ``can_fit``
+    indirection, and the warm-node argmax of step 3 iterates the cluster's
+    warm-index set unsorted: its ``(vgpus, vcpus, -id)`` key is unique per
+    node, so the winner cannot depend on iteration order.  Scan mode, which
+    keeps no warm index, walks every node instead.
     """
     invokers = cluster.invokers
     need_vcpus = config.vcpus
@@ -162,7 +105,10 @@ def locality_first_invoker_fast(
             any_warm_elsewhere = True
             break
 
-    # 1. Predecessor's node (data locality).
+    # 1. Predecessor's node (data locality).  If taking it would force a cold
+    #    start while a warm container exists elsewhere, defer it: a multi-
+    #    second model load is never worth saving a few milliseconds of data
+    #    transfer, and the controller knows both costs from the profiles.
     if predecessor_invoker_id is not None:
         predecessor = invokers[predecessor_invoker_id]
         if (

@@ -19,7 +19,7 @@ do).
 from __future__ import annotations
 
 from repro.cluster.policy_api import AFWQueue, SchedulingDecision, SchedulingContext, SchedulingPolicy
-from repro.core.dispatch import locality_first_invoker, locality_first_invoker_fast
+from repro.core.dispatch import locality_first_invoker
 from repro.core.dominator import SLODistribution, distribute_slo
 from repro.core.esg_1q import StageSearchSpec, esg_1q_search
 from repro.profiles.configuration import Configuration
@@ -117,7 +117,7 @@ class ESGPolicy(SchedulingPolicy):
             raise ValueError(f"per_expansion_ms must be >= 0, got {per_expansion_ms}")
         self.per_expansion_ms = per_expansion_ms
         # With a modeled overhead the wall-clock plan timing is discarded
-        # anyway, so the fast loop may skip measuring it.
+        # anyway, so the controller may skip measuring it.
         self.deterministic_overhead = per_expansion_ms is not None
         # Adaptive plans write no request state, and a modeled overhead is
         # the same on every retry, so the controller may replay a failed
@@ -129,7 +129,7 @@ class ESGPolicy(SchedulingPolicy):
         self._distributions: dict[str, SLODistribution] = {}
         self._plan_cache_enabled = plan_cache and per_expansion_ms is not None
         self._plan_cache: dict[tuple, SchedulingDecision] = {}
-        #: Fast-mode memo for :meth:`_group_and_target` on *fresh* requests
+        #: Memo for :meth:`_group_and_target` on *fresh* requests
         #: (no stage completed yet): their remaining-stage set is the whole
         #: workflow, so the group stages and both fraction sums are a pure
         #: function of (app, stage).  Only the remaining-budget factor is
@@ -222,14 +222,13 @@ class ESGPolicy(SchedulingPolicy):
         shrink (and slack grows) the quota of later groups.
         """
         jobs = queue.jobs
-        if self.fast_mode and len(jobs) == 1:
+        if len(jobs) == 1:
             # min() over a single job is that job; skip the urgency scan.
             request = jobs[0].request
         else:
             request = queue.most_urgent_request(now_ms)
         if (
-            self.fast_mode
-            and not request.stage_completion_ms
+            not request.stage_completion_ms
             and self._context is not None
             and self._context.workflows.get(queue.app_name) is request.workflow
         ):
@@ -388,35 +387,22 @@ class ESGPolicy(SchedulingPolicy):
         self, config: Configuration, queue: AFWQueue, now_ms: float
     ) -> int | None:
         """ESG_Dispatch: predecessor node, home node, warm nodes, cold node."""
-        if self.fast_mode:
-            predecessor_id = None
-            jobs = queue.jobs
-            if jobs:
-                request = jobs[0].request
-                preds = request.workflow.topology().pred[queue.stage_id]
-                if preds:
-                    # Inlined Request.predecessor_invoker over the cached
-                    # topology (identical latest-finishing tie-break).
-                    stage_invoker = request.stage_invoker
-                    if len(preds) == 1:
-                        predecessor_id = stage_invoker.get(preds[0])
-                    else:
-                        done = [p for p in preds if p in stage_invoker]
-                        if done:
-                            scm = request.stage_completion_ms
-                            predecessor_id = stage_invoker[max(done, key=scm.__getitem__)]
-            return locality_first_invoker_fast(
-                self.context.cluster,
-                queue.app_name,
-                queue.function_name,
-                config,
-                now_ms,
-                predecessor_invoker_id=predecessor_id,
-            )
         predecessor_id = None
-        if not queue.is_empty:
-            job = queue.oldest_job()
-            predecessor_id = job.request.predecessor_invoker(queue.stage_id)
+        jobs = queue.jobs
+        if jobs:
+            request = jobs[0].request
+            preds = request.workflow.topology().pred[queue.stage_id]
+            if preds:
+                # Inlined Request.predecessor_invoker over the cached
+                # topology (identical latest-finishing tie-break).
+                stage_invoker = request.stage_invoker
+                if len(preds) == 1:
+                    predecessor_id = stage_invoker.get(preds[0])
+                else:
+                    done = [p for p in preds if p in stage_invoker]
+                    if done:
+                        scm = request.stage_completion_ms
+                        predecessor_id = stage_invoker[max(done, key=scm.__getitem__)]
         return locality_first_invoker(
             self.context.cluster,
             queue.app_name,

@@ -74,7 +74,6 @@ from repro.experiments.overhead import (
 )
 from repro.experiments.runner import (
     DEFAULT_POLICIES,
-    LOOP_MODES,
     WORKLOAD_MODES,
     ExperimentConfig,
 )
@@ -149,7 +148,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         cluster_pinned=pinned,
         metrics=MetricsConfig(mode=args.metrics_mode),
         workload_mode=args.workload_mode,
-        loop_mode=args.loop_mode,
         churn=args.churn,
         autoscale=args.autoscale,
     )
@@ -442,15 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(byte-identical results, ~16 bytes per request instead of whole "
         "object graphs; pair with --metrics-mode streaming for "
         "bounded-memory million-request runs)",
-    )
-    parser.add_argument(
-        "--loop-mode",
-        choices=LOOP_MODES,
-        default="fast",
-        help="event-loop implementation: 'fast' (default) runs the "
-        "split-heap queue with cached dispatch and memoized hot-path "
-        "lookups, 'compat' keeps the original loop as the byte-identity "
-        "parity anchor (summaries are identical, compat is slower)",
     )
     parser.add_argument(
         "--store",

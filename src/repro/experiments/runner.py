@@ -25,12 +25,12 @@ from repro.cluster.cluster import ClusterConfig
 from repro.cluster.controller import ControllerConfig
 from repro.cluster.metrics import MetricsCollector, MetricsConfig, RunSummary
 from repro.cluster.policy_api import SchedulingPolicy
-from repro.cluster.simulator import LOOP_MODES, Simulation, SimulationConfig
+from repro.cluster.simulator import Simulation, SimulationConfig
 from repro.core.esg import ESGPolicy
 from repro.profiles.configuration import ConfigurationSpace
 from repro.profiles.profiler import ProfileStore
 from repro.utils.rng import derive_rng
-from repro.utils.validation import find_duplicates
+from repro.utils.validation import ensure_positive, find_duplicates
 from repro.workloads.applications import build_paper_applications
 from repro.workloads.generator import WORKLOAD_SETTINGS, WorkloadGenerator, WorkloadSetting
 from repro.workloads.request import Request
@@ -40,7 +40,6 @@ from repro.workloads.stream import WORKLOAD_MODES, RequestStream
 __all__ = [
     "DEFAULT_POLICIES",
     "EXPERIMENT_SPACE",
-    "LOOP_MODES",
     "WORKLOAD_MODES",
     "ExperimentConfig",
     "RunResult",
@@ -104,10 +103,6 @@ class ExperimentConfig:
     #: ``metrics=MetricsConfig(mode="streaming")`` for bounded-memory
     #: million-request runs end to end.
     workload_mode: str = "materialized"
-    #: Event-loop implementation: ``"fast"`` (default; split-heap queue,
-    #: cached dispatch, memoized hot-path lookups) or ``"compat"`` (the
-    #: original loop — the parity anchor).  Summaries are byte-identical.
-    loop_mode: str = "fast"
     #: Capacity churn: a registered :class:`~repro.cluster.churn.ChurnSpec`
     #: name, a spec (expanded with this config's seed at run time), or a
     #: concrete :class:`~repro.cluster.churn.ChurnSchedule`.  ``None``
@@ -128,11 +123,7 @@ class ExperimentConfig:
                 f"unknown workload mode {self.workload_mode!r}; "
                 f"expected one of {WORKLOAD_MODES}"
             )
-        if self.loop_mode not in LOOP_MODES:
-            raise ValueError(
-                f"unknown loop mode {self.loop_mode!r}; "
-                f"expected one of {LOOP_MODES}"
-            )
+        ensure_positive(self.max_time_ms, "max_time_ms")
 
     def with_overrides(self, **kwargs) -> "ExperimentConfig":
         """Return a copy with the given fields replaced."""
@@ -379,7 +370,6 @@ def run_experiment(
             noise_sigma=config.noise_sigma,
             max_time_ms=max_time_ms,
             metrics=config.metrics,
-            loop_mode=config.loop_mode,
             churn=churn_schedule,
         ),
         setting_name=setting.name,

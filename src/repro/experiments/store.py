@@ -4,8 +4,8 @@ Every run in this repository is a pure function of its
 :class:`~repro.experiments.engine.RunSpec`: the policy recipe, the demand
 side (setting or scenario), the seed and the platform configuration fully
 determine the :class:`~repro.cluster.metrics.RunSummary` (the tier-1 parity
-suites pin this across processes, loop modes, index modes, metrics modes
-and workload modes).  Re-simulating an identical cell is therefore pure
+suites pin this across processes, index modes, metrics modes and workload
+modes, and the golden corpus pins the summaries themselves).  Re-simulating an identical cell is therefore pure
 waste — exactly the cell production experiment managers cache.
 
 A :class:`ResultStore` keys each run by a **stable content hash** of the
@@ -17,7 +17,7 @@ spec's code-relevant fields:
 * every :class:`~repro.experiments.runner.ExperimentConfig` knob that can
   change the simulated outcome — seed, request count, noise, configuration
   space, cluster shape, controller, burstiness, horizon, churn, autoscale,
-  and the loop/index/metrics/workload modes,
+  and the index/metrics/workload modes,
 * the store schema version (bumping it invalidates every older entry).
 
 Presentation-only fields are explicitly **excluded**: a spec's ``label``,
@@ -77,7 +77,8 @@ __all__ = [
 #: Bump to invalidate every previously stored entry (e.g. when a simulator
 #: change legitimately alters summaries without touching any spec field).
 #: v2: the key document gained the ``autoscale`` config field.
-STORE_SCHEMA_VERSION = 2
+#: v3: the event-loop mode left the key document (the simulator has one loop).
+STORE_SCHEMA_VERSION = 3
 
 #: The payload kind the store holds today: a bare :class:`RunSummary`.
 SUMMARY_KIND = "summary"
@@ -211,7 +212,6 @@ def spec_key_doc(spec: "RunSpec") -> dict[str, object]:
             "max_time_ms": config.max_time_ms,
             "metrics_mode": config.metrics.mode,
             "workload_mode": config.workload_mode,
-            "loop_mode": config.loop_mode,
             "churn": _canonical(churn),
             "autoscale": _canonical(autoscale),
         },

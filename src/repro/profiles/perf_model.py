@@ -43,7 +43,7 @@ __all__ = [
     "NOISE_BUFFER",
 ]
 
-#: Block size of the buffered noise draws (see ``NoisyPerformanceModel``).
+#: Block size of the noise draws (see ``NoisyPerformanceModel``).
 NOISE_BUFFER = 1024
 
 
@@ -151,21 +151,19 @@ class NoisyPerformanceModel(PerformanceModel):
     floor_fraction:
         Lower clamp expressed as a fraction of the mean latency, so noise can
         never produce non-positive or absurdly small latencies.
-    buffered:
-        When True (``loop_mode="fast"``), noise factors are drawn from the
-        RNG in blocks of :data:`NOISE_BUFFER` and mean latencies are
-        memoized per ``(spec, config)``.  A block draw
-        (``rng.normal(0.0, sigma, size=n)``) consumes the generator's
-        stream exactly like ``n`` scalar draws, and the noise RNG is
-        dedicated to this model, so over-drawing past the last sample is
-        invisible — returned samples are byte-identical to unbuffered mode.
+
+    Noise factors are drawn from ``rng`` in blocks of :data:`NOISE_BUFFER`
+    and mean latencies are memoized per ``(spec, config)``.  A block draw
+    (``rng.normal(0.0, sigma, size=n)``) consumes the generator's stream
+    exactly like ``n`` scalar draws, so the samples equal one scalar draw
+    per call as long as ``rng`` is dedicated to this model (over-drawing
+    past the last sample is then invisible).
     """
 
     base: PerformanceModel
     rng: np.random.Generator
     sigma: float = 0.05
     floor_fraction: float = 0.5
-    buffered: bool = False
     _draws: int = field(default=0, repr=False)
     _noise_buf: np.ndarray | None = field(default=None, repr=False)
     _noise_pos: int = field(default=0, repr=False)
@@ -181,27 +179,20 @@ class NoisyPerformanceModel(PerformanceModel):
 
     def latency_ms(self, spec: FunctionSpec, config: Configuration) -> float:
         """One noisy sample of the latency."""
-        if self.buffered:
-            key = (spec, config)
-            mean = self._mean_cache.get(key)
-            if mean is None:
-                mean = self.base.latency_ms(spec, config)
-                self._mean_cache[key] = mean
-            if self.sigma == 0.0:
-                return mean
-            buf = self._noise_buf
-            if buf is None or self._noise_pos >= len(buf):
-                buf = self.rng.normal(0.0, self.sigma, size=NOISE_BUFFER)
-                self._noise_buf = buf
-                self._noise_pos = 0
-            factor = 1.0 + float(buf[self._noise_pos])
-            self._noise_pos += 1
-            self._draws += 1
-            return max(self.floor_fraction * mean, mean * factor)
-        mean = self.base.latency_ms(spec, config)
+        key = (spec, config)
+        mean = self._mean_cache.get(key)
+        if mean is None:
+            mean = self.base.latency_ms(spec, config)
+            self._mean_cache[key] = mean
         if self.sigma == 0.0:
             return mean
-        factor = 1.0 + float(self.rng.normal(0.0, self.sigma))
+        buf = self._noise_buf
+        if buf is None or self._noise_pos >= len(buf):
+            buf = self.rng.normal(0.0, self.sigma, size=NOISE_BUFFER)
+            self._noise_buf = buf
+            self._noise_pos = 0
+        factor = 1.0 + float(buf[self._noise_pos])
+        self._noise_pos += 1
         self._draws += 1
         return max(self.floor_fraction * mean, mean * factor)
 

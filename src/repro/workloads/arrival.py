@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
@@ -319,8 +320,8 @@ class TraceReplayProcess(ArrivalProcess):
     def __post_init__(self) -> None:
         if not self.intervals_ms:
             raise ValueError("trace is empty: at least one interval is required")
-        if any(iv <= 0 for iv in self.intervals_ms):
-            raise ValueError("trace intervals must all be > 0 ms")
+        if not all(0.0 < iv < math.inf for iv in self.intervals_ms):
+            raise ValueError("trace intervals must all be finite and > 0 ms")
 
     @classmethod
     def from_csv(
@@ -382,39 +383,46 @@ def _iter_csv_values(
     :class:`TraceFileReplayProcess` reader, so both apply identical parsing
     rules: blank rows and empty cells are skipped, leading non-numeric rows
     are treated as a header, a non-numeric value after the first numeric one
-    is an error, and ``kind="timestamps"`` columns are differenced on the
-    fly (the first timestamp is measured from 0) with a strictly-increasing
-    check.
+    is an error, as is a non-finite one (``float`` parses ``nan`` and
+    ``inf``) and a non-positive interval, and ``kind="timestamps"`` columns
+    are differenced on the fly (the first timestamp is measured from 0)
+    with a strictly-increasing check.  Every error names the file and the
+    1-based line.
     """
     if kind not in ("intervals", "timestamps"):
         raise ValueError(f"kind must be 'intervals' or 'timestamps', got {kind!r}")
     previous_ts = 0.0
     seen_numeric = False
     with open(path, newline="") as handle:
-        for row in csv.reader(handle):
+        reader = csv.reader(handle)
+        for row in reader:
             if not row:
                 continue
+            where = f"trace {path} line {reader.line_num}"
             if len(row) <= column:
-                raise ValueError(f"row {row!r} in trace {path} has no column {column}")
+                raise ValueError(f"row {row!r} in {where} has no column {column}")
             if not row[column].strip():
                 continue
             try:
                 value = float(row[column])
             except ValueError:
                 if seen_numeric:
-                    raise ValueError(
-                        f"non-numeric value {row[column]!r} in trace {path}"
-                    ) from None
+                    raise ValueError(f"non-numeric value {row[column]!r} in {where}") from None
                 continue  # header row
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite value {row[column]!r} in {where}")
             seen_numeric = True
             if kind == "timestamps":
                 interval = value - previous_ts
                 if interval <= 0:
                     raise ValueError(
-                        f"timestamps in trace {path} must be strictly increasing"
+                        f"timestamps must be strictly increasing: {value!r} after "
+                        f"{previous_ts!r} in {where}"
                     )
                 previous_ts = value
                 yield interval
+            elif value <= 0:
+                raise ValueError(f"trace intervals must all be > 0 ms, got {value!r} in {where}")
             else:
                 yield value
 
@@ -430,15 +438,13 @@ def iter_trace_intervals(
 
     Reads the file row by row (re-opening it per pass when ``loop`` is
     True), so a multi-gigabyte trace streams in constant memory.  Interval
-    validation (``> 0 ms``) happens as values are read.  Raises
+    validation (finite, ``> 0 ms``) happens as values are read.  Raises
     ``ValueError`` on an empty trace — also when looping, where an empty
     file would otherwise spin forever.
     """
     while True:
         yielded = 0
         for value in _iter_csv_values(path, column, kind=kind):
-            if value <= 0:
-                raise ValueError(f"trace intervals must all be > 0 ms, got {value}")
             yielded += 1
             yield value
         if yielded == 0:

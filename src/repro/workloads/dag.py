@@ -48,11 +48,11 @@ class Stage:
 
 
 class WorkflowTopology:
-    """Immutable adjacency snapshot of one workflow, shared by the fast paths.
+    """Immutable adjacency snapshot of one workflow, shared by the hot paths.
 
     The list-returning accessors on :class:`Workflow` rebuild their result on
-    every call (a defensive copy); the simulation's ``loop_mode="fast"`` hot
-    paths instead read this snapshot, built lazily once per workflow and
+    every call (a defensive copy); the simulator's controller, dispatch and
+    ESG hot paths instead read this snapshot, built lazily once per workflow and
     dropped on any mutation.  The per-stage tuples hold the same ids in the
     same order as the accessors, so consumers see identical data.
     """

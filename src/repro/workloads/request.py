@@ -12,6 +12,7 @@ Terminology follows Section 3.2 of the paper:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -64,10 +65,11 @@ class Request:
     evicted_ms: float | None = None
 
     def __post_init__(self) -> None:
-        if self.arrival_ms < 0:
-            raise ValueError(f"arrival_ms must be >= 0, got {self.arrival_ms}")
-        if self.slo_ms <= 0:
-            raise ValueError(f"slo_ms must be > 0, got {self.slo_ms}")
+        if not 0.0 <= self.arrival_ms < math.inf:
+            raise ValueError(f"arrival_ms must be finite and >= 0, got {self.arrival_ms!r}")
+        # An infinite SLO is legal: ESG treats it as no limit.
+        if not self.slo_ms > 0:
+            raise ValueError(f"slo_ms must be > 0, got {self.slo_ms!r}")
 
     # ------------------------------------------------------------------
     # Derived times

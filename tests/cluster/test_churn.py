@@ -234,7 +234,6 @@ class TestIndexedChurnConsistency:
 
     def test_join_invalidates_home_cache(self):
         cluster = small_cluster("indexed")
-        cluster.enable_home_cache()
         before = cluster.home_invoker_id("app", "classification")
         assert before == cluster._hash_home("app", "classification")
         cluster.apply_join()
@@ -287,13 +286,13 @@ class TestExpiryUnderEviction:
         assert container.state is ContainerState.WARM and deadline > 0
         return container, deadline
 
-    def test_compat_expire_event_is_a_no_op_after_eviction(self):
+    def test_expire_event_apply_is_a_no_op_after_eviction(self):
         container, deadline = self.armed_container()
         container.mark_evicted()
         ContainerExpireEvent(time_ms=deadline, container=container).apply(None)
         assert container.state is ContainerState.STOPPED
 
-    def test_fast_expire_trampoline_is_a_no_op_after_eviction(self):
+    def test_expire_trampoline_is_a_no_op_after_eviction(self):
         container, deadline = self.armed_container()
         container.mark_evicted()
         _fast_expire_apply(None, ContainerExpireEvent(time_ms=deadline, container=container))

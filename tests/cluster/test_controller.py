@@ -336,6 +336,72 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="noise_sigma must be >= 0, got nan"):
             SimulationConfig(noise_sigma=float("nan"))
 
+    @pytest.mark.parametrize("horizon", [float("nan"), 0.0, -1.0])
+    def test_max_time_must_be_positive(self, horizon):
+        with pytest.raises(ValueError, match=f"max_time_ms must be > 0, got {horizon!r}"):
+            SimulationConfig(max_time_ms=horizon)
+
+    @pytest.mark.parametrize("cap", [2.5, True, "3"])
+    def test_max_events_must_be_an_int(self, cap):
+        with pytest.raises(TypeError, match="max_events must be an int"):
+            SimulationConfig(max_events=cap)
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_max_events_must_be_positive(self, cap):
+        with pytest.raises(ValueError, match="max_events must be a positive integer"):
+            SimulationConfig(max_events=cap)
+
+    def test_experiment_config_rejects_a_nan_horizon(self):
+        # A NaN horizon compares false with every time, so a run would
+        # neither stop at it nor charge any task cost against it.
+        from repro.experiments import ExperimentConfig
+
+        with pytest.raises(ValueError, match="max_time_ms must be > 0, got nan"):
+            ExperimentConfig(max_time_ms=float("nan"))
+
+
+class OverheadPolicy(FixedConfigPolicy):
+    """Reports a fixed scheduling overhead."""
+
+    name = "overhead-probe"
+
+    def __init__(self, overhead_ms: float):
+        super().__init__()
+        self.overhead_ms = overhead_ms
+
+    def plan(self, queue, now_ms):
+        decision = super().plan(queue, now_ms)
+        decision.reported_overhead_ms = self.overhead_ms
+        return decision
+
+
+class TestReportedOverhead:
+    @pytest.mark.parametrize("overhead", [float("nan"), float("inf"), -1.0])
+    def test_controller_rejects_overhead_outside_zero_to_inf(self, store, overhead):
+        sim = build_simulation(OverheadPolicy(overhead), make_requests(2), store)
+        with pytest.raises(ValueError, match=f"policy 'overhead-probe' reported .*{overhead!r} ms"):
+            sim.run()
+
+    def test_nan_overhead_of_a_baseline_fails_the_run(self, store):
+        """A NaN overhead passes an ``overhead < 0`` check and would poison
+        every task's start time and the run's cost."""
+        from dataclasses import replace
+
+        from repro.baselines import INFlessPolicy
+        from repro.experiments import ExperimentConfig, run_experiment
+
+        class NaNOverheadINFless(INFlessPolicy):
+            def plan(self, queue, now_ms):
+                decision = super().plan(queue, now_ms)
+                return None if decision is None else replace(decision, reported_overhead_ms=float("nan"))
+
+        with pytest.raises(ValueError, match="policy 'INFless' reported a scheduling overhead of nan"):
+            run_experiment(
+                NaNOverheadINFless(),
+                config=ExperimentConfig(num_requests=12),
+                scenario="paper-moderate-normal",
+            )
+
 
 class TestSimulationGuards:
     def test_empty_request_list_rejected(self, store):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import pytest
 
@@ -30,17 +30,13 @@ def make_request(arrival_ms: float = 0.0) -> Request:
 
 
 class TestEvents:
-    def test_negative_time_rejected_at_push(self):
+    @pytest.mark.parametrize("time_ms", [-1.0, float("nan")])
+    def test_negative_or_nan_time_rejected_at_push(self, time_ms):
         # Events are slotted and validation-free per instance; the
         # ``time_ms >= 0`` invariant is enforced once at the scheduling
-        # boundary, by both event-loop implementations.
-        event = SchedulerTickEvent(time_ms=-1.0)
-        with pytest.raises(ValueError):
-            EventLoop().push(event)
-        from repro.cluster.simulator import FastEventLoop
-
-        with pytest.raises(ValueError):
-            FastEventLoop().push(event)
+        # boundary.  NaN compares false both ways, so it must be caught too.
+        with pytest.raises(ValueError, match="event time must be >= 0"):
+            EventLoop().push(SchedulerTickEvent(time_ms=time_ms))
 
     def test_arrival_event_holds_request(self):
         request = make_request(5.0)
@@ -287,3 +283,89 @@ class TestEventDispatch:
     def test_add_handler_rejects_non_event_types(self, sim_store):
         with pytest.raises(TypeError):
             make_simulation(sim_store).add_handler(int, lambda sim, event: None)
+
+
+class TestCachedDispatchPrecedence:
+    """The dispatch cache must preserve the documented handler precedence.
+
+    The loop substitutes module-level trampolines for the core event types
+    *only* when resolution lands on the default base-``Event`` entry.
+    Instance handlers (``add_handler``) and class registrations
+    (``register_handler``) are resolved first, so they must still win —
+    including when added mid-run, after the cache is already hot.
+    """
+
+    def _make_simulation(self, store):
+        requests = build_requests("moderate-normal", 8, 3, store)
+        return Simulation(
+            policy=make_policy("ESG"),
+            requests=requests,
+            profile_store=store,
+            config=SimulationConfig(seed=3),
+            setting_name="moderate-normal",
+        )
+
+    def test_instance_handler_beats_arrival_trampoline(self, sim_store):
+        baseline = self._make_simulation(sim_store).run()
+
+        instrumented = self._make_simulation(sim_store)
+        seen: list[float] = []
+
+        def counting_handler(sim, event):
+            seen.append(event.time_ms)
+            event.apply(sim)
+
+        instrumented.add_handler(RequestArrivalEvent, counting_handler)
+        summary = instrumented.run()
+
+        # The handler intercepted every arrival (the trampoline did not
+        # bypass it) and, since it forwarded to apply(), the run is
+        # unchanged.
+        assert len(seen) == summary.num_requests
+        assert asdict(summary) == asdict(baseline)
+
+    def test_class_handler_beats_tick_trampoline(self, sim_store):
+        baseline = self._make_simulation(sim_store).run()
+        ticks: list[float] = []
+
+        def counting_tick(sim, event):
+            ticks.append(event.time_ms)
+            event.apply(sim)
+
+        Simulation.register_handler(SchedulerTickEvent, counting_tick)
+        try:
+            summary = self._make_simulation(sim_store).run()
+        finally:
+            del Simulation._handlers[SchedulerTickEvent]
+            Simulation._handlers_version += 1
+
+        assert ticks  # at least one tick fired through the handler
+        assert asdict(summary) == asdict(baseline)
+
+    def test_mid_run_registration_invalidates_hot_cache(self, sim_store):
+        """Registrations made after dispatch has already cached the
+        trampoline must take effect immediately (the version check)."""
+        baseline = self._make_simulation(sim_store).run()
+        simulation = self._make_simulation(sim_store)
+        late: list[float] = []
+        armed = False
+
+        @simulation.on_event
+        def register_late(sim, event):
+            nonlocal armed
+            if not armed and sim.processed_events >= 5:
+                armed = True
+                Simulation.register_handler(
+                    SchedulerTickEvent,
+                    lambda s, e: (late.append(e.time_ms), e.apply(s)),
+                )
+
+        try:
+            summary = simulation.run()
+        finally:
+            Simulation._handlers.pop(SchedulerTickEvent, None)
+            Simulation._handlers_version += 1
+
+        assert armed
+        assert late  # ticks after the mid-run registration went through it
+        assert asdict(summary) == asdict(baseline)

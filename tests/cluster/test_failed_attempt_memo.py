@@ -73,7 +73,7 @@ def counted_run(
     return json.dumps(asdict(result.summary), sort_keys=True), calls
 
 
-def retry_run(policy: SchedulingPolicy, loop_mode: str = "fast") -> tuple[str, Counter]:
+def retry_run(policy: SchedulingPolicy) -> tuple[str, Counter]:
     """A saturated 4-node run that parks queues and tries a forced-minimum
     dispatch on every failed retry (see :func:`counted_run`)."""
     config = ExperimentConfig(
@@ -82,7 +82,6 @@ def retry_run(policy: SchedulingPolicy, loop_mode: str = "fast") -> tuple[str, C
         cluster=ClusterConfig(num_invokers=4),
         cluster_pinned=True,
         controller=ControllerConfig(initial_warm="all", recheck_rounds_before_min=1),
-        loop_mode=loop_mode,
     )
     return counted_run(policy, "overload-spike", config)
 
@@ -93,14 +92,13 @@ CHURN_SCENARIOS = {"churn-eviction-storm": "pid-default", "harvest-severe-normal
 
 
 class TestDifferential:
-    @pytest.mark.parametrize("loop_mode", ["fast", "compat"])
     @pytest.mark.parametrize("name", list(PURE_POLICIES))
-    def test_memo_is_byte_identical_with_fewer_plans(self, name: str, loop_mode: str) -> None:
+    def test_memo_is_byte_identical_with_fewer_plans(self, name: str) -> None:
         policy = PURE_POLICIES[name]()
         assert policy.pure_decisions
-        summary, calls = retry_run(policy, loop_mode)
+        summary, calls = retry_run(policy)
         reference = memo_off(PURE_POLICIES[name])()
-        ref_summary, ref_calls = retry_run(reference, loop_mode)
+        ref_summary, ref_calls = retry_run(reference)
         assert summary == ref_summary
         assert calls["attempts"] == ref_calls["attempts"]
         assert ref_calls["plan"] == ref_calls["attempts"]  # the reference plans every attempt
@@ -108,11 +106,10 @@ class TestDifferential:
         assert calls["select_invoker"] < ref_calls["select_invoker"]
 
     @pytest.mark.parametrize("index_mode", ["indexed", "scan"])
-    @pytest.mark.parametrize("loop_mode", ["fast", "compat"])
     @pytest.mark.parametrize("scenario", list(CHURN_SCENARIOS))
     @pytest.mark.parametrize("name", ["INFless", "FaST-GShare"])
     def test_cross_pass_memo_is_byte_identical_under_churn(
-        self, name: str, scenario: str, loop_mode: str, index_mode: str
+        self, name: str, scenario: str, index_mode: str
     ) -> None:
         policy = PURE_POLICIES[name]()
         assert policy.time_invariant_decisions
@@ -121,7 +118,6 @@ class TestDifferential:
             seed=1,
             autoscale=CHURN_SCENARIOS[scenario],
             cluster=ClusterConfig(index_mode=index_mode),
-            loop_mode=loop_mode,
         )
         summary, calls = counted_run(policy, scenario, config)
         ref_summary, ref_calls = counted_run(memo_off(PURE_POLICIES[name])(), scenario, config)
@@ -229,7 +225,6 @@ def build_controller(
     workflows,
     *,
     num_invokers: int = 1,
-    fast_mode: bool = False,
     index_mode: str = "indexed",
     events: list | None = None,
     controller_cls: type[Controller] = Controller,
@@ -247,7 +242,6 @@ def build_controller(
         metrics=MetricsCollector(policy_name=policy.name, setting_name="test"),
         config=ControllerConfig(**controller_config),
         event_sink=(lambda event: None) if events is None else events.append,
-        fast_mode=fast_mode,
     )
     policy.bind(
         SchedulingContext(
@@ -269,11 +263,11 @@ def arrive(controller: Controller, workflow: Workflow, request_id: int, now_ms: 
     return request
 
 
-def standalone(store, policy, apps, *, fast_mode: bool = False, **controller_config) -> Controller:
+def standalone(store, policy, apps, **controller_config) -> Controller:
     """One 16-vCPU node, events discarded, one queued single-stage request per app."""
     workflows = [single_stage(app) for app in apps]
     controller = build_controller(
-        store, policy, workflows, fast_mode=fast_mode, **controller_config
+        store, policy, workflows, **controller_config
     )
     for i, workflow in enumerate(workflows):
         arrive(controller, workflow, i, 1.0)
@@ -282,17 +276,15 @@ def standalone(store, policy, apps, *, fast_mode: bool = False, **controller_con
 
 #: A configuration that fills the whole node.
 WHOLE_NODE = Configuration(1, 16, 7)
-both_loop_modes = pytest.mark.parametrize("fast_mode", [False, True], ids=["compat", "fast"])
 
 
-@both_loop_modes
 class TestInvalidation:
     CONFIGS = {"a": TOO_BIG, "b": TOO_BIG, "c": SMALL}
 
-    def run_two_passes(self, store, fast_mode: bool, *, pure: bool):
+    def run_two_passes(self, store, *, pure: bool):
         policy = PerAppPolicy(self.CONFIGS, pure=pure)
         controller = standalone(
-            store, policy, self.CONFIGS, fast_mode=fast_mode, recheck_rounds_before_min=100
+            store, policy, self.CONFIGS, recheck_rounds_before_min=100
         )
         # Visit order a, b, c: a and b fail and park, then c dispatches.
         assert controller.run_scheduling_pass(now_ms=2.0) == 1
@@ -301,8 +293,8 @@ class TestInvalidation:
         rounds = {key: controller.queue_for(*key).recheck_rounds for key in controller._recheck}
         return policy, first, rounds, list(controller.metrics.overhead_ms_samples)
 
-    def test_dispatch_mid_pass_forgets_every_failure(self, store, fast_mode) -> None:
-        policy, first, _, _ = self.run_two_passes(store, fast_mode, pure=True)
+    def test_dispatch_mid_pass_forgets_every_failure(self, store) -> None:
+        policy, first, _, _ = self.run_two_passes(store, pure=True)
         # a and b each fail once before c's dispatch and once after it;
         # every other retry in that pass is replayed.
         assert first == {"a": 2, "b": 2, "c": 1}
@@ -312,17 +304,17 @@ class TestInvalidation:
         assert policy.selects[("a", TOO_BIG)] == policy.plans["a"]
         assert policy.selects[("b", TOO_BIG)] == policy.plans["b"]
 
-    def test_replay_records_what_the_reference_records(self, store, fast_mode) -> None:
-        _, _, rounds, samples = self.run_two_passes(store, fast_mode, pure=True)
-        _, ref_first, ref_rounds, ref_samples = self.run_two_passes(store, fast_mode, pure=False)
+    def test_replay_records_what_the_reference_records(self, store) -> None:
+        _, _, rounds, samples = self.run_two_passes(store, pure=True)
+        _, ref_first, ref_rounds, ref_samples = self.run_two_passes(store, pure=False)
         assert ref_first == {"a": 4, "b": 3, "c": 1}
         assert rounds == ref_rounds
         assert samples == ref_samples
 
-    def test_declined_plan_is_replayed_without_records(self, store, fast_mode) -> None:
+    def test_declined_plan_is_replayed_without_records(self, store) -> None:
         def run(pure: bool):
             policy = PerAppPolicy({"a": None, "b": TOO_BIG}, pure=pure)
-            controller = standalone(store, policy, ("a", "b"), fast_mode=fast_mode)
+            controller = standalone(store, policy, ("a", "b"))
             assert controller.run_scheduling_pass(now_ms=2.0) == 0
             return policy.plans, controller.metrics.overhead_ms_samples
 
@@ -333,13 +325,12 @@ class TestInvalidation:
         assert samples == ref_samples == [0.5, 0.5]
 
 
-@both_loop_modes
 class TestForcedMinimum:
-    def test_failed_forced_minimum_is_not_repeated_in_the_pass(self, store, fast_mode) -> None:
+    def test_failed_forced_minimum_is_not_repeated_in_the_pass(self, store) -> None:
         def run(pure: bool):
             policy = PerAppPolicy({"a": TOO_BIG, "b": TOO_BIG}, pure=pure)
             controller = standalone(
-                store, policy, ("a", "b"), fast_mode=fast_mode, recheck_rounds_before_min=1
+                store, policy, ("a", "b"), recheck_rounds_before_min=1
             )
             controller.cluster.invoker(0).reserve(WHOLE_NODE)
             fallbacks = 0
@@ -364,10 +355,10 @@ class TestForcedMinimum:
         assert forced == {"a": 1, "b": 1} and fallbacks == 2
         assert rounds == ref_rounds == [2, 1]
 
-    def test_next_pass_tries_the_forced_minimum_again(self, store, fast_mode) -> None:
+    def test_next_pass_tries_the_forced_minimum_again(self, store) -> None:
         policy = PerAppPolicy({"a": TOO_BIG})
         controller = standalone(
-            store, policy, ("a",), fast_mode=fast_mode, recheck_rounds_before_min=1
+            store, policy, ("a",), recheck_rounds_before_min=1
         )
         node = controller.cluster.invoker(0)
         node.reserve(WHOLE_NODE)
@@ -415,7 +406,7 @@ A, B = ("a", "s1"), ("b", "s1")
 both_index_modes = pytest.mark.parametrize("index_mode", ["indexed", "scan"])
 
 
-def parked_b(store, fast_mode: bool, index_mode: str, a_config, b_config):
+def parked_b(store, index_mode: str, a_config, b_config):
     """Pass 1 dispatches a's task and parks b; pass 2 replays b's failure."""
     policy = PerQueuePolicy({A: a_config, B: b_config})
     events: list = []
@@ -424,7 +415,6 @@ def parked_b(store, fast_mode: bool, index_mode: str, a_config, b_config):
         store,
         policy,
         workflows.values(),
-        fast_mode=fast_mode,
         index_mode=index_mode,
         events=events,
         recheck_rounds_before_min=100,
@@ -474,26 +464,25 @@ BETWEEN_PASS_EVENTS = {
 }
 
 
-@both_loop_modes
 @both_index_modes
 class TestCrossPass:
     @pytest.mark.parametrize("event", list(BETWEEN_PASS_EVENTS))
-    def test_between_pass_event_forces_a_replan(self, store, fast_mode, index_mode, event) -> None:
+    def test_between_pass_event_forces_a_replan(self, store, index_mode, event) -> None:
         a_config, b_config, apply, dispatches = BETWEEN_PASS_EVENTS[event]
         controller, policy, events, workflows = parked_b(
-            store, fast_mode, index_mode, a_config, b_config
+            store, index_mode, a_config, b_config
         )
         apply(controller, events, workflows)
         assert controller.run_scheduling_pass(now_ms=4.0) == dispatches
         assert policy.plans[B] == 2
 
-    def test_an_unrelated_arrival_keeps_the_record(self, store, fast_mode, index_mode) -> None:
-        controller, policy, _, workflows = parked_b(store, fast_mode, index_mode, WHOLE_NODE, SMALL)
+    def test_an_unrelated_arrival_keeps_the_record(self, store, index_mode) -> None:
+        controller, policy, _, workflows = parked_b(store, index_mode, WHOLE_NODE, SMALL)
         arrive(controller, workflows["a"], 2, 3.5)
         assert controller.run_scheduling_pass(now_ms=4.0) == 0
         assert policy.plans == {A: 2, B: 1}
 
-    def test_purge_that_changes_the_head_forces_a_replan(self, store, fast_mode, index_mode) -> None:
+    def test_purge_that_changes_the_head_forces_a_replan(self, store, index_mode) -> None:
         """A fail-mode leave of a node with no free capacity left bumps no
         epoch; it purges the queued job of the evicted request, and an
         arrival restores the queue's length, so only the head job changed."""
@@ -506,7 +495,6 @@ class TestCrossPass:
             store,
             policy,
             [workflow],
-            fast_mode=fast_mode,
             index_mode=index_mode,
             recheck_rounds_before_min=100,
         )
@@ -527,7 +515,7 @@ class TestCrossPass:
         assert policy.plans[s2] == 2
 
     def test_forced_minimum_record_is_replayed_across_passes(
-        self, store, fast_mode, index_mode
+        self, store, index_mode
     ) -> None:
         policy = PerQueuePolicy({A: TOO_BIG})
         workflow = single_stage("a")
@@ -535,7 +523,6 @@ class TestCrossPass:
             store,
             policy,
             [workflow],
-            fast_mode=fast_mode,
             index_mode=index_mode,
             recheck_rounds_before_min=1,
         )
@@ -559,7 +546,7 @@ class TestCrossPass:
         assert controller.run_scheduling_pass(now_ms=5.0) == 1
         assert controller.metrics.forced_min_dispatches == 1
 
-    def test_pure_esg_replans_in_every_pass(self, store, fast_mode, index_mode) -> None:
+    def test_pure_esg_replans_in_every_pass(self, store, index_mode) -> None:
         policy = ESGPolicy()
         assert policy.pure_decisions and not policy.time_invariant_decisions
         workflows = [single_stage(app) for app in ("a", "b")]
@@ -567,7 +554,6 @@ class TestCrossPass:
             store,
             policy,
             workflows,
-            fast_mode=fast_mode,
             index_mode=index_mode,
             recheck_rounds_before_min=100,
         )
@@ -618,7 +604,6 @@ LARGE = Configuration(1, 10, 4)
 MEDIUM = Configuration(1, 5, 2)
 
 
-@both_loop_modes
 @both_index_modes
 class TestBulkReplay:
     APPS = tuple(f"app{i}" for i in range(6))
@@ -635,7 +620,7 @@ class TestBulkReplay:
         actions = [(rng.choice(kinds), rng.randrange(6)) for _ in range(120)]
         return configs, misses, actions
 
-    def trace(self, store, fast_mode, index_mode, seed, controller_cls, *, pure=True):
+    def trace(self, store, index_mode, seed, controller_cls, *, pure=True):
         """Run the seed's script; return what every pass left behind, the
         plan count and how many passes were applied in bulk."""
         configs, misses, actions = self.script(seed)
@@ -649,7 +634,6 @@ class TestBulkReplay:
             policy,
             workflows.values(),
             num_invokers=2,
-            fast_mode=fast_mode,
             index_mode=index_mode,
             events=events,
             controller_cls=controller_cls,
@@ -689,21 +673,21 @@ class TestBulkReplay:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_bulk_replay_matches_the_per_attempt_loop(
-        self, store, fast_mode, index_mode, seed
+        self, store, index_mode, seed
     ) -> None:
-        passes, plans, bulk = self.trace(store, fast_mode, index_mode, seed, Controller)
+        passes, plans, bulk = self.trace(store, index_mode, seed, Controller)
         ref_passes, ref_plans, ref_bulk = self.trace(
-            store, fast_mode, index_mode, seed, PerAttempt
+            store, index_mode, seed, PerAttempt
         )
         off_passes, off_plans, _ = self.trace(
-            store, fast_mode, index_mode, seed, Controller, pure=False
+            store, index_mode, seed, Controller, pure=False
         )
         assert passes == ref_passes == off_passes
         assert plans == ref_plans < off_plans
         assert ref_bulk == 0 and 0 < bulk < len(passes)
 
     def test_queue_that_dispatched_before_failing_is_parked_in_bulk(
-        self, store, fast_mode, index_mode
+        self, store, index_mode
     ) -> None:
         """c's visit dispatches once and fails, so c is not parked and its
         record is the newest; the next pass visits b, c, a and parks c at
@@ -719,7 +703,6 @@ class TestBulkReplay:
                 store,
                 policy,
                 workflows,
-                fast_mode=fast_mode,
                 index_mode=index_mode,
                 controller_cls=controller_cls,
                 recheck_rounds_before_min=100,

@@ -1,14 +1,14 @@
-"""Randomized equivalence fuzz: :class:`FastEventLoop` vs. the compat loop.
+"""Randomized equivalence fuzz: :class:`EventLoop` vs. a brute-force reference.
 
-The fast loop's split-heap design rests on one claim: with a single shared
+The loop's split-heap design rests on one claim: with a single shared
 push counter, interleaving a real heap and a housekeeping heap and always
-popping the smaller head reproduces the compat single-heap pop sequence
-*exactly*.  These tests drive both implementations (plus a brute-force
-sorted-list reference) through seeded random push/pop interleavings built
-to stress the claim where it could break — exact-time collisions,
-``sort_priority`` ties between arrivals and ticks, and dense mixes of
-housekeeping timers — and assert identical observable behaviour at every
-step.
+popping the smaller head reproduces the pop sequence of one list sorted by
+``(time_ms, sort_priority, counter)`` *exactly*.  These tests drive the
+loop and a brute-force sorted-list reference through seeded random
+push/pop interleavings built to stress the claim where it could break —
+exact-time collisions, ``sort_priority`` ties between arrivals and ticks,
+and dense mixes of housekeeping timers — and assert identical observable
+behaviour at every step.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.cluster.events import (
     RequestArrivalEvent,
     SchedulerTickEvent,
 )
-from repro.cluster.simulator import EventLoop, FastEventLoop
+from repro.cluster.simulator import EventLoop
 from repro.workloads.applications import image_classification
 from repro.workloads.request import Request
 
@@ -82,47 +82,39 @@ class ReferenceLoop:
         return len(self._entries)
 
 
-def assert_observables_agree(fast: FastEventLoop, compat: EventLoop, ref: ReferenceLoop):
-    assert len(fast) == len(compat) == len(ref)
-    assert fast.empty == compat.empty == (len(ref) == 0)
-    assert fast.has_real == compat.has_real == bool(ref.real_times())
+def assert_observables_agree(loop: EventLoop, ref: ReferenceLoop):
+    assert len(loop) == len(ref)
+    assert loop.empty == (len(ref) == 0)
+    assert loop.has_real == bool(ref.real_times())
     if len(ref):
-        assert fast.peek_time() == compat.peek_time() == ref.peek_time()
+        assert loop.peek_time() == ref.peek_time()
     if ref.real_times():
-        assert (
-            fast.peek_real_time()
-            == compat.peek_real_time()
-            == ref.real_times()[0]
-        )
+        assert loop.peek_real_time() == ref.real_times()[0]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 17, 1234])
 def test_fuzz_pop_sequences_identical(seed):
-    """~2000 random ops: every pop returns the *same object* from all three
-    implementations, and every observable query agrees at every step."""
+    """~2000 random ops: every pop returns the *same object* from the loop
+    and the reference, and every observable query agrees at every step."""
     rng = random.Random(seed)
     request = _shared_request()
     container = _shared_container()
-    fast, compat, ref = FastEventLoop(), EventLoop(), ReferenceLoop()
+    loop, ref = EventLoop(), ReferenceLoop()
 
     for _ in range(2000):
         if len(ref) and rng.random() < 0.45:
-            popped_fast = fast.pop()
-            popped_compat = compat.pop()
-            popped_ref = ref.pop()
-            assert popped_fast is popped_compat is popped_ref
+            assert loop.pop() is ref.pop()
         else:
             event = make_event(rng, request, container)
-            fast.push(event)
-            compat.push(event)
+            loop.push(event)
             ref.push(event)
-        assert_observables_agree(fast, compat, ref)
+        assert_observables_agree(loop, ref)
 
     # Drain: the remaining backlog pops identically too.
     while len(ref):
-        assert fast.pop() is compat.pop() is ref.pop()
-        assert_observables_agree(fast, compat, ref)
-    assert fast.empty and compat.empty
+        assert loop.pop() is ref.pop()
+        assert_observables_agree(loop, ref)
+    assert loop.empty
 
 
 @pytest.mark.parametrize("seed", [5, 6, 7])
@@ -132,12 +124,12 @@ def test_fuzz_housekeeping_heavy_mix(seed):
     rng = random.Random(seed)
     request = _shared_request()
     container = _shared_container()
-    fast, compat, ref = FastEventLoop(), EventLoop(), ReferenceLoop()
+    loop, ref = EventLoop(), ReferenceLoop()
 
     for _ in range(1000):
         roll = rng.random()
         if len(ref) and roll < 0.4:
-            assert fast.pop() is compat.pop() is ref.pop()
+            assert loop.pop() is ref.pop()
         elif roll < 0.85 or not len(ref):
             # 75% of pushes are expiry timers.
             time_ms = rng.choice(TIME_PALETTE)
@@ -145,25 +137,24 @@ def test_fuzz_housekeeping_heavy_mix(seed):
                 event = ContainerExpireEvent(time_ms=time_ms, container=container)
             else:
                 event = RequestArrivalEvent(time_ms=time_ms, request=request)
-            fast.push(event)
-            compat.push(event)
+            loop.push(event)
             ref.push(event)
-        assert_observables_agree(fast, compat, ref)
+        assert_observables_agree(loop, ref)
 
 
-class TestFastEventLoopEdges:
-    """The non-fuzz edge contract, mirroring the compat EventLoop tests."""
+class TestEventLoopEdges:
+    """The non-fuzz edge contract of the split heaps."""
 
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
-            FastEventLoop().pop()
+            EventLoop().pop()
 
     def test_peek_time_empty_raises(self):
         with pytest.raises(IndexError):
-            FastEventLoop().peek_time()
+            EventLoop().peek_time()
 
     def test_peek_real_time_with_only_housekeeping_raises(self):
-        loop = FastEventLoop()
+        loop = EventLoop()
         loop.push(ContainerExpireEvent(time_ms=5.0, container=_shared_container()))
         assert not loop.has_real
         assert not loop.empty
@@ -172,7 +163,7 @@ class TestFastEventLoopEdges:
             loop.peek_real_time()
 
     def test_arrival_outranks_same_time_tick(self):
-        loop = FastEventLoop()
+        loop = EventLoop()
         tick = SchedulerTickEvent(time_ms=5.0)
         arrival = RequestArrivalEvent(time_ms=5.0, request=_shared_request())
         loop.push(tick)
@@ -181,7 +172,7 @@ class TestFastEventLoopEdges:
         assert loop.pop() is tick
 
     def test_housekeeping_interleaves_in_global_time_order(self):
-        loop = FastEventLoop()
+        loop = EventLoop()
         container = _shared_container()
         expire_early = ContainerExpireEvent(time_ms=1.0, container=container)
         tick = SchedulerTickEvent(time_ms=2.0)
@@ -194,7 +185,7 @@ class TestFastEventLoopEdges:
         assert [loop.pop() for _ in range(3)] == [expire_early, tick, expire_late]
 
     def test_fifo_among_equal_keys(self):
-        loop = FastEventLoop()
+        loop = EventLoop()
         events = [SchedulerTickEvent(time_ms=5.0) for _ in range(10)]
         for event in events:
             loop.push(event)
@@ -202,4 +193,4 @@ class TestFastEventLoopEdges:
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            FastEventLoop().push(SchedulerTickEvent(time_ms=-0.5))
+            EventLoop().push(SchedulerTickEvent(time_ms=-0.5))

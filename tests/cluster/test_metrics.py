@@ -119,9 +119,11 @@ class TestPlanAndTransfers:
         assert metrics.local_transfers == 2
         assert metrics.remote_transfers == 1
 
-    def test_negative_overhead_rejected(self):
-        with pytest.raises(ValueError):
-            MetricsCollector().record_overhead(-1.0)
+    @pytest.mark.parametrize("overhead", [-1.0, float("nan"), float("inf")])
+    def test_overhead_outside_zero_to_inf_rejected(self, overhead):
+        metrics = MetricsCollector(policy_name="INFless")
+        with pytest.raises(ValueError, match=f"policy 'INFless' reported .*{overhead!r} ms"):
+            metrics.record_overhead(overhead)
 
 
 class TestSummary:

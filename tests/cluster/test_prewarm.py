@@ -120,13 +120,11 @@ class TestPickInvoker:
 
 
 class TestProfileCacheDeterminism:
-    """Regression pins for the REP004 fix in ``enable_profile_cache``.
+    """The planner's memos must be a pure function of the arrival sequence.
 
-    ``_by_function`` used to be built by iterating a set comprehension over
-    the demand keys, inheriting PYTHONHASHSEED-dependent order.  Nothing
-    downstream consumes that order *today*, but the byte-identity contract
-    requires every internal collection a future reader might iterate to be
-    deterministically ordered; these tests pin the sorted construction.
+    ``_by_function`` groups the demands per function in first-arrival order
+    (never in hash order, REP004), and :meth:`PrewarmManager.plan` visits
+    functions in sorted order, whatever order they first arrived in.
     """
 
     def _seed_arrivals(self, manager, names):
@@ -135,33 +133,40 @@ class TestProfileCacheDeterminism:
             manager.observe_arrival("app", name, 25.0)
             manager.observe_arrival("other_app", name, 10.0)
 
-    def test_by_function_keys_are_sorted(self, manager):
-        self._seed_arrivals(manager, ["deblur", "auth", "background_removal"])
-        manager.enable_profile_cache()
-        keys = list(manager._by_function)
-        assert keys == sorted(keys)
+    def test_by_function_keys_follow_first_arrival(self, manager):
+        names = ["deblur", "auth", "background_removal"]
+        self._seed_arrivals(manager, names)
+        assert list(manager._by_function) == names
+        assert [len(demands) for demands in manager._by_function.values()] == [2, 2, 2]
 
-    def test_by_function_order_independent_of_insertion_order(self, small_store):
-        names = ["deblur", "auth", "background_removal", "resize"]
+    def test_plan_order_independent_of_arrival_order(self, small_store):
+        names = ["deblur", "classification", "background_removal", "segmentation"]
         forward = PrewarmManager(profile_store=small_store)
         backward = PrewarmManager(profile_store=small_store)
         self._seed_arrivals(forward, names)
         self._seed_arrivals(backward, list(reversed(names)))
-        forward.enable_profile_cache()
-        backward.enable_profile_cache()
-        assert list(forward._by_function) == list(backward._by_function)
-        for fn in forward._by_function:
-            assert len(forward._by_function[fn]) == len(backward._by_function[fn])
+        plans = [
+            manager.plan(ClusterState(config=ClusterConfig(num_invokers=4)), now_ms=30.0)
+            for manager in (forward, backward)
+        ]
+        assert plans[0] == plans[1]
+        functions = [plan.function_name for plan in plans[0]]
+        assert functions == sorted(functions) and set(functions) == set(names)
 
     def test_cache_preserves_desired_instance_parity(self, small_store):
-        """Fast-mode memos must not change the planner's answers."""
+        """Explicit counts: 6 arrivals 200 ms apart of each function, then
+        one more arrival of deblur 25 ms later moves only deblur's count.
+        The counts are those of the planner without memos."""
+        manager = PrewarmManager(profile_store=small_store)
         names = ["deblur", "classification"]
-        compat = PrewarmManager(profile_store=small_store)
-        fast = PrewarmManager(profile_store=small_store)
-        for m in (compat, fast):
-            for i in range(6):
-                for name in names:
-                    m.observe_arrival("app", name, i * 40.0)
-        fast.enable_profile_cache()
-        for name in names:
-            assert fast.desired_warm_instances(name) == compat.desired_warm_instances(name)
+        for i in range(6):
+            for name in names:
+                manager.observe_arrival("app", name, i * 200.0)
+        expected = {"deblur": 2, "classification": 1}
+        assert {name: manager.desired_warm_instances(name) for name in names} == expected
+        assert not manager._desired_dirty
+        assert {name: manager.desired_warm_instances(name) for name in names} == expected
+        manager.observe_arrival("app", "deblur", 1025.0)
+        assert manager._desired_dirty == {"deblur"}
+        assert manager.desired_warm_instances("deblur") == 3
+        assert manager.desired_warm_instances("classification") == 1

@@ -1,4 +1,9 @@
-"""Tests for the locality-first ESG_Dispatch node selection."""
+"""Tests for the locality-first ESG_Dispatch node selection.
+
+``locality_first_invoker`` is the body ``ESGPolicy.select_invoker`` calls.
+It reads the cluster's warm index in indexed mode and walks every node in
+scan mode, so each test runs in both.
+"""
 
 from __future__ import annotations
 
@@ -9,9 +14,9 @@ from repro.core.dispatch import locality_first_invoker
 from repro.profiles.configuration import Configuration
 
 
-@pytest.fixture()
-def cluster() -> ClusterState:
-    return ClusterState(config=ClusterConfig(num_invokers=4))
+@pytest.fixture(params=["indexed", "scan"])
+def cluster(request) -> ClusterState:
+    return ClusterState(config=ClusterConfig(num_invokers=4, index_mode=request.param))
 
 
 CFG = Configuration(1, 2, 1)

@@ -105,7 +105,6 @@ class TestSpecKey:
             lambda: _spec(config=ExperimentConfig(num_requests=7, seed=11)),
             lambda: _spec(config=ExperimentConfig(num_requests=6, seed=12)),
             lambda: _spec(config=ExperimentConfig(num_requests=6, churn="harvest-mild")),
-            lambda: _spec(config=ExperimentConfig(num_requests=6, loop_mode="compat")),
         ],
     )
     def test_code_relevant_changes_change_the_key(self, variant):
@@ -113,6 +112,14 @@ class TestSpecKey:
 
     def test_doc_mentions_schema_version(self):
         assert spec_key_doc(_spec())["schema"] == STORE_SCHEMA_VERSION
+
+    def test_schema_3_has_no_event_loop_mode(self):
+        """The simulator has one event loop, so the key document names no
+        loop mode (schema 3 dropped it; schema 2 keys are misses)."""
+        assert STORE_SCHEMA_VERSION == 3
+        config = spec_key_doc(_spec())["config"]
+        assert "loop_mode" not in config
+        assert set(config) >= {"metrics_mode", "workload_mode", "cluster"}
 
     def test_key_is_stable_across_hash_randomisation(self):
         """PYTHONHASHSEED (and process boundaries) must not move keys."""

@@ -2,7 +2,7 @@
 
 Each file holds one ``RunSummary`` as JSON, every float in its exact
 ``repr``.  The corpus is a lattice of ``(policy, scenario, seed)`` cases
-in two groups:
+in three groups:
 
 * ``esg/``: the ESG variants (the paper's ESG, static planning, and the
   two Figure 12 ablations) on ``paper-relaxed-heavy``;
@@ -12,7 +12,16 @@ in two groups:
   enumeration baselines park many queues on the controller's recheck
   list there and retry them on every tick, so these cases pin the retry
   path; the churn cases add node resizes, joins, leaves and request
-  purges while queues are parked.
+  purges while queues are parked;
+* ``lattice/``: the event loop and the controller across the policies
+  and scenarios: all five policies on the three paper settings, on
+  ``harvest-severe-normal`` and ``churn-eviction-fail`` without an
+  autoscaler, and on ``paper-moderate-normal`` from a cluster warm only
+  at each function's home node (so the static EWMA prewarmer changes
+  outcomes); ESG on three non-paper arrival processes, under both
+  autoscalers on two adaptive scenarios (also warm only at home), and on
+  a run truncated by ``max_time_ms``.  Cells already in ``esg/`` or
+  ``retry/`` are not repeated.
 
 ``test_golden_replay.py`` re-runs every case and compares the text byte
 for byte, so a change to any decision, count or float shows up there.
@@ -31,11 +40,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from repro.core.esg import ESGPolicy
-from repro.experiments import ExperimentConfig, make_policy, run_experiment
+from repro.experiments import DEFAULT_POLICIES, ExperimentConfig, make_policy, run_experiment
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 NUM_REQUESTS = 100
@@ -56,6 +65,12 @@ RETRY_SCENARIOS: dict[str, str | None] = {
     "harvest-severe-normal": None,
     "churn-eviction-fail": "pid-default",
 }
+PAPER_SCENARIOS = ("paper-strict-light", "paper-moderate-normal", "paper-relaxed-heavy")
+#: Arrival processes with their own RNG paths (Poisson, trace replay, mixed DAGs).
+NON_PAPER_SCENARIOS = ("poisson-normal", "trace-replay-azure", "mixed-dags-normal")
+CHURN_SCENARIOS = ("harvest-severe-normal", "churn-eviction-fail")
+AUTOSCALE_SPECS = ("threshold-default", "pid-default")
+AUTOSCALE_SCENARIOS = ("diurnal-normal", "bursty-onoff-heavy")
 
 
 @dataclass(frozen=True)
@@ -63,18 +78,36 @@ class Case:
     """One golden run: a policy on a scenario at one seed."""
 
     group: str
-    #: An ESG variant label (``esg/``) or a ``make_policy`` name (``retry/``).
+    #: An ESG variant label (``esg/``) or a ``make_policy`` name (other groups).
     policy: str
     scenario: str
     seed: int
     autoscale: str | None = None
+    #: ``ControllerConfig.initial_warm`` override; ``None`` keeps the
+    #: experiments' all-warm default.
+    initial_warm: str | None = None
+    num_requests: int = NUM_REQUESTS
+    max_time_ms: float = float("inf")
+
+    @property
+    def tags(self) -> str:
+        """Name suffix of the overrides (the ``retry/`` names omit the autoscaler)."""
+        tags = [self.autoscale] if self.autoscale and self.group != "retry" else []
+        if self.initial_warm is not None:
+            tags.append(f"warm-{self.initial_warm}")
+        if self.num_requests != NUM_REQUESTS:
+            tags.append(f"n{self.num_requests}")
+        if self.max_time_ms != float("inf"):
+            tags.append(f"t{self.max_time_ms:g}")
+        return "".join(f"-{tag}" for tag in tags)
 
     @property
     def id(self) -> str:
-        """Test id; the ``esg/`` ids predate the ``retry/`` group."""
+        """Test id; the ``esg/`` and ``retry/`` ids predate the group prefix."""
         if self.group == "esg":
             return f"{self.policy}-{self.seed}"
-        return f"{self.policy}-{self.scenario}-{self.seed}"
+        name = f"{self.policy}-{self.scenario}{self.tags}-{self.seed}"
+        return name if self.group == "retry" else f"{self.group}-{name}"
 
     @property
     def path(self) -> Path:
@@ -82,7 +115,21 @@ class Case:
         if self.group == "esg":
             return Path("esg") / f"{self.policy}-seed{self.seed}.json"
         label = self.policy.lower()
-        return Path(self.group) / f"{label}-{self.scenario}-seed{self.seed}.json"
+        return Path(self.group) / f"{label}-{self.scenario}{self.tags}-seed{self.seed}.json"
+
+    def config(self) -> ExperimentConfig:
+        """The experiment configuration of the case."""
+        config = ExperimentConfig(
+            num_requests=self.num_requests,
+            seed=self.seed,
+            autoscale=self.autoscale,
+            max_time_ms=self.max_time_ms,
+        )
+        if self.initial_warm is None:
+            return config
+        return config.with_overrides(
+            controller=replace(config.controller, initial_warm=self.initial_warm)
+        )
 
 
 def cases() -> list[Case]:
@@ -98,7 +145,32 @@ def cases() -> list[Case]:
         for policy in RETRY_POLICIES
         for seed in SEEDS
     ]
-    return esg + retry
+    lattice = [
+        *(Case("lattice", p, s, 0) for s in PAPER_SCENARIOS for p in DEFAULT_POLICIES),
+        *(Case("lattice", "ESG", s, 0) for s in NON_PAPER_SCENARIOS),
+        *(Case("lattice", p, s, 0) for s in CHURN_SCENARIOS for p in DEFAULT_POLICIES),
+        *(
+            Case("lattice", "ESG", s, 0, autoscale=a, initial_warm="home")
+            for s in AUTOSCALE_SCENARIOS
+            for a in AUTOSCALE_SPECS
+        ),
+        *(
+            Case("lattice", p, "paper-moderate-normal", 0, initial_warm="home")
+            for p in DEFAULT_POLICIES
+        ),
+        Case("lattice", "ESG", "paper-moderate-normal", 0, num_requests=40, max_time_ms=300.0),
+    ]
+    # Each lattice cell runs at every seed; a cell another group already
+    # pins (same policy and scenario, no override) is not repeated.
+    covered = {(c.policy.lower(), c.scenario) for c in retry if c.autoscale is None}
+    covered |= {("esg", case.scenario) for case in esg if case.policy == "esg"}
+    lattice = [
+        replace(case, seed=seed)
+        for case in lattice
+        if case.tags or (case.policy.lower(), case.scenario) not in covered
+        for seed in SEEDS
+    ]
+    return esg + retry + lattice
 
 
 def render(case: Case) -> str:
@@ -107,13 +179,7 @@ def render(case: Case) -> str:
         policy = ESGPolicy(**VARIANTS[case.policy])
     else:
         policy = make_policy(case.policy)
-    result = run_experiment(
-        policy,
-        config=ExperimentConfig(
-            num_requests=NUM_REQUESTS, seed=case.seed, autoscale=case.autoscale
-        ),
-        scenario=case.scenario,
-    )
+    result = run_experiment(policy, config=case.config(), scenario=case.scenario)
     return json.dumps(asdict(result.summary), indent=2, sort_keys=True) + "\n"
 
 

@@ -1,8 +1,8 @@
 """Golden replay: today's summaries must match the committed corpus byte for byte.
 
-The corpus under ``tests/golden/esg/`` and ``tests/golden/retry/`` was
-written by ``make_golden.py`` (see its docstring for how to regenerate it
-after an intended change).
+The corpus under ``tests/golden/esg/``, ``tests/golden/retry/`` and
+``tests/golden/lattice/`` was written by ``make_golden.py`` (see its
+docstring for how to regenerate it after an intended change).
 """
 
 from __future__ import annotations

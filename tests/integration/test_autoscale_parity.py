@@ -1,17 +1,18 @@
 """Acceptance parity: autoscaled runs are byte-identical across every mode axis.
 
 The feedback loop observes live queues and injects prewarm events mid-run —
-new machinery the loop/index/metrics/workload refactors never exercised.
+new machinery the index/metrics/workload refactors never exercised.
 These tests extend the parity matrices to adaptive runs: for identical
 ``(scenario, autoscale spec, seed)`` the RunSummary must be byte-identical
 across
 
-* ``loop_mode`` fast vs. compat (the decision cadence rides the per-event
-  hook, which fires at identical points in both loops),
 * ``index_mode`` indexed vs. scan (resident counts and placement walk the
   same state either way),
 * metrics retained vs. streaming, workload materialized vs. streaming,
 * engine ``n_jobs`` 1 vs. 4 and the spawn multiprocessing context.
+
+The summaries themselves, for both autoscalers on both scenarios, are
+pinned by the golden corpus (``tests/golden/lattice/``).
 
 ``TestAutoscaleActuallyBites`` guards against vacuous parity: on the study
 scenarios the controllers demonstrably change resident capacity and the
@@ -41,15 +42,10 @@ SCENARIOS = ("diurnal-normal", "bursty-onoff-heavy")
 #: ``initial_warm="home"`` everywhere, for the same reason as the study:
 #: from the all-warm paper default no run ever cold-starts and prewarm
 #: policy would be unobservable.
-def _base(loop_mode: str) -> ExperimentConfig:
-    config = ExperimentConfig(num_requests=16, loop_mode=loop_mode)
-    return config.with_overrides(
-        controller=replace(config.controller, initial_warm="home")
-    )
-
-
-FAST = _base("fast")
-COMPAT = _base("compat")
+_DEFAULT = ExperimentConfig(num_requests=16)
+BASE = _DEFAULT.with_overrides(
+    controller=replace(_DEFAULT.controller, initial_warm="home")
+)
 
 
 @pytest.fixture(scope="module")
@@ -62,37 +58,18 @@ def assert_byte_identical(a, b) -> None:
     assert a.summary == b.summary
 
 
-class TestAutoscaleLoopModeParity:
-    @pytest.mark.parametrize("scenario", SCENARIOS)
-    @pytest.mark.parametrize("spec_name", AUTOSCALE_SPECS)
-    def test_fast_vs_compat_byte_identical(self, store, spec_name, scenario):
-        fast = run_experiment(
-            "ESG",
-            config=FAST.with_overrides(autoscale=spec_name),
-            profile_store=store,
-            scenario=scenario,
-        )
-        compat = run_experiment(
-            "ESG",
-            config=COMPAT.with_overrides(autoscale=spec_name),
-            profile_store=store,
-            scenario=scenario,
-        )
-        assert_byte_identical(fast, compat)
-
-
 class TestAutoscaleIndexModeParity:
     @pytest.mark.parametrize("spec_name", AUTOSCALE_SPECS)
     def test_indexed_vs_scan_byte_identical(self, store, spec_name):
         indexed = run_experiment(
             "ESG",
-            config=FAST.with_overrides(autoscale=spec_name),
+            config=BASE.with_overrides(autoscale=spec_name),
             profile_store=store,
             scenario="diurnal-normal",
         )
         scan = run_experiment(
             "ESG",
-            config=FAST.with_overrides(
+            config=BASE.with_overrides(
                 autoscale=spec_name, cluster=ClusterConfig(index_mode="scan")
             ),
             profile_store=store,
@@ -100,12 +77,11 @@ class TestAutoscaleIndexModeParity:
         )
         assert_byte_identical(indexed, scan)
 
-    def test_scan_compat_corner_matches_indexed_fast(self, store):
-        """The two extreme corners of the (loop, index) square agree for an
-        adaptive run: scan+compat (all-reference) vs. indexed+fast."""
+    def test_scan_matches_indexed_on_bursty_arrivals(self, store):
+        """The index axis agrees on the second adaptive scenario too."""
         reference = run_experiment(
             "ESG",
-            config=COMPAT.with_overrides(
+            config=BASE.with_overrides(
                 autoscale="threshold-default",
                 cluster=ClusterConfig(index_mode="scan"),
             ),
@@ -114,7 +90,7 @@ class TestAutoscaleIndexModeParity:
         )
         optimized = run_experiment(
             "ESG",
-            config=FAST.with_overrides(autoscale="threshold-default"),
+            config=BASE.with_overrides(autoscale="threshold-default"),
             profile_store=store,
             scenario="bursty-onoff-heavy",
         )
@@ -126,13 +102,13 @@ class TestAutoscaleMetricsAndWorkloadParity:
     def test_streaming_metrics_byte_identical(self, store, spec_name):
         retained = run_experiment(
             "ESG",
-            config=FAST.with_overrides(autoscale=spec_name),
+            config=BASE.with_overrides(autoscale=spec_name),
             profile_store=store,
             scenario="diurnal-normal",
         )
         streaming = run_experiment(
             "ESG",
-            config=FAST.with_overrides(
+            config=BASE.with_overrides(
                 autoscale=spec_name, metrics=MetricsConfig(mode="streaming")
             ),
             profile_store=store,
@@ -141,10 +117,10 @@ class TestAutoscaleMetricsAndWorkloadParity:
         assert_byte_identical(retained, streaming)
         assert streaming.metrics.is_streaming
 
-    def test_fully_streaming_matches_compat_materialized(self, store):
+    def test_fully_streaming_matches_materialized(self, store):
         streamed = run_experiment(
             "ESG",
-            config=FAST.with_overrides(
+            config=BASE.with_overrides(
                 autoscale="threshold-default",
                 workload_mode="streaming",
                 metrics=MetricsConfig(mode="streaming"),
@@ -154,7 +130,7 @@ class TestAutoscaleMetricsAndWorkloadParity:
         )
         materialized = run_experiment(
             "ESG",
-            config=COMPAT.with_overrides(autoscale="threshold-default"),
+            config=BASE.with_overrides(autoscale="threshold-default"),
             profile_store=store,
             scenario="diurnal-normal",
         )
@@ -168,7 +144,7 @@ class TestAutoscaleEngineParity:
             RunSpec(
                 policy="ESG",
                 scenario=scenario,
-                config=FAST.with_overrides(autoscale=spec_name),
+                config=BASE.with_overrides(autoscale=spec_name),
                 label=f"{scenario}/{spec_name}",
             )
             for scenario in SCENARIOS
@@ -229,11 +205,11 @@ class TestAutoscaleActuallyBites:
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_adaptive_summary_differs_from_static(self, store, scenario):
         static = run_experiment(
-            "ESG", config=FAST, profile_store=store, scenario=scenario
+            "ESG", config=BASE, profile_store=store, scenario=scenario
         )
         adaptive = run_experiment(
             "ESG",
-            config=FAST.with_overrides(autoscale="threshold-default"),
+            config=BASE.with_overrides(autoscale="threshold-default"),
             profile_store=store,
             scenario=scenario,
         )

@@ -1,18 +1,19 @@
 """Acceptance parity: churn runs are byte-identical across every mode axis.
 
 Capacity churn mutates the cluster mid-run — the part of the state space
-the loop/index/metrics/workload refactors never exercised.  These tests
-extend the existing parity matrices to churn scenarios: for identical
+the index/metrics/workload refactors never exercised.  These tests extend
+the existing parity matrices to churn scenarios: for identical
 ``(scenario, seed)`` the RunSummary must be byte-identical across
 
-* ``loop_mode`` fast vs. compat (churn events ride the housekeeping heap
-  in fast mode and the mirror heap in compat mode),
 * ``index_mode`` indexed vs. scan (joins/leaves/resizes maintain the
   capacity buckets vs. are served by fresh scans),
 * metrics retained vs. streaming (the ``evicted`` outcome folds at record
   time in streaming mode and by scan in retained mode),
 * workload materialized vs. streaming,
 * engine ``n_jobs`` 1 vs. 4 and the spawn multiprocessing context.
+
+The summaries themselves, for every policy on both churn scenarios, are
+pinned by the golden corpus (``tests/golden/lattice/``).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from repro.cluster.cluster import ClusterConfig
 from repro.cluster.metrics import MetricsConfig
 from repro.experiments.engine import ExperimentEngine, RunSpec
 from repro.experiments.runner import (
-    DEFAULT_POLICIES,
     ExperimentConfig,
     build_profile_store,
     run_experiment,
@@ -33,11 +33,9 @@ from repro.experiments.runner import (
 
 CHURN_SCENARIOS = ("harvest-severe-normal", "churn-eviction-fail")
 
-FAST = ExperimentConfig(num_requests=16, loop_mode="fast")
-COMPAT = ExperimentConfig(num_requests=16, loop_mode="compat")
-FAST_FULLY_STREAMING = ExperimentConfig(
+BASE = ExperimentConfig(num_requests=16)
+FULLY_STREAMING = ExperimentConfig(
     num_requests=16,
-    loop_mode="fast",
     workload_mode="streaming",
     metrics=MetricsConfig(mode="streaming"),
 )
@@ -53,22 +51,13 @@ def assert_byte_identical(a, b) -> None:
     assert a.summary == b.summary
 
 
-class TestChurnLoopModeParity:
-    @pytest.mark.parametrize("scenario", CHURN_SCENARIOS)
-    @pytest.mark.parametrize("policy", DEFAULT_POLICIES)
-    def test_fast_vs_compat_byte_identical(self, store, policy, scenario):
-        fast = run_experiment(policy, config=FAST, profile_store=store, scenario=scenario)
-        compat = run_experiment(
-            policy, config=COMPAT, profile_store=store, scenario=scenario
-        )
-        assert_byte_identical(fast, compat)
-
+class TestChurnActuallyBites:
     def test_churn_actually_bites(self, store):
         """Guard against vacuous parity: on this workload the fail-mode
         scenario terminally evicts at least one request, and the harvest
         scenario drops and requeues at least one in-flight task."""
         failed = run_experiment(
-            "ESG", config=FAST, profile_store=store, scenario="churn-eviction-fail"
+            "ESG", config=BASE, profile_store=store, scenario="churn-eviction-fail"
         )
         assert failed.summary.num_evicted > 0
         assert failed.summary.evicted_tasks > 0
@@ -77,7 +66,7 @@ class TestChurnLoopModeParity:
             == failed.summary.num_requests
         )
         harvested = run_experiment(
-            "ESG", config=FAST, profile_store=store, scenario="harvest-severe-normal"
+            "ESG", config=BASE, profile_store=store, scenario="harvest-severe-normal"
         )
         assert harvested.summary.evicted_tasks > 0
         assert harvested.summary.requeued_jobs > 0
@@ -89,27 +78,27 @@ class TestChurnIndexModeParity:
     @pytest.mark.parametrize("scenario", CHURN_SCENARIOS)
     def test_indexed_vs_scan_byte_identical(self, store, scenario):
         indexed = run_experiment(
-            "ESG", config=FAST, profile_store=store, scenario=scenario
+            "ESG", config=BASE, profile_store=store, scenario=scenario
         )
         scan = run_experiment(
             "ESG",
-            config=FAST.with_overrides(cluster=ClusterConfig(index_mode="scan")),
+            config=BASE.with_overrides(cluster=ClusterConfig(index_mode="scan")),
             profile_store=store,
             scenario=scenario,
         )
         assert_byte_identical(indexed, scan)
 
-    def test_scan_compat_corner_matches_indexed_fast(self, store):
-        """The two extreme corners of the (loop, index) square agree under
-        churn: scan+compat (the all-reference path) vs. indexed+fast."""
+    def test_scan_matches_indexed_for_orion(self, store):
+        """A second policy on the index axis under churn: Orion's search
+        reads the cluster through the same queries."""
         reference = run_experiment(
             "Orion",
-            config=COMPAT.with_overrides(cluster=ClusterConfig(index_mode="scan")),
+            config=BASE.with_overrides(cluster=ClusterConfig(index_mode="scan")),
             profile_store=store,
             scenario="harvest-severe-normal",
         )
         optimized = run_experiment(
-            "Orion", config=FAST, profile_store=store, scenario="harvest-severe-normal"
+            "Orion", config=BASE, profile_store=store, scenario="harvest-severe-normal"
         )
         assert_byte_identical(optimized, reference)
 
@@ -118,26 +107,26 @@ class TestChurnMetricsAndWorkloadParity:
     @pytest.mark.parametrize("scenario", CHURN_SCENARIOS)
     def test_streaming_metrics_fold_evictions_identically(self, store, scenario):
         retained = run_experiment(
-            "ESG", config=FAST, profile_store=store, scenario=scenario
+            "ESG", config=BASE, profile_store=store, scenario=scenario
         )
         streaming = run_experiment(
             "ESG",
-            config=FAST.with_overrides(metrics=MetricsConfig(mode="streaming")),
+            config=BASE.with_overrides(metrics=MetricsConfig(mode="streaming")),
             profile_store=store,
             scenario=scenario,
         )
         assert_byte_identical(retained, streaming)
         assert streaming.metrics.is_streaming
 
-    def test_fully_streaming_matches_compat_materialized(self, store):
+    def test_fully_streaming_matches_materialized(self, store):
         streamed = run_experiment(
             "ESG",
-            config=FAST_FULLY_STREAMING,
+            config=FULLY_STREAMING,
             profile_store=store,
             scenario="churn-eviction-fail",
         )
         materialized = run_experiment(
-            "ESG", config=COMPAT, profile_store=store, scenario="churn-eviction-fail"
+            "ESG", config=BASE, profile_store=store, scenario="churn-eviction-fail"
         )
         assert_byte_identical(streamed, materialized)
         assert streamed.requests == []
@@ -151,14 +140,14 @@ class TestChurnEngineParity:
         ]
 
     def test_worker_fanout_matches_in_process(self):
-        in_process = ExperimentEngine(n_jobs=1).run(self._specs(FAST))
-        fanned_out = ExperimentEngine(n_jobs=4).run(self._specs(FAST))
+        in_process = ExperimentEngine(n_jobs=1).run(self._specs(BASE))
+        fanned_out = ExperimentEngine(n_jobs=4).run(self._specs(BASE))
         for a, b in zip(in_process, fanned_out):
             assert asdict(a.summary) == asdict(b.summary)
 
     def test_spawn_context_reproduces_churn_summaries(self):
-        in_process = ExperimentEngine(n_jobs=1).run(self._specs(FAST))
-        spawned = ExperimentEngine(n_jobs=2, mp_context="spawn").run(self._specs(FAST))
+        in_process = ExperimentEngine(n_jobs=1).run(self._specs(BASE))
+        spawned = ExperimentEngine(n_jobs=2, mp_context="spawn").run(self._specs(BASE))
         for a, b in zip(in_process, spawned):
             assert asdict(a.summary) == asdict(b.summary)
 
@@ -171,7 +160,7 @@ class TestChurnConfigPrecedence:
         at least one request — pinned by test_churn_actually_bites)."""
         override = run_experiment(
             "ESG",
-            config=FAST.with_overrides(churn="harvest-mild"),
+            config=BASE.with_overrides(churn="harvest-mild"),
             profile_store=store,
             scenario="churn-eviction-fail",
         )
@@ -181,7 +170,7 @@ class TestChurnConfigPrecedence:
         """A churn-free run must not even enable churn bookkeeping: the
         summary carries all-zero churn counters."""
         result = run_experiment(
-            "ESG", config=FAST, profile_store=store, scenario="paper-moderate-normal"
+            "ESG", config=BASE, profile_store=store, scenario="paper-moderate-normal"
         )
         assert result.summary.num_evicted == 0
         assert result.summary.evicted_tasks == 0

@@ -18,6 +18,7 @@ import pytest
 
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.metrics import MetricsConfig
+from repro.cluster import simulator
 from repro.cluster.simulator import Simulation, SimulationConfig
 from repro.experiments.engine import ExperimentEngine, RunSpec
 from repro.experiments.runner import (
@@ -128,21 +129,20 @@ class TestStreamingVsMaterializedSummaries:
 
 
 class TestStreamingSimulationMechanics:
-    def test_event_queue_stays_small(self, store):
-        """Exactly one pending arrival: the queue scales with in-flight
-        work (plus lazily-cancelled keep-alive timers), not the workload
-        length — a materialized run starts with every arrival pending."""
+    def test_event_queue_stays_small(self, store, monkeypatch):
+        """At most one chunk of pending arrivals: the queue scales with
+        in-flight work (plus lazily-cancelled keep-alive timers), not the
+        workload length — a materialized run starts with every arrival
+        pending."""
         scenario = get_scenario("paper-moderate-normal")
         num_requests = 120
         # Scan-mode expiry (no event-driven keep-alive timers) isolates the
         # workload's own contribution to the queue: indexed mode's lazily
-        # cancelled timer events would dominate both modes equally.  Compat
-        # loop mode keeps the one-pending-arrival pull this invariant is
-        # about — the fast loop deliberately buffers arrivals in chunks of
-        # ARRIVAL_CHUNK (bounded, but larger than this workload).
-        config = SimulationConfig(
-            seed=42, loop_mode="compat", cluster=ClusterConfig(index_mode="scan")
-        )
+        # cancelled timer events would dominate both modes equally.  The
+        # loop pulls arrivals in chunks of ARRIVAL_CHUNK, larger than this
+        # workload, so the chunk is shrunk to keep the bound observable.
+        monkeypatch.setattr(simulator, "ARRIVAL_CHUNK", 4)
+        config = SimulationConfig(seed=42, cluster=ClusterConfig(index_mode="scan"))
 
         def peak_queue(workload):
             simulation = Simulation(

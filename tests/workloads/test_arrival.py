@@ -16,6 +16,7 @@ from repro.workloads.arrival import (
     PoissonProcess,
     TraceExhaustedError,
     TraceReplayProcess,
+    iter_trace_intervals,
 )
 from repro.workloads.traces import NORMAL_INTERVALS, generate_intervals
 
@@ -225,6 +226,41 @@ class TestTraceReplayProcess:
     def test_from_csv_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="kind"):
             TraceReplayProcess.from_csv(tmp_path / "x.csv", kind="nonsense")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_interval_rejected(self, bad):
+        # A NaN interval passes an ``iv <= 0`` check and would give every
+        # later request a NaN arrival time.
+        with pytest.raises(ValueError, match="finite and > 0"):
+            TraceReplayProcess(intervals_ms=(20.0, 25.0, bad, 22.0), loop=True)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", " Infinity"])
+    @pytest.mark.parametrize("loader", ["eager", "lazy"])
+    def test_from_csv_non_finite_value_named_with_line(self, tmp_path, cell, loader):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"interval_ms\n20\n25\n{cell}\n22\n")
+        with pytest.raises(ValueError, match=rf"non-finite value .* in trace .*trace\.csv line 4"):
+            if loader == "eager":
+                TraceReplayProcess.from_csv(path, loop=True)
+            else:
+                list(iter_trace_intervals(path, loop=False))
+
+    def test_from_csv_errors_name_the_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("5.0\n\noops\n")
+        with pytest.raises(ValueError, match=r"non-numeric value 'oops' in trace .* line 3"):
+            TraceReplayProcess.from_csv(path)
+        path.write_text("interval_ms,count\n10.0,1\n12.0\n")
+        with pytest.raises(ValueError, match=r"line 3 has no column 1"):
+            TraceReplayProcess.from_csv(path, column=1)
+        path.write_text("t_ms\n10.0\n30.0\n30.0\n")
+        with pytest.raises(ValueError, match=r"strictly increasing: 30.0 after 30.0 in .* line 4"):
+            TraceReplayProcess.from_csv(path, kind="timestamps")
+        path.write_text("interval_ms\n5.0\n0.0\n")
+        with pytest.raises(ValueError, match=r"> 0 ms, got 0.0 in trace .* line 3"):
+            TraceReplayProcess.from_csv(path)
+        with pytest.raises(ValueError, match=r"> 0 ms, got 0.0 in trace .* line 3"):
+            list(iter_trace_intervals(path))
 
     def test_bundled_sample_trace_loads(self):
         from repro.workloads.scenarios import SAMPLE_TRACE_PATH

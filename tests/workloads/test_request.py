@@ -26,6 +26,20 @@ class TestRequest:
         with pytest.raises(ValueError):
             Request(request_id=1, workflow=wf, arrival_ms=0.0, slo_ms=0.0)
 
+    @pytest.mark.parametrize("arrival_ms", [float("nan"), float("inf")])
+    def test_non_finite_arrival_rejected(self, arrival_ms):
+        # ``NaN < 0`` is false, so a plain ``< 0`` check lets NaN through.
+        with pytest.raises(ValueError, match="arrival_ms must be finite and >= 0"):
+            Request(request_id=1, workflow=image_classification(), arrival_ms=arrival_ms, slo_ms=100.0)
+
+    def test_nan_slo_rejected_and_infinite_slo_allowed(self):
+        wf = image_classification()
+        with pytest.raises(ValueError, match="slo_ms must be > 0, got nan"):
+            Request(request_id=1, workflow=wf, arrival_ms=0.0, slo_ms=float("nan"))
+        # An infinite SLO means "no limit" (ESG plans against it as such).
+        unlimited = Request(request_id=1, workflow=wf, arrival_ms=0.0, slo_ms=float("inf"))
+        assert unlimited.deadline_ms == float("inf")
+
     def test_stage_completion_progression(self, request_obj):
         assert not request_obj.is_complete
         assert request_obj.stage_is_ready("s1")
