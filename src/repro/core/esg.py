@@ -18,15 +18,22 @@ do).
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
+
 from repro.cluster.policy_api import AFWQueue, SchedulingDecision, SchedulingContext, SchedulingPolicy
 from repro.core.dispatch import locality_first_invoker
 from repro.core.dominator import SLODistribution, distribute_slo
 from repro.core.esg_1q import StageSearchSpec, esg_1q_search
 from repro.profiles.configuration import Configuration
 from repro.profiles.profiler import FunctionProfile, ProfileEntry
+from repro.utils.validation import ensure_positive_int
 from repro.workloads.request import Request
 
 __all__ = ["ESGPolicy"]
+
+#: Plans the interval store holds before it is cleared.
+PLAN_CACHE_LIMIT = 4096
 
 
 class ESGPolicy(SchedulingPolicy):
@@ -81,40 +88,40 @@ class ESGPolicy(SchedulingPolicy):
             keeping runs deterministic and machine-independent; the default
             is calibrated so the distribution lands in the paper's 3-8 ms
             range.  Pass ``None`` to fall back to the controller's
-            wall-clock measurement of ``plan()``.
+            wall-clock measurement of ``plan()``; otherwise it must be
+            finite and ``>= 0``.
         plan_cache:
-            Memoize :meth:`plan` keyed by the exact search inputs — the
-            queue-head signature ``(queue key, queue length)`` and the
-            pressure signature ``target_ms`` (the remaining-budget quota,
-            which already folds in every time- and urgency-dependent
-            input).  The ESG_1Q search is a pure function of those inputs,
-            so cache hits return byte-identical decisions (including the
-            modeled overhead).  Most hits are first-stage plans of fresh
-            requests, which share a quota per application.  A recheck
-            retry reaches this cache only after a dispatch earlier in the
-            same pass; the controller replays the other failed retries
-            without calling :meth:`plan`.  Only active when
-            ``per_expansion_ms`` models overhead deterministically —
-            wall-clock measurement mode always re-runs the search.
+            Answer :meth:`plan` from earlier searches where they provably
+            apply.  Under a key ``(app, stage, queue length clamped to the
+            largest batch option)``, which fixes the search's stage list,
+            the search is a function of the latency quota ``target_ms``
+            alone, and each search reports the interval ``(lo, hi]`` of
+            quotas that replay it exactly (see :mod:`repro.core.esg_1q`).
+            A quota inside a stored interval returns that search's decision,
+            byte-identical to a fresh search's (the modeled overhead
+            included).  The store is bounded (:data:`PLAN_CACHE_LIMIT`
+            plans) and only active when ``per_expansion_ms`` models
+            overhead deterministically — wall-clock measurement mode always
+            re-runs the search.  ``plan_cache=False`` is the reference path.
         name:
             Override the reported policy name (used by the ablation study).
         """
         super().__init__()
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        if group_size < 1:
-            raise ValueError(f"group_size must be >= 1, got {group_size}")
         if not 0.0 <= safety_margin < 1.0:
             raise ValueError(f"safety_margin must be in [0, 1), got {safety_margin}")
-        self.k = k
-        self.group_size = group_size
+        if per_expansion_ms is not None and not (
+            math.isfinite(per_expansion_ms) and per_expansion_ms >= 0
+        ):
+            raise ValueError(
+                f"per_expansion_ms must be None or finite and >= 0, got {per_expansion_ms!r}"
+            )
+        self.k = ensure_positive_int(k, "k")
+        self.group_size = ensure_positive_int(group_size, "group_size")
         self.adaptive = adaptive
         self._gpu_sharing = gpu_sharing
         self._batching = batching
         self.safety_margin = safety_margin
-        self.max_paths = max_paths
-        if per_expansion_ms is not None and per_expansion_ms < 0:
-            raise ValueError(f"per_expansion_ms must be >= 0, got {per_expansion_ms}")
+        self.max_paths = ensure_positive_int(max_paths, "max_paths")
         self.per_expansion_ms = per_expansion_ms
         # With a modeled overhead the wall-clock plan timing is discarded
         # anyway, so the controller may skip measuring it.
@@ -128,7 +135,14 @@ class ESGPolicy(SchedulingPolicy):
             self.name = name
         self._distributions: dict[str, SLODistribution] = {}
         self._plan_cache_enabled = plan_cache and per_expansion_ms is not None
-        self._plan_cache: dict[tuple, SchedulingDecision] = {}
+        #: The interval store: per ``(app, stage, clamped queue length)``,
+        #: parallel lists ``(his, los, decisions)`` sorted by ``hi``, where
+        #: ``decisions[i]`` answers every quota in ``(los[i], his[i]]``.
+        #: Distinct searches give disjoint intervals.
+        self._plan_cache: dict[
+            tuple[str, str, int], tuple[list[float], list[float], list[SchedulingDecision]]
+        ] = {}
+        self._plan_cache_size = 0
         #: Memo for :meth:`_group_and_target` on *fresh* requests
         #: (no stage completed yet): their remaining-stage set is the whole
         #: workflow, so the group stages and both fraction sums are a pure
@@ -148,11 +162,14 @@ class ESGPolicy(SchedulingPolicy):
             name: distribute_slo(workflow, context.profile_store, group_size=self.group_size)
             for name, workflow in context.workflows.items()
         }
+        # Queue lengths above it cap nothing (see _stage_specs).
+        self._largest_batch = context.config_space.batch_options[-1]
         self.invalidate_plan_cache()
 
     def invalidate_plan_cache(self) -> None:
         """Drop memoized plans (call after changing profiles or distributions)."""
         self._plan_cache.clear()
+        self._plan_cache_size = 0
         self._fresh_group_cache.clear()
         self._spec_cache.clear()
 
@@ -178,17 +195,22 @@ class ESGPolicy(SchedulingPolicy):
                 return preplanned
 
         group_stage_ids, target_ms = self._group_and_target(queue, now_ms)
-        cache_key: tuple | None = None
+        cache_key: tuple[str, str, int] | None = None
         if self._plan_cache_enabled:
-            # The search is a pure function of (stage group, queue length,
-            # latency quota): the quota folds in the most urgent request's
-            # remaining budget (hence now_ms), and the queue length bounds
-            # the first stage's batch entries.  Profiles are immutable for
-            # the lifetime of a bound policy.
-            cache_key = (queue.app_name, queue.stage_id, len(queue), target_ms)
-            cached = self._plan_cache.get(cache_key)
-            if cached is not None:
-                return cached
+            # The key fixes the search's stages: the group follows from
+            # (app, stage), and the queue length only caps the first stage's
+            # batch, as in _stage_specs.  Profiles are immutable for the
+            # lifetime of a bound policy, so the quota decides the rest.
+            length = len(queue)
+            if length > self._largest_batch:
+                length = self._largest_batch
+            cache_key = (queue.app_name, queue.stage_id, length)
+            plans = self._plan_cache.get(cache_key)
+            if plans is not None:
+                his, los, decisions = plans
+                at = bisect_left(his, target_ms)
+                if at < len(his) and los[at] < target_ms:
+                    return decisions[at]
         stages = self._stage_specs(queue, group_stage_ids)
         result = esg_1q_search(
             stages, target_ms, k=self.k, max_paths=self.max_paths
@@ -202,9 +224,18 @@ class ESGPolicy(SchedulingPolicy):
             reported_overhead_ms=self._modeled_overhead_ms(result.expansions),
         )
         if cache_key is not None:
-            if len(self._plan_cache) >= 4096:
+            if self._plan_cache_size >= PLAN_CACHE_LIMIT:
                 self._plan_cache.clear()
-            self._plan_cache[cache_key] = decision
+                self._plan_cache_size = 0
+            plans = self._plan_cache.get(cache_key)
+            if plans is None:
+                plans = self._plan_cache[cache_key] = ([], [], [])
+            his, los, decisions = plans
+            at = bisect_left(his, result.target_hi)
+            his.insert(at, result.target_hi)
+            los.insert(at, result.target_lo)
+            decisions.insert(at, decision)
+            self._plan_cache_size += 1
         return decision
 
     def _modeled_overhead_ms(self, expansions: int) -> float | None:
@@ -303,7 +334,7 @@ class ESGPolicy(SchedulingPolicy):
         """
         store = self.context.profile_store
         workflow = queue.workflow
-        largest_batch = self.context.config_space.batch_options[-1]
+        largest_batch = self._largest_batch
         specs: list[StageSearchSpec] = []
         for position, stage_id in enumerate(stage_ids):
             function = workflow.function_of(stage_id)

@@ -34,6 +34,17 @@ entries to ``expansions`` and ``pruned_cost`` arithmetically.
 Paths, their order and all three counts equal those of the entry-by-entry
 scan, so the modeled scheduling overhead ``per_expansion_ms * expansions``
 is unchanged; ``docs/performance.md`` gives the full argument.
+
+The target ``G`` is read only by the ``G <= 0`` early exit and by the
+time-blade checks ``(latency + entry) + remaining >= G``, whose left sides
+are non-decreasing in the entry index.  So the search also returns the
+interval ``(target_lo, target_hi]`` of targets that make every check it
+made come out the same way: a surviving entry's bound raises ``target_lo``,
+a time prune at ``b`` lowers ``target_hi`` to ``b``'s bound and, past the
+first entry tried, raises ``target_lo`` to the bound of ``b - 1``.  (The
+bisection guess is not a check.)  Every target in the interval replays the
+same search, counts and truncation included, which lets
+:class:`~repro.core.esg.ESGPolicy` answer nearby quotas from one search.
 """
 
 from __future__ import annotations
@@ -48,6 +59,7 @@ from typing import Sequence
 from repro.core.bounds import SuffixBounds
 from repro.profiles.configuration import Configuration
 from repro.profiles.profiler import FunctionProfile, ProfileEntry
+from repro.utils.validation import ensure_positive_int
 
 __all__ = ["StageSearchSpec", "PathCandidate", "ESG1QResult", "esg_1q_search"]
 
@@ -172,6 +184,11 @@ class ESG1QResult:
     pruned_cost: int
     search_time_ms: float
     stage_ids: tuple[str, ...] = ()
+    #: Every target in ``(target_lo, target_hi]`` makes the same comparisons
+    #: come out the same way, so it returns these paths, this feasibility
+    #: and these three counts.
+    target_lo: float = -math.inf
+    target_hi: float = math.inf
 
     @property
     def best(self) -> PathCandidate | None:
@@ -233,7 +250,7 @@ def esg_1q_search(
         no time limit; NaN is rejected.
     k:
         Number of solutions kept in the configuration priority queue
-        (the paper's ``K``, default 5).
+        (the paper's ``K``, default 5).  A positive int, like both caps.
     max_paths:
         Safety cap on the number of surviving partial paths per stage; when
         exceeded, only the cheapest are kept (the paper's pruning normally
@@ -247,12 +264,15 @@ def esg_1q_search(
     ESG1QResult
         Up to ``k`` complete paths sorted by increasing cost.  If no path
         meets the target, ``feasible`` is False and the fallback
-        fastest-configuration path is returned instead.
+        fastest-configuration path is returned instead.  ``target_lo`` and
+        ``target_hi`` bound the targets ``G`` with ``target_lo < G <=
+        target_hi`` for which the search returns this same result.
     """
     if not stages:
         raise ValueError("esg_1q_search needs at least one stage")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    ensure_positive_int(k, "k")
+    ensure_positive_int(max_paths, "max_paths")
+    ensure_positive_int(max_expansions, "max_expansions")
     if math.isnan(target_latency_ms):
         raise ValueError(f"target_latency_ms must not be NaN, got {target_latency_ms!r}")
     if target_latency_ms <= 0:
@@ -268,6 +288,8 @@ def esg_1q_search(
             pruned_cost=0,
             search_time_ms=0.0,
             stage_ids=tuple(s.stage_id for s in stages),
+            target_lo=-math.inf,
+            target_hi=0.0,
         )
 
     # repro: allow[REP001] search_time_ms is a diagnostic on the result (figures 10/11 report real search cost); scheduling overhead in simulations is modeled via per_expansion_ms, never this measurement
@@ -288,6 +310,9 @@ def esg_1q_search(
     pruned_time = 0
     pruned_cost = 0
     truncated = False
+    # The targets that replay every time-blade check made so far.
+    target_lo = 0.0
+    target_hi = math.inf
 
     last_index = len(stages) - 1
     for stage_index, stage in enumerate(stages):
@@ -329,23 +354,40 @@ def esg_1q_search(
                 p = j
                 while path_cost + costs[p] + rest_cost >= threshold:
                     p = next_cheaper[p]
-                if path_latency + latencies[p] + rest_latency >= target_latency_ms:
-                    # The time blade breaks at some b in j..p.  Bisecting the
-                    # sorted latencies on the rearranged bound gives a guess;
-                    # the exact bound decides by stepping from it.
+                bound = path_latency + latencies[p] + rest_latency
+                if bound >= target_latency_ms:
+                    # The time blade breaks at b, the first entry in j..p
+                    # whose bound reaches the target.  Bisecting the sorted
+                    # latencies on the rearranged bound gives a guess; the
+                    # exact bound decides by stepping from it.  The checks
+                    # that come out below the target end at b-1 when b > j,
+                    # so every target in (bound at b-1, bound at b] breaks
+                    # at b too.
                     b = bisect_left(latencies, latency_room - path_latency, j, p)
-                    while b > j and (
-                        path_latency + latencies[b - 1] + rest_latency >= target_latency_ms
-                    ):
+                    while b > j:
+                        bound = path_latency + latencies[b - 1] + rest_latency
+                        if bound < target_latency_ms:
+                            if bound > target_lo:
+                                target_lo = bound
+                            break
                         b -= 1
-                    while path_latency + latencies[b] + rest_latency < target_latency_ms:
+                    while True:
+                        bound = path_latency + latencies[b] + rest_latency
+                        if bound >= target_latency_ms:
+                            break
+                        if bound > target_lo:
+                            target_lo = bound
                         b += 1
+                    if bound < target_hi:
+                        target_hi = bound
                     # Entries j..b-1 were expanded and cost-pruned; entry b
                     # was expanded and time-pruned.
                     expansions += b - j + 1
                     pruned_cost += b - j
                     pruned_time += 1
                     break
+                if bound > target_lo:
+                    target_lo = bound
                 # Entries j..p-1 were expanded and cost-pruned; p survives
                 # and tightens the cost blade with its achievable completion.
                 expansions += p - j + 1
@@ -392,4 +434,6 @@ def esg_1q_search(
         pruned_cost=pruned_cost,
         search_time_ms=search_time_ms,
         stage_ids=tuple(s.stage_id for s in stages),
+        target_lo=target_lo,
+        target_hi=target_hi,
     )

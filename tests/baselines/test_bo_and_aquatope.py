@@ -5,11 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.baselines.aquatope as aquatope_module
 from repro.baselines.aquatope import AquatopePolicy
 from repro.baselines.bo import BayesianOptimizer, GaussianProcess
 from repro.cluster.cluster import ClusterConfig, ClusterState
 from repro.cluster.datatransfer import DataTransferModel
 from repro.cluster.policy_api import AFWQueue, SchedulingContext
+from repro.profiles.profiler import ProfileStore
 from repro.utils.rng import derive_rng
 from repro.workloads.applications import build_paper_applications, image_classification
 from repro.workloads.request import Job, Request
@@ -164,3 +166,91 @@ class TestAquatope:
         fast_aquatope.plan_for(wf, slo)
         fast_aquatope.bind(make_context(small_store))
         assert fast_aquatope._plans == {}
+
+
+FAST_TRAINING = {"bootstrap": 15, "rounds": 3, "samples_per_round": 2, "seed": 3}
+
+
+@pytest.fixture()
+def trainings(monkeypatch) -> list:
+    """An empty process-level memo, and a log of the trainings actually run."""
+    monkeypatch.setattr(aquatope_module, "_TRAINED_PLANS", {})
+    log = []
+    train = AquatopePolicy.train
+
+    def logged(self, workflow, slo_ms):
+        log.append((workflow.name, slo_ms))
+        return train(self, workflow, slo_ms)
+
+    monkeypatch.setattr(AquatopePolicy, "train", logged)
+    return log
+
+
+def bound_aquatope(store, **overrides) -> AquatopePolicy:
+    policy = AquatopePolicy(**{**FAST_TRAINING, **overrides})
+    policy.bind(make_context(store))
+    return policy
+
+
+class TestTrainingMemo:
+    def test_identical_inputs_train_once_per_process(self, small_store, trainings):
+        wf = image_classification()
+        slo = 1.2 * small_store.minimum_config_latency_ms(wf.function_names())
+        first = bound_aquatope(small_store).plan_for(wf, slo)
+        # A separately built store with the same content hits the memo too.
+        rebuilt = ProfileStore.build(space=small_store.space)
+        second = bound_aquatope(rebuilt).plan_for(wf, slo)
+        assert len(trainings) == 1
+        assert second == first and second is not first
+        assert second == bound_aquatope(small_store).train(wf, slo)
+
+    @pytest.mark.parametrize(
+        "overrides, slo_shift",
+        [({"seed": 4}, 0.0), ({"sample_noise_sigma": 0.06}, 0.0), ({}, 1e-9)],
+        ids=["seed", "noise", "exact-slo"],
+    )
+    def test_any_changed_input_trains_again(self, small_store, trainings, overrides, slo_shift):
+        wf = image_classification()
+        slo = 1.2 * small_store.minimum_config_latency_ms(wf.function_names())
+        bound_aquatope(small_store).plan_for(wf, slo)
+        bound_aquatope(small_store, **overrides).plan_for(wf, slo + slo_shift)
+        assert len(trainings) == 2
+
+    def test_other_profiles_train_again(self, small_store, default_store, trainings):
+        wf = image_classification()
+        slo = 1.2 * small_store.minimum_config_latency_ms(wf.function_names())
+        bound_aquatope(small_store).plan_for(wf, slo)
+        bound_aquatope(default_store).plan_for(wf, slo)
+        assert len(trainings) == 2
+
+    def test_first_slo_in_a_rounding_bucket_decides_within_a_run(self, small_store, trainings):
+        wf = image_classification()
+        slo = float(round(1.2 * small_store.minimum_config_latency_ms(wf.function_names())))
+        policy = bound_aquatope(small_store)
+        plan = policy.plan_for(wf, slo)
+        assert policy.plan_for(wf, slo + 0.25) is plan
+        assert trainings == [(wf.name, slo)]
+        # A new run that meets the other SLO first trains on its exact value.
+        policy.bind(make_context(small_store))
+        policy.plan_for(wf, slo + 0.25)
+        assert trainings == [(wf.name, slo), (wf.name, slo + 0.25)]
+
+    def test_handed_out_plans_are_copies(self, small_store, trainings):
+        wf = image_classification()
+        slo = 1.2 * small_store.minimum_config_latency_ms(wf.function_names())
+        plan = bound_aquatope(small_store).plan_for(wf, slo)
+        expected = dict(plan)
+        plan.clear()
+        assert bound_aquatope(small_store).plan_for(wf, slo) == expected
+        assert len(trainings) == 1
+
+    def test_memo_is_cleared_when_full(self, small_store, trainings, monkeypatch):
+        monkeypatch.setattr(aquatope_module, "TRAINED_PLANS_LIMIT", 2)
+        wf = image_classification()
+        base = small_store.minimum_config_latency_ms(wf.function_names())
+        policy = bound_aquatope(small_store)
+        for factor in (1.0, 1.5, 2.0):
+            policy.plan_for(wf, factor * base)
+        assert len(aquatope_module._TRAINED_PLANS) == 1
+        bound_aquatope(small_store).plan_for(wf, 1.0 * base)
+        assert len(trainings) == 4

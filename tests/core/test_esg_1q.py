@@ -136,6 +136,23 @@ class TestSearchBasics:
         with pytest.raises(ValueError):
             esg_1q_search(specs, 100.0, k=0)
 
+    @pytest.mark.parametrize(
+        "overrides, error",
+        [
+            ({"k": 2.5}, TypeError),
+            ({"k": True}, TypeError),
+            ({"max_paths": 0}, ValueError),
+            ({"max_paths": -3}, ValueError),
+            ({"max_expansions": 0}, ValueError),
+            ({"max_expansions": 1.5}, TypeError),
+        ],
+        ids=lambda value: repr(value) if isinstance(value, dict) else value.__name__,
+    )
+    def test_bad_sizes_rejected(self, small_store, overrides, error):
+        specs = make_specs(small_store, ["deblur"])
+        with pytest.raises(error, match=next(iter(overrides))):
+            esg_1q_search(specs, 100.0, **overrides)
+
     def test_nan_target_rejected(self, small_store):
         # NaN fails every comparison: it used to pass as a met target.
         specs = make_specs(small_store, IC_FUNCTIONS)

@@ -8,6 +8,10 @@ same paths in the same order, the same feasibility and the same
 ``expansions``, ``pruned_time`` and ``pruned_cost`` on every input: the
 modeled scheduling overhead is ``per_expansion_ms * expansions``, so the
 counts are part of the byte-identity contract.
+
+The search also reports the interval ``(target_lo, target_hi]`` of targets
+that replay it, which ``ESGPolicy``'s plan cache trusts.  The interval
+campaigns run the oracle at both ends of it and inside it.
 """
 
 from __future__ import annotations
@@ -43,21 +47,61 @@ def outcome(result) -> tuple:
     )
 
 
+def replayed(result) -> tuple:
+    """Everything :func:`outcome` compares except the target itself."""
+    return outcome(result)[:-1]
+
+
 def assert_matches_oracle(stages: list[StageSearchSpec], target: float, **kwargs) -> None:
     got = esg_1q_search(stages, target, **kwargs)
     expected = oracle_search(stages, target, **kwargs)
     assert outcome(got) == outcome(expected), (target, kwargs, [s.entries for s in stages])
 
 
+def random_caps(rng: random.Random) -> dict[str, int]:
+    """A random K and random safety caps."""
+    return {
+        "k": rng.randint(1, 8),
+        "max_paths": rng.choice(MAX_PATHS),
+        "max_expansions": rng.choice(MAX_EXPANSIONS),
+    }
+
+
 def check_case(stages: list[StageSearchSpec], target: float, rng: random.Random) -> None:
     """Compare on ``target`` with a random K and random safety caps."""
-    assert_matches_oracle(
-        stages,
-        target,
-        k=rng.randint(1, 8),
-        max_paths=rng.choice(MAX_PATHS),
-        max_expansions=rng.choice(MAX_EXPANSIONS),
-    )
+    assert_matches_oracle(stages, target, **random_caps(rng))
+
+
+def interior_points(lo: float, hi: float, rng: random.Random, count: int) -> list[float]:
+    """Random targets in ``(lo, hi]``; an infinite end gets a finite stand-in."""
+    low = lo if lo > -math.inf else hi - 1000.0
+    high = hi if hi < math.inf else low + 10.0 * (abs(low) + 1.0)
+    points = [rng.uniform(low, high) for _ in range(count)]
+    return [x for x in points if lo < x <= hi]
+
+
+def assert_interval_replays(
+    stages: list[StageSearchSpec], target: float, rng: random.Random, **kwargs
+) -> int:
+    """The reported interval holds ``target`` and every target in it replays.
+
+    The oracle, run at ``hi``, just above ``lo`` and at random points in
+    between, must return the paths, feasibility and counts it returns at
+    ``target``, and the search must report the same interval there.
+    Returns the number of targets probed.
+    """
+    got = esg_1q_search(stages, target, **kwargs)
+    interval = (got.target_lo, got.target_hi)
+    lo, hi = interval
+    assert lo < target <= hi, (interval, target, kwargs, [s.entries for s in stages])
+    expected = replayed(oracle_search(stages, target, **kwargs))
+    probes = [hi, math.nextafter(lo, math.inf), *interior_points(lo, hi, rng, 3)]
+    for probe in probes:
+        replay = oracle_search(stages, probe, **kwargs)
+        assert replayed(replay) == expected, (probe, interval, target, kwargs)
+        again = esg_1q_search(stages, probe, **kwargs)
+        assert (again.target_lo, again.target_hi) == interval, (probe, target, kwargs)
+    return len(probes)
 
 
 def targets_for(stages: list[StageSearchSpec], rng: random.Random) -> list[float]:
@@ -107,20 +151,52 @@ def random_stage(rng: random.Random, index: int) -> StageSearchSpec:
     return make_stage(index, latencies, costs)
 
 
+def random_stages(rng: random.Random) -> list[StageSearchSpec]:
+    return [random_stage(rng, i) for i in range(rng.randint(1, 4))]
+
+
 def test_random_stage_lists_match_oracle():
     rng = random.Random(20240612)
     cases = 0
     for _ in range(220):
-        stages = [random_stage(rng, i) for i in range(rng.randint(1, 4))]
+        stages = random_stages(rng)
         for target in targets_for(stages, rng):
             check_case(stages, target, rng)
             cases += 1
     assert cases == 220 * 7
 
 
+def test_random_stage_lists_replay_across_their_interval():
+    rng = random.Random(16091)
+    probes = 0
+    for _ in range(400):
+        stages = random_stages(rng)
+        for target in targets_for(stages, rng):
+            probes += assert_interval_replays(stages, target, rng, **random_caps(rng))
+    assert probes >= 400 * 7 * 2
+
+
 #: Decimals whose sums round differently depending on association order,
 #: e.g. (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3), and their neighbours.
 ROUNDING_POOL = (0.1, 0.2, 0.3, 0.6, 0.7, 1.1, 0.2000000000000001, 0.30000000000000004, 0.5)
+
+
+def rounding_stages(rng: random.Random) -> tuple[list[StageSearchSpec], tuple[float, ...]]:
+    """Stages drawn from :data:`ROUNDING_POOL`, and targets on one path's sum
+    in both association orders, plus ``+inf``."""
+    stages = []
+    for i in range(rng.randint(2, 4)):
+        size = rng.randint(1, 8)
+        latencies = sorted(rng.choice(ROUNDING_POOL) for _ in range(size))
+        costs = [rng.choice(ROUNDING_POOL) for _ in range(size)]
+        stages.append(make_stage(i, latencies, costs))
+    picks = [rng.choice(s.entries).latency_ms for s in stages]
+    left, right = 0.0, 0.0
+    for value in picks:
+        left = left + value
+    for value in reversed(picks):
+        right = value + right
+    return stages, (left, right, math.inf)
 
 
 def test_rounding_sensitive_sums_match_oracle():
@@ -135,20 +211,20 @@ def test_rounding_sensitive_sums_match_oracle():
     """
     rng = random.Random(1309986)
     for _ in range(400):
-        stages = []
-        for i in range(rng.randint(2, 4)):
-            size = rng.randint(1, 8)
-            latencies = sorted(rng.choice(ROUNDING_POOL) for _ in range(size))
-            costs = [rng.choice(ROUNDING_POOL) for _ in range(size)]
-            stages.append(make_stage(i, latencies, costs))
-        picks = [rng.choice(s.entries).latency_ms for s in stages]
-        left, right = 0.0, 0.0
-        for value in picks:
-            left = left + value
-        for value in reversed(picks):
-            right = value + right
-        for target in (left, right, math.inf):
+        stages, targets = rounding_stages(rng)
+        for target in targets:
             assert_matches_oracle(stages, target, k=rng.randint(1, 3))
+
+
+def test_rounding_sensitive_sums_replay_across_their_interval():
+    """Path-sum targets put interval ends exactly on rounding-sensitive bounds."""
+    rng = random.Random(60221)
+    probes = 0
+    for _ in range(1200):
+        stages, targets = rounding_stages(rng)
+        for target in (*targets, 0.0):
+            probes += assert_interval_replays(stages, target, rng, k=rng.randint(1, 3))
+    assert probes >= 1200 * 4 * 2
 
 
 @pytest.fixture(scope="module")
@@ -175,25 +251,48 @@ def profile_stage(
     return StageSearchSpec(stage_id=f"s{index}", function_name=function, entries=entries)
 
 
+def profile_stages(store: ProfileStore, rng: random.Random) -> list[StageSearchSpec]:
+    """One to three real stages, the first batch-capped, under random ablations."""
+    functions = store.function_names()
+    batching = rng.random() < 0.7
+    gpu_sharing = rng.random() < 0.7
+    return [
+        profile_stage(
+            store,
+            rng.choice(functions),
+            i,
+            max_batch=rng.choice((None, 1, 2, 3, 5, 8)) if i == 0 else None,
+            batching=batching,
+            gpu_sharing=gpu_sharing,
+        )
+        for i in range(rng.randint(1, 3))
+    ]
+
+
 def test_real_profiles_match_oracle(experiment_store):
     rng = random.Random(5387)
-    functions = experiment_store.function_names()
     cases = 0
     for _ in range(70):
-        batching = rng.random() < 0.7
-        gpu_sharing = rng.random() < 0.7
-        stages = [
-            profile_stage(
-                experiment_store,
-                rng.choice(functions),
-                i,
-                max_batch=rng.choice((None, 1, 2, 3, 5, 8)) if i == 0 else None,
-                batching=batching,
-                gpu_sharing=gpu_sharing,
-            )
-            for i in range(rng.randint(1, 3))
-        ]
+        stages = profile_stages(experiment_store, rng)
         for target in targets_for(stages, rng):
             check_case(stages, target, rng)
             cases += 1
     assert cases == 70 * 7
+
+
+def test_real_profiles_replay_across_their_interval(experiment_store):
+    rng = random.Random(74093)
+    probes = 0
+    for _ in range(70):
+        stages = profile_stages(experiment_store, rng)
+        for target in targets_for(stages, rng):
+            probes += assert_interval_replays(stages, target, rng, **random_caps(rng))
+    assert probes >= 70 * 7 * 2
+
+
+def test_non_positive_targets_share_one_interval():
+    stages = [make_stage(0, [1.0, 2.0], [2.0, 1.0])]
+    for target in (0.0, -0.0, -5.0, -math.inf):
+        result = esg_1q_search(stages, target)
+        assert (result.target_lo, result.target_hi) == (-math.inf, 0.0)
+        assert not result.feasible

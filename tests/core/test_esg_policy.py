@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
+import repro.core.esg as esg_module
 from repro.cluster.cluster import ClusterConfig, ClusterState
 from repro.cluster.datatransfer import DataTransferModel
 from repro.cluster.policy_api import AFWQueue, SchedulingContext
@@ -61,6 +64,23 @@ class TestConstruction:
             ESGPolicy(group_size=0)
         with pytest.raises(ValueError):
             ESGPolicy(safety_margin=1.5)
+
+    @pytest.mark.parametrize(
+        "overrides, error",
+        [
+            ({"max_paths": 0}, ValueError),
+            ({"max_paths": -3}, ValueError),
+            ({"k": 2.5}, TypeError),
+            ({"k": True}, TypeError),
+            ({"group_size": 1.5}, TypeError),
+            ({"per_expansion_ms": math.nan}, ValueError),
+            ({"per_expansion_ms": math.inf}, ValueError),
+        ],
+        ids=lambda value: repr(value) if isinstance(value, dict) else value.__name__,
+    )
+    def test_bad_sizes_rejected_at_construction(self, overrides, error):
+        with pytest.raises(error, match=next(iter(overrides))):
+            ESGPolicy(**overrides)
 
     def test_name_override(self):
         assert ESGPolicy(name="ESG-variant").name == "ESG-variant"
@@ -250,6 +270,119 @@ class TestSearchInputs:
         again = bound_esg._stage_specs(queue, ["s1"])[0]
         assert again is not first
         assert again == first
+
+
+class SearchRecorder:
+    """Stands in for the module global the policy searches through."""
+
+    def __init__(self, search) -> None:
+        self.search = search
+        self.results = []
+
+    def __call__(self, *args, **kwargs):
+        result = self.search(*args, **kwargs)
+        self.results.append(result)
+        return result
+
+
+@pytest.fixture()
+def searches(monkeypatch) -> list:
+    """Every ESG_1Q search result the policy obtains during the test."""
+    recorder = SearchRecorder(esg_module.esg_1q_search)
+    monkeypatch.setattr(esg_module, "esg_1q_search", recorder)
+    return recorder.results
+
+
+def plan_at(policy: ESGPolicy, queue: AFWQueue, target_ms: float):
+    """Plan ``queue`` as if its group's latency quota were ``target_ms``."""
+    group_ids, _ = policy._group_and_target(queue, 1.0)
+    policy._group_and_target = lambda queue, now_ms: (list(group_ids), target_ms)
+    try:
+        return policy.plan(queue, 1.0)
+    finally:
+        del policy._group_and_target
+
+
+class TestPlanCache:
+    def _queue(self, policy, small_store, app="image_classification", stage="s1", jobs=1):
+        queue = make_queue(policy.context.workflows[app], stage)
+        for i in range(jobs):
+            add_request(queue, i, slo_factor=1.2, store=small_store)
+        return queue
+
+    def test_one_search_answers_its_whole_interval(self, bound_esg, small_store, searches):
+        reference = ESGPolicy(k=3, plan_cache=False)
+        reference.bind(bound_esg.context)
+        queue = self._queue(bound_esg, small_store)
+        _, target = bound_esg._group_and_target(queue, 1.0)
+        first = plan_at(bound_esg, queue, target)
+        lo, hi = searches[0].target_lo, searches[0].target_hi
+        assert 0.0 < lo < target <= hi < math.inf
+        # Inside (lo, hi]: answered without a search, by the same decision.
+        for inside in (hi, math.nextafter(lo, math.inf), (lo + hi) / 2):
+            assert plan_at(bound_esg, queue, inside) is first
+            assert plan_at(reference, queue, inside) == first
+        assert len(searches) == 1 + 3
+        # Just outside on either side: a fresh search.
+        for outside in (lo, math.nextafter(hi, math.inf)):
+            before = len(searches)
+            decision = plan_at(bound_esg, queue, outside)
+            assert len(searches) == before + 1
+            assert decision == plan_at(reference, queue, outside)
+
+    def test_queue_length_is_clamped_to_the_largest_batch_in_the_key(
+        self, bound_esg, small_store, searches
+    ):
+        largest = small_store.space.batch_options[-1]
+        short = self._queue(bound_esg, small_store, jobs=1)
+        full = self._queue(bound_esg, small_store, jobs=largest)
+        longer = self._queue(bound_esg, small_store, jobs=largest + 3)
+        _, target = bound_esg._group_and_target(short, 1.0)
+        plan_at(bound_esg, short, target)
+        plan_at(bound_esg, full, target)
+        assert len(searches) == 2
+        assert plan_at(bound_esg, longer, target) is plan_at(bound_esg, full, target)
+        assert len(searches) == 2
+        assert sorted(key[2] for key in bound_esg._plan_cache) == [1, largest]
+
+    def test_store_is_cleared_when_full(self, bound_esg, small_store, searches, monkeypatch):
+        monkeypatch.setattr(esg_module, "PLAN_CACHE_LIMIT", 3)
+        queues = [
+            self._queue(bound_esg, small_store, stage=stage) for stage in ("s1", "s2", "s3")
+        ]
+        queues.append(self._queue(bound_esg, small_store, app="expanded_image_classification"))
+        for queue in queues[:3]:
+            plan_at(bound_esg, queue, 500.0)
+        assert bound_esg._plan_cache_size == 3
+        plan_at(bound_esg, queues[3], 500.0)
+        assert bound_esg._plan_cache_size == 1
+        assert len(bound_esg._plan_cache) == 1
+        plan_at(bound_esg, queues[0], 500.0)
+        assert len(searches) == 5
+
+    def test_invalidate_drops_stored_plans(self, bound_esg, small_store, searches):
+        queue = self._queue(bound_esg, small_store)
+        first = plan_at(bound_esg, queue, 500.0)
+        assert plan_at(bound_esg, queue, 500.0) is first
+        assert len(searches) == 1
+        bound_esg.invalidate_plan_cache()
+        assert bound_esg._plan_cache == {}
+        assert bound_esg._plan_cache_size == 0
+        again = plan_at(bound_esg, queue, 500.0)
+        assert len(searches) == 2
+        assert again is not first and again == first
+
+    @pytest.mark.parametrize(
+        "overrides", [{"plan_cache": False}, {"per_expansion_ms": None}], ids=repr
+    )
+    def test_disabled_cache_searches_every_plan(self, small_store, searches, overrides):
+        policy = ESGPolicy(k=3, **overrides)
+        policy.bind(make_context(small_store))
+        queue = self._queue(policy, small_store)
+        for _ in range(3):
+            plan_at(policy, queue, 500.0)
+        assert len(searches) == 3
+        assert policy._plan_cache == {}
 
 
 class TestDispatchIntegration:
