@@ -1,32 +1,27 @@
-"""Cluster-scale benchmark: the indexed cluster core vs the scan-based path.
+"""Cluster-scale benchmark: the cluster core's scheduling pass as nodes grow.
 
 Sweeps the cluster from the paper's 16 invokers toward 1024, running the
-same ESG workload twice per size:
-
-* **scan** — ``ClusterConfig(index_mode="scan")`` with the ESG plan cache
-  off: the pre-refactor reference path (per-tick expiry sweeps, linear
-  warm/capacity scans, full round-robin queue walks, every plan searched).
-  Scan mode pays no cluster-level index maintenance (the callbacks are not
-  even bound); the only residual deltas vs the literal pre-refactor code
-  are the invoker-local live-container lists (which scan queries now use)
-  and the controller's pending-job counter — both cheaper than what they
-  replaced, keeping the baseline conservative.
-* **indexed** — the default path (incremental indexes, event-driven expiry,
-  dirty-queue scheduling, memoized plans).
+same ESG workload once per size on the indexed cluster core (capacity
+buckets, warm index, event-driven expiry, dirty-queue scheduling).
 
 Two timings are reported per run:
 
 * ``tick_s`` — wall time spent handling ``SchedulerTickEvent`` (the whole
   controller round including the policy's plan search), and
 * ``platform_s`` — ``tick_s`` minus the time spent inside ``policy.plan``:
-  the platform-side scheduling-pass cost the cluster refactor targets.
-  The plan search itself is identical algorithm work on both paths (the
-  indexed path merely memoizes exact repeats), so the platform metric is
-  the honest measure of the O(invokers x containers) -> O(log n) claim.
+  the platform-side scheduling-pass cost the cluster indexes target.  The
+  plan search does not depend on the node count, so the platform metric is
+  the honest measure of how the pass scales with it.
 
-The headline acceptance number is the **platform speedup at 256 invokers**
-(>= 5x required; ~10x measured).  Both paths must produce byte-identical
-RunSummaries at every size — asserted here and in the tier-1 parity tests.
+The headline acceptance number: ``platform_s`` at **>= 256 invokers is at
+most 6x** ``platform_s`` at 16 invokers (1.2-1.5x measured at 256 and
+1.6-2.2x at 1024 invokers).  That bound
+restates the retired gate ">= 5x platform speedup over the linear-scan
+cluster at 256 invokers": measured at 60 requests on a 2-vCPU Xeon VM, the
+scan path's 256-invoker ``platform_s`` over 5 was 6.2x to 11x the indexed
+16-invoker ``platform_s`` across five runs, so 6x is no looser than the
+tightest of them.  The summaries of ESG and INFless on a 64-invoker
+cluster are golden cells (``tests/golden/lattice/*-inv64-*``).
 
 Environment knobs::
 
@@ -54,8 +49,11 @@ from repro.workloads.scenarios import get_scenario
 DEFAULT_SIZES = (16, 64, 256, 1024)
 
 #: Below this many requests the tick sample is too thin for a stable ratio,
-#: so the speedup assertion is skipped (the parity assertion never is).
-MIN_REQUESTS_FOR_SPEEDUP_ASSERT = 40
+#: so the scaling assertion is skipped (the completeness check never is).
+MIN_REQUESTS_FOR_SCALING_ASSERT = 40
+
+#: ``platform_s`` at >= 256 invokers over ``platform_s`` at 16 invokers.
+MAX_PLATFORM_GROWTH = 6.0
 
 
 def sweep_sizes() -> tuple[int, ...]:
@@ -69,9 +67,9 @@ def bench_scenario_name() -> str:
     return os.environ.get("REPRO_BENCH_CLUSTER_SCENARIO", "paper-moderate-normal")
 
 
-def timed_run(store, scenario, num_invokers: int, mode: str, requests: int):
+def timed_run(store, scenario, num_invokers: int, requests: int):
     """One full simulation; returns (summary, tick_seconds, plan_seconds)."""
-    policy = make_policy("ESG", plan_cache=(mode == "indexed"))
+    policy = make_policy("ESG")
     plan_acc = [0.0]
     inner_plan = policy.plan
 
@@ -88,7 +86,7 @@ def timed_run(store, scenario, num_invokers: int, mode: str, requests: int):
         requests=scenario.build_requests(requests, 42, store),
         profile_store=store,
         config=SimulationConfig(
-            cluster=ClusterConfig(num_invokers=num_invokers, index_mode=mode),
+            cluster=ClusterConfig(num_invokers=num_invokers),
             controller=ControllerConfig(initial_warm="all"),
         ),
         setting_name=scenario.setting,
@@ -109,32 +107,23 @@ def run_cluster_scale_sweep(requests: int, sizes: tuple[int, ...]) -> dict:
     store = build_profile_store()
     scenario = get_scenario(bench_scenario_name())
     rows = []
+    platform: dict[int, float] = {}
     for num_invokers in sizes:
-        scan_summary, scan_tick, scan_plan = timed_run(
-            store, scenario, num_invokers, "scan", requests
-        )
-        idx_summary, idx_tick, idx_plan = timed_run(
-            store, scenario, num_invokers, "indexed", requests
-        )
-        scan_platform = max(1e-9, scan_tick - scan_plan)
-        idx_platform = max(1e-9, idx_tick - idx_plan)
+        summary, tick_s, plan_s = timed_run(store, scenario, num_invokers, requests)
+        platform[num_invokers] = max(1e-9, tick_s - plan_s)
         rows.append(
             {
                 "num_invokers": num_invokers,
-                "scan": {
-                    "tick_s": round(scan_tick, 4),
-                    "plan_s": round(scan_plan, 4),
-                    "platform_s": round(scan_platform, 4),
-                },
-                "indexed": {
-                    "tick_s": round(idx_tick, 4),
-                    "plan_s": round(idx_plan, 4),
-                    "platform_s": round(idx_platform, 4),
-                },
-                "platform_speedup": round(scan_platform / idx_platform, 2),
-                "tick_speedup": round(scan_tick / max(1e-9, idx_tick), 2),
-                "summaries_identical": scan_summary == idx_summary,
+                "tick_s": round(tick_s, 4),
+                "plan_s": round(plan_s, 4),
+                "platform_s": round(platform[num_invokers], 4),
+                "completed": summary.num_completed == summary.num_requests == requests,
             }
+        )
+    base = platform.get(16)
+    for row in rows:
+        row["platform_growth"] = (
+            round(platform[row["num_invokers"]] / base, 2) if base is not None else None
         )
     return {
         "benchmark": "cluster_scale",
@@ -156,19 +145,19 @@ def emit_bench_json(report: dict) -> None:
 def render_rows(report: dict) -> str:
     lines = [
         f"Cluster-scale sweep  ({report['scenario']}, {report['requests']} requests)",
-        f"{'invokers':>8}  {'scan tick':>10}  {'idx tick':>10}  "
-        f"{'scan platform':>14}  {'idx platform':>13}  {'platform x':>10}",
+        f"{'invokers':>8}  {'tick':>8}  {'plan':>8}  {'platform':>9}  {'vs 16':>6}",
     ]
     for row in report["sizes"]:
+        growth = row["platform_growth"]
         lines.append(
-            f"{row['num_invokers']:>8}  {row['scan']['tick_s']:>9.3f}s  "
-            f"{row['indexed']['tick_s']:>9.3f}s  {row['scan']['platform_s']:>13.3f}s  "
-            f"{row['indexed']['platform_s']:>12.3f}s  {row['platform_speedup']:>9.1f}x"
+            f"{row['num_invokers']:>8}  {row['tick_s']:>7.3f}s  {row['plan_s']:>7.3f}s  "
+            f"{row['platform_s']:>8.4f}s  "
+            + (f"{growth:>5.2f}x" if growth is not None else f"{'-':>6}")
         )
     return "\n".join(lines)
 
 
-def test_cluster_scale_speedup(benchmark):
+def test_cluster_scale(benchmark):
     requests = bench_requests()
     sizes = sweep_sizes()
     report = run_once(benchmark, run_cluster_scale_sweep, requests, sizes)
@@ -176,13 +165,13 @@ def test_cluster_scale_speedup(benchmark):
     print(render_rows(report))
     emit_bench_json(report)
 
-    # The hard guarantee at every size: performance-only divergence.
     for row in report["sizes"]:
-        assert row["summaries_identical"], row["num_invokers"]
+        assert row["completed"], row["num_invokers"]
 
-    # The acceptance number: >= 5x platform scheduling-pass speedup at 256
-    # invokers (skipped on tiny smoke sweeps where the sample is too thin).
-    if requests >= MIN_REQUESTS_FOR_SPEEDUP_ASSERT:
+    # The acceptance number: the platform pass at >= 256 invokers costs at
+    # most 6x the 16-invoker pass (skipped on tiny smoke sweeps where the
+    # sample is too thin, and on sweeps without a 16-invoker row).
+    if requests >= MIN_REQUESTS_FOR_SCALING_ASSERT:
         for row in report["sizes"]:
-            if row["num_invokers"] >= 256:
-                assert row["platform_speedup"] >= 5.0, row
+            if row["num_invokers"] >= 256 and row["platform_growth"] is not None:
+                assert row["platform_growth"] <= MAX_PLATFORM_GROWTH, row

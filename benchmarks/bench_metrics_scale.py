@@ -1,31 +1,33 @@
-"""Metrics-at-scale benchmark: streaming accumulators vs. retained objects.
+"""Metrics-at-scale benchmark: what the streaming collector keeps per request.
 
 Feeds a synthetic million-request-class observation stream straight into a
-:class:`~repro.cluster.metrics.MetricsCollector` in both modes and measures
-what each mode *keeps*:
+:class:`~repro.cluster.metrics.MetricsCollector` and measures what it
+*keeps*:
 
 * ``retained_bytes`` — tracemalloc-traced bytes still allocated once the
-  feed finishes (the collector's steady-state footprint: whole
-  Request/Task object graphs in retained mode, compact counters and
-  ``array('d')`` buffers in streaming mode),
+  feed finishes (the collector's steady-state footprint: compact counters
+  and ``array('d')`` buffers; no Request or Task object survives), and
+  ``bytes_per_request``, the same over the request count,
 * ``peak_bytes`` — the traced high-water mark across feed + summary,
 * ``feed_s`` / ``summary_s`` — the record-time vs. summarisation-time
-  split (retained mode defers all aggregation work to ``summary()``;
-  streaming pays a little per record and summarises in one pass).
+  split (the collector pays a little per record and summarises in one
+  pass).
 
 tracemalloc is used instead of RSS deltas because it attributes exact
 allocation byte counts to this process deterministically, independent of
-allocator/OS page behaviour, and both modes run under identical tracing
-overhead.  The whole-process ``ru_maxrss`` is reported once per row as
-context (it is a process-lifetime high-water mark, so it cannot compare
-modes run in the same process).
+allocator/OS page behaviour.  The whole-process ``ru_maxrss`` is reported
+once per row as context.
 
 The feed drives the collector through its public recording surface in a
 realistic order (register -> stage completions -> completion notification ->
-task record -> overhead sample) and the two modes must produce
-**byte-identical** RunSummaries at every size — asserted here and in the
-tier-1 parity suite.  The headline acceptance number: streaming retains
-**>= 10x** less at 100k+ requests (~17.5x measured, through 1M requests).
+task record -> overhead sample).  The acceptance number: the collector
+keeps **<= 110 bytes per request** at 100k+ requests (~66 measured).  That
+bound restates the retired gate "streaming retains >= 10x less than a
+collector that keeps every request and task": measured at 100k requests on
+a 2-vCPU Xeon VM, the object-keeping collector held 110,798,334 bytes
+(1,108 per request).  The summaries themselves are checked against a
+collector that keeps every object by the tier-1 oracle fuzz
+(``tests/cluster/test_metrics.py``).
 
 Environment knobs::
 
@@ -45,7 +47,7 @@ import tracemalloc
 
 from conftest import run_once
 
-from repro.cluster.metrics import MetricsCollector, MetricsConfig, RunSummary
+from repro.cluster.metrics import MetricsCollector, RunSummary
 from repro.cluster.tasks import Task
 from repro.profiles.configuration import Configuration
 from repro.workloads.applications import depth_recognition, image_classification
@@ -53,9 +55,12 @@ from repro.workloads.request import Job, Request
 
 DEFAULT_SIZES = (10_000, 100_000, 1_000_000)
 
-#: The memory-ratio assertion needs enough requests for the collector to
-#: dominate interpreter noise; tiny smoke sweeps only assert parity.
+#: The bytes-per-request assertion needs enough requests for the collector
+#: to dominate interpreter noise; tiny smoke sweeps only check completeness.
 MIN_REQUESTS_FOR_MEMORY_ASSERT = 100_000
+
+#: Most bytes the collector may keep per request (see the module docstring).
+MAX_BYTES_PER_REQUEST = 110
 
 #: Task configuration shared by every synthetic task (as in a real run,
 #: Configuration objects are interned per plan, not per task).
@@ -69,15 +74,11 @@ def sweep_sizes() -> tuple[int, ...]:
     return tuple(int(part) for part in raw.split(",") if part.strip())
 
 
-def feed_collector(mode: str, num_requests: int, seed: int = 42) -> MetricsCollector:
+def feed_collector(num_requests: int, seed: int = 42) -> MetricsCollector:
     """Drive one collector through a deterministic synthetic run."""
     rng = random.Random(seed)
     apps = (image_classification(), depth_recognition())
-    collector = MetricsCollector(
-        policy_name="bench",
-        setting_name="synthetic",
-        config=MetricsConfig(mode=mode),
-    )
+    collector = MetricsCollector(policy_name="bench", setting_name="synthetic")
     for i in range(num_requests):
         workflow = apps[i % len(apps)]
         arrival = i * 2.0
@@ -106,13 +107,13 @@ def feed_collector(mode: str, num_requests: int, seed: int = 42) -> MetricsColle
     return collector
 
 
-def measure_mode(mode: str, num_requests: int) -> tuple[dict, RunSummary]:
-    """Feed + summarise one mode under tracemalloc; returns (row, summary)."""
+def measure(num_requests: int) -> tuple[dict, RunSummary]:
+    """Feed + summarise under tracemalloc; returns (row, summary)."""
     gc.collect()
     tracemalloc.start()
     try:
         start = time.perf_counter()
-        collector = feed_collector(mode, num_requests)
+        collector = feed_collector(num_requests)
         feed_s = time.perf_counter() - start
         gc.collect()
         retained_bytes, _ = tracemalloc.get_traced_memory()
@@ -123,10 +124,13 @@ def measure_mode(mode: str, num_requests: int) -> tuple[dict, RunSummary]:
     finally:
         tracemalloc.stop()
     row = {
+        "requests": num_requests,
         "retained_bytes": int(retained_bytes),
+        "bytes_per_request": round(retained_bytes / num_requests, 2),
         "peak_bytes": int(peak_bytes),
         "feed_s": round(feed_s, 4),
         "summary_s": round(summary_s, 4),
+        "ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
     }
     return row, summary
 
@@ -134,25 +138,11 @@ def measure_mode(mode: str, num_requests: int) -> tuple[dict, RunSummary]:
 def run_metrics_scale_sweep(sizes: tuple[int, ...]) -> dict:
     rows = []
     for num_requests in sizes:
-        retained_row, retained_summary = measure_mode("retained", num_requests)
-        streaming_row, streaming_summary = measure_mode("streaming", num_requests)
-        rows.append(
-            {
-                "requests": num_requests,
-                "retained": retained_row,
-                "streaming": streaming_row,
-                "memory_ratio": round(
-                    retained_row["retained_bytes"]
-                    / max(1, streaming_row["retained_bytes"]),
-                    2,
-                ),
-                "summary_speedup": round(
-                    retained_row["summary_s"] / max(1e-9, streaming_row["summary_s"]), 2
-                ),
-                "summaries_identical": retained_summary == streaming_summary,
-                "ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-            }
+        row, summary = measure(num_requests)
+        row["summary_complete"] = (
+            summary.num_requests == summary.num_completed == num_requests
         )
+        rows.append(row)
     return {"benchmark": "metrics_scale", "sizes": rows}
 
 
@@ -167,18 +157,18 @@ def emit_bench_json(report: dict) -> None:
 
 def render_rows(report: dict) -> str:
     lines = [
-        "Metrics-scale sweep  (synthetic feed, retained vs streaming collectors)",
-        f"{'requests':>9}  {'retained MB':>12}  {'streaming MB':>13}  "
-        f"{'memory x':>9}  {'ret summary':>12}  {'str summary':>12}",
+        "Metrics-scale sweep  (synthetic feed, streaming collector)",
+        f"{'requests':>9}  {'kept MB':>8}  {'B/request':>9}  {'peak MB':>8}  "
+        f"{'feed':>8}  {'summary':>8}",
     ]
     for row in report["sizes"]:
         lines.append(
             f"{row['requests']:>9}  "
-            f"{row['retained']['retained_bytes'] / 1e6:>11.1f}M  "
-            f"{row['streaming']['retained_bytes'] / 1e6:>12.1f}M  "
-            f"{row['memory_ratio']:>8.1f}x  "
-            f"{row['retained']['summary_s']:>11.3f}s  "
-            f"{row['streaming']['summary_s']:>11.3f}s"
+            f"{row['retained_bytes'] / 1e6:>7.1f}M  "
+            f"{row['bytes_per_request']:>9.1f}  "
+            f"{row['peak_bytes'] / 1e6:>7.1f}M  "
+            f"{row['feed_s']:>7.3f}s  "
+            f"{row['summary_s']:>7.3f}s"
         )
     return "\n".join(lines)
 
@@ -190,11 +180,10 @@ def test_metrics_scale_memory(benchmark):
     print(render_rows(report))
     emit_bench_json(report)
 
-    # The hard guarantee at every size: memory-only divergence.
     for row in report["sizes"]:
-        assert row["summaries_identical"], row["requests"]
+        assert row["summary_complete"], row["requests"]
 
-    # The acceptance number: streaming retains >= 10x less at 100k+ requests.
+    # The acceptance number: <= 110 bytes kept per request at 100k+ requests.
     for row in report["sizes"]:
         if row["requests"] >= MIN_REQUESTS_FOR_MEMORY_ASSERT:
-            assert row["memory_ratio"] >= 10.0, row
+            assert row["bytes_per_request"] <= MAX_BYTES_PER_REQUEST, row

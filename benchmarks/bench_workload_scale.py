@@ -11,9 +11,7 @@ sides, whole-process ``ru_maxrss`` reported once per row as context):
   is the high-water mark across build + full consumption.  The headline
   acceptance number: streaming peaks **>= 10x** lower at 100k+ requests.
 * **End to end** — one complete simulated run at the sweep's largest size
-  with *both* streaming axes on (lazy workload + streaming metrics
-  accumulators): the configuration PR 4 could not yet claim, because the
-  workload list was still an O(n) cost shared by both metrics modes.  The
+  with a lazy workload (the metrics collector always streams).  The
   run must finish with a tracemalloc peak under a fixed ceiling that does
   not scale with the request count's object graphs — the bounded-memory
   million-request configuration, asserted.
@@ -42,7 +40,6 @@ import tracemalloc
 
 from conftest import run_once
 
-from repro.cluster.metrics import MetricsConfig
 from repro.cluster.simulator import Simulation, SimulationConfig
 from repro.experiments.runner import build_profile_store, make_policy
 from repro.utils.rng import derive_rng
@@ -151,9 +148,7 @@ def run_end_to_end_streaming(store, num_requests: int) -> dict:
             policy=make_policy("ESG"),
             requests=generator.stream(num_requests),
             profile_store=store,
-            config=SimulationConfig(
-                seed=42, metrics=MetricsConfig(mode="streaming")
-            ),
+            config=SimulationConfig(seed=42),
             setting_name=RELAXED_HEAVY.name,
         )
         summary = simulation.run()

@@ -30,7 +30,6 @@ import time
 
 from conftest import run_once
 
-from repro.cluster.metrics import MetricsConfig
 from repro.cluster.simulator import Simulation, SimulationConfig
 from repro.experiments.runner import build_profile_store, make_policy
 from repro.utils.rng import derive_rng
@@ -91,7 +90,7 @@ def run_profiled(num_requests: int) -> dict:
         policy=make_policy("ESG"),
         requests=generator.stream(num_requests),
         profile_store=store,
-        config=SimulationConfig(seed=42, metrics=MetricsConfig(mode="streaming")),
+        config=SimulationConfig(seed=42),
         setting_name=RELAXED_HEAVY.name,
     )
     profiler = cProfile.Profile()

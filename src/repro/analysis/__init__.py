@@ -1,8 +1,8 @@
 """Static analysis enforcing the byte-identity determinism contract.
 
 Every guarantee this reproduction makes — byte-identical golden
-summaries, parity across ``index_mode`` indexed/scan, ``n_jobs`` 1/N,
-spawn contexts, and PYTHONHASHSEED — depends on the codebase staying free of a small set
+summaries, parity across ``n_jobs`` 1/N, spawn contexts, and
+PYTHONHASHSEED — depends on the codebase staying free of a small set
 of nondeterminism hazards.  This package is the compiler pass that keeps
 it that way: a stdlib-``ast`` analyzer with a named rule catalog
 (REP001..REP008), justified inline suppressions, and a ratcheted baseline.

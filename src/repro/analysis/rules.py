@@ -2,8 +2,8 @@
 
 Every rule targets one concrete way the byte-identity contract has broken
 (or could break) in this codebase: results must be a pure function of
-``(spec, seed)`` — identical across ``index_mode`` indexed/scan,
-``n_jobs`` 1/N, spawn contexts, and any PYTHONHASHSEED.  See ``docs/determinism.md`` for the catalog with worked
+``(spec, seed)`` — identical across ``n_jobs`` 1/N, spawn contexts, and
+any PYTHONHASHSEED.  See ``docs/determinism.md`` for the catalog with worked
 examples; the authoritative behavior spec is the corpus under
 ``tests/analysis/corpus/``.
 

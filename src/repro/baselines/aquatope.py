@@ -142,13 +142,7 @@ class AquatopePolicy(SchedulingPolicy):
         store = self.context.profile_store
         space = self.context.config_space
         stage_ids = tuple(workflow.topological_order())
-        tables = tuple(
-            tuple(
-                (entry.config, entry.latency_ms, entry.per_job_cost_cents)
-                for entry in store.profile(workflow.function_of(sid)).sorted_by_latency()
-            )
-            for sid in stage_ids
-        )
+        tables = tuple(store.profile(workflow.function_of(sid)).table_key() for sid in stage_ids)
         return (
             self.bootstrap,
             self.rounds,

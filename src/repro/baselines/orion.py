@@ -17,12 +17,16 @@ The search-time cutoff is modelled as an expansion budget
 (``cutoff_ms / per_expansion_ms``) so simulated runs stay fast and the
 cutoff can be swept deterministically for Figure 9; the charged scheduling
 overhead is the corresponding (simulated) search time.
+
+The search is a pure function of its inputs, so its results are memoized
+per process across runs (:data:`_SEARCH_RESULTS`).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 
 from repro.cluster.policy_api import AFWQueue, SchedulingDecision, SchedulingPolicy
@@ -42,6 +46,13 @@ class OrionSearchResult:
     expansions: int
     reached_goal: bool
     search_time_ms: float
+
+
+#: Search results shared by every policy instance of this process, keyed by
+#: everything :meth:`OrionPolicy.search` reads (see :meth:`OrionPolicy._resolve`).
+#: Cleared when it reaches :data:`SEARCH_RESULTS_LIMIT` entries.
+_SEARCH_RESULTS: dict[tuple, OrionSearchResult] = {}
+SEARCH_RESULTS_LIMIT = 256
 
 
 class OrionPolicy(SchedulingPolicy):
@@ -83,22 +94,26 @@ class OrionPolicy(SchedulingPolicy):
             actually scheduled — the pre-planned miss rate of Table 4.
         """
         super().__init__()
-        if cutoff_ms <= 0:
-            raise ValueError("cutoff_ms must be positive")
-        if per_expansion_ms <= 0:
-            raise ValueError("per_expansion_ms must be positive")
-        if p95_factor < 1.0:
-            raise ValueError("p95_factor must be >= 1")
+        # NaN passes a bare ``<= 0`` check and only fails mid-run, at the
+        # first search's expansion budget (which must be finite too).
+        for label, value in (("cutoff_ms", cutoff_ms), ("per_expansion_ms", per_expansion_ms)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{label} must be positive and finite, got {value!r}")
+        if not math.isfinite(cutoff_ms / per_expansion_ms):
+            budget = f"{cutoff_ms!r} / {per_expansion_ms!r}"
+            raise ValueError(f"cutoff_ms / per_expansion_ms overflows: {budget}")
+        if not (math.isfinite(p95_factor) and p95_factor >= 1.0):
+            raise ValueError(f"p95_factor must be finite and >= 1, got {p95_factor!r}")
         self.cutoff_ms = cutoff_ms
         self.per_expansion_ms = per_expansion_ms
         self.p95_factor = p95_factor
         self.count_search_overhead = count_search_overhead
         self.bundling = bundling
         self._searches = 0
-        #: Cache of search outcomes keyed by (workflow, SLO).  The search is
-        #: deterministic, so re-running it for every request would only burn
-        #: wall-clock time; the *charged* overhead is still the per-request
-        #: search time, exactly as if the search had run again.
+        #: Search outcomes of this run keyed by (workflow, rounded SLO): the
+        #: first SLO seen in a rounding bucket decides the bucket.  The
+        #: *charged* overhead is still the per-request search time, exactly
+        #: as if the search had run again.
         self._search_cache: dict[tuple[str, int], OrionSearchResult] = {}
 
     # ------------------------------------------------------------------
@@ -199,7 +214,6 @@ class OrionPolicy(SchedulingPolicy):
             state, latency, cost = self._bundle(state, slo_ms, evaluate, dims_max)
         plan = dict(zip(stage_ids, decode(state)))
         search_time_ms = min(self.cutoff_ms, expansions * self.per_expansion_ms)
-        self._searches += 1
         return OrionSearchResult(
             plan=plan,
             predicted_latency_ms=latency,
@@ -208,6 +222,34 @@ class OrionPolicy(SchedulingPolicy):
             reached_goal=reached_goal,
             search_time_ms=search_time_ms,
         )
+
+    def _resolve(self, workflow: Workflow, slo_ms: float) -> OrionSearchResult:
+        """The search result of this run's (workflow, rounded SLO) bucket.
+
+        A new bucket counts as a search (:attr:`searches_performed`) whether
+        it runs :meth:`search` or hits the process-level memo, so the count
+        does not depend on what ran earlier in the process.  The memo key is
+        every input of the search by value, the profile tables by content
+        (each run builds its own ``ProfileStore``).
+        """
+        cache_key = (workflow.name, int(round(slo_ms)))
+        result = self._search_cache.get(cache_key)
+        if result is None:
+            space = self.context.config_space
+            stages = tuple((sid, workflow.function_of(sid)) for sid in workflow.topological_order())
+            tables = tuple(self.context.profile_store.profile(fn).table_key() for _, fn in stages)
+            options = (space.batch_options, space.vcpu_options, space.vgpu_options)
+            memo_key = (self.cutoff_ms, self.per_expansion_ms, self.p95_factor, self.bundling)
+            memo_key += (workflow.name, stages, tables, options, slo_ms)
+            result = _SEARCH_RESULTS.get(memo_key)
+            if result is None:
+                result = self.search(workflow, slo_ms)
+                if len(_SEARCH_RESULTS) >= SEARCH_RESULTS_LIMIT:
+                    _SEARCH_RESULTS.clear()
+                _SEARCH_RESULTS[memo_key] = result
+            self._search_cache[cache_key] = result
+            self._searches += 1
+        return result
 
     @staticmethod
     def _bundle(state, slo_ms, evaluate, dims_max):
@@ -237,11 +279,7 @@ class OrionPolicy(SchedulingPolicy):
         request = queue.oldest_job().request
         overhead = 0.0
         if request.static_plan is None:
-            cache_key = (request.workflow.name, int(round(request.slo_ms)))
-            result = self._search_cache.get(cache_key)
-            if result is None:
-                result = self.search(request.workflow, request.slo_ms)
-                self._search_cache[cache_key] = result
+            result = self._resolve(request.workflow, request.slo_ms)
             request.static_plan = dict(result.plan)
             overhead = result.search_time_ms
 
@@ -262,10 +300,11 @@ class OrionPolicy(SchedulingPolicy):
         )
 
     def on_bind(self, context) -> None:
-        """Clear the search cache (profiles may differ between runs)."""
+        """Reset the per-run cache (the process-level memo is keyed by value)."""
         self._search_cache.clear()
 
     @property
     def searches_performed(self) -> int:
-        """Number of distinct whole-workflow searches actually executed."""
+        """Whole-workflow searches resolved, one per new (workflow, rounded
+        SLO) bucket of each run, whether searched or answered by the memo."""
         return self._searches

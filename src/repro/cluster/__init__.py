@@ -22,7 +22,6 @@ from repro.cluster.autoscale import (
     AutoscaleSpec,
     AutoscaleState,
     Autoscaler,
-    LearnedAgent,
     PIDController,
     ThresholdController,
     autoscale_spec_names,
@@ -97,7 +96,6 @@ __all__ = [
     "get_autoscale_spec",
     "autoscale_spec_names",
     "resolve_autoscale",
-    "LearnedAgent",
     "PIDController",
     "ThresholdController",
     "ChurnAction",

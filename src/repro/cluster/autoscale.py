@@ -35,12 +35,11 @@ clamped delta:
 Determinism contract
 --------------------
 Controllers read virtual time from events only — no wall clock, no RNG.
-Event hooks fire after every handled event at identical points in both loop
-modes, and ``event_sink`` is the shared event queue in both, so actuations
-receive identical ``(time_ms, sort_priority, counter)`` keys everywhere:
-adaptive runs are byte-identical across loop/index/metrics/workload modes
-and worker processes, like every other run (pinned by
-``tests/integration/test_autoscale_parity.py``).
+Event hooks fire after every handled event, and ``event_sink`` is the
+shared event queue, so actuations receive identical ``(time_ms,
+sort_priority, counter)`` keys everywhere: adaptive runs are byte-identical
+across workload modes and worker processes, like every other run (pinned by
+``tests/integration/test_autoscale_parity.py`` and the golden corpus).
 
 >>> spec = get_autoscale_spec("threshold-default")
 >>> spec.kind
@@ -53,8 +52,11 @@ and worker processes, like every other run (pinned by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
+
+from repro.utils.validation import ensure_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.simulator import Simulation
@@ -68,7 +70,6 @@ __all__ = [
     "Autoscaler",
     "AUTOSCALE_KINDS",
     "AUTOSCALE_SPECS",
-    "LearnedAgent",
     "PIDController",
     "ThresholdController",
     "autoscale_spec_names",
@@ -78,11 +79,7 @@ __all__ = [
 ]
 
 #: Controller families a spec can name.
-AUTOSCALE_KINDS = ("threshold", "pid", "learned")
-
-#: Cap on the replay buffer of :class:`LearnedAgent` (transitions kept for
-#: a future offline-RL fit; old entries are dropped FIFO).
-LEARNED_BUFFER_CAP = 4096
+AUTOSCALE_KINDS = ("threshold", "pid")
 
 
 # ----------------------------------------------------------------------
@@ -134,19 +131,13 @@ class AutoscaleActuation:
 
 
 class AutoscalePolicy:
-    """Base controller: ``decide(state) -> action`` plus a learning hook.
+    """Base controller: ``decide(state) -> action``.
 
     Subclasses must be deterministic: same state sequence, same actions.
-    ``record_transition`` is called after every decision (applied or not) so
-    a learned implementation can fill a replay buffer without changing the
-    control flow.
     """
 
     def decide(self, state: AutoscaleState) -> AutoscaleAction:
         raise NotImplementedError
-
-    def record_transition(self, state: AutoscaleState, action: AutoscaleAction) -> None:
-        """Optional learning hook; the default is a no-op."""
 
 
 class ThresholdController(AutoscalePolicy):
@@ -257,38 +248,6 @@ class PIDController(AutoscalePolicy):
         return AutoscaleAction(delta=delta, reason="pid control value %.3f" % control)
 
 
-class LearnedAgent(AutoscalePolicy):
-    """Pluggable learned-policy stub behind the same (state, action) interface.
-
-    Today it is a deterministic backlog-greedy heuristic (one container per
-    queued job above the current residents, shrink when idle) — a stand-in
-    with the exact surface a trained agent needs: ``decide`` consumes an
-    :class:`AutoscaleState`, and ``record_transition`` fills a bounded
-    replay buffer a future offline-RL fit can train from.  No RNG: a
-    learned drop-in must either be greedy at inference time or derive any
-    exploration stream from the run seed.
-    """
-
-    def __init__(self, *, max_step: int) -> None:
-        self.max_step = max_step
-        #: FIFO replay buffer of (state, action) pairs, capped at
-        #: :data:`LEARNED_BUFFER_CAP`.
-        self.transitions: list[tuple[AutoscaleState, AutoscaleAction]] = []
-
-    def decide(self, state: AutoscaleState) -> AutoscaleAction:
-        gap = state.queue_depth - state.residents
-        if gap > 0:
-            return AutoscaleAction(delta=min(gap, self.max_step), reason="greedy backlog")
-        if state.queue_depth == 0 and state.arrival_rate_per_s == 0.0 and state.residents > 0:
-            return AutoscaleAction(delta=-1, reason="greedy idle")
-        return AutoscaleAction(delta=0, reason="greedy hold")
-
-    def record_transition(self, state: AutoscaleState, action: AutoscaleAction) -> None:
-        if len(self.transitions) >= LEARNED_BUFFER_CAP:
-            del self.transitions[0]
-        self.transitions.append((state, action))
-
-
 # ----------------------------------------------------------------------
 # Specs and registry
 # ----------------------------------------------------------------------
@@ -300,9 +259,8 @@ class AutoscaleSpec:
     :class:`~repro.experiments.runner.ExperimentConfig` carry (and what the
     result store hashes): the live controller state is rebuilt per run, per
     function, from these parameters alone — no RNG, no seed input — so one
-    spec reproduces the same decisions in every index mode and worker
-    process.  Threshold parameters are ignored by ``kind="pid"`` and
-    vice versa; ``max_step`` doubles as the learned agent's step bound.
+    spec reproduces the same decisions in every worker process.  Threshold
+    parameters are ignored by ``kind="pid"`` and vice versa.
     """
 
     name: str
@@ -339,26 +297,31 @@ class AutoscaleSpec:
             raise ValueError(
                 f"unknown autoscale kind {self.kind!r}; expected one of {AUTOSCALE_KINDS}"
             )
+        # NaN passes every ``<``/``>=`` check below, and a non-finite
+        # decide interval silently switches the autoscaler off.
+        floats = ("decide_interval_ms", "high_watermark", "low_watermark", "low_rate_per_s")
+        for name in floats + ("kp", "ki", "kd", "setpoint", "ewma_alpha", "integral_clamp"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        for name in ("step_up", "step_down", "down_patience", "max_step", "max_residents"):
+            ensure_positive_int(getattr(self, name), name)
         if self.decide_interval_ms <= 0:
             raise ValueError("decide_interval_ms must be > 0")
+        if not isinstance(self.min_residents, int) or isinstance(self.min_residents, bool):
+            raise TypeError(f"min_residents must be an int, got {self.min_residents!r}")
         if self.min_residents < 0:
             raise ValueError("min_residents must be >= 0")
-        if self.max_residents < max(1, self.min_residents):
-            raise ValueError("max_residents must be >= 1 and >= min_residents")
+        if self.max_residents < self.min_residents:
+            raise ValueError("max_residents must be >= min_residents")
         if self.low_watermark >= self.high_watermark:
             raise ValueError("low_watermark must be < high_watermark")
-        if self.step_up < 1 or self.step_down < 1:
-            raise ValueError("step_up and step_down must be >= 1")
         if self.low_rate_per_s < 0:
             raise ValueError("low_rate_per_s must be >= 0")
-        if self.down_patience < 1:
-            raise ValueError("down_patience must be >= 1")
         if self.ewma_alpha <= 0 or self.ewma_alpha > 1:
             raise ValueError("ewma_alpha must be in (0, 1]")
         if self.integral_clamp < 0:
             raise ValueError("integral_clamp must be >= 0")
-        if self.max_step < 1:
-            raise ValueError("max_step must be >= 1")
         if self.setpoint < 0:
             raise ValueError("setpoint must be >= 0")
 
@@ -373,17 +336,15 @@ class AutoscaleSpec:
                 low_rate_per_s=self.low_rate_per_s,
                 down_patience=self.down_patience,
             )
-        if self.kind == "pid":
-            return PIDController(
-                kp=self.kp,
-                ki=self.ki,
-                kd=self.kd,
-                setpoint=self.setpoint,
-                ewma_alpha=self.ewma_alpha,
-                integral_clamp=self.integral_clamp,
-                max_step=self.max_step,
-            )
-        return LearnedAgent(max_step=self.max_step)
+        return PIDController(
+            kp=self.kp,
+            ki=self.ki,
+            kd=self.kd,
+            setpoint=self.setpoint,
+            ewma_alpha=self.ewma_alpha,
+            integral_clamp=self.integral_clamp,
+            max_step=self.max_step,
+        )
 
 
 AUTOSCALE_SPECS: dict[str, AutoscaleSpec] = {}
@@ -499,9 +460,9 @@ class Autoscaler:
     def _on_event(self, simulation: "Simulation", event: object) -> None:
         """Per-event hook: count arrivals, run due decision passes.
 
-        Fires after every handled event at identical points in both loop
-        modes, so the decision cadence — and therefore every actuation's
-        event-queue position — is mode-independent.
+        Fires after every handled event, so the decision cadence — and
+        therefore every actuation's event-queue position — depends on
+        virtual time only.
         """
         if isinstance(event, self._arrival_event_type):
             arrivals = self._arrivals
@@ -545,7 +506,6 @@ class Autoscaler:
                 policy = self.spec.build_controller()
                 self._controllers[fn] = policy
             action = policy.decide(state)
-            policy.record_transition(state, action)
             if action.delta != 0:
                 applied, targets = self._actuate(simulation, state, action.delta)
                 self.actuations.append(
@@ -659,7 +619,6 @@ def _register_builtin_specs() -> None:
         )
     )
     register_autoscale_spec(AutoscaleSpec(name="pid-default", kind="pid"))
-    register_autoscale_spec(AutoscaleSpec(name="learned-stub", kind="learned"))
 
 
 _register_builtin_specs()

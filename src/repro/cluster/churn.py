@@ -12,8 +12,8 @@ events (:class:`~repro.cluster.events.InvokerJoinEvent` /
 
 Determinism contract: a schedule is a pure function of
 ``(spec, seed, cluster_config)`` via :func:`repro.utils.rng.derive_rng`, so
-the same experiment seed reproduces the same churn in every index mode,
-metrics mode, and worker process.
+the same experiment seed reproduces the same churn in every worker
+process.
 
 >>> from repro.cluster.cluster import ClusterConfig
 >>> spec = get_churn_spec("harvest-mild")

@@ -22,14 +22,11 @@ per-event cost stays (near-)constant as the cluster grows:
   :meth:`ClusterState.total_available_vcpus` / ``total_available_vgpus``
   and the prewarmer's resident-container counts;
 * a **capacity epoch**, :attr:`ClusterState.capacity_epoch`, counts the
-  changes to any node's free capacity and the joins (kept in both index
-  modes), so the controller can tell that no capacity moved since it
-  recorded a failed attempt.
+  changes to any node's free capacity and the joins, so the controller can
+  tell that no capacity moved since it recorded a failed attempt.
 
-Setting ``ClusterConfig(index_mode="scan")`` switches every query back to
-the original linear scans (the pre-index reference path).  Both paths return
-byte-identical results — the parity tests and ``benchmarks/
-bench_cluster_scale.py`` rely on that.
+``tests/cluster/test_cluster_indexes.py`` checks every query against a
+brute-force scan over ``invokers`` under random operation sequences.
 """
 
 from __future__ import annotations
@@ -37,10 +34,10 @@ from __future__ import annotations
 import hashlib
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Literal
+from typing import Callable, Collection, Iterator
 
 from repro.cluster.invoker import Invoker
-from repro.cluster.container import DEFAULT_KEEP_ALIVE_MS, ContainerState
+from repro.cluster.container import DEFAULT_KEEP_ALIVE_MS
 from repro.profiles.configuration import Configuration
 from repro.utils.validation import ensure_positive, ensure_positive_int
 
@@ -55,19 +52,12 @@ class ClusterConfig:
     vcpus_per_invoker: int = 16
     vgpus_per_invoker: int = 7
     keep_alive_ms: float = DEFAULT_KEEP_ALIVE_MS
-    #: ``"indexed"`` (default) serves cluster queries from the incremental
-    #: indexes and drives container expiry by events; ``"scan"`` restores
-    #: the original linear scans (the byte-identical reference path used by
-    #: the parity tests and the cluster-scale benchmark).
-    index_mode: Literal["indexed", "scan"] = "indexed"
 
     def __post_init__(self) -> None:
         ensure_positive_int(self.num_invokers, "num_invokers")
         ensure_positive_int(self.vcpus_per_invoker, "vcpus_per_invoker")
         ensure_positive_int(self.vgpus_per_invoker, "vgpus_per_invoker")
         ensure_positive(self.keep_alive_ms, "keep_alive_ms")
-        if self.index_mode not in ("indexed", "scan"):
-            raise ValueError(f"invalid index_mode {self.index_mode!r}")
 
     @property
     def total_vcpus(self) -> int:
@@ -151,15 +141,12 @@ class ClusterState:
 
     config: ClusterConfig = field(default_factory=ClusterConfig)
     invokers: list[Invoker] = field(init=False)
-    _indexed: bool = field(init=False, repr=False)
     _capacity: _CapacityBuckets = field(init=False, repr=False)
     _bucket_of: list[tuple[int, int]] = field(init=False, repr=False)
     _free_vcpus: int = field(init=False, repr=False)
     _free_vgpus: int = field(init=False, repr=False)
     #: Aggregate capacity of the *current* membership.  Equals the config
-    #: totals until churn mutates the cluster; maintained unconditionally
-    #: (both index modes) because utilisation denominators need it even when
-    #: the free-capacity index is off.
+    #: totals until churn mutates the cluster.
     _total_vcpus: int = field(init=False, repr=False)
     _total_vgpus: int = field(init=False, repr=False)
     _warm_index: dict[str, set[int]] = field(init=False, repr=False)
@@ -177,7 +164,7 @@ class ClusterState:
     #: no-op instead of four heap operations.
     _pending_moves: dict[int, tuple[int, int]] = field(init=False, repr=False)
     #: Bumped on every change to any node's free capacity and on every
-    #: join, in both index modes.  While it is unchanged, every node's free
+    #: join.  While it is unchanged, every node's free
     #: capacity is what it was (a leave of a node with no free capacity
     #: left changes nothing a placement can see, so it need not bump it).
     capacity_epoch: int = field(init=False, default=0, repr=False)
@@ -192,13 +179,12 @@ class ClusterState:
             )
             for i in range(self.config.num_invokers)
         ]
-        self._indexed = self.config.index_mode == "indexed"
         self._capacity = _CapacityBuckets()
         full = (self.config.vcpus_per_invoker, self.config.vgpus_per_invoker)
         self._bucket_of = [full] * self.config.num_invokers
         for invoker in self.invokers:
             self._capacity.add(full, invoker.invoker_id)
-            self._bind(invoker)
+            invoker.bind_cluster_callbacks(self._capacity_changed, self._containers_changed)
         self._free_vcpus = self.config.total_vcpus
         self._free_vgpus = self.config.total_vgpus
         self._total_vcpus = self.config.total_vcpus
@@ -211,18 +197,6 @@ class ClusterState:
     # ------------------------------------------------------------------
     # Index maintenance (invoked by the invokers' change callbacks)
     # ------------------------------------------------------------------
-    def _bind(self, invoker: Invoker) -> None:
-        """Wire ``invoker``'s change callbacks to this cluster.
-
-        Scan mode skips cluster-level index maintenance, keeping it an
-        honest pre-refactor baseline: its queries never read these
-        structures, and paying bucket moves / warm-set updates would
-        overstate the indexed speedup.  It keeps only the capacity epoch.
-        """
-        invoker.bind_cluster_callbacks(
-            self._capacity_changed, self._containers_changed if self._indexed else None
-        )
-
     def _capacity_changed(self, invoker: Invoker) -> None:
         i = invoker.invoker_id
         old = self._bucket_of[i]
@@ -231,8 +205,6 @@ class ClusterState:
             return
         self.capacity_epoch += 1
         self._bucket_of[i] = new
-        if not self._indexed:
-            return
         self._free_vcpus += new[0] - old[0]
         self._free_vgpus += new[1] - old[1]
         pending = self._pending_moves
@@ -264,11 +236,6 @@ class ClusterState:
             members = self._warm_index.get(function_name)
             if members is not None:
                 members.discard(invoker.invoker_id)
-
-    @property
-    def indexed(self) -> bool:
-        """True when queries are served from the incremental indexes."""
-        return self._indexed
 
     # ------------------------------------------------------------------
     # Access
@@ -312,37 +279,36 @@ class ClusterState:
     # ------------------------------------------------------------------
     def invokers_that_fit(self, config: Configuration) -> tuple[Invoker, ...]:
         """Invokers that currently have room for ``config`` (ordered by id)."""
-        if self._indexed:
-            self._flush_capacity_moves()
-            ids = sorted(self._capacity.fitting_ids(config.vcpus, config.vgpus))
-            return tuple(self.invokers[i] for i in ids)
-        return tuple(inv for inv in self.invokers if inv.can_fit(config))
+        self._flush_capacity_moves()
+        ids = sorted(self._capacity.fitting_ids(config.vcpus, config.vgpus))
+        return tuple(self.invokers[i] for i in ids)
+
+    def warm_candidate_ids(self, function_name: str) -> Collection[int]:
+        """Ids of the invokers holding a WARM or BUSY container of the function.
+
+        A superset of the nodes where a warm start is possible right now
+        (an idle container past its keep-alive stays a candidate until its
+        expiry is processed), in no particular order.
+        """
+        return self._warm_index.get(function_name, ())
 
     def warm_invokers_for(self, function_name: str, now_ms: float) -> tuple[Invoker, ...]:
         """Invokers with a resident (warm or busy) container for ``function_name``."""
-        if self._indexed:
-            members = self._warm_index.get(function_name)
-            if not members:
-                return ()
-            return tuple(
-                invoker
-                for i in sorted(members)
-                if (invoker := self.invokers[i]).has_warm_container(function_name, now_ms)
-            )
+        members = self._warm_index.get(function_name)
+        if not members:
+            return ()
         return tuple(
-            inv for inv in self.invokers if inv.has_warm_container(function_name, now_ms)
+            invoker
+            for i in sorted(members)
+            if (invoker := self.invokers[i]).has_warm_container(function_name, now_ms)
         )
 
     def has_warm_invoker(self, function_name: str, now_ms: float) -> bool:
         """True if any invoker holds a resident container for the function."""
-        if self._indexed:
-            members = self._warm_index.get(function_name)
-            if not members:
-                return False
-            return any(
-                self.invokers[i].has_warm_container(function_name, now_ms) for i in members
-            )
-        return any(inv.has_warm_container(function_name, now_ms) for inv in self.invokers)
+        members = self._warm_index.get(function_name)
+        if not members:
+            return False
+        return any(self.invokers[i].has_warm_container(function_name, now_ms) for i in members)
 
     def most_available_invoker(self, config: Configuration) -> Invoker | None:
         """The fitting invoker with the most free resources (ties by id).
@@ -369,56 +335,33 @@ class ClusterState:
         homogeneous), which is what lets the capacity index answer the query
         per *bucket* instead of per node.
         """
-        if self._indexed:
-            self._flush_capacity_moves()
-            best_key: object | None = None
-            best_id: int | None = None
-            for (cpu, gpu), _members in self._capacity.iter_nonempty():
-                if cpu < config.vcpus or gpu < config.vgpus:
-                    continue
-                bucket_key = key(cpu, gpu)
-                if best_key is None or bucket_key < best_key:
-                    best_key = bucket_key
-                    best_id = self._capacity.min_id((cpu, gpu))
-                elif not bucket_key > best_key:  # equal keys: lowest id wins
-                    min_id = self._capacity.min_id((cpu, gpu))
-                    if min_id is not None and (best_id is None or min_id < best_id):
-                        best_id = min_id
-            return None if best_id is None else self.invokers[best_id]
-        fitting = self.invokers_that_fit(config)
-        if not fitting:
-            return None
-        return min(
-            fitting,
-            key=lambda inv: (key(inv.available_vcpus, inv.available_vgpus), inv.invoker_id),
-        )
+        self._flush_capacity_moves()
+        best_key: object | None = None
+        best_id: int | None = None
+        for (cpu, gpu), _members in self._capacity.iter_nonempty():
+            if cpu < config.vcpus or gpu < config.vgpus:
+                continue
+            bucket_key = key(cpu, gpu)
+            if best_key is None or bucket_key < best_key:
+                best_key = bucket_key
+                best_id = self._capacity.min_id((cpu, gpu))
+            elif not bucket_key > best_key:  # equal keys: lowest id wins
+                min_id = self._capacity.min_id((cpu, gpu))
+                if min_id is not None and (best_id is None or min_id < best_id):
+                    best_id = min_id
+        return None if best_id is None else self.invokers[best_id]
 
     def resident_container_count(self, function_name: str) -> int:
         """Live (starting, warm or busy) containers of the function cluster-wide."""
-        if self._indexed:
-            return self._live_counts.get(function_name, 0)
-        count = 0
-        for invoker in self.invokers:
-            for container in invoker.containers_for(function_name):
-                if container.state in (
-                    ContainerState.WARM,
-                    ContainerState.BUSY,
-                    ContainerState.STARTING,
-                ):
-                    count += 1
-        return count
+        return self._live_counts.get(function_name, 0)
 
     def total_available_vcpus(self) -> int:
         """Free vCPUs across the cluster."""
-        if self._indexed:
-            return self._free_vcpus
-        return sum(inv.available_vcpus for inv in self.invokers)
+        return self._free_vcpus
 
     def total_available_vgpus(self) -> int:
         """Free vGPUs across the cluster."""
-        if self._indexed:
-            return self._free_vgpus
-        return sum(inv.available_vgpus for inv in self.invokers)
+        return self._free_vgpus
 
     def total_vcpus(self) -> int:
         """Aggregate vCPU capacity of the current membership."""
@@ -436,10 +379,6 @@ class ClusterState:
         """Cluster-wide vGPU utilisation (relative to current membership)."""
         return 1.0 - self.total_available_vgpus() / self._total_vgpus
 
-    def expire_containers(self, now_ms: float) -> int:
-        """Expire idle containers past their keep-alive on every node."""
-        return sum(len(inv.expire_containers(now_ms)) for inv in self.invokers)
-
     # ------------------------------------------------------------------
     # Membership churn (invoked by the controller's churn handlers)
     # ------------------------------------------------------------------
@@ -447,8 +386,8 @@ class ClusterState:
         """Add a node to the cluster; ``None`` shape means the config default.
 
         Mirrors ``__post_init__``: the new invoker is appended (ids are
-        dense and never reused), registered with the capacity index in both
-        index modes, and wired to the callbacks.  The home-invoker memo
+        dense and never reused), registered with the capacity index, and
+        wired to the callbacks.  The home-invoker memo
         depends on the cluster size, so a join invalidates it.  A join
         changes no existing node's free capacity but adds a node that may
         fit what fit nowhere before, so it bumps the capacity epoch.
@@ -463,7 +402,7 @@ class ClusterState:
         bucket = (invoker.total_vcpus, invoker.total_vgpus)
         self._bucket_of.append(bucket)
         self._capacity.add(bucket, invoker.invoker_id)
-        self._bind(invoker)
+        invoker.bind_cluster_callbacks(self._capacity_changed, self._containers_changed)
         self.capacity_epoch += 1
         self._free_vcpus += invoker.total_vcpus
         self._free_vgpus += invoker.total_vgpus
@@ -477,7 +416,7 @@ class ClusterState:
 
         The invoker stays in the list so ids (and the home hash, which only
         changes on joins) remain stable; with zero total capacity no
-        placement rule in either index mode can ever select it again.
+        placement rule can ever select it again.
         Returns the containers that were force-stopped.  In-flight task
         bookkeeping (requeue/fail, metrics) is the controller's job.
         """
@@ -493,8 +432,8 @@ class ClusterState:
         invoker._used_vcpus = 0
         invoker.gpu._used_vgpus = 0
         invoker.active = False
-        # Re-bucket to (0, 0) (scan mode only bumps the capacity epoch,
-        # and neither mode does when the node had no free capacity left).
+        # Re-bucket to (0, 0) (no epoch bump when the node had no free
+        # capacity left).
         invoker._capacity_changed()
         return evicted
 

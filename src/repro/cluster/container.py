@@ -146,7 +146,3 @@ class Container:
             and self.warm_at_ms <= now_ms
             and now_ms < self.expires_at_ms
         )
-
-    def is_expired(self, now_ms: float) -> bool:
-        """True if an idle warm container has outlived its keep-alive window."""
-        return self.state == ContainerState.WARM and now_ms >= self.expires_at_ms

@@ -109,7 +109,7 @@ class Controller:
     _pending_jobs: int = 0
     #: Cached sorted queue-key list; invalidated when a queue is created.
     _sorted_keys: list[tuple[str, str]] | None = field(default=None, repr=False)
-    #: Armed keep-alive deadlines (indexed mode): a min-heap of
+    #: Armed keep-alive deadlines: a min-heap of
     #: ``(expires_at_ms, seq, container)`` drained at every tick so the
     #: prewarmer/scheduler never observe a stale-expired container, no
     #: matter how same-timestamp events interleave in the simulation loop.
@@ -145,11 +145,6 @@ class Controller:
     _inflight: dict[int, Task] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        # The cluster's index mode and the collector's storage mode are both
-        # frozen at construction, so snapshot them once instead of chasing
-        # the property chains on every tick.
-        self._indexed: bool = self.cluster.indexed
-        self._metrics_streaming: bool = self.metrics.is_streaming
         # Policies that model their scheduling overhead deterministically
         # let the controller skip the wall-clock measurement around plan().
         self._skip_plan_timing: bool = getattr(self.policy, "deterministic_overhead", False)
@@ -253,21 +248,7 @@ class Controller:
         workflow = request.workflow
         app_name = workflow.name
         self._workflows.setdefault(app_name, workflow)
-        # Inlined ``metrics.register_request`` (live collector).
-        metrics = self.metrics
-        if self._metrics_streaming:
-            metrics._total.registered += 1
-            acc = metrics._per_app.get(app_name)
-            if acc is None:
-                acc = metrics._app(app_name)
-            acc.registered += 1
-            if acc.slo_ms is None:
-                acc.slo_ms = request.slo_ms
-            if request.completed_ms is not None:
-                # Synthetic feeds may register pre-completed requests.
-                metrics._fold_completion(request)
-        else:
-            metrics.requests.append(request)
+        self.metrics.register_request(request)
         topo = workflow.topology()
         queues = self._queues
         nonempty = self._nonempty
@@ -329,7 +310,6 @@ class Controller:
         stage_id = task.stage_id
         app_name = task.app_name
         metrics = self.metrics
-        streaming = self._metrics_streaming
         queues = self._queues
         for job in task.jobs:
             request = job.request
@@ -356,10 +336,8 @@ class Controller:
                     request.completed_ms = scm[sinks[0]]
                 else:
                     request.completed_ms = max(scm[sink] for sink in sinks)
-                if not was_complete and streaming:
-                    # Exactly-once completion fold: retained mode derives
-                    # completion by scanning, so only streaming folds here.
-                    metrics._fold_completion(request)
+                if not was_complete:
+                    metrics.record_completion(request)
             successors = topo.succ[stage_id]
             if successors:
                 pred_of = topo.pred
@@ -385,22 +363,16 @@ class Controller:
         self.metrics.record_prewarm()
 
     def _arm_expiry(self, container: Container) -> None:
-        """Schedule the container's keep-alive expiry (indexed mode only).
+        """Schedule the container's keep-alive expiry.
 
-        Scan mode keeps the per-tick :meth:`ClusterState.expire_containers`
-        sweep instead.  The deadline goes to two places: the controller's
-        expiry heap (drained at every tick, which guarantees ticks observe
-        exactly the containers the scan path would) and a
-        :class:`ContainerExpireEvent` in the simulation loop (the wake-up
-        between ticks).  Re-arming is handled lazily on both: a stale entry
-        whose deadline no longer matches the container's ``expires_at_ms``
-        is a no-op.
+        The deadline goes to two places: the controller's expiry heap
+        (drained at every tick, so a tick never sees a container at or past
+        its deadline) and a :class:`ContainerExpireEvent` in the simulation
+        loop (the wake-up between ticks).  Re-arming is handled lazily on
+        both: a stale entry whose deadline no longer matches the container's
+        ``expires_at_ms`` is a no-op.
         """
-        if (
-            self._indexed
-            and container.state is ContainerState.WARM
-            and container.expires_at_ms != float("inf")
-        ):
+        if container.state is ContainerState.WARM and container.expires_at_ms != _INF:
             deadline = container.expires_at_ms
             heapq.heappush(
                 self._expiry_heap,
@@ -431,14 +403,10 @@ class Controller:
 
     def on_tick(self, now_ms: float) -> None:
         """One controller round: expire containers, prewarm, scan queues."""
-        if self._indexed:
-            # Amortised O(due): mirrors the scan path's inclusive
-            # ``now >= expires_at`` sweep without touching live containers,
-            # and makes tick-time expiry independent of how same-timestamp
-            # events happen to be ordered in the simulation heap.
-            self._drain_expired_containers(now_ms)
-        else:
-            self.cluster.expire_containers(now_ms)
+        # Amortised O(due), and inclusive (``expires_at <= now`` expires):
+        # tick-time expiry does not depend on how same-timestamp events
+        # happen to be ordered in the simulation heap.
+        self._drain_expired_containers(now_ms)
         if self.prewarmer is not None and self.config.prewarm_enabled:
             for plan in self.prewarmer.plan(self.cluster, now_ms):
                 container = self._find_starting_container(plan.invoker_id, plan.function_name)
@@ -553,11 +521,10 @@ class Controller:
     def run_scheduling_pass(self, now_ms: float) -> int:
         """Scan the queues round-robin once; returns the number of dispatches.
 
-        Indexed mode visits only the queues in the non-empty "dirty" set, in
-        the exact cyclic order the full scan would have reached them — an
-        empty queue is a no-op in the scan (its ``continue`` also skips the
-        recheck retry), so the filtered walk dispatches identically while
-        touching O(non-empty) queues instead of O(all).
+        The pass visits only the queues in the non-empty "dirty" set, in the
+        cyclic order of the sorted queue keys starting at the round-robin
+        offset.  An empty queue would be a no-op (a visit also skips the
+        recheck retry), so the walk touches O(non-empty) queues, not O(all).
 
         Within one pass ``now_ms`` is fixed and only a dispatch changes the
         queues, the free capacity or the containers, and every dispatch
@@ -571,28 +538,21 @@ class Controller:
         applied in bulk (see :meth:`_replay_failed_pass`).
         """
         self._passes += 1
-        if self._indexed:
-            keys = self._all_keys_sorted()
-            if not keys:
-                return 0
-            n = len(keys)
-            if len(self._nonempty) <= 1:
-                # Rotating a list of at most one element is the identity, so
-                # the pivot lookup and bisect split are skipped outright —
-                # the common shape of single-application streaming runs.
-                # repro: allow[REP004] guarded by len(_nonempty) <= 1 above — every ordering of at most one element is equal
-                order = list(self._nonempty)
-            else:
-                pivot = keys[self._rr_offset % n]
-                nonempty = sorted(self._nonempty)
-                split = bisect_left(nonempty, pivot)
-                order = nonempty[split:] + nonempty[:split]
+        keys = self._all_keys_sorted()
+        if not keys:
+            return 0
+        n = len(keys)
+        if len(self._nonempty) <= 1:
+            # Rotating a list of at most one element is the identity, so
+            # the pivot lookup and bisect split are skipped outright —
+            # the common shape of single-application streaming runs.
+            # repro: allow[REP004] guarded by len(_nonempty) <= 1 above — every ordering of at most one element is equal
+            order = list(self._nonempty)
         else:
-            keys = sorted(self._queues)
-            if not keys:
-                return 0
-            n = len(keys)
-            order = [keys[(self._rr_offset + i) % n] for i in range(n)]
+            pivot = keys[self._rr_offset % n]
+            nonempty = sorted(self._nonempty)
+            split = bisect_left(nonempty, pivot)
+            order = nonempty[split:] + nonempty[:split]
         dispatched = 0
         self._rr_offset = (self._rr_offset + 1) % n
         if self._time_invariant and self._replay_failed_pass(order):
@@ -1000,46 +960,28 @@ class Controller:
         if self._churn:
             self._inflight[task.task_id] = task
 
-        # Inlined ``metrics.record_task`` (live collector): identical float
-        # expressions — ``start = dispatch + overhead``, ``finish = start +
-        # duration``, and the horizon clamps of charged_duration_ms /
-        # charged_cost_cents — on the values already in hand.
+        # ``metrics.record_task(task)`` on the values already in hand: the
+        # start kind, then ``fold_task`` with ``start = dispatch +
+        # overhead`` and ``task.waiting_ms()`` as the same left-to-right
+        # fold (the genexp sum starts at (int) 0, whose first addition is
+        # exact).
         if cold_ms > 0.0:
             metrics.cold_starts += 1
         else:
             metrics.warm_starts += 1
-        if self._metrics_streaming:
-            start_ms = now_ms + charged_overhead
-            finish_ms = start_ms + duration_ms
-            horizon = metrics.horizon_ms
-            if finish_ms <= horizon:
-                cost = task.cost_cents
-                held_ms = duration_ms
-            else:
-                held_ms = horizon - start_ms
-                if held_ms < 0.0:
-                    held_ms = 0.0
-                cost = (
-                    task.cost_cents * (held_ms / duration_ms)
-                    if duration_ms > 0.0
-                    else 0.0
-                )
-            metrics._total.cost_cents += cost
-            acc = metrics._per_app.get(task.app_name)
-            if acc is None:
-                acc = metrics._app(task.app_name)
-            acc.cost_cents += cost
-            metrics._vgpu_ms += effective.vgpus * held_ms
-            metrics._vcpu_ms += effective.vcpus * held_ms
-            # ``task.waiting_ms()`` with the same left-to-right fold: the
-            # genexp sum starts at (int) 0, whose first addition is exact.
-            waiting = 0
-            for job in jobs:
-                delay = now_ms - job.ready_ms
-                waiting += delay if delay > 0.0 else 0.0
-            metrics._waiting_ms.append(waiting / njobs)
-        else:
-            metrics.tasks.append(task)
+        waiting = 0
+        for job in jobs:
+            delay = now_ms - job.ready_ms
+            waiting += delay if delay > 0.0 else 0.0
+        metrics.fold_task(
+            queue.app_name,
+            task.cost_cents,
+            now_ms + charged_overhead,
+            duration_ms,
+            effective.vcpus,
+            effective.vgpus,
+            waiting / njobs,
+        )
 
         finish = now_ms + charged_overhead + duration_ms
         fe = self.event_loop

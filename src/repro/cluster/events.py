@@ -47,9 +47,8 @@ class Event:
 
     #: Housekeeping events (e.g. container-expiry timers) never keep a run
     #: alive on their own: the simulator drains them only while productive
-    #: events remain, and they are invisible to the horizon check — exactly
-    #: mirroring the per-tick expiry scan, which also stops when the
-    #: workload does.
+    #: events remain, and they are invisible to the horizon check, so
+    #: expiry stops when the workload does.
     housekeeping: ClassVar[bool] = False
 
     #: Tie-break rank among events scheduled for the same instant (lower
@@ -119,8 +118,7 @@ class PrewarmCompleteEvent(Event):
 class ContainerExpireEvent(Event):
     """An idle warm container's keep-alive timer elapses.
 
-    Scheduled by the controller whenever a container (re)arms its keep-alive
-    (indexed mode's replacement for the per-tick ``expire_containers`` scan).
+    Scheduled by the controller whenever a container (re)arms its keep-alive.
     Cancellation is lazy: if the container was re-armed, went busy, or was
     already stopped, the armed deadline no longer matches ``time_ms`` and
     the event is a no-op — the standard timer-heap idiom.

@@ -286,18 +286,6 @@ class Invoker:
             container.mark_evicted()
         return evicted
 
-    def expire_containers(self, now_ms: float) -> list[Container]:
-        """Stop idle containers whose keep-alive elapsed; returns them."""
-        expired: list[Container] = [
-            container
-            for containers in self._live.values()
-            for container in containers
-            if container.is_expired(now_ms)
-        ]
-        for container in expired:
-            container.mark_stopped()
-        return expired
-
     def warm_function_names(self, now_ms: float) -> list[str]:
         """Functions with at least one idle warm container on this node."""
         return sorted(

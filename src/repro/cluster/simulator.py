@@ -167,8 +167,7 @@ class SimulationConfig:
     max_time_ms: float = float("inf")
     #: Safety valve on the number of processed events.
     max_events: int = 5_000_000
-    #: How the run's metrics are stored: retained object lists (default) or
-    #: streaming per-app accumulators.  Summaries are byte-identical.
+    #: How the run's metrics are stored (``"streaming"``, the only mode).
     metrics: MetricsConfig = field(default_factory=MetricsConfig)
     #: Optional cluster-churn schedule (timed invoker join/leave/resize
     #: housekeeping events).  ``None`` keeps the paper's static testbed.
@@ -188,7 +187,7 @@ class Simulation:
     or a lazy :class:`~repro.workloads.stream.RequestStream`, which the
     simulation pulls *on demand*: at most one chunk of
     :data:`ARRIVAL_CHUNK` arrivals is pending at any time, and popping the
-    last one schedules the next chunk from the stream.  With a streaming
+    last one schedules the next chunk from the stream.  With the streaming
     metrics collector this bounds the whole run's footprint —
     no request list, no upfront event flood — while remaining
     byte-identical to the materialized run (arrivals outrank same-time
@@ -233,7 +232,6 @@ class Simulation:
         self.metrics = MetricsCollector(
             policy_name=policy.name,
             setting_name=setting_name,
-            config=self.config.metrics,
             horizon_ms=self.config.max_time_ms,
         )
         self.events = EventLoop()
@@ -553,8 +551,8 @@ class Simulation:
                 else:
                     handler(self, event)
                 # Housekeeping events are free: counting them against
-                # max_events (or the progress cadence) would make indexed
-                # runs (which schedule expiry timers) diverge from scan runs.
+                # max_events (or the progress cadence) would let the expiry
+                # timers move where a capped run stops.
                 if not housekeeping:
                     processed += 1
                     self._processed_events = processed

@@ -70,14 +70,13 @@ class ClusterTopology:
         """Aggregate vGPU capacity."""
         return self.num_invokers * self.vgpus_per_invoker
 
-    def to_cluster_config(self, *, index_mode: str = "indexed") -> ClusterConfig:
+    def to_cluster_config(self) -> ClusterConfig:
         """Resolve to the :class:`ClusterConfig` the simulator consumes."""
         return ClusterConfig(
             num_invokers=self.num_invokers,
             vcpus_per_invoker=self.vcpus_per_invoker,
             vgpus_per_invoker=self.vgpus_per_invoker,
             keep_alive_ms=self.keep_alive_ms,
-            index_mode=index_mode,  # type: ignore[arg-type]
         )
 
 

@@ -88,17 +88,13 @@ def locality_first_invoker(
     capacity checks read the resource counters without the ``can_fit``
     indirection, and the warm-node argmax of step 3 iterates the cluster's
     warm-index set unsorted: its ``(vgpus, vcpus, -id)`` key is unique per
-    node, so the winner cannot depend on iteration order.  Scan mode, which
-    keeps no warm index, walks every node instead.
+    node, so the winner cannot depend on iteration order.
     """
     invokers = cluster.invokers
     need_vcpus = config.vcpus
     need_vgpus = config.vgpus
 
-    if cluster._indexed:
-        candidates = cluster._warm_index.get(function_name, ())
-    else:
-        candidates = range(len(invokers))
+    candidates = cluster.warm_candidate_ids(function_name)
     any_warm_elsewhere = False
     for i in candidates:
         if _has_resident(invokers[i], function_name, now_ms):

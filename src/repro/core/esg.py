@@ -103,6 +103,9 @@ class ESGPolicy(SchedulingPolicy):
             plans) and only active when ``per_expansion_ms`` models
             overhead deterministically — wall-clock measurement mode always
             re-runs the search.  ``plan_cache=False`` is the reference path.
+            With ``adaptive=False`` the whole-workflow search of a request's
+            first stage is memoized too, keyed by (app, stage, clamped
+            queue length, SLO): it reads nothing else.
         name:
             Override the reported policy name (used by the ablation study).
         """
@@ -152,6 +155,9 @@ class ESGPolicy(SchedulingPolicy):
         #: Search inputs by (function, stage, first-stage batch cap); see
         #: :meth:`_stage_specs`.
         self._spec_cache: dict[tuple[str, str, int | None], StageSearchSpec] = {}
+        #: Static planning's whole-workflow searches: ``(plan or None,
+        #: expansions)`` by (app, stage, clamped queue length, SLO).
+        self._static_plans: dict[tuple, tuple[dict[str, Configuration] | None, int]] = {}
 
     # ------------------------------------------------------------------
     # SchedulingPolicy lifecycle
@@ -172,6 +178,7 @@ class ESGPolicy(SchedulingPolicy):
         self._plan_cache_size = 0
         self._fresh_group_cache.clear()
         self._spec_cache.clear()
+        self._static_plans.clear()
 
     def distribution_for(self, app_name: str) -> SLODistribution:
         """The SLO distribution of an application (computed lazily if needed)."""
@@ -384,18 +391,27 @@ class ESGPolicy(SchedulingPolicy):
         # whole-workflow search carries a modeled cost.
         plan_overhead_ms = 0.0 if self.per_expansion_ms is not None else None
         if request.static_plan is None:
-            # First stage of this request: plan the whole workflow once.
-            workflow = queue.workflow
-            stage_ids = workflow.topological_order()
-            stages = self._stage_specs(queue, stage_ids)
-            result = esg_1q_search(
-                stages, request.slo_ms, k=self.k, max_paths=self.max_paths
-            )
-            best = result.best
-            if best is None:
+            # First stage of this request: plan the whole workflow once.  The
+            # search reads the workflow, the first stage's batch cap (see
+            # _stage_specs) and the SLO, so equal keys replay it.
+            key = (queue.app_name, queue.stage_id, min(len(queue), self._largest_batch))
+            key += (request.slo_ms,)
+            memo = self._static_plans.get(key) if self._plan_cache_enabled else None
+            if memo is None:
+                stage_ids = queue.workflow.topological_order()
+                stages = self._stage_specs(queue, stage_ids)
+                result = esg_1q_search(stages, request.slo_ms, k=self.k, max_paths=self.max_paths)
+                best = result.best
+                memo = (best.as_plan(stage_ids) if best is not None else None, result.expansions)
+                if self._plan_cache_enabled:
+                    if len(self._static_plans) >= PLAN_CACHE_LIMIT:
+                        self._static_plans.clear()
+                    self._static_plans[key] = memo
+            plan, expansions = memo
+            if plan is None:
                 return None
-            request.static_plan = best.as_plan(stage_ids)
-            plan_overhead_ms = self._modeled_overhead_ms(result.expansions)
+            request.static_plan = dict(plan)
+            plan_overhead_ms = self._modeled_overhead_ms(expansions)
         planned = request.static_plan.get(queue.stage_id)
         if planned is None:
             return None

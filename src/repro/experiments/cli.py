@@ -44,7 +44,6 @@ from repro.analysis.cli import build_lint_parser, run_lint
 from repro.cluster.autoscale import autoscale_spec_names, get_autoscale_spec
 from repro.cluster.churn import churn_spec_names, get_churn_spec
 from repro.cluster.cluster import ClusterConfig
-from repro.cluster.metrics import METRICS_MODES, MetricsConfig
 from repro.cluster.topology import parse_topology, topology_names
 from repro.experiments.ablation import render_figure12, run_figure12
 from repro.experiments.arrivals import render_figure5, run_figure5
@@ -146,7 +145,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         seed=args.seed,
         cluster=_cluster_from_args(args),
         cluster_pinned=pinned,
-        metrics=MetricsConfig(mode=args.metrics_mode),
         workload_mode=args.workload_mode,
         churn=args.churn,
         autoscale=args.autoscale,
@@ -421,16 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
         "autoscale applies only when this is left unset)",
     )
     parser.add_argument(
-        "--metrics-mode",
-        choices=METRICS_MODES,
-        default="retained",
-        help="metrics storage: 'retained' keeps every request/task object "
-        "(default, debuggable), 'streaming' folds observations into compact "
-        "accumulators at record time (byte-identical summaries; the metrics "
-        "layer stays compact on large --requests runs — the workload itself "
-        "still scales with the request count)",
-    )
-    parser.add_argument(
         "--workload-mode",
         choices=WORKLOAD_MODES,
         default="materialized",
@@ -438,8 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
         "list up front (default, debuggable), 'streaming' lets the "
         "simulator pull arrivals lazily from a request stream "
         "(byte-identical results, ~16 bytes per request instead of whole "
-        "object graphs; pair with --metrics-mode streaming for "
-        "bounded-memory million-request runs)",
+        "object graphs: bounded-memory million-request runs)",
     )
     parser.add_argument(
         "--store",

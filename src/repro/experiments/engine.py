@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
-from repro.cluster.metrics import MetricsCollector, MetricsConfig
 from repro.cluster.policy_api import SchedulingPolicy
 from repro.experiments.runner import (
     ExperimentConfig,
@@ -68,14 +67,11 @@ class RunSpec:
     policy_overrides: Mapping[str, object] = field(default_factory=dict)
     #: Optional bookkeeping label (e.g. an ablation variant name).
     label: str | None = None
-    #: When True the run executes with a *streaming* metrics collector and
-    #: a *streaming* workload (no request/task object is ever materialised
-    #: in the worker — arrivals are pulled lazily from a RequestStream) and
-    #: the result carries only the :class:`RunSummary` plus an explicit
-    #: placeholder collector (``metrics.placeholder`` is True, counters and
-    #: ``truncated`` mirror the summary): sweeps that read a few summary
-    #: scalars avoid both worker-side retention and shipping request
-    #: objects over IPC.
+    #: When True the run executes with a *streaming* workload (no request
+    #: list is materialised in the worker — arrivals are pulled lazily from
+    #: a RequestStream) and the result carries only the
+    #: :class:`RunSummary` (``metrics`` is ``None``): sweeps that read a few
+    #: summary scalars ship neither requests nor collectors over IPC.
     summary_only: bool = False
     #: A registered scenario name or a :class:`Scenario` object (mutually
     #: exclusive with ``setting``).  Names are resolved against the global
@@ -147,26 +143,16 @@ def execute_spec(spec: RunSpec) -> RunResult:
 
     Module-level (not a method) so it is picklable as a process-pool task.
 
-    ``summary_only`` specs run with a *streaming* metrics collector — the
-    worker folds every observation into accumulators at record time instead
-    of materialising request/task lists it would only throw away — and a
-    *streaming* workload, so the request list is never materialised either:
-    the simulator pulls arrivals from a lazy
+    ``summary_only`` specs run with a *streaming* workload, so the request
+    list is never materialised: the simulator pulls arrivals from a lazy
     :class:`~repro.workloads.stream.RequestStream`.  Summaries are
-    byte-identical across both mode axes, so this is purely a memory
-    optimisation.  The result's ``metrics`` is an explicit placeholder
-    (:meth:`MetricsCollector.placeholder_from_summary`) whose counters and
-    ``truncated`` flag agree with the attached summary.
+    byte-identical across workload modes, so this is purely a memory
+    optimisation.  The result carries the summary alone (``metrics`` is
+    ``None``, ``requests`` empty).
     """
     config = spec.config
-    if spec.summary_only:
-        upgrades: dict[str, object] = {}
-        if config.metrics.mode != "streaming":
-            upgrades["metrics"] = MetricsConfig(mode="streaming")
-        if config.workload_mode != "streaming":
-            upgrades["workload_mode"] = "streaming"
-        if upgrades:
-            config = config.with_overrides(**upgrades)
+    if spec.summary_only and config.workload_mode != "streaming":
+        config = config.with_overrides(workload_mode="streaming")
     store = _profile_store_for(config.space)
     result = run_experiment(
         spec.build_policy(),
@@ -180,7 +166,7 @@ def execute_spec(spec: RunSpec) -> RunResult:
             policy_name=result.policy_name,
             setting=result.setting,
             summary=result.summary,
-            metrics=MetricsCollector.placeholder_from_summary(result.summary),
+            metrics=None,
             requests=[],
             scenario_name=result.scenario_name,
         )

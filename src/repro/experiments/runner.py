@@ -91,17 +91,14 @@ class ExperimentConfig:
     #: flag): a scenario's pinned topology then never overrides it, even if
     #: the explicit value happens to equal the paper default.
     cluster_pinned: bool = False
-    #: Metrics storage mode: retained object lists (default, debuggable) or
-    #: streaming accumulators (constant-size state per app, for very large
-    #: runs).  Summaries are byte-identical across modes.
+    #: Metrics storage mode (``"streaming"``, the only mode).
     metrics: MetricsConfig = field(default_factory=MetricsConfig)
     #: Workload generation mode: ``"materialized"`` (default) builds the
     #: full request list up front; ``"streaming"`` hands the simulator a
     #: lazy :class:`~repro.workloads.stream.RequestStream` that it pulls
     #: one arrival at a time — ~16 bytes per request instead of a whole
-    #: object graph, with byte-identical summaries.  Combine with
-    #: ``metrics=MetricsConfig(mode="streaming")`` for bounded-memory
-    #: million-request runs end to end.
+    #: object graph, with byte-identical summaries, and with the streaming
+    #: metrics collector bounded memory end to end.
     workload_mode: str = "materialized"
     #: Capacity churn: a registered :class:`~repro.cluster.churn.ChurnSpec`
     #: name, a spec (expanded with this config's seed at run time), or a
@@ -137,7 +134,9 @@ class RunResult:
     policy_name: str
     setting: WorkloadSetting
     summary: RunSummary
-    metrics: MetricsCollector
+    #: The run's collector; ``None`` for ``summary_only`` engine results
+    #: and store hits (only the summary is kept).
+    metrics: MetricsCollector | None
     #: The materialized workload; empty for streaming-workload runs (the
     #: requests were pulled lazily and never retained) and for
     #: ``summary_only`` engine results (never shipped over IPC).
@@ -299,21 +298,17 @@ def run_experiment(
     ):
         # Scenario-pinned cluster shape, applied when the experiment config
         # leaves the cluster *shape* at the paper default (mirrors
-        # horizon_ms).  index_mode and keep_alive_ms are orthogonal knobs
-        # and carry over — e.g. a scan-mode parity run, or a short-keep-
-        # alive experiment, of a topology-pinned scenario still gets the
-        # pinned cluster size.  A topology's own non-default keep-alive
-        # wins over the config's.
+        # horizon_ms).  keep_alive_ms is an orthogonal knob and carries
+        # over — a short-keep-alive experiment of a topology-pinned
+        # scenario still gets the pinned cluster size.  A topology's own
+        # non-default keep-alive wins over the config's.
         topology = scenario.topology
         keep_alive_ms = (
             topology.keep_alive_ms
             if topology.keep_alive_ms != default_cluster.keep_alive_ms
             else cluster_config.keep_alive_ms
         )
-        cluster_config = replace(
-            topology.to_cluster_config(index_mode=cluster_config.index_mode),
-            keep_alive_ms=keep_alive_ms,
-        )
+        cluster_config = replace(topology.to_cluster_config(), keep_alive_ms=keep_alive_ms)
     churn = config.churn
     if churn is None and scenario is not None:
         churn = scenario.churn

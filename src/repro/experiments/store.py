@@ -4,8 +4,8 @@ Every run in this repository is a pure function of its
 :class:`~repro.experiments.engine.RunSpec`: the policy recipe, the demand
 side (setting or scenario), the seed and the platform configuration fully
 determine the :class:`~repro.cluster.metrics.RunSummary` (the tier-1 parity
-suites pin this across processes, index modes, metrics modes and workload
-modes, and the golden corpus pins the summaries themselves).  Re-simulating an identical cell is therefore pure
+suites pin this across processes and workload modes, and the golden corpus
+pins the summaries themselves).  Re-simulating an identical cell is therefore pure
 waste — exactly the cell production experiment managers cache.
 
 A :class:`ResultStore` keys each run by a **stable content hash** of the
@@ -17,7 +17,7 @@ spec's code-relevant fields:
 * every :class:`~repro.experiments.runner.ExperimentConfig` knob that can
   change the simulated outcome — seed, request count, noise, configuration
   space, cluster shape, controller, burstiness, horizon, churn, autoscale,
-  and the index/metrics/workload modes,
+  and the workload mode,
 * the store schema version (bumping it invalidates every older entry).
 
 Presentation-only fields are explicitly **excluded**: a spec's ``label``,
@@ -57,7 +57,7 @@ from typing import TYPE_CHECKING, Iterator, Mapping
 
 import numpy as np
 
-from repro.cluster.metrics import MetricsCollector, RunSummary
+from repro.cluster.metrics import RunSummary
 from repro.workloads.generator import WORKLOAD_SETTINGS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
@@ -78,7 +78,8 @@ __all__ = [
 #: change legitimately alters summaries without touching any spec field).
 #: v2: the key document gained the ``autoscale`` config field.
 #: v3: the event-loop mode left the key document (the simulator has one loop).
-STORE_SCHEMA_VERSION = 3
+#: v4: the metrics mode and the cluster's index mode left the key document.
+STORE_SCHEMA_VERSION = 4
 
 #: The payload kind the store holds today: a bare :class:`RunSummary`.
 SUMMARY_KIND = "summary"
@@ -210,7 +211,6 @@ def spec_key_doc(spec: "RunSpec") -> dict[str, object]:
             "controller": _canonical(config.controller),
             "burstiness": config.burstiness,
             "max_time_ms": config.max_time_ms,
-            "metrics_mode": config.metrics.mode,
             "workload_mode": config.workload_mode,
             "churn": _canonical(churn),
             "autoscale": _canonical(autoscale),
@@ -340,8 +340,8 @@ class ResultStore:
         caller that needs ``requests`` or a live metrics collector must run
         the cell (honouring ``summary_only`` semantics is the store's job,
         not each call site's).  A served result is indistinguishable from a
-        ``summary_only`` engine execution — same placeholder collector,
-        same empty request list, byte-identical summary.
+        ``summary_only`` engine execution — no collector, the same empty
+        request list, byte-identical summary.
         """
         from repro.experiments.runner import RunResult
 
@@ -364,7 +364,7 @@ class ResultStore:
             policy_name=summary.policy,
             setting=setting,
             summary=summary,
-            metrics=MetricsCollector.placeholder_from_summary(summary),
+            metrics=None,
             requests=[],
             scenario_name=scenario_name,
         )

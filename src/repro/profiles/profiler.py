@@ -85,6 +85,14 @@ class FunctionProfile:
         """Predicted per-job cost of ``config``."""
         return self.entry(config).per_job_cost_cents
 
+    def table_key(self) -> tuple[tuple[Configuration, float, float], ...]:
+        """The ``(config, latency_ms, per_job_cost_cents)`` rows, by value.
+
+        In latency order.  Memos of searches over the profile key on it:
+        it equals across runs, each of which builds its own store.
+        """
+        return tuple((e.config, e.latency_ms, e.per_job_cost_cents) for e in self._by_latency)
+
     def __contains__(self, config: Configuration) -> bool:
         return config in self.entries
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+import repro.baselines.orion as orion_module
 from repro.baselines.orion import OrionPolicy
+from repro.profiles.profiler import ProfileStore
 from repro.cluster.cluster import ClusterConfig, ClusterState
 from repro.cluster.datatransfer import DataTransferModel
 from repro.cluster.policy_api import AFWQueue, SchedulingContext
@@ -139,3 +141,78 @@ class TestPlanning:
             OrionPolicy(per_expansion_ms=0.0)
         with pytest.raises(ValueError):
             OrionPolicy(p95_factor=0.5)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"cutoff_ms": float("nan")}, "cutoff_ms must be positive and finite, got nan"),
+            ({"cutoff_ms": float("inf")}, "cutoff_ms must be positive and finite, got inf"),
+            ({"per_expansion_ms": float("nan")}, "per_expansion_ms must be positive and finite"),
+            ({"per_expansion_ms": float("inf")}, "per_expansion_ms must be positive and finite"),
+            ({"cutoff_ms": 1e300, "per_expansion_ms": 1e-10}, "overflows"),
+            ({"p95_factor": float("nan")}, "p95_factor must be finite and >= 1, got nan"),
+            ({"p95_factor": float("inf")}, "p95_factor must be finite and >= 1, got inf"),
+        ],
+    )
+    def test_non_finite_parameters_rejected_at_construction(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            OrionPolicy(**overrides)
+
+
+@pytest.fixture()
+def searches(monkeypatch) -> list:
+    """An empty process-level memo, and a log of the searches actually run."""
+    monkeypatch.setattr(orion_module, "_SEARCH_RESULTS", {})
+    log = []
+    search = OrionPolicy.search
+
+    def logged(self, workflow, slo_ms):
+        log.append((workflow.name, slo_ms))
+        return search(self, workflow, slo_ms)
+
+    monkeypatch.setattr(OrionPolicy, "search", logged)
+    return log
+
+
+def plan_first_stage(policy: OrionPolicy, store, slo_factor: float = 1.2):
+    queue, (request,) = make_queue_with_request(store, slo_factor=slo_factor)
+    decision = policy.plan(queue, now_ms=1.0)
+    return request.static_plan, decision.reported_overhead_ms
+
+
+class TestSearchMemo:
+    def test_identical_inputs_search_once_per_process(self, small_store, searches):
+        first = bound_orion(small_store)
+        plan, overhead = plan_first_stage(first, small_store)
+        # A separately built store with the same content hits the memo too.
+        second = bound_orion(ProfileStore.build(space=small_store.space))
+        memo_plan, memo_overhead = plan_first_stage(second, small_store)
+        assert len(searches) == 1
+        assert (memo_plan, memo_overhead) == (plan, overhead) and memo_overhead > 0
+        # Each run counts its own resolution, memo answers included.
+        assert first.searches_performed == second.searches_performed == 1
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"cutoff_ms": 50.0}, {"per_expansion_ms": 0.04}, {"p95_factor": 1.1}, {"bundling": False}],
+        ids=["cutoff", "per-expansion", "p95", "bundling"],
+    )
+    def test_any_changed_setting_searches_again(self, small_store, searches, overrides):
+        plan_first_stage(bound_orion(small_store), small_store)
+        plan_first_stage(bound_orion(small_store, **overrides), small_store)
+        assert len(searches) == 2
+
+    def test_exact_slo_and_profiles_are_part_of_the_key(self, small_store, default_store, searches):
+        plan_first_stage(bound_orion(small_store), small_store, slo_factor=1.2)
+        plan_first_stage(bound_orion(small_store), small_store, slo_factor=1.2 + 1e-12)
+        plan_first_stage(bound_orion(default_store), small_store, slo_factor=1.2)
+        assert len(searches) == 3
+
+    def test_memo_is_cleared_when_full(self, small_store, searches, monkeypatch):
+        monkeypatch.setattr(orion_module, "SEARCH_RESULTS_LIMIT", 2)
+        policy = bound_orion(small_store)
+        for factor in (1.0, 1.5, 2.0):
+            plan_first_stage(policy, small_store, slo_factor=factor)
+        assert len(orion_module._SEARCH_RESULTS) == 1
+        plan_first_stage(bound_orion(small_store), small_store, slo_factor=1.0)
+        assert len(searches) == 4

@@ -7,15 +7,12 @@ import dataclasses
 
 import pytest
 
-import repro.cluster.autoscale as autoscale_module
 from repro.cluster.autoscale import (
     AUTOSCALE_SPECS,
-    AutoscaleAction,
     AutoscalePolicy,
     AutoscaleSpec,
     AutoscaleState,
     Autoscaler,
-    LearnedAgent,
     PIDController,
     ThresholdController,
     autoscale_spec_names,
@@ -69,6 +66,7 @@ class TestSpecValidation:
         [
             {"name": ""},
             {"kind": "dqn"},
+            {"kind": "learned"},
             {"decide_interval_ms": 0.0},
             {"min_residents": -1},
             {"max_residents": 0},
@@ -90,6 +88,46 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             AutoscaleSpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("decide_interval_ms", float("nan")),
+            ("decide_interval_ms", float("inf")),
+            ("high_watermark", float("nan")),
+            ("low_watermark", float("nan")),
+            ("low_rate_per_s", float("nan")),
+            ("kp", float("nan")),
+            ("ki", float("inf")),
+            ("kd", float("nan")),
+            ("setpoint", float("nan")),
+            ("ewma_alpha", float("nan")),
+            ("integral_clamp", float("nan")),
+        ],
+    )
+    def test_non_finite_floats_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite, got {value!r}"):
+            AutoscaleSpec(name="t", **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_step", 2.5),
+            ("step_up", 1.5),
+            ("step_down", 1.5),
+            ("down_patience", 2.5),
+            ("min_residents", 0.5),
+            ("max_residents", 4.5),
+            ("max_residents", True),
+        ],
+    )
+    def test_non_integer_counts_rejected(self, field, value):
+        with pytest.raises(TypeError, match=f"{field} must be an int, got {value!r}"):
+            AutoscaleSpec(name="t", **{field: value})
+
+    def test_every_registered_spec_constructs(self):
+        for spec in AUTOSCALE_SPECS.values():
+            assert dataclasses.replace(spec) == spec
+
     def test_build_controller_dispatches_on_kind(self):
         assert isinstance(
             AutoscaleSpec(name="a", kind="threshold").build_controller(),
@@ -97,9 +135,6 @@ class TestSpecValidation:
         )
         assert isinstance(
             AutoscaleSpec(name="b", kind="pid").build_controller(), PIDController
-        )
-        assert isinstance(
-            AutoscaleSpec(name="c", kind="learned").build_controller(), LearnedAgent
         )
 
     def test_controllers_are_fresh_per_build(self):
@@ -113,10 +148,10 @@ class TestRegistry:
             "threshold-default",
             "threshold-conservative",
             "pid-default",
-            "learned-stub",
         ):
             assert get_autoscale_spec(name).name == name
         assert autoscale_spec_names() == sorted(AUTOSCALE_SPECS)
+        assert "learned-stub" not in AUTOSCALE_SPECS
 
     def test_unknown_name_lists_known_specs(self):
         with pytest.raises(KeyError, match="known specs"):
@@ -235,34 +270,10 @@ class TestPIDController:
         assert controller.decide(make_state(queue_depth=2)).delta == 0
 
 
-class TestLearnedAgent:
-    def test_greedy_backlog_bounded_by_max_step(self):
-        agent = LearnedAgent(max_step=2)
-        assert agent.decide(make_state(queue_depth=9, residents=1)).delta == 2
-        assert agent.decide(make_state(queue_depth=2, residents=1)).delta == 1
-
-    def test_idle_shrink_and_hold(self):
-        agent = LearnedAgent(max_step=2)
-        idle = make_state(queue_depth=0, arrival_rate_per_s=0.0, residents=2)
-        assert agent.decide(idle).delta == -1
-        empty = make_state(queue_depth=0, arrival_rate_per_s=0.0, residents=0)
-        assert agent.decide(empty).delta == 0
-
-    def test_replay_buffer_records_and_caps_fifo(self, monkeypatch):
-        monkeypatch.setattr(autoscale_module, "LEARNED_BUFFER_CAP", 3)
-        agent = LearnedAgent(max_step=1)
-        for depth in range(5):
-            state = make_state(queue_depth=depth)
-            agent.record_transition(state, AutoscaleAction(delta=0))
-        assert len(agent.transitions) == 3
-        # Oldest entries dropped: depths 2, 3, 4 remain.
-        assert [s.queue_depth for s, _ in agent.transitions] == [2, 3, 4]
-
-    def test_base_policy_is_abstract_but_hook_is_optional(self):
-        policy = AutoscalePolicy()
+class TestBasePolicy:
+    def test_base_policy_is_abstract(self):
         with pytest.raises(NotImplementedError):
-            policy.decide(make_state())
-        policy.record_transition(make_state(), AutoscaleAction(delta=0))  # no-op
+            AutoscalePolicy().decide(make_state())
 
 
 # ----------------------------------------------------------------------

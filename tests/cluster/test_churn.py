@@ -47,14 +47,9 @@ def store() -> ProfileStore:
     return ProfileStore.build()
 
 
-def small_cluster(index_mode: str = "indexed", num_invokers: int = 4) -> ClusterState:
+def small_cluster(num_invokers: int = 4) -> ClusterState:
     return ClusterState(
-        config=ClusterConfig(
-            num_invokers=num_invokers,
-            vcpus_per_invoker=8,
-            vgpus_per_invoker=4,
-            index_mode=index_mode,
-        )
+        config=ClusterConfig(num_invokers=num_invokers, vcpus_per_invoker=8, vgpus_per_invoker=4)
     )
 
 
@@ -164,10 +159,9 @@ class TestChurnSpec:
 # ----------------------------------------------------------------------
 # Cluster membership mutations
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("index_mode", ["indexed", "scan"])
 class TestClusterChurn:
-    def test_join_appends_dense_ids_and_grows_totals(self, index_mode):
-        cluster = small_cluster(index_mode)
+    def test_join_appends_dense_ids_and_grows_totals(self):
+        cluster = small_cluster()
         joined = cluster.apply_join()
         assert joined.invoker_id == 4
         assert len(cluster) == 5
@@ -177,8 +171,8 @@ class TestClusterChurn:
         assert (custom.total_vcpus, custom.gpu.total_vgpus) == (2, 1)
         assert cluster.total_vgpus() == 5 * 4 + 1
 
-    def test_leave_tombstones_and_conserves_capacity(self, index_mode):
-        cluster = small_cluster(index_mode)
+    def test_leave_tombstones_and_conserves_capacity(self):
+        cluster = small_cluster()
         cluster.invoker(1).create_warm_container("classification", 0.0)
         evicted = cluster.apply_leave(1)
         assert [c.state for c in evicted] == [ContainerState.STOPPED]
@@ -192,8 +186,8 @@ class TestClusterChurn:
         assert cluster.apply_leave(1) == []
         assert cluster.total_vcpus() == 3 * 8
 
-    def test_resize_clamps_to_used_and_one(self, index_mode):
-        cluster = small_cluster(index_mode)
+    def test_resize_clamps_to_used_and_one(self):
+        cluster = small_cluster()
         invoker = cluster.invoker(0)
         invoker._used_vcpus = 4
         invoker.gpu._used_vgpus = 2
@@ -205,14 +199,14 @@ class TestClusterChurn:
         assert invoker.total_vgpus == invoker.gpu.total_vgpus == 8
         assert cluster.total_vgpus() == 3 * 4 + 8
 
-    def test_resize_of_departed_node_is_a_no_op(self, index_mode):
-        cluster = small_cluster(index_mode)
+    def test_resize_of_departed_node_is_a_no_op(self):
+        cluster = small_cluster()
         cluster.apply_leave(2)
         assert cluster.apply_resize(2, 16, 8) == (0, 0)
         assert cluster.total_vcpus() == 3 * 8
 
-    def test_utilization_uses_dynamic_membership(self, index_mode):
-        cluster = small_cluster(index_mode)
+    def test_utilization_uses_dynamic_membership(self):
+        cluster = small_cluster()
         assert cluster.cpu_utilization() == 0.0
         cluster.apply_leave(3)
         assert cluster.cpu_utilization() == 0.0  # 24 free of 24 current
@@ -221,7 +215,7 @@ class TestClusterChurn:
 
 class TestIndexedChurnConsistency:
     def test_leave_rebuckets_to_zero_and_join_is_placeable(self):
-        cluster = small_cluster("indexed")
+        cluster = small_cluster()
         cluster.apply_leave(0)
         assert cluster._bucket_of[0] == (0, 0)
         joined = cluster.apply_join()
@@ -233,7 +227,7 @@ class TestIndexedChurnConsistency:
         assert cluster.invoker(0) not in fitting
 
     def test_join_invalidates_home_cache(self):
-        cluster = small_cluster("indexed")
+        cluster = small_cluster()
         before = cluster.home_invoker_id("app", "classification")
         assert before == cluster._hash_home("app", "classification")
         cluster.apply_join()

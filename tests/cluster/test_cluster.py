@@ -93,9 +93,3 @@ class TestClusterState:
         assert cluster.gpu_utilization() == pytest.approx(0.5)
         assert cluster.total_available_vgpus() == 7
 
-    def test_expire_containers_counts(self):
-        cluster = ClusterState(config=ClusterConfig(num_invokers=2, keep_alive_ms=100.0))
-        cluster.invoker(0).create_warm_container("deblur", 0.0)
-        cluster.invoker(1).create_warm_container("deblur", 0.0)
-        assert cluster.expire_containers(50.0) == 0
-        assert cluster.expire_containers(150.0) == 2

@@ -1,37 +1,30 @@
-"""Parity tests: indexed cluster queries vs. the scan-based reference path.
+"""The cluster's indexed queries against a brute-force oracle.
 
 The indexes (free-capacity buckets, per-function warm index, counters) must
-answer every cluster-wide query byte-identically to the original linear
-scans — under arbitrary interleavings of reservations, releases and
-container lifecycle transitions.  These tests drive an indexed and a
-scan-mode cluster through identical operation sequences and compare every
-query after every step.
+answer every cluster-wide query exactly as a linear scan over
+``cluster.invokers`` would, under arbitrary interleavings of reservations,
+releases and container lifecycle transitions.  The scans live here, as the
+oracle: a random operation sequence checks every query after every step.
 """
 
 from __future__ import annotations
 
+import collections
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.cluster.cluster import ClusterConfig, ClusterState
 from repro.cluster.container import Container, ContainerState
+from repro.experiments.runner import (
+    DEFAULT_POLICIES,
+    ExperimentConfig,
+    build_profile_store,
+    run_experiment,
+)
 from repro.profiles.configuration import Configuration
-
-
-def make_pair(num_invokers: int = 8, keep_alive_ms: float = 100.0):
-    indexed = ClusterState(
-        config=ClusterConfig(
-            num_invokers=num_invokers, keep_alive_ms=keep_alive_ms, index_mode="indexed"
-        )
-    )
-    scan = ClusterState(
-        config=ClusterConfig(
-            num_invokers=num_invokers, keep_alive_ms=keep_alive_ms, index_mode="scan"
-        )
-    )
-    return indexed, scan
-
+from repro.workloads.applications import build_paper_applications
 
 QUERY_CONFIGS = [
     Configuration(1, 1, 1),
@@ -39,83 +32,206 @@ QUERY_CONFIGS = [
     Configuration(1, 8, 4),
     Configuration(1, 16, 7),
 ]
+FUNCTIONS = ("classification", "deblur")
+PAPER_SCENARIOS = ("paper-strict-light", "paper-moderate-normal", "paper-relaxed-heavy")
+_LIVE = (ContainerState.WARM, ContainerState.BUSY, ContainerState.STARTING)
 
 
-def assert_query_parity(indexed: ClusterState, scan: ClusterState, now_ms: float) -> None:
+def ids(invokers) -> list[int] | int | None:
+    if invokers is None:
+        return None
+    if isinstance(invokers, tuple):
+        return [invoker.invoker_id for invoker in invokers]
+    return invokers.invoker_id
+
+
+def scan_best_fitting(cluster: ClusterState, config: Configuration, key):
+    fitting = [inv for inv in cluster.invokers if inv.can_fit(config)]
+    if not fitting:
+        return None
+    return min(
+        fitting,
+        key=lambda inv: (key(inv.available_vcpus, inv.available_vgpus), inv.invoker_id),
+    )
+
+
+def assert_matches_scan(cluster: ClusterState, now_ms: float, functions=FUNCTIONS) -> None:
+    """Every indexed query equals the brute-force scan over the invokers."""
+    invokers = cluster.invokers
+    total_vcpus = cluster.config.vcpus_per_invoker
     for cfg in QUERY_CONFIGS:
-        assert [i.invoker_id for i in indexed.invokers_that_fit(cfg)] == [
-            i.invoker_id for i in scan.invokers_that_fit(cfg)
+        assert ids(cluster.invokers_that_fit(cfg)) == [
+            inv.invoker_id for inv in invokers if inv.can_fit(cfg)
         ]
-        a = indexed.most_available_invoker(cfg)
-        b = scan.most_available_invoker(cfg)
-        assert (a.invoker_id if a else None) == (b.invoker_id if b else None)
+        most = scan_best_fitting(cluster, cfg, lambda cpu, gpu: -(gpu + cpu / total_vcpus))
+        assert ids(cluster.most_available_invoker(cfg)) == ids(most)
         frag_key = lambda cpu, gpu: (gpu - cfg.vgpus, cpu - cfg.vcpus)  # noqa: E731
-        a = indexed.best_fitting_invoker(cfg, key=frag_key)
-        b = scan.best_fitting_invoker(cfg, key=frag_key)
-        assert (a.invoker_id if a else None) == (b.invoker_id if b else None)
-    for fn in ("classification", "deblur"):
-        assert [i.invoker_id for i in indexed.warm_invokers_for(fn, now_ms)] == [
-            i.invoker_id for i in scan.warm_invokers_for(fn, now_ms)
-        ]
-        assert indexed.has_warm_invoker(fn, now_ms) == scan.has_warm_invoker(fn, now_ms)
-        assert indexed.resident_container_count(fn) == scan.resident_container_count(fn)
-    assert indexed.total_available_vcpus() == scan.total_available_vcpus()
-    assert indexed.total_available_vgpus() == scan.total_available_vgpus()
-    assert indexed.cpu_utilization() == scan.cpu_utilization()
-    assert indexed.gpu_utilization() == scan.gpu_utilization()
+        assert ids(cluster.best_fitting_invoker(cfg, key=frag_key)) == ids(
+            scan_best_fitting(cluster, cfg, frag_key)
+        )
+    for fn in functions:
+        warm = [inv.invoker_id for inv in invokers if inv.has_warm_container(fn, now_ms)]
+        assert ids(cluster.warm_invokers_for(fn, now_ms)) == warm
+        assert cluster.has_warm_invoker(fn, now_ms) == bool(warm)
+        assert set(cluster.warm_candidate_ids(fn)) == {
+            inv.invoker_id
+            for inv in invokers
+            if any(
+                c.state in (ContainerState.WARM, ContainerState.BUSY)
+                for c in inv.containers_for(fn)
+            )
+        }
+        assert cluster.resident_container_count(fn) == sum(
+            1 for inv in invokers for c in inv.containers_for(fn) if c.state in _LIVE
+        )
+    free_vcpus = sum(inv.available_vcpus for inv in invokers)
+    free_vgpus = sum(inv.available_vgpus for inv in invokers)
+    assert cluster.total_available_vcpus() == free_vcpus
+    assert cluster.total_available_vgpus() == free_vgpus
+    assert cluster.cpu_utilization() == 1.0 - free_vcpus / sum(i.total_vcpus for i in invokers)
+    assert cluster.gpu_utilization() == 1.0 - free_vgpus / sum(i.total_vgpus for i in invokers)
+
+
+def stop_expired(cluster: ClusterState, now_ms: float) -> None:
+    """Stop every idle container at or past its keep-alive deadline."""
+    for invoker in cluster.invokers:
+        for fn in FUNCTIONS:
+            for container in invoker.containers_for(fn):
+                if container.state is ContainerState.WARM and now_ms >= container.expires_at_ms:
+                    container.mark_stopped()
 
 
 class TestIndexParityUnderRandomOperations:
-    def test_randomised_lifecycle_and_capacity_parity(self):
-        rng = random.Random(1234)
-        indexed, scan = make_pair()
-        reserved: list[Configuration] = []
-        containers: list[tuple[Container, Container]] = []
+    @pytest.mark.parametrize("seed", [1234, 7, 99])
+    def test_randomised_lifecycle_and_capacity_parity(self, seed):
+        rng = random.Random(seed)
+        cluster = ClusterState(config=ClusterConfig(num_invokers=8, keep_alive_ms=100.0))
+        reserved: list[tuple[int, Configuration]] = []
+        containers: list[Container] = []
         now = 0.0
 
-        for step in range(400):
+        for _ in range(400):
             now += rng.uniform(0.0, 30.0)
             op = rng.random()
-            inv = rng.randrange(len(indexed))
+            inv = rng.randrange(len(cluster))
             if op < 0.30:
                 cfg = Configuration(1, rng.randint(1, 4), rng.randint(1, 3))
-                if indexed.invoker(inv).can_fit(cfg):
-                    indexed.invoker(inv).reserve(cfg)
-                    scan.invoker(inv).reserve(cfg)
+                if cluster.invoker(inv).can_fit(cfg):
+                    cluster.invoker(inv).reserve(cfg)
                     reserved.append((inv, cfg))
             elif op < 0.50 and reserved:
                 inv, cfg = reserved.pop(rng.randrange(len(reserved)))
-                indexed.invoker(inv).release(cfg)
-                scan.invoker(inv).release(cfg)
+                cluster.invoker(inv).release(cfg)
             elif op < 0.65:
-                fn = rng.choice(("classification", "deblur"))
-                a = indexed.invoker(inv).create_warm_container(fn, now)
-                b = scan.invoker(inv).create_warm_container(fn, now)
-                containers.append((a, b))
+                fn = rng.choice(FUNCTIONS)
+                containers.append(cluster.invoker(inv).create_warm_container(fn, now))
             elif op < 0.80 and containers:
-                a, b = rng.choice(containers)
-                if a.state == ContainerState.WARM and a.is_warm_idle(now):
-                    a.assign_task()
-                    b.assign_task()
+                container = rng.choice(containers)
+                if container.state == ContainerState.WARM and container.is_warm_idle(now):
+                    container.assign_task()
             elif op < 0.90 and containers:
-                a, b = rng.choice(containers)
-                if a.active_tasks > 0:
-                    a.release_task(now, 100.0)
-                    b.release_task(now, 100.0)
+                container = rng.choice(containers)
+                if container.active_tasks > 0:
+                    container.release_task(now, 100.0)
             else:
-                assert indexed.expire_containers(now) == scan.expire_containers(now)
-            assert_query_parity(indexed, scan, now)
+                stop_expired(cluster, now)
+            assert_matches_scan(cluster, now)
 
     def test_direct_gpu_mutation_keeps_capacity_index_fresh(self):
-        indexed, scan = make_pair(num_invokers=4)
+        cluster = ClusterState(config=ClusterConfig(num_invokers=4))
         # Bypass Invoker.reserve entirely: the GPU's change hook must still
         # keep the bucket index consistent.
-        indexed.invoker(2).gpu.allocate(5)
-        scan.invoker(2).gpu.allocate(5)
-        assert_query_parity(indexed, scan, 0.0)
-        indexed.invoker(2).gpu.release(3)
-        scan.invoker(2).gpu.release(3)
-        assert_query_parity(indexed, scan, 0.0)
+        cluster.invoker(2).gpu.allocate(5)
+        assert_matches_scan(cluster, 0.0)
+        cluster.invoker(2).gpu.release(3)
+        assert_matches_scan(cluster, 0.0)
+
+    def test_churn_keeps_indexes_consistent(self):
+        cluster = ClusterState(config=ClusterConfig(num_invokers=4))
+        cluster.invoker(1).create_warm_container("deblur", 0.0)
+        cluster.invoker(2).reserve(Configuration(1, 4, 2))
+        cluster.apply_resize(2, 6, 3)
+        cluster.apply_leave(1)
+        cluster.apply_join(8, 4)
+        assert_matches_scan(cluster, 1.0)
+
+
+class TestIndexesAlongWholeRuns:
+    """Every query matches its scan after every event of whole runs.
+
+    The fuzz above drives the cluster directly; these runs drive it through
+    the controller: dispatch, keep-alive expiry, prewarming and churn, on
+    the paper's cluster and a 64-invoker one.
+    """
+
+    BASE = ExperimentConfig(num_requests=16)
+    #: Only the home invoker starts warm, so containers start and expire.
+    WARM_AT_HOME = BASE.with_overrides(controller=replace(BASE.controller, initial_warm="home"))
+    #: Two invokers under 24 diurnal requests: the backlog makes both
+    #: autoscalers prewarm (on the paper's 16 they hold inside the band).
+    AUTOSCALED = WARM_AT_HOME.with_overrides(
+        num_requests=24, cluster=replace(BASE.cluster, num_invokers=2)
+    )
+
+    @pytest.fixture(scope="class")
+    def store(self):
+        return build_profile_store()
+
+    def audit(self, store, task_log, policy, scenario, config=BASE):
+        """Run with every query checked after each event.
+
+        Returns the run's summary, its event counts by type and its cluster.
+        """
+        apps = build_paper_applications()
+        functions = sorted({fn for app in apps for fn in app.function_names()})
+        events = collections.Counter()
+
+        class IndexAudit(task_log):
+            def _record(self, simulation, event) -> None:
+                assert_matches_scan(simulation.cluster, simulation.now_ms, functions)
+                events[type(event).__name__] += 1
+
+        with IndexAudit().capturing() as log:
+            result = run_experiment(policy, config=config, profile_store=store, scenario=scenario)
+        (simulation,) = log.simulations
+        assert events["TaskCompletionEvent"] > 0
+        return result.summary, events, simulation.cluster
+
+    @pytest.mark.parametrize("scenario", PAPER_SCENARIOS)
+    def test_esg_on_the_paper_scenarios(self, store, task_log, scenario):
+        self.audit(store, task_log, "ESG", scenario)
+
+    @pytest.mark.parametrize("policy", [p for p in DEFAULT_POLICIES if p != "ESG"])
+    def test_baselines(self, store, task_log, policy):
+        self.audit(store, task_log, policy, "paper-moderate-normal")
+
+    @pytest.mark.parametrize(
+        "policy, scenario", [("ESG", "churn-eviction-fail"), ("Orion", "harvest-severe-normal")]
+    )
+    def test_churn(self, store, task_log, policy, scenario):
+        _, events, _ = self.audit(store, task_log, policy, scenario)
+        assert events["InvokerLeaveEvent"] + events["InvokerResizeEvent"] > 0
+
+    @pytest.mark.parametrize("spec", ["threshold-default", "pid-default"])
+    def test_autoscaled_runs(self, store, task_log, spec):
+        config = self.AUTOSCALED.with_overrides(autoscale=spec)
+        _, events, _ = self.audit(store, task_log, "ESG", "diurnal-normal", config)
+        assert events["PrewarmCompleteEvent"] > 0
+
+    @pytest.mark.parametrize("keep_alive_ms", [2.0, 80.0])
+    def test_short_keep_alive(self, store, task_log, keep_alive_ms):
+        config = self.WARM_AT_HOME.with_overrides(
+            cluster=replace(self.BASE.cluster, keep_alive_ms=keep_alive_ms)
+        )
+        summary, events, _ = self.audit(store, task_log, "ESG", "paper-moderate-normal", config)
+        assert summary.cold_starts > 0
+        assert events["ContainerExpireEvent"] > 0
+
+    @pytest.mark.parametrize("policy", ["ESG", "INFless"])
+    def test_64_invokers(self, store, task_log, policy):
+        config = self.BASE.with_overrides(cluster=replace(self.BASE.cluster, num_invokers=64))
+        _, _, cluster = self.audit(store, task_log, policy, "paper-moderate-normal", config)
+        assert len(cluster) == 64
 
 
 class TestIndexBackedReturnTypes:
@@ -126,10 +242,6 @@ class TestIndexBackedReturnTypes:
         cluster.invoker(1).create_warm_container("deblur", 0.0)
         assert isinstance(cluster.invokers_that_fit(Configuration(1, 1, 1)), tuple)
         assert isinstance(cluster.warm_invokers_for("deblur", 0.0), tuple)
-        # Scan mode keeps the same (immutable) contract.
-        scan = ClusterState(config=ClusterConfig(num_invokers=3, index_mode="scan"))
-        assert isinstance(scan.invokers_that_fit(Configuration(1, 1, 1)), tuple)
-        assert isinstance(scan.warm_invokers_for("deblur", 0.0), tuple)
 
     def test_empty_warm_index_returns_empty_tuple(self):
         cluster = ClusterState(config=ClusterConfig(num_invokers=2))
@@ -187,9 +299,3 @@ class TestIndexedCounters:
         cluster.invoker(0).release(Configuration(1, 8, 3))
         assert cluster.total_available_vcpus() == 3 * 16 - 2
         assert cluster.total_available_vgpus() == 3 * 7 - 1
-
-
-class TestInvalidIndexMode:
-    def test_rejected(self):
-        with pytest.raises(ValueError):
-            ClusterConfig(index_mode="magic")

@@ -26,7 +26,7 @@ class TestLifecycle:
         assert c.is_resident(100.0)
         assert c.is_warm_idle(500.0)
         assert not c.is_warm_idle(1200.0)
-        assert c.is_expired(1200.0)
+        assert c.expires_at_ms == 1100.0
 
     def test_assign_and_release_task(self):
         c = make_container(state=ContainerState.WARM, warm_at_ms=0.0)

@@ -117,13 +117,12 @@ class TestEndToEndMechanics:
             assert invoker.used_vcpus == 0
             assert invoker.used_vgpus == 0
 
-    def test_cost_positive_and_matches_tasks(self, store):
-        sim = build_simulation(FixedConfigPolicy(), make_requests(3), store)
+    def test_cost_positive_and_matches_tasks(self, store, task_log):
+        log = task_log()
+        sim = log.attach(build_simulation(FixedConfigPolicy(), make_requests(3), store))
         summary = sim.run()
         assert summary.total_cost_cents > 0
-        assert summary.total_cost_cents == pytest.approx(
-            sum(t.cost_cents for t in sim.metrics.tasks)
-        )
+        assert summary.total_cost_cents == pytest.approx(sum(t.cost_cents for t in log.tasks))
 
     def test_warm_cluster_has_no_cold_starts(self, store):
         sim = build_simulation(FixedConfigPolicy(), make_requests(3), store, initial_warm="all")
@@ -140,14 +139,14 @@ class TestEndToEndMechanics:
         # many cold starts as (function, node) pairs actually used.
         assert summary.cold_starts <= 3 * len(sim.cluster)
 
-    def test_batching_groups_jobs(self, store):
+    def test_batching_groups_jobs(self, store, task_log):
         # Ten requests arriving (almost) simultaneously with a batch-4 policy
         # must be grouped into fewer, larger tasks at the first stage.
         requests = make_requests(10, spacing_ms=0.1, slo_ms=20000.0)
         policy = FixedConfigPolicy(Configuration(4, 2, 2))
-        sim = build_simulation(policy, requests, store)
-        sim.run()
-        s1_tasks = [t for t in sim.metrics.tasks if t.stage_id == "s1"]
+        log = task_log()
+        log.attach(build_simulation(policy, requests, store)).run()
+        s1_tasks = [t for t in log.tasks if t.stage_id == "s1"]
         assert any(t.batch_size > 1 for t in s1_tasks)
         assert len(s1_tasks) < 10
 
@@ -201,7 +200,7 @@ def _many_app_requests(num_apps: int, slo_ms: float = 500_000.0) -> list[Request
     return requests
 
 
-def _standalone_controller(store, policy, index_mode: str, num_invokers: int = 1):
+def _standalone_controller(store, policy, num_invokers: int = 1):
     """A controller wired up outside a Simulation (events collected to a list)."""
     from repro.cluster.cluster import ClusterState
     from repro.cluster.controller import Controller
@@ -209,9 +208,7 @@ def _standalone_controller(store, policy, index_mode: str, num_invokers: int = 1
     from repro.cluster.policy_api import SchedulingContext
     from repro.profiles.perf_model import AnalyticalPerformanceModel
 
-    cluster = ClusterState(
-        config=ClusterConfig(num_invokers=num_invokers, index_mode=index_mode)
-    )
+    cluster = ClusterState(config=ClusterConfig(num_invokers=num_invokers))
     events: list = []
     controller = Controller(
         policy=policy,
@@ -243,7 +240,7 @@ class TestManyQueues:
         # recheck_rounds_before_min rounds, then drain via forced minimum
         # dispatches — with the dirty-set bookkeeping settling to empty.
         policy = RefusingPolicy()
-        controller, events = _standalone_controller(store, policy, "indexed", num_invokers=4)
+        controller, events = _standalone_controller(store, policy, num_invokers=4)
         for request in _many_app_requests(300):
             controller.on_request_arrival(request, now_ms=1.0)
         assert controller.pending_jobs() == 300
@@ -273,36 +270,10 @@ class TestManyQueues:
         assert controller.metrics.forced_min_dispatches == 300
         assert total_completions == 300  # one completion event per forced dispatch
 
-    def test_recheck_storm_is_byte_identical_to_scan_mode(self, store):
-        class DeterministicFixedPolicy(FixedConfigPolicy):
-            # Report a modeled overhead so the summary carries no wall-clock
-            # noise (measured overhead differs even between two scan runs).
-            def plan(self, queue, now_ms):
-                decision = super().plan(queue, now_ms)
-                decision.reported_overhead_ms = 0.0
-                return decision
-
-        def run(index_mode: str):
-            sim = build_simulation(
-                DeterministicFixedPolicy(Configuration(1, 8, 4)),
-                _many_app_requests(36),
-                store,
-                cluster=ClusterConfig(num_invokers=1, index_mode=index_mode),
-            )
-            summary = sim.run()
-            order = [(t.app_name, t.dispatch_ms, t.invoker_id) for t in sim.metrics.tasks]
-            return summary, order
-
-        indexed_summary, indexed_order = run("indexed")
-        scan_summary, scan_order = run("scan")
-        assert indexed_summary == scan_summary
-        assert indexed_order == scan_order
-        assert indexed_summary.forced_min_dispatches > 0  # storm actually happened
-
     def test_pending_jobs_counter_and_dirty_set_follow_queue_mutations(self, store):
         from repro.workloads.request import Job
 
-        controller, _ = _standalone_controller(store, RefusingPolicy(), "indexed")
+        controller, _ = _standalone_controller(store, RefusingPolicy())
         requests = _many_app_requests(5)
         for request in requests:
             controller.register_workflow(request.workflow)

@@ -1,11 +1,12 @@
 """Event-driven container expiry: boundary, racing and staleness edges.
 
-Indexed mode replaces the per-tick ``expire_containers`` scan with
-:class:`~repro.cluster.events.ContainerExpireEvent` timers using lazy
-cancellation.  These tests pin the edge semantics: expiry exactly at the
-keep-alive boundary, busy->warm transitions racing a stale expiry event,
-and whole-run equivalence with the scan path when containers actually
-expire mid-run.
+Containers expire through
+:class:`~repro.cluster.events.ContainerExpireEvent` timers with lazy
+cancellation, plus the controller's tick-time drain.  These tests pin the
+edge semantics: expiry exactly at the keep-alive boundary, busy->warm
+transitions racing a stale expiry event, and a capped run whose containers
+expire mid-run.  Whole runs with an 80 ms and a 2 ms keep-alive are golden
+cells (``tests/golden/lattice/esg-paper-moderate-normal-warm-home-ka*``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,12 @@ from repro.cluster.container import Container, ContainerState
 from repro.cluster.controller import ControllerConfig
 from repro.cluster.events import ContainerExpireEvent, SchedulerTickEvent
 from repro.cluster.simulator import EventLoop, Simulation, SimulationConfig
-from repro.experiments.runner import ExperimentConfig, run_experiment
+from repro.experiments.runner import (
+    ExperimentConfig,
+    build_requests,
+    make_policy,
+    run_experiment,
+)
 from repro.profiles.profiler import ProfileStore
 
 
@@ -37,10 +43,9 @@ class TestExpiryBoundary:
         event = ContainerExpireEvent(time_ms=container.expires_at_ms, container=container)
         assert event.time_ms == 100.0
         # At the boundary the container is already non-resident for queries
-        # (scan semantics: ``now >= expires_at`` expires) ...
+        # (``now >= expires_at`` expires) ...
         assert container.is_warm_idle(99.999)
         assert not container.is_warm_idle(100.0)
-        assert container.is_expired(100.0)
         # ... and the event firing at exactly that time stops it.
         event.apply(None)
         assert container.state is ContainerState.STOPPED
@@ -110,68 +115,32 @@ class TestHousekeepingEventLoop:
 
 
 class TestWholeRunEquivalence:
-    """Runs whose containers expire mid-simulation: event path == scan path."""
-
-    def _config(self, index_mode: str, keep_alive_ms: float) -> ExperimentConfig:
-        return ExperimentConfig(
-            num_requests=12,
-            cluster=ClusterConfig(keep_alive_ms=keep_alive_ms, index_mode=index_mode),
-            controller=ControllerConfig(initial_warm="home"),
-        )
-
-    def test_short_keep_alive_runs_are_byte_identical(self, store):
-        # 80 ms keep-alive is far below the inter-arrival gaps, so initial
-        # warm containers expire mid-run and later stages pay cold starts —
-        # exercising expiry-driven state divergence if any existed.
-        indexed = run_experiment(
-            "ESG", "moderate-normal", config=self._config("indexed", 80.0), profile_store=store
-        ).summary
-        scan = run_experiment(
-            "ESG", "moderate-normal", config=self._config("scan", 80.0), profile_store=store
-        ).summary
-        assert indexed == scan
-        assert indexed.cold_starts > 0  # expiry genuinely happened
-
-    def test_keep_alive_equal_to_tick_interval_stays_identical(self, store):
-        # Degenerate timing: keep-alive == the 2 ms tick interval, so expiry
-        # deadlines land exactly on tick timestamps.  The controller's
-        # tick-time expiry drain must make the result independent of how
-        # same-timestamp events interleave in the simulation heap.
-        indexed = run_experiment(
-            "ESG", "moderate-normal", config=self._config("indexed", 2.0), profile_store=store
-        ).summary
-        scan = run_experiment(
-            "ESG", "moderate-normal", config=self._config("scan", 2.0), profile_store=store
-        ).summary
-        assert indexed == scan
+    """Runs whose containers expire mid-simulation."""
 
     def test_max_events_cap_binds_on_productive_events_only(self, store):
-        # Housekeeping expiry events exist only in indexed mode; if they
-        # consumed the max_events budget the two paths would truncate at
-        # different simulation points.  Drive the simulator directly so we
-        # can pin max_events.
-        from repro.experiments.runner import build_requests, make_policy
-
-        def run_capped(index_mode: str):
-            sim = Simulation(
-                policy=make_policy("ESG"),
-                requests=build_requests("moderate-normal", 8, 3, store),
-                profile_store=store,
-                config=SimulationConfig(
-                    cluster=ClusterConfig(keep_alive_ms=80.0, index_mode=index_mode),
-                    controller=ControllerConfig(initial_warm="home"),
-                    max_events=120,
-                ),
-                setting_name="moderate-normal",
-            )
-            summary = sim.run()
-            return summary, sim.processed_events
-
-        indexed_summary, indexed_count = run_capped("indexed")
-        scan_summary, scan_count = run_capped("scan")
-        assert indexed_count == scan_count
-        assert indexed_summary == scan_summary
-        assert indexed_summary.truncated  # the cap genuinely bound
+        # Housekeeping expiry events must not consume the max_events budget,
+        # or the timers would move where a capped run stops.  The expected
+        # values are those of the run before event-driven expiry replaced
+        # the per-tick sweep (which had no housekeeping events at all).
+        sim = Simulation(
+            policy=make_policy("ESG"),
+            requests=build_requests("moderate-normal", 8, 3, store),
+            profile_store=store,
+            config=SimulationConfig(
+                cluster=ClusterConfig(keep_alive_ms=80.0),
+                controller=ControllerConfig(initial_warm="home"),
+                max_events=120,
+            ),
+            setting_name="moderate-normal",
+        )
+        summary = sim.run()
+        assert sim.processed_events == 120
+        assert summary.truncated  # the cap genuinely bound
+        assert (summary.num_completed, summary.cold_starts, summary.warm_starts) == (5, 10, 12)
+        assert (summary.local_transfers, summary.remote_transfers) == (10, 12)
+        assert summary.total_cost_cents == 9.174021587622644
+        assert summary.mean_latency_ms == 12343.902076316648
+        assert summary.total_vgpu_ms == 444310.52065099176
 
     def test_expiry_timers_do_not_trip_the_horizon(self, store):
         # Horizon far below the keep-alive: pending expiry timers beyond the
@@ -188,10 +157,8 @@ class TestWholeRunEquivalence:
         assert not summary.truncated
 
 
-class TestIndexedSimulationExpires(object):
+class TestIndexedSimulationExpires:
     def test_containers_actually_stop_during_an_indexed_run(self, store):
-        from repro.experiments.runner import build_requests, make_policy
-
         requests = build_requests("moderate-normal", 10, 5, store)
         sim = Simulation(
             policy=make_policy("ESG"),

@@ -105,19 +105,15 @@ class TestDifferential:
         assert calls["plan"] < ref_calls["plan"]
         assert calls["select_invoker"] < ref_calls["select_invoker"]
 
-    @pytest.mark.parametrize("index_mode", ["indexed", "scan"])
     @pytest.mark.parametrize("scenario", list(CHURN_SCENARIOS))
     @pytest.mark.parametrize("name", ["INFless", "FaST-GShare"])
-    def test_cross_pass_memo_is_byte_identical_under_churn(
-        self, name: str, scenario: str, index_mode: str
-    ) -> None:
+    def test_cross_pass_memo_is_byte_identical_under_churn(self, name: str, scenario: str) -> None:
         policy = PURE_POLICIES[name]()
         assert policy.time_invariant_decisions
         config = ExperimentConfig(
             num_requests=100,
             seed=1,
             autoscale=CHURN_SCENARIOS[scenario],
-            cluster=ClusterConfig(index_mode=index_mode),
         )
         summary, calls = counted_run(policy, scenario, config)
         ref_summary, ref_calls = counted_run(memo_off(PURE_POLICIES[name])(), scenario, config)
@@ -225,14 +221,13 @@ def build_controller(
     workflows,
     *,
     num_invokers: int = 1,
-    index_mode: str = "indexed",
     events: list | None = None,
     controller_cls: type[Controller] = Controller,
     **controller_config,
 ) -> Controller:
     """A controller over 16-vCPU nodes with no queued work; events go to
     ``events`` (discarded when ``None``)."""
-    cluster = ClusterState(config=ClusterConfig(num_invokers=num_invokers, index_mode=index_mode))
+    cluster = ClusterState(config=ClusterConfig(num_invokers=num_invokers))
     controller = controller_cls(
         policy=policy,
         cluster=cluster,
@@ -316,7 +311,7 @@ class TestInvalidation:
             policy = PerAppPolicy({"a": None, "b": TOO_BIG}, pure=pure)
             controller = standalone(store, policy, ("a", "b"))
             assert controller.run_scheduling_pass(now_ms=2.0) == 0
-            return policy.plans, controller.metrics.overhead_ms_samples
+            return policy.plans, list(controller.metrics.overhead_ms_samples)
 
         plans, samples = run(pure=True)
         ref_plans, ref_samples = run(pure=False)
@@ -403,10 +398,9 @@ class TestImpurePolicies:
 # Records that outlive the pass (time-invariant policies)
 # ----------------------------------------------------------------------
 A, B = ("a", "s1"), ("b", "s1")
-both_index_modes = pytest.mark.parametrize("index_mode", ["indexed", "scan"])
 
 
-def parked_b(store, index_mode: str, a_config, b_config):
+def parked_b(store, a_config, b_config):
     """Pass 1 dispatches a's task and parks b; pass 2 replays b's failure."""
     policy = PerQueuePolicy({A: a_config, B: b_config})
     events: list = []
@@ -415,7 +409,6 @@ def parked_b(store, index_mode: str, a_config, b_config):
         store,
         policy,
         workflows.values(),
-        index_mode=index_mode,
         events=events,
         recheck_rounds_before_min=100,
     )
@@ -464,25 +457,24 @@ BETWEEN_PASS_EVENTS = {
 }
 
 
-@both_index_modes
 class TestCrossPass:
     @pytest.mark.parametrize("event", list(BETWEEN_PASS_EVENTS))
-    def test_between_pass_event_forces_a_replan(self, store, index_mode, event) -> None:
+    def test_between_pass_event_forces_a_replan(self, store, event) -> None:
         a_config, b_config, apply, dispatches = BETWEEN_PASS_EVENTS[event]
         controller, policy, events, workflows = parked_b(
-            store, index_mode, a_config, b_config
+            store, a_config, b_config
         )
         apply(controller, events, workflows)
         assert controller.run_scheduling_pass(now_ms=4.0) == dispatches
         assert policy.plans[B] == 2
 
-    def test_an_unrelated_arrival_keeps_the_record(self, store, index_mode) -> None:
-        controller, policy, _, workflows = parked_b(store, index_mode, WHOLE_NODE, SMALL)
+    def test_an_unrelated_arrival_keeps_the_record(self, store) -> None:
+        controller, policy, _, workflows = parked_b(store, WHOLE_NODE, SMALL)
         arrive(controller, workflows["a"], 2, 3.5)
         assert controller.run_scheduling_pass(now_ms=4.0) == 0
         assert policy.plans == {A: 2, B: 1}
 
-    def test_purge_that_changes_the_head_forces_a_replan(self, store, index_mode) -> None:
+    def test_purge_that_changes_the_head_forces_a_replan(self, store) -> None:
         """A fail-mode leave of a node with no free capacity left bumps no
         epoch; it purges the queued job of the evicted request, and an
         arrival restores the queue's length, so only the head job changed."""
@@ -495,7 +487,6 @@ class TestCrossPass:
             store,
             policy,
             [workflow],
-            index_mode=index_mode,
             recheck_rounds_before_min=100,
         )
         controller.enable_churn("fail")
@@ -515,7 +506,7 @@ class TestCrossPass:
         assert policy.plans[s2] == 2
 
     def test_forced_minimum_record_is_replayed_across_passes(
-        self, store, index_mode
+        self, store
     ) -> None:
         policy = PerQueuePolicy({A: TOO_BIG})
         workflow = single_stage("a")
@@ -523,7 +514,6 @@ class TestCrossPass:
             store,
             policy,
             [workflow],
-            index_mode=index_mode,
             recheck_rounds_before_min=1,
         )
         arrive(controller, workflow, 0, 1.0)
@@ -546,7 +536,7 @@ class TestCrossPass:
         assert controller.run_scheduling_pass(now_ms=5.0) == 1
         assert controller.metrics.forced_min_dispatches == 1
 
-    def test_pure_esg_replans_in_every_pass(self, store, index_mode) -> None:
+    def test_pure_esg_replans_in_every_pass(self, store) -> None:
         policy = ESGPolicy()
         assert policy.pure_decisions and not policy.time_invariant_decisions
         workflows = [single_stage(app) for app in ("a", "b")]
@@ -554,7 +544,6 @@ class TestCrossPass:
             store,
             policy,
             workflows,
-            index_mode=index_mode,
             recheck_rounds_before_min=100,
         )
         for i, workflow in enumerate(workflows):
@@ -604,7 +593,6 @@ LARGE = Configuration(1, 10, 4)
 MEDIUM = Configuration(1, 5, 2)
 
 
-@both_index_modes
 class TestBulkReplay:
     APPS = tuple(f"app{i}" for i in range(6))
 
@@ -620,7 +608,7 @@ class TestBulkReplay:
         actions = [(rng.choice(kinds), rng.randrange(6)) for _ in range(120)]
         return configs, misses, actions
 
-    def trace(self, store, index_mode, seed, controller_cls, *, pure=True):
+    def trace(self, store, seed, controller_cls, *, pure=True):
         """Run the seed's script; return what every pass left behind, the
         plan count and how many passes were applied in bulk."""
         configs, misses, actions = self.script(seed)
@@ -634,7 +622,6 @@ class TestBulkReplay:
             policy,
             workflows.values(),
             num_invokers=2,
-            index_mode=index_mode,
             events=events,
             controller_cls=controller_cls,
             recheck_rounds_before_min=3,
@@ -673,21 +660,21 @@ class TestBulkReplay:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_bulk_replay_matches_the_per_attempt_loop(
-        self, store, index_mode, seed
+        self, store, seed
     ) -> None:
-        passes, plans, bulk = self.trace(store, index_mode, seed, Controller)
+        passes, plans, bulk = self.trace(store, seed, Controller)
         ref_passes, ref_plans, ref_bulk = self.trace(
-            store, index_mode, seed, PerAttempt
+            store, seed, PerAttempt
         )
         off_passes, off_plans, _ = self.trace(
-            store, index_mode, seed, Controller, pure=False
+            store, seed, Controller, pure=False
         )
         assert passes == ref_passes == off_passes
         assert plans == ref_plans < off_plans
         assert ref_bulk == 0 and 0 < bulk < len(passes)
 
     def test_queue_that_dispatched_before_failing_is_parked_in_bulk(
-        self, store, index_mode
+        self, store
     ) -> None:
         """c's visit dispatches once and fails, so c is not parked and its
         record is the newest; the next pass visits b, c, a and parks c at
@@ -703,7 +690,6 @@ class TestBulkReplay:
                 store,
                 policy,
                 workflows,
-                index_mode=index_mode,
                 controller_cls=controller_cls,
                 recheck_rounds_before_min=100,
             )

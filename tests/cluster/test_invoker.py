@@ -115,14 +115,6 @@ class TestContainers:
         with pytest.raises(ValueError):
             invoker.add_container(container)
 
-    def test_expire_containers(self, invoker):
-        invoker.keep_alive_ms = 100.0
-        invoker.create_warm_container("deblur", now_ms=0.0)
-        assert invoker.expire_containers(50.0) == []
-        expired = invoker.expire_containers(200.0)
-        assert len(expired) == 1
-        assert not invoker.has_warm_container("deblur", 200.0)
-
     def test_warm_function_names(self, invoker):
         invoker.create_warm_container("deblur", now_ms=0.0)
         invoker.create_warm_container("classification", now_ms=0.0)

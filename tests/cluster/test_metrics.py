@@ -3,19 +3,24 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
+from metrics_oracle import RetainedMetrics, charged_cost_cents, charged_duration_ms
 
-from repro.cluster.metrics import (
-    MetricsCollector,
-    MetricsConfig,
-    charged_cost_cents,
-    charged_duration_ms,
-)
+from repro.cluster.metrics import MetricsCollector, MetricsConfig
 from repro.cluster.tasks import Task
+from repro.experiments.runner import (
+    DEFAULT_POLICIES,
+    ExperimentConfig,
+    build_profile_store,
+    run_experiment,
+)
 from repro.profiles.configuration import Configuration
 from repro.workloads.applications import depth_recognition, image_classification
 from repro.workloads.request import Job, Request
+
+PAPER_SCENARIOS = ("paper-strict-light", "paper-moderate-normal", "paper-relaxed-heavy")
 
 
 def make_completed_request(req_id: int, latency_ms: float, slo_ms: float = 500.0, app=None) -> Request:
@@ -155,17 +160,14 @@ class TestSummary:
         assert data["num_requests"] == 1
 
 
-STREAMING = MetricsConfig(mode="streaming")
-
-
-def streaming_collector(**kwargs) -> MetricsCollector:
-    return MetricsCollector(config=STREAMING, **kwargs)
-
-
 class TestMetricsConfig:
-    def test_default_mode_is_retained(self):
-        assert MetricsConfig().mode == "retained"
-        assert not MetricsCollector().is_streaming
+    def test_default_mode_is_streaming(self):
+        assert MetricsConfig().mode == "streaming"
+        assert MetricsConfig(mode="streaming") == MetricsConfig()
+
+    def test_retained_mode_was_removed(self):
+        with pytest.raises(ValueError, match="metrics mode 'retained' was removed"):
+            MetricsConfig(mode="retained")
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown metrics mode"):
@@ -173,18 +175,17 @@ class TestMetricsConfig:
 
 
 class TestStreamingMode:
-    def test_retains_no_objects(self):
-        metrics = streaming_collector()
+    def test_keeps_no_request_or_task_objects(self):
+        metrics = MetricsCollector()
         request = make_completed_request(0, 400.0)
         metrics.register_request(request)
         metrics.record_task(make_task(request))
-        assert metrics.requests == []
-        assert metrics.tasks == []
-        with pytest.raises(RuntimeError, match="does not retain"):
-            metrics.completed_requests()
+        kept = [value for value in vars(metrics).values() if isinstance(value, (Request, Task))]
+        assert kept == []
+        assert not hasattr(metrics, "requests") and not hasattr(metrics, "tasks")
 
     def test_register_folds_already_completed_requests(self):
-        metrics = streaming_collector()
+        metrics = MetricsCollector()
         metrics.register_request(make_completed_request(0, 400.0))  # hit
         metrics.register_request(make_completed_request(1, 600.0))  # miss
         assert metrics.num_requests() == 2
@@ -194,7 +195,7 @@ class TestStreamingMode:
     def test_double_fold_is_rejected(self):
         """A request registered pre-completed must not also be notified via
         record_completion — that would corrupt rates (slo_hit_rate > 1)."""
-        metrics = streaming_collector()
+        metrics = MetricsCollector()
         request = make_completed_request(0, 400.0)
         metrics.register_request(request)  # folds immediately
         with pytest.raises(ValueError, match="recorded only once"):
@@ -202,20 +203,12 @@ class TestStreamingMode:
         assert metrics.slo_hit_rate() == 1.0
 
     def test_completion_of_unregistered_request_is_rejected(self):
-        metrics = streaming_collector()
+        metrics = MetricsCollector()
         with pytest.raises(ValueError, match="registered"):
             metrics.record_completion(make_completed_request(0, 400.0))
 
-    def test_placeholder_refuses_recording(self):
-        summary = MetricsCollector(policy_name="p", setting_name="s").summary()
-        placeholder = MetricsCollector.placeholder_from_summary(summary)
-        with pytest.raises(RuntimeError, match="summary_only placeholder"):
-            placeholder.register_request(make_completed_request(0, 100.0))
-        with pytest.raises(RuntimeError, match="summary_only placeholder"):
-            placeholder.record_overhead(1.0)
-
     def test_record_completion_requires_a_completed_request(self):
-        metrics = streaming_collector()
+        metrics = MetricsCollector()
         unfinished = Request(
             request_id=0, workflow=image_classification(), arrival_ms=0.0, slo_ms=500.0
         )
@@ -225,7 +218,7 @@ class TestStreamingMode:
         assert metrics.num_completed() == 0
 
     def test_incremental_completion_flow(self):
-        metrics = streaming_collector()
+        metrics = MetricsCollector()
         request = Request(
             request_id=7, workflow=image_classification(), arrival_ms=10.0, slo_ms=500.0
         )
@@ -241,14 +234,14 @@ class TestStreamingMode:
         assert metrics.latency_running_stats().count == 1
 
     def test_latencies_in_canonical_completion_order(self):
-        metrics = streaming_collector()
+        metrics = MetricsCollector()
         # Fold in reverse completion order: the buffers must re-order.
         metrics.register_request(make_completed_request(0, 300.0))
         metrics.register_request(make_completed_request(1, 200.0))
         assert metrics.latencies_ms() == [200.0, 300.0]
 
     def test_per_app_accumulators(self):
-        metrics = streaming_collector()
+        metrics = MetricsCollector()
         metrics.register_request(make_completed_request(0, 400.0))
         metrics.register_request(make_completed_request(1, 900.0, app=depth_recognition()))
         assert metrics.app_names() == ["depth_recognition", "image_classification"]
@@ -257,14 +250,14 @@ class TestStreamingMode:
         assert metrics.latencies_ms("depth_recognition") == [900.0]
 
     def test_overhead_buffer_is_compact_but_summarizable(self):
-        metrics = streaming_collector()
+        metrics = MetricsCollector()
         metrics.record_overhead(5.0)
         metrics.record_overhead(15.0)
         assert list(metrics.overhead_ms_samples) == [5.0, 15.0]
         assert metrics.overhead_summary().mean == pytest.approx(10.0)
 
     def test_unknown_app_queries_are_empty(self):
-        metrics = streaming_collector()
+        metrics = MetricsCollector()
         assert metrics.slo_hit_rate("nope") == 0.0
         assert metrics.latencies_ms("nope") == []
         assert metrics.total_cost_cents("nope") == 0.0
@@ -283,25 +276,22 @@ class TestHorizonClamp:
         # dispatch 10, exec 100 -> holds [10, 110).
         return make_task(request, cost=2.0, vgpus=2)
 
-    @pytest.mark.parametrize("config", [MetricsConfig(), STREAMING])
-    def test_straddling_task_charged_pro_rata(self, config):
-        metrics = MetricsCollector(config=config, horizon_ms=60.0)
+    def test_straddling_task_charged_pro_rata(self):
+        metrics = MetricsCollector(horizon_ms=60.0)
         metrics.record_task(self.straddling_task())
         # 50 of the 100 held ms fall inside the horizon.
         assert metrics.total_vgpu_ms() == pytest.approx(2 * 50.0)
         assert metrics.total_vcpu_ms() == pytest.approx(1 * 50.0)
         assert metrics.total_cost_cents() == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("config", [MetricsConfig(), STREAMING])
-    def test_task_inside_horizon_fully_charged(self, config):
-        metrics = MetricsCollector(config=config, horizon_ms=500.0)
+    def test_task_inside_horizon_fully_charged(self):
+        metrics = MetricsCollector(horizon_ms=500.0)
         metrics.record_task(self.straddling_task())
         assert metrics.total_vgpu_ms() == pytest.approx(2 * 100.0)
         assert metrics.total_cost_cents() == pytest.approx(2.0)
 
-    @pytest.mark.parametrize("config", [MetricsConfig(), STREAMING])
-    def test_task_entirely_past_horizon_charged_nothing(self, config):
-        metrics = MetricsCollector(config=config, horizon_ms=5.0)
+    def test_task_entirely_past_horizon_charged_nothing(self):
+        metrics = MetricsCollector(horizon_ms=5.0)
         metrics.record_task(self.straddling_task())
         assert metrics.total_vgpu_ms() == 0.0
         assert metrics.total_cost_cents() == 0.0
@@ -311,74 +301,64 @@ class TestHorizonClamp:
         metrics.record_task(self.straddling_task())
         assert metrics.total_cost_cents() == pytest.approx(2.0)
 
-    def test_charged_helpers_agree_with_unclamped_task(self):
-        task = self.straddling_task()
-        assert charged_duration_ms(task, float("inf")) == task.duration_ms
-        assert charged_cost_cents(task, float("inf")) == task.cost_cents
+    @staticmethod
+    def task_at(dispatch_ms: float, exec_ms: float, cost: float) -> Task:
+        task = make_task(make_completed_request(0, 400.0), cost=cost, vgpus=2)
+        task.dispatch_ms = dispatch_ms
+        task.exec_ms = exec_ms
+        return task
 
+    @pytest.mark.parametrize(
+        "dispatch_ms, exec_ms, horizon_ms",
+        [
+            (10.0, 100.0, float("inf")),
+            (10.0, 100.0, 110.0),
+            # A finish exactly at the horizon is charged in full, even where
+            # ``horizon - start`` rounds away from the duration...
+            (0.1, 0.2, 0.1 + 0.2),
+            # ... and even for a zero-length task.
+            (10.0, 0.0, 10.0),
+            (10.0, 0.0, 9.0),
+            (10.0, 100.0, 109.99),
+            (10.0, 100.0, 10.0),
+        ],
+    )
+    def test_fold_matches_the_oracle_clamp(self, dispatch_ms, exec_ms, horizon_ms):
+        task = self.task_at(dispatch_ms, exec_ms, cost=1.5)
+        metrics = MetricsCollector(horizon_ms=horizon_ms)
+        metrics.record_task(task)
+        assert metrics.total_cost_cents() == charged_cost_cents(task, horizon_ms)
+        assert metrics.total_vgpu_ms() == 2 * charged_duration_ms(task, horizon_ms)
+        assert metrics.total_vcpu_ms() == charged_duration_ms(task, horizon_ms)
+        if task.finish_ms <= horizon_ms:
+            assert metrics.total_cost_cents() == 1.5
 
-class TestPlaceholder:
-    def test_placeholder_carries_summary_flags_and_counters(self):
-        metrics = MetricsCollector(policy_name="ESG", setting_name="s", truncated=True)
-        metrics.register_request(make_completed_request(0, 100.0))
-        metrics.record_task(make_task(make_completed_request(1, 100.0), cold=5.0))
-        metrics.record_plan_attempt(miss=True)
-        metrics.record_transfer(local=False)
-        summary = metrics.summary()
-
-        placeholder = MetricsCollector.placeholder_from_summary(summary)
-        assert placeholder.placeholder
-        assert placeholder.truncated is summary.truncated is True
-        assert placeholder.policy_name == "ESG"
-        assert placeholder.plan_attempts == summary.plan_attempts == 1
-        assert placeholder.plan_misses == 1
-        assert placeholder.cold_starts == 1
-        assert placeholder.remote_transfers == 1
-
-    def test_regular_collectors_are_not_placeholders(self):
-        assert not MetricsCollector().placeholder
-
-    def test_placeholder_refuses_derived_metrics(self):
-        summary = MetricsCollector(policy_name="p", setting_name="s").summary()
-        placeholder = MetricsCollector.placeholder_from_summary(summary)
-        for query in (
-            placeholder.summary,
-            placeholder.num_requests,
-            placeholder.slo_hit_rate,
-            placeholder.latencies_ms,
-            placeholder.total_cost_cents,
-            placeholder.app_names,
-            placeholder.total_vgpu_ms,
-            placeholder.waiting_ms_samples,
-        ):
-            with pytest.raises(RuntimeError, match="summary_only placeholder"):
-                query()
-        # Direct reads of the observation containers fail just as loudly.
-        for container in (
-            placeholder.requests,
-            placeholder.tasks,
-            placeholder.overhead_ms_samples,
-        ):
-            with pytest.raises(RuntimeError, match="summary_only placeholder"):
-                len(container)
-            with pytest.raises(RuntimeError, match="summary_only placeholder"):
-                list(container)
-        # Carried counters stay directly readable.
-        assert placeholder.plan_miss_rate() == summary.plan_miss_rate
+    def test_fold_task_is_what_record_task_folds(self):
+        task = self.task_at(10.0, 100.0, cost=2.0)
+        direct = MetricsCollector(horizon_ms=60.0)
+        direct.fold_task(task.app_name, 2.0, task.start_ms, task.duration_ms, 1, 2, task.waiting_ms())
+        via_task = MetricsCollector(horizon_ms=60.0)
+        via_task.record_task(task)
+        assert via_task.warm_starts == 1 and direct.warm_starts == 0
+        via_task.warm_starts = 0
+        assert direct.summary() == via_task.summary()
 
 
 class TestRecordOrderFuzz:
-    """Randomized record-order fuzz on the per-app accumulators.
+    """Randomized record-order fuzz of the collector against the oracle.
 
-    Feeds the same observations to a retained and a streaming collector with
-    completions folded in a random order (and deliberate completed_ms ties),
-    then requires byte-identical summaries.
+    The oracle (``metrics_oracle.RetainedMetrics``) keeps every request and
+    task and scans them.  The collector sees the same observations with
+    registrations and completions in a random order (and deliberate
+    completed_ms ties), some requests registered already complete and the
+    rest notified through ``record_completion``, and must render the same
+    summary byte for byte.
     """
 
     APPS = (image_classification, depth_recognition)
 
     def build_observations(self, rng: random.Random, n: int):
-        requests, tasks = [], []
+        requests, finishes, tasks = [], [], []
         for i in range(n):
             workflow = self.APPS[rng.randrange(len(self.APPS))]()
             request = Request(
@@ -387,46 +367,148 @@ class TestRecordOrderFuzz:
                 arrival_ms=rng.uniform(0.0, 50.0),
                 slo_ms=rng.choice([200.0, 500.0]),
             )
+            requests.append(request)
             if rng.random() < 0.85:  # some requests never finish
-                t = request.arrival_ms
+                stages, t = [], request.arrival_ms
                 for sid in workflow.topological_order():
                     # Coarse grid => frequent completed_ms ties across requests.
                     t += rng.choice([50.0, 100.0, 150.0])
-                    request.record_stage_completion(sid, t, invoker_id=0)
-            requests.append(request)
+                    stages.append((sid, t))
+                finishes.append((request, stages))
             if rng.random() < 0.7:
                 task = make_task(request, cost=rng.uniform(0.5, 3.0), vgpus=rng.choice([1, 2]))
                 task.dispatch_ms = rng.uniform(0.0, 80.0)
+                task.cold_start_ms = rng.choice([0.0, 0.0, 25.0])
                 tasks.append(task)
-        return requests, tasks
+        return requests, finishes, tasks
 
-    @pytest.mark.parametrize("seed", range(5))
+    @staticmethod
+    def finish(request: Request, stages) -> None:
+        for sid, t in stages:
+            request.record_stage_completion(sid, t, invoker_id=0)
+
+    @pytest.mark.parametrize("seed", range(8))
     def test_fuzzed_interleavings_stay_byte_identical(self, seed):
         rng = random.Random(seed)
-        requests, tasks = self.build_observations(rng, n=60)
+        requests, finishes, tasks = self.build_observations(rng, n=60)
         horizon = rng.choice([float("inf"), 120.0])
+        oracle = RetainedMetrics(policy_name="p", setting_name="s", horizon_ms=horizon)
+        metrics = MetricsCollector(policy_name="p", setting_name="s", horizon_ms=horizon)
 
-        retained = MetricsCollector(policy_name="p", setting_name="s", horizon_ms=horizon)
-        streaming = streaming_collector(
-            policy_name="p", setting_name="s", horizon_ms=horizon
-        )
-
-        # Identical registration and task-record order for both collectors...
+        # Half the finishing requests complete before they register (the
+        # registration folds them), the rest after, in a scrambled order.
+        rng.shuffle(finishes)
+        early, late = finishes[::2], finishes[1::2]
+        for request, stages in early:
+            self.finish(request, stages)
+        order = list(requests)
+        rng.shuffle(order)
+        for request in order:
+            metrics.register_request(request)
+        for request, stages in late:
+            self.finish(request, stages)
+            metrics.record_completion(request)
         for request in requests:
-            retained.register_request(request)
+            oracle.register_request(request)
+        # Tasks fold in record order on both sides (the waiting-time mean
+        # is an order-sensitive float sum).
         for task in tasks:
-            retained.record_task(task)
-        completed = [r for r in requests if r.is_complete]
-        rng.shuffle(completed)  # ...but a scrambled completion-event order.
-        incomplete = [r for r in requests if not r.is_complete]
-        for request in incomplete:
-            streaming.register_request(request)
-        for request in completed:
-            streaming.register_request(request)
-        for task in tasks:
-            streaming.record_task(task)
+            oracle.record_task(task)
+            metrics.record_task(task)
         for sample in (0.5, 1.5, 2.5):
-            retained.record_overhead(sample)
-            streaming.record_overhead(sample)
+            oracle.record_overhead(sample)
+            metrics.record_overhead(sample)
 
-        assert retained.summary() == streaming.summary()
+        assert metrics.summary() == oracle.summary()
+
+
+class TestWholeRunsMatchTheOracle:
+    """Whole simulated runs: the collector's summary against the oracle's scans.
+
+    The oracle is fed what the run's events show: every arrived request,
+    and every dispatched task in dispatch order (completed, lazily
+    cancelled by an eviction, or still in flight at the horizon).  It also
+    gets the collector's own overhead samples.  The counters that are plain
+    increments are copied over; every other field must match byte for byte.
+    """
+
+    COUNTERS = (
+        "plan_attempts",
+        "plan_misses",
+        "local_transfers",
+        "remote_transfers",
+        "forced_min_dispatches",
+        "truncated",
+        "evicted_tasks",
+        "requeued_jobs",
+    )
+    BASE = ExperimentConfig(num_requests=16)
+    #: Only the home invoker starts warm, so runs cold-start.
+    WARM_AT_HOME = BASE.with_overrides(controller=replace(BASE.controller, initial_warm="home"))
+    #: Two invokers under 24 diurnal requests: the backlog makes both
+    #: autoscalers prewarm (on the paper's 16 they hold inside the band).
+    AUTOSCALED = WARM_AT_HOME.with_overrides(
+        num_requests=24, cluster=replace(BASE.cluster, num_invokers=2)
+    )
+
+    @pytest.fixture(scope="class")
+    def store(self):
+        return build_profile_store()
+
+    def run_against_oracle(self, store, task_log, policy, scenario, config=BASE):
+        log = task_log()
+        with log.capturing():
+            result = run_experiment(policy, config=config, profile_store=store, scenario=scenario)
+        metrics = result.metrics
+        tasks = sorted(log.tasks + log.in_flight_tasks(), key=lambda task: task.task_id)
+        assert len(tasks) == metrics.cold_starts + metrics.warm_starts > 0
+        oracle = RetainedMetrics(
+            policy_name=metrics.policy_name,
+            setting_name=metrics.setting_name,
+            horizon_ms=metrics.horizon_ms,
+        )
+        for request in log.requests:
+            oracle.register_request(request)
+        for task in tasks:
+            oracle.record_task(task)
+        for sample in metrics.overhead_ms_samples:
+            oracle.record_overhead(sample)
+        summary = result.summary
+        counters = {name: getattr(summary, name) for name in self.COUNTERS}
+        assert summary == replace(oracle.summary(), **counters)
+        return result, tasks
+
+    @pytest.mark.parametrize("scenario", PAPER_SCENARIOS)
+    @pytest.mark.parametrize("policy", DEFAULT_POLICIES)
+    def test_paper_scenarios(self, store, task_log, policy, scenario):
+        result, _ = self.run_against_oracle(store, task_log, policy, scenario)
+        assert result.summary.num_completed == result.summary.num_requests == 16
+
+    def test_truncated_run_clamps_like_the_oracle(self, store, task_log):
+        config = self.BASE.with_overrides(num_requests=40, max_time_ms=300.0)
+        result, tasks = self.run_against_oracle(
+            store, task_log, "ESG", "paper-moderate-normal", config
+        )
+        assert result.summary.truncated
+        assert result.summary.num_requests < 40
+        assert any(task.finish_ms > 300.0 for task in tasks)
+
+    @pytest.mark.parametrize("scenario", ["churn-eviction-fail", "harvest-severe-normal"])
+    def test_churn_folds_evictions_like_the_oracle(self, store, task_log, scenario):
+        result, _ = self.run_against_oracle(store, task_log, "ESG", scenario)
+        assert result.summary.evicted_tasks > 0
+
+    @pytest.mark.parametrize("spec", ["threshold-default", "pid-default"])
+    def test_autoscaled_runs(self, store, task_log, spec):
+        config = self.AUTOSCALED.with_overrides(autoscale=spec)
+        result, _ = self.run_against_oracle(store, task_log, "ESG", "diurnal-normal", config)
+        assert result.metrics.prewarm_count > 0
+
+    def test_short_keep_alive_cold_starts_like_the_oracle(self, store, task_log):
+        config = self.WARM_AT_HOME.with_overrides(
+            cluster=replace(self.BASE.cluster, keep_alive_ms=2.0)
+        )
+        result, _ = self.run_against_oracle(
+            store, task_log, "ESG", "paper-moderate-normal", config
+        )
+        assert result.summary.cold_starts > result.summary.warm_starts

@@ -30,8 +30,6 @@ class TestTopology:
     def test_to_cluster_config(self):
         config = get_topology("rack-64").to_cluster_config()
         assert config == ClusterConfig(num_invokers=64)
-        scan = get_topology("rack-64").to_cluster_config(index_mode="scan")
-        assert scan.index_mode == "scan"
 
     def test_get_passes_objects_through(self):
         topology = ClusterTopology(name="adhoc", num_invokers=3)
@@ -114,6 +112,16 @@ class TestScenarioTopology:
         assert clone.topology == scenario.topology
 
 
+def mini_scenario(name: str) -> Scenario:
+    return Scenario(
+        name=name,
+        description="test",
+        setting="moderate-normal",
+        stream="moderate-normal",
+        topology=ClusterTopology(name="mini", num_invokers=2),
+    )
+
+
 class TestRunnerAppliesScenarioTopology:
     @pytest.fixture(scope="class")
     def store(self):
@@ -121,122 +129,64 @@ class TestRunnerAppliesScenarioTopology:
 
         return build_profile_store()
 
-    def test_scenario_topology_sizes_the_cluster(self, store):
+    @pytest.fixture
+    def highest_invoker(self, store, task_log):
+        """Run ESG on 6 requests; the highest invoker id a task ran on."""
         from repro.experiments.runner import ExperimentConfig, run_experiment
 
+        def run(*, scenario=None, setting=None, **config) -> int:
+            log = task_log()
+            with log.capturing():
+                run_experiment(
+                    "ESG",
+                    setting,
+                    config=ExperimentConfig(num_requests=6, **config),
+                    profile_store=store,
+                    scenario=scenario,
+                )
+            return max(t.invoker_id for t in log.tasks)
+
+        return run
+
+    def test_scenario_topology_sizes_the_cluster(self, highest_invoker):
         # Sanity anchor: on the paper's 16 nodes, ESG's home-invoker hashing
         # spreads the four applications beyond nodes {0, 1}.
-        default = run_experiment(
-            "ESG", "moderate-normal", config=ExperimentConfig(num_requests=6), profile_store=store
-        )
-        assert max(t.invoker_id for t in default.metrics.tasks) > 1
+        assert highest_invoker(setting="moderate-normal") > 1
+        assert highest_invoker(scenario=mini_scenario("t-mini-cluster")) <= 1
 
-        scenario = Scenario(
-            name="t-mini-cluster",
-            description="test",
-            setting="moderate-normal",
-            stream="moderate-normal",
-            topology=ClusterTopology(name="mini", num_invokers=2),
-        )
-        result = run_experiment(
-            "ESG",
-            config=ExperimentConfig(num_requests=6),
-            profile_store=store,
-            scenario=scenario,
-        )
-        assert max(t.invoker_id for t in result.metrics.tasks) <= 1
-
-    def test_explicit_cluster_config_beats_scenario_topology(self, store):
-        from repro.experiments.runner import ExperimentConfig, run_experiment
-
-        scenario = Scenario(
-            name="t-overridden",
-            description="test",
-            setting="moderate-normal",
-            stream="moderate-normal",
-            topology=ClusterTopology(name="mini", num_invokers=2),
-        )
-        result = run_experiment(
-            "ESG",
-            config=ExperimentConfig(
-                num_requests=6, cluster=ClusterConfig(num_invokers=8)
-            ),
-            profile_store=store,
-            scenario=scenario,
-        )
+    def test_explicit_cluster_config_beats_scenario_topology(self, highest_invoker):
         # The explicit (non-default) cluster config wins over the scenario's
         # pinned topology, so placement spreads past the 2-node mini cluster.
-        assert max(t.invoker_id for t in result.metrics.tasks) > 1
-
-    def test_scenario_topology_applies_in_scan_mode_too(self, store):
-        # index_mode is orthogonal to the cluster *shape*: a scan-mode
-        # parity run of a topology-pinned scenario must use the pinned size
-        # (and keep scan mode), or indexed-vs-scan comparisons would
-        # silently compare different clusters.
-        from repro.experiments.runner import ExperimentConfig, run_experiment
-
-        scenario = Scenario(
-            name="t-scan-topology",
-            description="test",
-            setting="moderate-normal",
-            stream="moderate-normal",
-            topology=ClusterTopology(name="mini", num_invokers=2),
+        assert (
+            highest_invoker(
+                scenario=mini_scenario("t-overridden"), cluster=ClusterConfig(num_invokers=8)
+            )
+            > 1
         )
-        indexed = run_experiment(
-            "ESG",
-            config=ExperimentConfig(num_requests=6),
-            profile_store=store,
-            scenario=scenario,
-        )
-        scan = run_experiment(
-            "ESG",
-            config=ExperimentConfig(num_requests=6, cluster=ClusterConfig(index_mode="scan")),
-            profile_store=store,
-            scenario=scenario,
-        )
-        assert max(t.invoker_id for t in scan.metrics.tasks) <= 1
-        assert indexed.summary == scan.summary
 
-    def test_orthogonal_keep_alive_override_composes_with_scenario_topology(self, store):
+    def test_orthogonal_keep_alive_override_composes_with_scenario_topology(
+        self, highest_invoker
+    ):
         # keep_alive_ms is not part of the cluster *shape*: tuning it must
         # not silently disable the scenario's pinned topology.
-        from repro.experiments.runner import ExperimentConfig, run_experiment
-
-        scenario = Scenario(
-            name="t-keepalive-topology",
-            description="test",
-            setting="moderate-normal",
-            stream="moderate-normal",
-            topology=ClusterTopology(name="mini", num_invokers=2),
+        assert (
+            highest_invoker(
+                scenario=mini_scenario("t-keepalive-topology"),
+                cluster=ClusterConfig(keep_alive_ms=30_000.0),
+            )
+            <= 1
         )
-        result = run_experiment(
-            "ESG",
-            config=ExperimentConfig(
-                num_requests=6, cluster=ClusterConfig(keep_alive_ms=30_000.0)
-            ),
-            profile_store=store,
-            scenario=scenario,
-        )
-        assert max(t.invoker_id for t in result.metrics.tasks) <= 1
 
-    def test_cluster_pinned_flag_beats_scenario_topology_even_at_the_default(self, store):
-        from repro.experiments.runner import ExperimentConfig, run_experiment
-
-        scenario = Scenario(
-            name="t-pinned-default",
-            description="test",
-            setting="moderate-normal",
-            stream="moderate-normal",
-            topology=ClusterTopology(name="mini", num_invokers=2),
-        )
+    def test_cluster_pinned_flag_beats_scenario_topology_even_at_the_default(
+        self, highest_invoker
+    ):
         # `--topology paper-16` on the CLI resolves to the default-shaped
         # ClusterConfig; the pinned flag must still make it win.
-        result = run_experiment(
-            "ESG",
-            config=ExperimentConfig(
-                num_requests=6, cluster=ClusterConfig(), cluster_pinned=True
-            ),
-            profile_store=store,
-            scenario=scenario,
+        assert (
+            highest_invoker(
+                scenario=mini_scenario("t-pinned-default"),
+                cluster=ClusterConfig(),
+                cluster_pinned=True,
+            )
+            > 1
         )
-        assert max(t.invoker_id for t in result.metrics.tasks) > 1

@@ -7,15 +7,21 @@ read-only.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+import repro.experiments.runner as runner_module
+from repro.cluster.events import RequestArrivalEvent, TaskCompletionEvent
+from repro.cluster.tasks import Task
 from repro.profiles.configuration import ConfigurationSpace
 from repro.profiles.perf_model import AnalyticalPerformanceModel
 from repro.profiles.pricing import PricingModel
 from repro.profiles.profiler import ProfileStore
 from repro.workloads.applications import build_paper_applications
 from repro.workloads.dag import Workflow
+from repro.workloads.request import Request
 
 
 @pytest.fixture(scope="session")
@@ -74,3 +80,70 @@ def diamond_workflow() -> Workflow:
     wf.add_edge("c", "d")
     wf.validate()
     return wf
+
+
+class TaskLog:
+    """The tasks of simulations, read from their ``TaskCompletionEvent``s.
+
+    The metrics collector keeps no task objects, so tests that inspect
+    tasks record them through the simulation's event hooks:
+    ``attach(simulation)`` records one simulation, and inside ``with
+    log.capturing():`` every simulation ``run_experiment`` builds is
+    recorded.  Tasks come in completion order, and only tasks whose
+    completion event fired are seen (none past a horizon; see
+    :meth:`in_flight_tasks`).  Requests come in arrival order, from their
+    ``RequestArrivalEvent``s.
+    """
+
+    def __init__(self) -> None:
+        self.tasks: list[Task] = []
+        self.requests: list[Request] = []
+        self.simulations: list = []
+
+    def attach(self, simulation):
+        self.simulations.append(simulation)
+        simulation.on_event(self._record)
+        return simulation
+
+    def _record(self, simulation, event) -> None:
+        if isinstance(event, TaskCompletionEvent):
+            self.tasks.append(event.task)
+        elif isinstance(event, RequestArrivalEvent):
+            self.requests.append(event.request)
+
+    def in_flight_tasks(self) -> list[Task]:
+        """Tasks still executing where the recorded runs stopped.
+
+        Drains each recorded simulation's event loop, so call it only once
+        the runs are over.
+        """
+        tasks = []
+        for simulation in self.simulations:
+            events = simulation.events
+            while not events.empty:
+                event = events.pop()
+                if isinstance(event, TaskCompletionEvent):
+                    tasks.append(event.task)
+        return tasks
+
+    @contextmanager
+    def capturing(self):
+        original = runner_module.Simulation
+        log = self
+
+        class RecordedSimulation(original):
+            def __init__(self, *args, **kwargs) -> None:
+                super().__init__(*args, **kwargs)
+                log.attach(self)
+
+        runner_module.Simulation = RecordedSimulation
+        try:
+            yield self
+        finally:
+            runner_module.Simulation = original
+
+
+@pytest.fixture(scope="session")
+def task_log() -> type[TaskLog]:
+    """Factory of :class:`TaskLog` recorders (``log = task_log()``)."""
+    return TaskLog

@@ -1,8 +1,7 @@
 """Tests for the locality-first ESG_Dispatch node selection.
 
 ``locality_first_invoker`` is the body ``ESGPolicy.select_invoker`` calls.
-It reads the cluster's warm index in indexed mode and walks every node in
-scan mode, so each test runs in both.
+It walks only the nodes of the cluster's warm index, never every node.
 """
 
 from __future__ import annotations
@@ -14,9 +13,9 @@ from repro.core.dispatch import locality_first_invoker
 from repro.profiles.configuration import Configuration
 
 
-@pytest.fixture(params=["indexed", "scan"])
-def cluster(request) -> ClusterState:
-    return ClusterState(config=ClusterConfig(num_invokers=4, index_mode=request.param))
+@pytest.fixture
+def cluster() -> ClusterState:
+    return ClusterState(config=ClusterConfig(num_invokers=4))
 
 
 CFG = Configuration(1, 2, 1)
@@ -77,3 +76,34 @@ class TestLocalityOrder:
         # the warm node with the most available resources (node 2).
         if home not in (1, 2):
             assert chosen == 2
+
+
+class RecordingList(list):
+    """An invoker list that records which positions were read."""
+
+    def __init__(self, items) -> None:
+        super().__init__(items)
+        self.read: set[int] = set()
+
+    def __getitem__(self, index):
+        self.read.add(index)
+        return super().__getitem__(index)
+
+
+class TestWarmIndexWalk:
+    def test_reads_only_warm_candidates_home_and_predecessor(self):
+        cluster = ClusterState(config=ClusterConfig(num_invokers=64))
+        home = cluster.home_invoker_id(APP, FN)
+        warm = next(i for i in (5, 6) if i != home)
+        cluster.invoker(warm).create_warm_container(FN, 0.0)
+        # Neither the home node nor node 9 can fit the configuration, so the
+        # warm node wins without any cold-fallback query.
+        cluster.invoker(home).reserve(Configuration(1, 16, 7))
+        predecessor = next(i for i in (9, 10) if i not in (home, warm))
+        cluster.invoker(predecessor).reserve(Configuration(1, 16, 7))
+        cluster.invokers = RecordingList(cluster.invokers)
+        chosen = locality_first_invoker(
+            cluster, APP, FN, CFG, 0.0, predecessor_invoker_id=predecessor
+        )
+        assert chosen == warm
+        assert cluster.invokers.read == {warm, home, predecessor}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -132,29 +133,26 @@ class TestExperimentEngine:
         }
 
 
-class TestSummaryOnlyPlaceholder:
-    def test_placeholder_metrics_agree_with_the_summary(self):
+class TestSummaryOnlyResults:
+    def test_summary_only_results_carry_the_summary_alone(self):
         spec = RunSpec(
             policy="INFless", setting="moderate-normal", config=SMALL, summary_only=True
         )
         result = execute_spec(spec)
-        metrics = result.metrics
-        assert metrics.placeholder
-        assert metrics.truncated == result.summary.truncated
-        assert metrics.cold_starts == result.summary.cold_starts
-        assert metrics.warm_starts == result.summary.warm_starts
-        assert metrics.plan_attempts == result.summary.plan_attempts
-        assert metrics.policy_name == result.policy_name
+        assert result.metrics is None
         assert result.requests == []
+        full = execute_spec(replace(spec, summary_only=False))
+        assert full.metrics is not None and full.requests
+        assert result.summary == full.summary
 
-    def test_placeholder_reflects_truncated_runs(self):
+    def test_truncated_runs_say_so_in_the_summary(self):
         config = SMALL.with_overrides(num_requests=30, max_time_ms=200.0)
         spec = RunSpec(
             policy="INFless", setting="moderate-normal", config=config, summary_only=True
         )
         result = execute_spec(spec)
         assert result.summary.truncated
-        assert result.metrics.truncated  # used to contradict the summary
+        assert result.metrics is None
 
 
 class TestParallelParity:

@@ -71,8 +71,11 @@ class TestRunExperiment:
         assert small_run.total_cost_cents > 0
 
     def test_metrics_accessible(self, small_run):
-        assert len(small_run.metrics.tasks) >= 25  # at least one task per request
+        # At least one task per request; every dispatched task is a warm or
+        # a cold start.
+        assert small_run.summary.warm_starts + small_run.summary.cold_starts >= 25
         assert small_run.metrics.app_names()
+        assert small_run.metrics.latencies_ms()
 
     def test_run_setting_wrapper(self):
         summary = run_setting("INFless", "relaxed-heavy", num_requests=15, seed=2)

@@ -113,13 +113,16 @@ class TestSpecKey:
     def test_doc_mentions_schema_version(self):
         assert spec_key_doc(_spec())["schema"] == STORE_SCHEMA_VERSION
 
-    def test_schema_3_has_no_event_loop_mode(self):
-        """The simulator has one event loop, so the key document names no
-        loop mode (schema 3 dropped it; schema 2 keys are misses)."""
-        assert STORE_SCHEMA_VERSION == 3
+    def test_schema_4_has_no_retired_modes(self):
+        """The simulator has one event loop, one cluster index and one
+        metrics collector, so the key document names none of their modes
+        (schema 3 dropped the loop mode, schema 4 the metrics and index
+        modes; older keys are misses)."""
+        assert STORE_SCHEMA_VERSION == 4
         config = spec_key_doc(_spec())["config"]
-        assert "loop_mode" not in config
-        assert set(config) >= {"metrics_mode", "workload_mode", "cluster"}
+        assert not {"loop_mode", "metrics_mode"} & set(config)
+        assert "index_mode" not in config["cluster"]
+        assert set(config) >= {"workload_mode", "cluster"}
 
     def test_key_is_stable_across_hash_randomisation(self):
         """PYTHONHASHSEED (and process boundaries) must not move keys."""
@@ -254,7 +257,7 @@ class TestEngineWithStore:
                 dataclasses.asdict(result.summary), sort_keys=True, allow_nan=True
             )
             assert blob(a) == blob(b) == blob(c), spec
-            assert c.metrics.placeholder
+            assert a.metrics is b.metrics is c.metrics is None
             assert c.requests == []
             assert c.scenario_name == b.scenario_name
 
@@ -286,7 +289,7 @@ class TestEngineWithStore:
             [full], on_cell=lambda i, s, r, cached: flags.append(cached)
         )
         assert flags == [False]
-        assert not result.metrics.placeholder
+        assert result.metrics is not None
         assert result.requests  # the live run kept its request objects
         # A second full-result run still cannot be served from a summary...
         flags.clear()

@@ -20,7 +20,11 @@ in three groups:
   at each function's home node (so the static EWMA prewarmer changes
   outcomes); ESG on three non-paper arrival processes, under both
   autoscalers on two adaptive scenarios (also warm only at home), and on
-  a run truncated by ``max_time_ms``.  Cells already in ``esg/`` or
+  a run truncated by ``max_time_ms``; ESG warm only at home with an 80 ms
+  and a 2 ms keep-alive (containers expire mid-run, the 2 ms deadlines
+  on tick timestamps); ESG on a one-node cluster, where queues pile up on
+  the recheck list and drain by forced minimum dispatches; and ESG and
+  INFless on a 64-invoker cluster.  Cells already in ``esg/`` or
   ``retry/`` are not repeated.
 
 ``test_golden_replay.py`` re-runs every case and compares the text byte
@@ -88,6 +92,9 @@ class Case:
     initial_warm: str | None = None
     num_requests: int = NUM_REQUESTS
     max_time_ms: float = float("inf")
+    #: ``ClusterConfig`` overrides; ``None`` keeps the paper testbed.
+    keep_alive_ms: float | None = None
+    num_invokers: int | None = None
 
     @property
     def tags(self) -> str:
@@ -99,6 +106,10 @@ class Case:
             tags.append(f"n{self.num_requests}")
         if self.max_time_ms != float("inf"):
             tags.append(f"t{self.max_time_ms:g}")
+        if self.keep_alive_ms is not None:
+            tags.append(f"ka{self.keep_alive_ms:g}")
+        if self.num_invokers is not None:
+            tags.append(f"inv{self.num_invokers}")
         return "".join(f"-{tag}" for tag in tags)
 
     @property
@@ -125,6 +136,16 @@ class Case:
             autoscale=self.autoscale,
             max_time_ms=self.max_time_ms,
         )
+        cluster = {
+            name: value
+            for name, value in (
+                ("keep_alive_ms", self.keep_alive_ms),
+                ("num_invokers", self.num_invokers),
+            )
+            if value is not None
+        }
+        if cluster:
+            config = config.with_overrides(cluster=replace(config.cluster, **cluster))
         if self.initial_warm is None:
             return config
         return config.with_overrides(
@@ -159,6 +180,12 @@ def cases() -> list[Case]:
             for p in DEFAULT_POLICIES
         ),
         Case("lattice", "ESG", "paper-moderate-normal", 0, num_requests=40, max_time_ms=300.0),
+        *(
+            Case("lattice", "ESG", "paper-moderate-normal", 0, initial_warm="home", keep_alive_ms=k)
+            for k in (80.0, 2.0)
+        ),
+        Case("lattice", "ESG", "paper-moderate-normal", 0, num_requests=24, num_invokers=1),
+        *(Case("lattice", p, "paper-moderate-normal", 0, num_invokers=64) for p in ("ESG", "INFless")),
     ]
     # Each lattice cell runs at every seed; a cell another group already
     # pins (same policy and scenario, no override) is not repeated.

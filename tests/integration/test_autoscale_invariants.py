@@ -52,7 +52,7 @@ from repro.experiments.runner import (
 )
 from repro.profiles.profiler import ProfileStore
 
-CONTROLLER_SPECS = ("threshold-default", "pid-default", "learned-stub")
+CONTROLLER_SPECS = ("threshold-default", "pid-default")
 SEEDS_PER_CONTROLLER = 21
 
 _SETTINGS = ("moderate-normal", "relaxed-heavy", "strict-light")
@@ -459,7 +459,7 @@ def test_harness_catches_planted_tombstone_placement(store: ProfileStore):
     for seed in range(8):
         requests, setting, _, _ = fuzz_trace(seed, store)
         _, violations = run_once(
-            "learned-stub",
+            "threshold-default",
             seed,
             requests,
             setting,

@@ -1,14 +1,11 @@
 """Acceptance parity: autoscaled runs are byte-identical across every mode axis.
 
-The feedback loop observes live queues and injects prewarm events mid-run —
-new machinery the index/metrics/workload refactors never exercised.
+The feedback loop observes live queues and injects prewarm events mid-run.
 These tests extend the parity matrices to adaptive runs: for identical
 ``(scenario, autoscale spec, seed)`` the RunSummary must be byte-identical
 across
 
-* ``index_mode`` indexed vs. scan (resident counts and placement walk the
-  same state either way),
-* metrics retained vs. streaming, workload materialized vs. streaming,
+* workload materialized vs. streaming,
 * engine ``n_jobs`` 1 vs. 4 and the spawn multiprocessing context.
 
 The summaries themselves, for both autoscalers on both scenarios, are
@@ -28,7 +25,6 @@ import pytest
 
 from repro.cluster.autoscale import Autoscaler, get_autoscale_spec
 from repro.cluster.cluster import ClusterConfig
-from repro.cluster.metrics import MetricsConfig
 from repro.experiments.engine import ExperimentEngine, RunSpec
 from repro.experiments.runner import (
     ExperimentConfig,
@@ -58,79 +54,18 @@ def assert_byte_identical(a, b) -> None:
     assert a.summary == b.summary
 
 
-class TestAutoscaleIndexModeParity:
+class TestAutoscaleWorkloadParity:
     @pytest.mark.parametrize("spec_name", AUTOSCALE_SPECS)
-    def test_indexed_vs_scan_byte_identical(self, store, spec_name):
-        indexed = run_experiment(
-            "ESG",
-            config=BASE.with_overrides(autoscale=spec_name),
-            profile_store=store,
-            scenario="diurnal-normal",
-        )
-        scan = run_experiment(
-            "ESG",
-            config=BASE.with_overrides(
-                autoscale=spec_name, cluster=ClusterConfig(index_mode="scan")
-            ),
-            profile_store=store,
-            scenario="diurnal-normal",
-        )
-        assert_byte_identical(indexed, scan)
-
-    def test_scan_matches_indexed_on_bursty_arrivals(self, store):
-        """The index axis agrees on the second adaptive scenario too."""
-        reference = run_experiment(
-            "ESG",
-            config=BASE.with_overrides(
-                autoscale="threshold-default",
-                cluster=ClusterConfig(index_mode="scan"),
-            ),
-            profile_store=store,
-            scenario="bursty-onoff-heavy",
-        )
-        optimized = run_experiment(
-            "ESG",
-            config=BASE.with_overrides(autoscale="threshold-default"),
-            profile_store=store,
-            scenario="bursty-onoff-heavy",
-        )
-        assert_byte_identical(optimized, reference)
-
-
-class TestAutoscaleMetricsAndWorkloadParity:
-    @pytest.mark.parametrize("spec_name", AUTOSCALE_SPECS)
-    def test_streaming_metrics_byte_identical(self, store, spec_name):
-        retained = run_experiment(
-            "ESG",
-            config=BASE.with_overrides(autoscale=spec_name),
-            profile_store=store,
-            scenario="diurnal-normal",
-        )
-        streaming = run_experiment(
-            "ESG",
-            config=BASE.with_overrides(
-                autoscale=spec_name, metrics=MetricsConfig(mode="streaming")
-            ),
-            profile_store=store,
-            scenario="diurnal-normal",
-        )
-        assert_byte_identical(retained, streaming)
-        assert streaming.metrics.is_streaming
-
-    def test_fully_streaming_matches_materialized(self, store):
+    def test_fully_streaming_matches_materialized(self, store, spec_name):
         streamed = run_experiment(
             "ESG",
-            config=BASE.with_overrides(
-                autoscale="threshold-default",
-                workload_mode="streaming",
-                metrics=MetricsConfig(mode="streaming"),
-            ),
+            config=BASE.with_overrides(autoscale=spec_name, workload_mode="streaming"),
             profile_store=store,
             scenario="diurnal-normal",
         )
         materialized = run_experiment(
             "ESG",
-            config=BASE.with_overrides(autoscale="threshold-default"),
+            config=BASE.with_overrides(autoscale=spec_name),
             profile_store=store,
             scenario="diurnal-normal",
         )

@@ -9,8 +9,8 @@ and once more after the run drains:
   exceeds the total, and per-node usage stays within bounds;
 * **no residue on departed nodes** — a tombstoned invoker holds no live
   container, no resident candidates, and no reserved resources;
-* **index consistency** (indexed mode) — the warm index and the
-  free-capacity buckets equal a from-scratch rebuild from invoker state;
+* **index consistency** — the warm index and the free-capacity buckets
+  equal a from-scratch rebuild from invoker state;
 * **terminal exactly-once** (post-run) — every request completed or was
   evicted exactly once, never both.
 
@@ -53,8 +53,8 @@ def store() -> ProfileStore:
     return build_profile_store()
 
 
-def fuzz_cluster_config(index_mode: str = "indexed") -> ClusterConfig:
-    return ClusterConfig(num_invokers=4, index_mode=index_mode)
+def fuzz_cluster_config() -> ClusterConfig:
+    return ClusterConfig(num_invokers=4)
 
 
 def fuzz_schedule(seed: int, cluster_config: ClusterConfig) -> ChurnSchedule:
@@ -134,9 +134,7 @@ def tombstone_violations(cluster: ClusterState) -> list[str]:
 
 
 def index_violations(cluster: ClusterState) -> list[str]:
-    """Indexed mode: warm index and capacity buckets vs a fresh rebuild."""
-    if not cluster.indexed:
-        return []
+    """The warm index and capacity buckets vs a fresh rebuild."""
     problems: list[str] = []
     for name, members in cluster._warm_index.items():
         expected = {
@@ -207,10 +205,9 @@ def run_once(
     seed: int,
     schedule: ChurnSchedule,
     store: ProfileStore,
-    index_mode: str = "indexed",
 ) -> list[str]:
     """Run one churn simulation; return every invariant violation observed."""
-    cluster_config = fuzz_cluster_config(index_mode)
+    cluster_config = fuzz_cluster_config()
     requests = build_requests("moderate-normal", NUM_REQUESTS, seed, store)
     simulation = Simulation(
         policy=make_policy(policy_name),
@@ -270,16 +267,6 @@ def test_churn_invariants_hold_across_seeds(policy_name: str, store: ProfileStor
                 + "\nviolations:\n"
                 + "\n".join(f"  {v}" for v in min_violations)
             )
-
-
-@pytest.mark.parametrize("policy_name", ["ESG", "Orion"])
-def test_churn_invariants_hold_in_scan_mode(policy_name: str, store: ProfileStore):
-    """Scan mode has no indexes to corrupt, but capacity conservation,
-    tombstone hygiene and terminal-exactly-once must hold there too."""
-    for seed in range(8):
-        schedule = fuzz_schedule(seed, fuzz_cluster_config("scan"))
-        violations = run_once(policy_name, seed, schedule, store, index_mode="scan")
-        assert not violations, violations
 
 
 def test_harness_catches_planted_corruption(store: ProfileStore):

@@ -1,14 +1,9 @@
 """Acceptance parity: churn runs are byte-identical across every mode axis.
 
-Capacity churn mutates the cluster mid-run — the part of the state space
-the index/metrics/workload refactors never exercised.  These tests extend
-the existing parity matrices to churn scenarios: for identical
-``(scenario, seed)`` the RunSummary must be byte-identical across
+Capacity churn mutates the cluster mid-run.  These tests extend the
+parity matrices to churn scenarios: for identical ``(scenario, seed)`` the
+RunSummary must be byte-identical across
 
-* ``index_mode`` indexed vs. scan (joins/leaves/resizes maintain the
-  capacity buckets vs. are served by fresh scans),
-* metrics retained vs. streaming (the ``evicted`` outcome folds at record
-  time in streaming mode and by scan in retained mode),
 * workload materialized vs. streaming,
 * engine ``n_jobs`` 1 vs. 4 and the spawn multiprocessing context.
 
@@ -22,8 +17,6 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.cluster.cluster import ClusterConfig
-from repro.cluster.metrics import MetricsConfig
 from repro.experiments.engine import ExperimentEngine, RunSpec
 from repro.experiments.runner import (
     ExperimentConfig,
@@ -34,11 +27,7 @@ from repro.experiments.runner import (
 CHURN_SCENARIOS = ("harvest-severe-normal", "churn-eviction-fail")
 
 BASE = ExperimentConfig(num_requests=16)
-FULLY_STREAMING = ExperimentConfig(
-    num_requests=16,
-    workload_mode="streaming",
-    metrics=MetricsConfig(mode="streaming"),
-)
+STREAMING = ExperimentConfig(num_requests=16, workload_mode="streaming")
 
 
 @pytest.fixture(scope="module")
@@ -74,60 +63,11 @@ class TestChurnActuallyBites:
         assert harvested.summary.num_completed == harvested.summary.num_requests
 
 
-class TestChurnIndexModeParity:
+class TestChurnWorkloadParity:
     @pytest.mark.parametrize("scenario", CHURN_SCENARIOS)
-    def test_indexed_vs_scan_byte_identical(self, store, scenario):
-        indexed = run_experiment(
-            "ESG", config=BASE, profile_store=store, scenario=scenario
-        )
-        scan = run_experiment(
-            "ESG",
-            config=BASE.with_overrides(cluster=ClusterConfig(index_mode="scan")),
-            profile_store=store,
-            scenario=scenario,
-        )
-        assert_byte_identical(indexed, scan)
-
-    def test_scan_matches_indexed_for_orion(self, store):
-        """A second policy on the index axis under churn: Orion's search
-        reads the cluster through the same queries."""
-        reference = run_experiment(
-            "Orion",
-            config=BASE.with_overrides(cluster=ClusterConfig(index_mode="scan")),
-            profile_store=store,
-            scenario="harvest-severe-normal",
-        )
-        optimized = run_experiment(
-            "Orion", config=BASE, profile_store=store, scenario="harvest-severe-normal"
-        )
-        assert_byte_identical(optimized, reference)
-
-
-class TestChurnMetricsAndWorkloadParity:
-    @pytest.mark.parametrize("scenario", CHURN_SCENARIOS)
-    def test_streaming_metrics_fold_evictions_identically(self, store, scenario):
-        retained = run_experiment(
-            "ESG", config=BASE, profile_store=store, scenario=scenario
-        )
-        streaming = run_experiment(
-            "ESG",
-            config=BASE.with_overrides(metrics=MetricsConfig(mode="streaming")),
-            profile_store=store,
-            scenario=scenario,
-        )
-        assert_byte_identical(retained, streaming)
-        assert streaming.metrics.is_streaming
-
-    def test_fully_streaming_matches_materialized(self, store):
-        streamed = run_experiment(
-            "ESG",
-            config=FULLY_STREAMING,
-            profile_store=store,
-            scenario="churn-eviction-fail",
-        )
-        materialized = run_experiment(
-            "ESG", config=BASE, profile_store=store, scenario="churn-eviction-fail"
-        )
+    def test_fully_streaming_matches_materialized(self, store, scenario):
+        streamed = run_experiment("ESG", config=STREAMING, profile_store=store, scenario=scenario)
+        materialized = run_experiment("ESG", config=BASE, profile_store=store, scenario=scenario)
         assert_byte_identical(streamed, materialized)
         assert streamed.requests == []
 

@@ -58,3 +58,24 @@ def test_cache_on_matches_cache_off_with_far_fewer_searches(store, monkeypatch, 
         searches[plan_cache] = counter.calls
     assert rendered[True] == rendered[False]
     assert 0 < searches[True] and searches[True] * 10 < searches[False], searches
+
+
+def test_static_plans_search_once_per_distinct_input(store, monkeypatch):
+    """Static planning searches the whole workflow at a request's first
+    stage; the search reads only the app, the stage, the clamped queue
+    length and the SLO, so a run searches once per distinct such input."""
+    config = ExperimentConfig(num_requests=100, seed=1)
+    rendered: dict[bool, str] = {}
+    searches: dict[bool, int] = {}
+    for plan_cache in (True, False):
+        counter = CountingSearch(esg_module.esg_1q_search)
+        monkeypatch.setattr(esg_module, "esg_1q_search", counter)
+        policy = ESGPolicy(adaptive=False, plan_cache=plan_cache)
+        result = run_experiment(
+            policy, config=config, profile_store=store, scenario="paper-relaxed-heavy"
+        )
+        monkeypatch.undo()
+        rendered[plan_cache] = json.dumps(asdict(result.summary), indent=2, sort_keys=True)
+        searches[plan_cache] = counter.calls
+    assert rendered[True] == rendered[False]
+    assert searches == {True: 4, False: 100}

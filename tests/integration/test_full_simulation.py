@@ -23,8 +23,9 @@ CONFIG = ExperimentConfig(num_requests=30, seed=17)
 
 
 @pytest.fixture(scope="module")
-def results():
-    """One scaled-down run per policy under the moderate-normal setting."""
+def runs(task_log):
+    """One scaled-down run per policy under the moderate-normal setting,
+    with the tasks it ran (from its task completion events)."""
     store = build_profile_store(CONFIG.space)
     out = {}
     for name in DEFAULT_POLICIES:
@@ -34,10 +35,23 @@ def results():
         )
         policy = make_policy(name, **overrides)
         requests = build_requests("moderate-normal", CONFIG.num_requests, CONFIG.seed, store)
-        out[name] = run_experiment(
-            policy, "moderate-normal", config=CONFIG, profile_store=store, requests=requests
-        )
+        log = task_log()
+        with log.capturing():
+            result = run_experiment(
+                policy, "moderate-normal", config=CONFIG, profile_store=store, requests=requests
+            )
+        out[name] = (result, log.tasks)
     return out
+
+
+@pytest.fixture(scope="module")
+def results(runs):
+    return {name: result for name, (result, _) in runs.items()}
+
+
+@pytest.fixture(scope="module")
+def tasks(runs):
+    return {name: run_tasks for name, (_, run_tasks) in runs.items()}
 
 
 class TestEveryPolicyCompletesTheWorkload:
@@ -48,13 +62,13 @@ class TestEveryPolicyCompletesTheWorkload:
         assert summary.num_completed == CONFIG.num_requests
 
     @pytest.mark.parametrize("name", DEFAULT_POLICIES)
-    def test_every_stage_of_every_request_ran_exactly_once(self, results, name):
+    def test_every_stage_of_every_request_ran_exactly_once(self, results, tasks, name):
         result = results[name]
         for request in result.requests:
             assert set(request.stage_completion_ms) == set(request.workflow.stage_ids())
         # Tasks carry each (request, stage) exactly once.
         seen: set[tuple[int, str]] = set()
-        for task in result.metrics.tasks:
+        for task in tasks[name]:
             for job in task.jobs:
                 key = (job.request.request_id, job.stage_id)
                 assert key not in seen, f"{key} scheduled twice by {name}"
@@ -79,14 +93,13 @@ class TestEveryPolicyCompletesTheWorkload:
         assert per_app == pytest.approx(result.summary.total_cost_cents)
 
     @pytest.mark.parametrize("name", DEFAULT_POLICIES)
-    def test_latencies_at_least_sum_of_execution_times(self, results, name):
-        result = results[name]
-        exec_by_request: dict[int, float] = {}
-        for task in result.metrics.tasks:
+    def test_latency_covers_every_task_of_the_request(self, results, tasks, name):
+        # A task starts after its job was ready (so after the arrival) and
+        # ends before the request's last sink does.
+        for task in tasks[name]:
             for job in task.jobs:
-                exec_by_request.setdefault(job.request.request_id, 0.0)
-                exec_by_request[job.request.request_id] += 0.0  # placeholder for readability
-        for request in result.requests:
+                assert job.request.latency_ms >= task.duration_ms
+        for request in results[name].requests:
             assert request.latency_ms > 0
 
     def test_warm_experiment_cluster_has_no_cold_starts(self, results):

@@ -19,6 +19,14 @@ def run_esg(seed: int, *, count_overhead: bool = False, **policy_kwargs):
     return run_experiment(policy, "moderate-normal", config=config)
 
 
+def esg_tasks(task_log, seed: int, **policy_kwargs):
+    """The tasks of :func:`run_esg`'s run (from its task completion events)."""
+    log = task_log()
+    with log.capturing():
+        run_esg(seed, **policy_kwargs)
+    return log.tasks
+
+
 class TestReproducibility:
     def test_same_seed_gives_identical_results(self):
         a = run_esg(3).summary
@@ -34,15 +42,13 @@ class TestReproducibility:
 
 
 class TestAblationBehaviour:
-    def test_disabling_batching_never_creates_batches(self):
-        result = run_esg(7, batching=False)
-        assert all(t.batch_size == 1 for t in result.metrics.tasks)
+    def test_disabling_batching_never_creates_batches(self, task_log):
+        tasks = esg_tasks(task_log, 7, batching=False)
+        assert tasks and all(t.batch_size == 1 for t in tasks)
 
-    def test_disabling_gpu_sharing_uses_whole_gpus(self):
-        result = run_esg(7, gpu_sharing=False)
-        full_gpu = result.metrics.tasks[0].config  # sanity anchor
-        assert all(t.config.vgpus == 7 for t in result.metrics.tasks)
-        assert full_gpu.vgpus == 7
+    def test_disabling_gpu_sharing_uses_whole_gpus(self, task_log):
+        tasks = esg_tasks(task_log, 7, gpu_sharing=False)
+        assert tasks and all(t.config.vgpus == 7 for t in tasks)
 
     def test_gpu_sharing_reduces_vgpu_time(self):
         shared = run_esg(7)

@@ -7,18 +7,15 @@ request list built up front, every arrival event pre-registered) and
 :class:`~repro.workloads.stream.RequestStream`) changes *memory behaviour
 only* — every RunSummary is byte-identical, for every policy, on the paper
 scenarios, across worker processes and spawn contexts, including
-truncated-horizon runs and the combination with streaming metrics.  This
-mirrors the ``index_mode="scan"`` and ``MetricsConfig.mode`` precedents of
-the two previous scale refactors.
+truncated-horizon runs.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cluster.cluster import ClusterConfig
-from repro.cluster.metrics import MetricsConfig
 from repro.cluster import simulator
+from repro.cluster.cluster import ClusterConfig
 from repro.cluster.simulator import Simulation, SimulationConfig
 from repro.experiments.engine import ExperimentEngine, RunSpec
 from repro.experiments.runner import (
@@ -38,10 +35,6 @@ PAPER_SCENARIOS = (
 
 MATERIALIZED = ExperimentConfig(num_requests=16)
 STREAMING = ExperimentConfig(num_requests=16, workload_mode="streaming")
-#: Both axes streamed: the bounded-memory million-request configuration.
-FULLY_STREAMING = ExperimentConfig(
-    num_requests=16, workload_mode="streaming", metrics=MetricsConfig(mode="streaming")
-)
 
 
 @pytest.fixture(scope="module")
@@ -63,22 +56,14 @@ class TestStreamingVsMaterializedSummaries:
         )
         assert materialized.summary == streaming.summary
 
-    @pytest.mark.parametrize("scenario", PAPER_SCENARIOS)
-    def test_fully_streaming_matches_fully_materialized(self, store, scenario):
-        materialized = run_experiment(
-            "ESG", config=MATERIALIZED, profile_store=store, scenario=scenario
-        )
-        streamed = run_experiment(
-            "ESG", config=FULLY_STREAMING, profile_store=store, scenario=scenario
-        )
-        assert materialized.summary == streamed.summary
-
     def test_streaming_run_retains_no_requests(self, store):
         result = run_experiment(
-            "ESG", config=FULLY_STREAMING, profile_store=store, scenario="paper-strict-light"
+            "ESG", config=STREAMING, profile_store=store, scenario="paper-strict-light"
         )
         assert result.requests == []
-        assert result.metrics.is_streaming
+        # ... while the collector still serves the figure modules.
+        assert result.metrics.app_names()
+        assert result.metrics.latencies_ms()
 
     def test_truncated_horizon_runs_stay_identical(self, store):
         """Arrivals beyond the horizon are never pulled in streaming mode,
@@ -108,7 +93,7 @@ class TestStreamingVsMaterializedSummaries:
         }
         streaming = {
             key: run_experiment(
-                "ESG", "relaxed-heavy", config=FULLY_STREAMING, profile_store=store
+                "ESG", "relaxed-heavy", config=STREAMING, profile_store=store
             )
         }
         materialized_curves = figure7_curves(materialized)
@@ -136,13 +121,14 @@ class TestStreamingSimulationMechanics:
         pending."""
         scenario = get_scenario("paper-moderate-normal")
         num_requests = 120
-        # Scan-mode expiry (no event-driven keep-alive timers) isolates the
-        # workload's own contribution to the queue: indexed mode's lazily
-        # cancelled timer events would dominate both modes equally.  The
-        # loop pulls arrivals in chunks of ARRIVAL_CHUNK, larger than this
-        # workload, so the chunk is shrunk to keep the bound observable.
+        # An infinite keep-alive arms no expiry timers, isolating the
+        # workload's own contribution to the queue: lazily cancelled
+        # ten-minute timers would pile up equally in both modes and
+        # dominate the peaks.  The loop pulls arrivals in chunks of
+        # ARRIVAL_CHUNK, larger than this workload, so the chunk is shrunk
+        # to keep the bound observable.
         monkeypatch.setattr(simulator, "ARRIVAL_CHUNK", 4)
-        config = SimulationConfig(seed=42, cluster=ClusterConfig(index_mode="scan"))
+        config = SimulationConfig(seed=42, cluster=ClusterConfig(keep_alive_ms=float("inf")))
 
         def peak_queue(workload):
             simulation = Simulation(
@@ -221,21 +207,19 @@ class TestEngineParityAcrossModes:
 
     def test_streaming_specs_in_workers_match_materialized_in_process(self):
         materialized = ExperimentEngine(n_jobs=1).run(self._specs(MATERIALIZED))
-        streaming_parallel = ExperimentEngine(n_jobs=4).run(self._specs(FULLY_STREAMING))
+        streaming_parallel = ExperimentEngine(n_jobs=4).run(self._specs(STREAMING))
         for a, b in zip(materialized, streaming_parallel):
             assert a.summary == b.summary
 
     def test_spawn_context_reproduces_streaming_summaries(self):
-        in_process = ExperimentEngine(n_jobs=1).run(self._specs(FULLY_STREAMING))
-        spawned = ExperimentEngine(n_jobs=2, mp_context="spawn").run(
-            self._specs(FULLY_STREAMING)
-        )
+        in_process = ExperimentEngine(n_jobs=1).run(self._specs(STREAMING))
+        spawned = ExperimentEngine(n_jobs=2, mp_context="spawn").run(self._specs(STREAMING))
         for a, b in zip(in_process, spawned):
             assert a.summary == b.summary
 
     def test_summary_only_auto_streams_the_workload(self):
-        """summary_only upgrades workers to streaming workloads *and*
-        streaming metrics; summaries still equal the full materialized runs."""
+        """summary_only upgrades workers to streaming workloads; summaries
+        still equal the full materialized runs."""
         full = ExperimentEngine(n_jobs=1).run(self._specs(MATERIALIZED))
         summary_only = ExperimentEngine(n_jobs=2).run(
             [
