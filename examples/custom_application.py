@@ -111,7 +111,7 @@ def main() -> None:
         f"SLO hit rate {summary.slo_hit_rate:.1%}, "
         f"cost {summary.total_cost_cents:.2f} cents, "
         f"mean latency {summary.mean_latency_ms:.0f} ms "
-        f"(SLO {result.requests[0].slo_ms:.0f} ms)"
+        f"(SLO {result.metrics.app_slo_ms('document_understanding'):.0f} ms)"
     )
 
 

@@ -53,11 +53,10 @@ class Event:
 
     #: Tie-break rank among events scheduled for the same instant (lower
     #: pops first; push order breaks remaining ties).  Request arrivals rank
-    #: ahead of everything else: a materialized run pushes every arrival
-    #: before the first event is processed, so at equal timestamps arrivals
-    #: always popped first — making that explicit keeps streaming runs
-    #: (which push each arrival mid-run, as the previous one fires)
-    #: byte-identical to materialized runs even on exact time collisions.
+    #: ahead of everything else: the simulator pushes them in chunks
+    #: mid-run, as the previous chunk's last arrival fires, and the rank
+    #: makes the pop sequence the one an upfront push of every arrival
+    #: would give, even on exact time collisions.
     sort_priority: ClassVar[int] = 1
 
     time_ms: float

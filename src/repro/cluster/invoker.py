@@ -166,20 +166,6 @@ class Invoker:
         """Fraction of vGPUs in use."""
         return self.gpu.utilization
 
-    def remaining_after(self, config: Configuration) -> tuple[int, int]:
-        """(vCPUs, vGPUs) that would remain free after placing ``config``."""
-        return (self.available_vcpus - config.vcpus, self.available_vgpus - config.vgpus)
-
-    def fragmentation_score_after(self, config: Configuration) -> float:
-        """Leftover-capacity score used by fragmentation-minimising placement.
-
-        Lower means a tighter fit (fewer stranded resources).  INFless and
-        FaST-GShare prefer the node that minimises this score; the GPU share
-        is weighted more heavily because vGPUs are the scarce resource.
-        """
-        rem_cpu, rem_gpu = self.remaining_after(config)
-        return rem_cpu / self.total_vcpus + 2.0 * (rem_gpu / self.total_vgpus)
-
     # ------------------------------------------------------------------
     # Containers
     # ------------------------------------------------------------------
@@ -199,13 +185,6 @@ class Invoker:
         """Return a resident (warm or busy) container for the function, or ``None``."""
         for container in self._live.get(function_name, ()):
             if container.is_resident(now_ms):
-                return container
-        return None
-
-    def warm_idle_container(self, function_name: str, now_ms: float) -> Container | None:
-        """Return an idle warm container for the function, or ``None``."""
-        for container in self._live.get(function_name, ()):
-            if container.is_warm_idle(now_ms):
                 return container
         return None
 
@@ -285,9 +264,3 @@ class Invoker:
         for container in evicted:
             container.mark_evicted()
         return evicted
-
-    def warm_function_names(self, now_ms: float) -> list[str]:
-        """Functions with at least one idle warm container on this node."""
-        return sorted(
-            name for name in self._live if self.has_warm_container(name, now_ms)
-        )

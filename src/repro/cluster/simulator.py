@@ -1,9 +1,9 @@
 """The discrete-event simulation driver.
 
-:class:`Simulation` wires a workload (a list of requests), a scheduling
-policy and the platform substrate (cluster, controller, prewarmer, metrics)
-into one reproducible run and executes events until every request has
-completed (or a configurable horizon is reached).
+:class:`Simulation` wires a workload (a request stream or list), a
+scheduling policy and the platform substrate (cluster, controller,
+prewarmer, metrics) into one reproducible run and executes events until
+every request has completed (or a configurable horizon is reached).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import gc
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Sequence
+from typing import Callable, ClassVar, Iterator, Sequence
 
 from repro.cluster.churn import ChurnSchedule
 from repro.cluster.cluster import ClusterConfig, ClusterState
@@ -40,9 +40,8 @@ from repro.profiles.pricing import PricingModel
 from repro.profiles.profiler import ProfileStore
 from repro.utils.rng import derive_rng
 from repro.utils.validation import ensure_non_negative, ensure_positive, ensure_positive_int
-from repro.workloads.dag import Workflow
 from repro.workloads.request import Request
-from repro.workloads.stream import RequestStream
+from repro.workloads.stream import ListRequestStream, RequestStream
 
 __all__ = [
     "EventLoop",
@@ -60,11 +59,12 @@ SimulationHook = Callable[["Simulation"], None]
 #: An observer invoked after every handled event.
 EventHook = Callable[["Simulation", Event], None]
 
-#: How many arrivals the loop pulls from a RequestStream per refill.
-#: Bounded (the queue holds at most this many pending arrivals on top of
-#: in-flight work) but large enough to amortise stream re-entry; relative
-#: arrival order and the arrivals-outrank-ties ``sort_priority`` make the
-#: chunked push order-equivalent to pushing every arrival up front.
+#: How many arrivals the loop pulls from the workload's RequestStream per
+#: refill.  Bounded (the queue holds at most this many pending arrivals on
+#: top of in-flight work) but large enough to amortise stream re-entry;
+#: non-decreasing arrival times and the arrivals-outrank-ties
+#: ``sort_priority`` make the chunked push order-equivalent to pushing
+#: every arrival up front.
 ARRIVAL_CHUNK = 256
 
 
@@ -74,9 +74,9 @@ class EventLoop:
     Ties at one instant break by the event's ``sort_priority``, then by
     insertion order.  The priority rank exists for one reason: request
     arrivals must pop ahead of any other event scheduled for the same
-    instant, whether they were pushed up front (materialized workloads) or
-    in chunks mid-run (streaming workloads), so the two scheduling styles
-    stay byte-identical even on exact time collisions.
+    instant, although the simulator pushes them in chunks mid-run, so a
+    run pops the same sequence as if every arrival had been pushed up
+    front, even on exact time collisions.
 
     Housekeeping events (``event.housekeeping``, e.g. container-expiry
     timers) live in their own heap.  Both heaps draw from one shared
@@ -182,16 +182,17 @@ class SimulationConfig:
 class Simulation:
     """One run: a policy scheduling a request stream on the emulated cluster.
 
-    The workload is either a materialized ``Sequence[Request]`` (every
-    arrival event pre-registered up front — the default, debuggable path)
-    or a lazy :class:`~repro.workloads.stream.RequestStream`, which the
-    simulation pulls *on demand*: at most one chunk of
-    :data:`ARRIVAL_CHUNK` arrivals is pending at any time, and popping the
-    last one schedules the next chunk from the stream.  With the streaming
-    metrics collector this bounds the whole run's footprint —
-    no request list, no upfront event flood — while remaining
-    byte-identical to the materialized run (arrivals outrank same-time
-    events via ``Event.sort_priority``, mirroring the upfront push order).
+    The workload is a :class:`~repro.workloads.stream.RequestStream` or a
+    ``Sequence[Request]``, which is wrapped once in a
+    :class:`~repro.workloads.stream.ListRequestStream` (stable-sorted by
+    arrival time).  The simulation pulls the stream *on demand*: at most
+    one chunk of :data:`ARRIVAL_CHUNK` arrivals is pending at any time, and
+    popping the last one schedules the next chunk.  With the streaming
+    metrics collector this bounds the whole run's footprint — no request
+    list, no upfront event flood — while popping the same sequence as an
+    upfront push would (arrivals outrank same-time events via
+    ``Event.sort_priority``).  A stream whose arrivals go backwards raises
+    ``ValueError``.
 
     Event dispatch is table-driven: :meth:`register_handler` maps an event
     type to a handler, and the base :class:`Event` entry falls back to the
@@ -219,14 +220,9 @@ class Simulation:
         transfer_model: DataTransferModel | None = None,
         setting_name: str = "",
     ) -> None:
-        stream = requests if isinstance(requests, RequestStream) else None
-        if stream is None and not requests:
-            raise ValueError("a simulation needs at least one request")
+        stream = requests if isinstance(requests, RequestStream) else ListRequestStream(requests)
         self.config = config or SimulationConfig()
         self.policy = policy
-        #: The materialized workload; stays empty for streaming runs (the
-        #: stream is consumed, never retained).
-        self.requests = [] if stream is not None else list(requests)
         self.profile_store = profile_store
         self.cluster = ClusterState(config=self.config.cluster)
         self.metrics = MetricsCollector(
@@ -277,15 +273,9 @@ class Simulation:
             event_loop=self.events,
         )
 
-        if stream is not None:
-            workflows = dict(stream.workflows())
-            for workflow in workflows.values():
-                self.controller.register_workflow(workflow)
-        else:
-            workflows: dict[str, Workflow] = {}
-            for request in self.requests:
-                workflows.setdefault(request.app_name, request.workflow)
-                self.controller.register_workflow(request.workflow)
+        workflows = dict(stream.workflows())
+        for workflow in workflows.values():
+            self.controller.register_workflow(workflow)
         self.controller.initialize_warm_pool()
 
         context = SchedulingContext(
@@ -298,24 +288,19 @@ class Simulation:
         )
         policy.bind(context)
 
-        self._streaming_workload = stream is not None
+        self._arrival_source: Iterator[list[tuple[float, Request]]] | None = (
+            stream.iter_chunks(ARRIVAL_CHUNK)
+        )
         self._pending_arrivals = 0
-        if stream is not None:
-            self._arrival_source = stream.iter_chunks(ARRIVAL_CHUNK)
-            if not self._push_arrival_chunk():
-                raise ValueError("a simulation needs at least one request")
-        else:
-            self._arrival_source = None
-            for request in self.requests:
-                self.events.push(
-                    RequestArrivalEvent(time_ms=request.arrival_ms, request=request)
-                )
+        self._last_arrival_ms = float("-inf")
+        if not self._push_arrival_chunk():
+            raise ValueError("a simulation needs at least one request")
 
         # Churn events go in last, at a fixed point of construction, so their
-        # tie-break counters sit after every arrival pushed at init and before
+        # tie-break counters sit after the first arrival chunk and before
         # anything emitted mid-run.  Equal-time collisions with arrivals are
         # resolved by sort_priority (arrivals rank 0, churn 1), which also
-        # covers streaming runs, whose later arrival chunks are pushed mid-run.
+        # covers the later arrival chunks, pushed mid-run.
         churn = self.config.churn
         if churn is not None:
             self.controller.enable_churn(churn.on_evict)
@@ -325,13 +310,15 @@ class Simulation:
     def _push_arrival_chunk(self) -> bool:
         """Pull up to :data:`ARRIVAL_CHUNK` requests and schedule them all.
 
-        The streaming refill, pushed when the previous chunk's last arrival
-        pops.  Order-equivalent to pushing the whole workload up front:
-        arrivals come off the stream in non-decreasing time with equal
+        The refill, pushed when the previous chunk's last arrival pops.
+        Order-equivalent to pushing the whole workload up front: arrivals
+        come off the stream in non-decreasing time with equal
         ``sort_priority`` and increasing counters, so every not-yet-due
         arrival sits strictly behind the next due one in the queue and the
         pop sequence is unchanged; the queue simply holds at most one chunk
-        of future arrivals.  Returns False once the stream is exhausted.
+        of future arrivals.  An arrival earlier than the one pushed before
+        it would be handled late, so it raises ``ValueError`` instead.
+        Returns False once the stream is exhausted.
         """
         source = self._arrival_source
         if source is None:
@@ -347,7 +334,15 @@ class Simulation:
         real = events._real
         counter = events._counter
         heappush = heapq.heappush
+        last_ms = self._last_arrival_ms
         for arrival_ms, request in chunk:
+            if arrival_ms < last_ms:
+                raise ValueError(
+                    f"request {request.request_id} arrives at {arrival_ms!r} ms, "
+                    f"before the previous arrival at {last_ms!r} ms; a request "
+                    "stream must yield arrivals in non-decreasing time"
+                )
+            last_ms = arrival_ms
             heappush(
                 real,
                 (
@@ -357,6 +352,7 @@ class Simulation:
                     RequestArrivalEvent(time_ms=arrival_ms, request=request),
                 ),
             )
+        self._last_arrival_ms = last_ms
         self._pending_arrivals = len(chunk)
         return True
 
@@ -540,11 +536,11 @@ class Simulation:
                     # Engine-owned invariant: the pending tick is consumed the
                     # moment it is popped, no matter which handler runs it.
                     self._tick_scheduled = False
-                elif is_arrival and self._arrival_source is not None:
-                    # Streaming workloads: popping the last arrival of a chunk
-                    # pushes the next chunk, whichever handler runs it.
+                elif is_arrival:
+                    # Popping the last arrival of a chunk pushes the next
+                    # chunk, whichever handler runs it.
                     self._pending_arrivals -= 1
-                    if self._pending_arrivals <= 0:
+                    if self._pending_arrivals == 0:
                         self._push_arrival_chunk()
                 if handler is None:
                     event.apply(self)
@@ -590,11 +586,6 @@ class Simulation:
     def truncated(self) -> bool:
         """True when the run stopped at the horizon or the event cap."""
         return self._truncated
-
-    @property
-    def streaming_workload(self) -> bool:
-        """True when the workload is pulled lazily from a RequestStream."""
-        return self._streaming_workload
 
     def config_space(self) -> ConfigurationSpace:
         """The configuration space the run uses."""

@@ -31,7 +31,6 @@ from repro.experiments.churn_study import (
 from repro.experiments.engine import ExperimentEngine, RunSpec, execute_spec
 from repro.experiments.runner import (
     DEFAULT_POLICIES,
-    WORKLOAD_MODES,
     ExperimentConfig,
     RunResult,
     build_profile_store,
@@ -67,7 +66,6 @@ from repro.experiments.sweep import (
 __all__ = [
     "CHURN_STUDY_SCENARIOS",
     "DEFAULT_POLICIES",
-    "WORKLOAD_MODES",
     "ExperimentConfig",
     "ExperimentEngine",
     "ResultStore",

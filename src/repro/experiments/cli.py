@@ -71,11 +71,7 @@ from repro.experiments.overhead import (
     run_bruteforce_comparison,
     run_figure10,
 )
-from repro.experiments.runner import (
-    DEFAULT_POLICIES,
-    WORKLOAD_MODES,
-    ExperimentConfig,
-)
+from repro.experiments.runner import DEFAULT_POLICIES, ExperimentConfig
 from repro.experiments.scenario_sweep import compare_on_scenarios, render_scenario_list
 from repro.experiments.sweep import (
     DEFAULT_SWEEP_TOPOLOGIES,
@@ -145,7 +141,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         seed=args.seed,
         cluster=_cluster_from_args(args),
         cluster_pinned=pinned,
-        workload_mode=args.workload_mode,
         churn=args.churn,
         autoscale=args.autoscale,
     )
@@ -417,16 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
         f"autoscale spec ({', '.join(autoscale_spec_names())}); replaces the "
         "static EWMA prewarmer with the named controller (a scenario's own "
         "autoscale applies only when this is left unset)",
-    )
-    parser.add_argument(
-        "--workload-mode",
-        choices=WORKLOAD_MODES,
-        default="materialized",
-        help="workload generation: 'materialized' builds the full request "
-        "list up front (default, debuggable), 'streaming' lets the "
-        "simulator pull arrivals lazily from a request stream "
-        "(byte-identical results, ~16 bytes per request instead of whole "
-        "object graphs: bounded-memory million-request runs)",
     )
     parser.add_argument(
         "--store",

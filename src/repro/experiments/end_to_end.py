@@ -165,8 +165,7 @@ def figure7_curves(
             continue
         for app in result.metrics.app_names():
             latencies = tuple(result.metrics.latencies_ms(app))
-            # Read the SLO from the collector, not result.requests: a
-            # streaming-workload run retains no request list.
+            # Read the SLO from the collector: a run retains no request list.
             slo_ms = result.metrics.app_slo_ms(app) or 0.0
             curves.append(
                 LatencyCurve(

@@ -143,21 +143,14 @@ def execute_spec(spec: RunSpec) -> RunResult:
 
     Module-level (not a method) so it is picklable as a process-pool task.
 
-    ``summary_only`` specs run with a *streaming* workload, so the request
-    list is never materialised: the simulator pulls arrivals from a lazy
-    :class:`~repro.workloads.stream.RequestStream`.  Summaries are
-    byte-identical across workload modes, so this is purely a memory
-    optimisation.  The result carries the summary alone (``metrics`` is
-    ``None``, ``requests`` empty).
+    A ``summary_only`` result carries the summary alone (``metrics`` is
+    ``None``).
     """
-    config = spec.config
-    if spec.summary_only and config.workload_mode != "streaming":
-        config = config.with_overrides(workload_mode="streaming")
-    store = _profile_store_for(config.space)
+    store = _profile_store_for(spec.config.space)
     result = run_experiment(
         spec.build_policy(),
         spec.setting,
-        config=config,
+        config=spec.config,
         profile_store=store,
         scenario=spec.scenario,
     )
@@ -167,7 +160,6 @@ def execute_spec(spec: RunSpec) -> RunResult:
             setting=result.setting,
             summary=result.summary,
             metrics=None,
-            requests=[],
             scenario_name=result.scenario_name,
         )
     return result

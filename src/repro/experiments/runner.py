@@ -35,12 +35,11 @@ from repro.workloads.applications import build_paper_applications
 from repro.workloads.generator import WORKLOAD_SETTINGS, WorkloadGenerator, WorkloadSetting
 from repro.workloads.request import Request
 from repro.workloads.scenarios import Scenario, get_scenario
-from repro.workloads.stream import WORKLOAD_MODES, RequestStream
+from repro.workloads.stream import RequestStream
 
 __all__ = [
     "DEFAULT_POLICIES",
     "EXPERIMENT_SPACE",
-    "WORKLOAD_MODES",
     "ExperimentConfig",
     "RunResult",
     "build_profile_store",
@@ -93,13 +92,10 @@ class ExperimentConfig:
     cluster_pinned: bool = False
     #: Metrics storage mode (``"streaming"``, the only mode).
     metrics: MetricsConfig = field(default_factory=MetricsConfig)
-    #: Workload generation mode: ``"materialized"`` (default) builds the
-    #: full request list up front; ``"streaming"`` hands the simulator a
-    #: lazy :class:`~repro.workloads.stream.RequestStream` that it pulls
-    #: one arrival at a time — ~16 bytes per request instead of a whole
-    #: object graph, with byte-identical summaries, and with the streaming
-    #: metrics collector bounded memory end to end.
-    workload_mode: str = "materialized"
+    #: Workload mode (``"streaming"``, the only mode, still accepted by
+    #: name): the simulator always pulls its workload from a lazy
+    #: :class:`~repro.workloads.stream.RequestStream`.
+    workload_mode: str = "streaming"
     #: Capacity churn: a registered :class:`~repro.cluster.churn.ChurnSpec`
     #: name, a spec (expanded with this config's seed at run time), or a
     #: concrete :class:`~repro.cluster.churn.ChurnSchedule`.  ``None``
@@ -115,10 +111,14 @@ class ExperimentConfig:
     autoscale: "AutoscaleSpec | str | None" = None
 
     def __post_init__(self) -> None:
-        if self.workload_mode not in WORKLOAD_MODES:
+        if self.workload_mode == "materialized":
             raise ValueError(
-                f"unknown workload mode {self.workload_mode!r}; "
-                f"expected one of {WORKLOAD_MODES}"
+                "workload mode 'materialized' was removed; the simulator always "
+                "pulls its workload from a request stream (workload_mode='streaming')"
+            )
+        if self.workload_mode != "streaming":
+            raise ValueError(
+                f"unknown workload mode {self.workload_mode!r}; expected 'streaming'"
             )
         ensure_positive(self.max_time_ms, "max_time_ms")
 
@@ -137,10 +137,6 @@ class RunResult:
     #: The run's collector; ``None`` for ``summary_only`` engine results
     #: and store hits (only the summary is kept).
     metrics: MetricsCollector | None
-    #: The materialized workload; empty for streaming-workload runs (the
-    #: requests were pulled lazily and never retained) and for
-    #: ``summary_only`` engine results (never shipped over IPC).
-    requests: list[Request]
     #: Name of the scenario the run was built from, when one was used.
     scenario_name: str | None = None
 
@@ -252,12 +248,11 @@ def run_experiment(
     scenario (``paper-<setting>``) produces byte-identical results to
     passing the bare setting.
 
-    ``config.workload_mode == "streaming"`` builds the workload as a lazy
+    The workload is built as a lazy
     :class:`~repro.workloads.stream.RequestStream` the simulator pulls on
-    demand instead of a materialized list: summaries are byte-identical,
-    the result's ``requests`` list stays empty.  An explicitly passed
-    ``requests`` sequence is already materialized and runs as such
-    regardless of the mode.
+    demand; the result keeps no request objects.  An explicitly passed
+    ``requests`` sequence replaces it (the simulator replays it in arrival
+    order).
     """
     config = config or ExperimentConfig()
     if scenario is not None:
@@ -320,39 +315,24 @@ def run_experiment(
     if autoscale is None and scenario is not None:
         autoscale = scenario.autoscale
     autoscale_spec = resolve_autoscale(autoscale)
-    streaming = config.workload_mode == "streaming" and requests is None
     workload: Sequence[Request] | RequestStream
-    if requests is None:
-        if scenario is not None:
-            num_requests = scenario.num_requests or config.num_requests
-            if streaming:
-                workload = scenario.build_stream(
-                    num_requests, config.seed, profile_store, burstiness=config.burstiness
-                )
-            else:
-                workload = scenario.build_requests(
-                    num_requests, config.seed, profile_store, burstiness=config.burstiness
-                )
-        elif streaming:
-            workload = build_request_stream(
-                setting,
-                config.num_requests,
-                config.seed,
-                profile_store,
-                burstiness=config.burstiness,
-            )
-        else:
-            workload = build_requests(
-                setting,
-                config.num_requests,
-                config.seed,
-                profile_store,
-                burstiness=config.burstiness,
-            )
+    if requests is not None:
+        workload = requests
+    elif scenario is not None:
+        workload = scenario.build_stream(
+            scenario.num_requests or config.num_requests,
+            config.seed,
+            profile_store,
+            burstiness=config.burstiness,
+        )
     else:
-        # An explicit request list is already materialized; workload_mode
-        # applies only to workloads this function builds itself.
-        workload = list(requests)
+        workload = build_request_stream(
+            setting,
+            config.num_requests,
+            config.seed,
+            profile_store,
+            burstiness=config.burstiness,
+        )
 
     simulation = Simulation(
         policy=policy,
@@ -380,7 +360,6 @@ def run_experiment(
         setting=setting,
         summary=summary,
         metrics=simulation.metrics,
-        requests=[] if streaming else list(workload),
         scenario_name=scenario.name if scenario is not None else None,
     )
 

@@ -41,8 +41,9 @@ Payloads record their ``kind``.  The store holds ``"summary"`` payloads —
 the compact :class:`RunSummary` — so only callers that need *just* the
 summary (``summary_only`` specs: the scenario sweeps, the churn study,
 Table 4, Figures 6/9/11/12, ``esg-repro sweep``) are served from cache; a
-spec that needs per-request data (``summary_only=False``) always falls back
-to a live run, whose summary is then persisted for future summary readers.
+spec that needs the run's metrics collector (``summary_only=False``) always
+falls back to a live run, whose summary is then persisted for future
+summary readers.
 """
 
 from __future__ import annotations
@@ -79,7 +80,8 @@ __all__ = [
 #: v2: the key document gained the ``autoscale`` config field.
 #: v3: the event-loop mode left the key document (the simulator has one loop).
 #: v4: the metrics mode and the cluster's index mode left the key document.
-STORE_SCHEMA_VERSION = 4
+#: v5: the workload mode left the key document.
+STORE_SCHEMA_VERSION = 5
 
 #: The payload kind the store holds today: a bare :class:`RunSummary`.
 SUMMARY_KIND = "summary"
@@ -211,7 +213,6 @@ def spec_key_doc(spec: "RunSpec") -> dict[str, object]:
             "controller": _canonical(config.controller),
             "burstiness": config.burstiness,
             "max_time_ms": config.max_time_ms,
-            "workload_mode": config.workload_mode,
             "churn": _canonical(churn),
             "autoscale": _canonical(autoscale),
         },
@@ -337,11 +338,11 @@ class ResultStore:
         """Serve ``spec`` from cache, or ``None`` when it cannot be served.
 
         Only ``summary_only`` specs are servable from a summary payload: a
-        caller that needs ``requests`` or a live metrics collector must run
-        the cell (honouring ``summary_only`` semantics is the store's job,
-        not each call site's).  A served result is indistinguishable from a
-        ``summary_only`` engine execution — no collector, the same empty
-        request list, byte-identical summary.
+        caller that needs a live metrics collector must run the cell
+        (honouring ``summary_only`` semantics is the store's job, not each
+        call site's).  A served result is indistinguishable from a
+        ``summary_only`` engine execution — no collector, byte-identical
+        summary.
         """
         from repro.experiments.runner import RunResult
 
@@ -365,7 +366,6 @@ class ResultStore:
             setting=setting,
             summary=summary,
             metrics=None,
-            requests=[],
             scenario_name=scenario_name,
         )
 

@@ -51,9 +51,9 @@ from repro.workloads.generator import (
 )
 from repro.workloads.request import Job, Request
 from repro.workloads.stream import (
-    WORKLOAD_MODES,
     CountRequestStream,
     DurationRequestStream,
+    ListRequestStream,
     RequestStream,
 )
 from repro.workloads.scenarios import (
@@ -89,10 +89,10 @@ __all__ = [
     "TraceFileReplayProcess",
     "TraceExhaustedError",
     "iter_trace_intervals",
-    "WORKLOAD_MODES",
     "RequestStream",
     "CountRequestStream",
     "DurationRequestStream",
+    "ListRequestStream",
     "WorkloadSetting",
     "WorkloadGenerator",
     "STRICT_LIGHT",

@@ -34,7 +34,7 @@ SLO derivation is independent of profiling, so it doctests cheaply:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -124,7 +124,6 @@ class WorkloadGenerator:
     rng: np.random.Generator
     burstiness: float = 0.0
     app_weights: Sequence[float] | None = None
-    workflow_factory: Callable[[Workflow], Workflow] | None = None
     arrival: ArrivalProcess | None = None
     _base_latency_cache: dict[str, float] = field(default_factory=dict, repr=False)
 

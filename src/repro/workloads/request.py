@@ -128,10 +128,6 @@ class Request:
                 self.stage_completion_ms[sink] for sink in self.workflow.sinks()
             )
 
-    def stage_is_ready(self, stage_id: str) -> bool:
-        """True if all predecessors of ``stage_id`` have completed."""
-        return all(p in self.stage_completion_ms for p in self.workflow.predecessors(stage_id))
-
     def remaining_stage_ids(self) -> list[str]:
         """Stages not yet completed, in topological order."""
         return [

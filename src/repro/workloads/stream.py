@@ -1,24 +1,24 @@
 """Lazy request streams: bounded-memory workload generation.
 
-A :class:`RequestStream` is the lazy counterpart of
-:meth:`~repro.workloads.generator.WorkloadGenerator.generate`: an ordered
-iterator of ``(arrival_ms, Request)`` pairs that the simulator can pull one
-arrival at a time, so a million-request run never holds a million
-:class:`~repro.workloads.request.Request` object graphs at once.  Two
-concrete shapes exist, matching the two generation modes:
+A :class:`RequestStream` is the simulator's only workload input: an
+ordered iterator of ``(arrival_ms, Request)`` pairs that the simulator
+pulls in chunks, so a million-request run never holds a million
+:class:`~repro.workloads.request.Request` object graphs at once.  Three
+concrete shapes exist:
 
 * :class:`CountRequestStream` — a fixed number of requests.  Its random
-  draws are *bulk* calls in exactly the order the materialized
-  :meth:`~repro.workloads.generator.WorkloadGenerator.generate` path makes
-  them (all arrival intervals, then all application picks), which is what
-  makes streaming runs **byte-identical** to materialized runs: the stream
-  keeps only two compact numpy arrays (~16 bytes per request) and builds
-  each ``Request`` on demand.
+  draws are two *bulk* calls (all arrival intervals, then all application
+  picks), the same draws
+  :meth:`~repro.workloads.generator.WorkloadGenerator.generate`
+  materializes: the stream keeps only two compact numpy arrays (~16 bytes
+  per request) and builds each ``Request`` on demand.
 * :class:`DurationRequestStream` — every request whose arrival falls inside
   a simulated-time window.  Draws are *per request* (one interval, then one
   application pick), so the stream is O(1) in memory and — unlike the
   historical mean-rate estimate — **exact**: it ends only once the arrival
   clock actually passes the window, no matter how bursty the process is.
+* :class:`ListRequestStream` — an explicit request list, replayed in
+  arrival order.  The simulator wraps any ``Sequence[Request]`` in one.
 
 Determinism contract: a stream is a pure function of its generator's RNG
 state at construction.  Count streams consume the RNG at construction time
@@ -55,7 +55,8 @@ from __future__ import annotations
 
 import itertools
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Iterator
+from operator import attrgetter
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -68,17 +69,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
     from repro.workloads.generator import WorkloadGenerator
 
 __all__ = [
-    "WORKLOAD_MODES",
     "RequestStream",
     "CountRequestStream",
     "DurationRequestStream",
+    "ListRequestStream",
 ]
-
-#: Workload-generation modes accepted by the experiment layer:
-#: ``"materialized"`` builds the full request list up front (the default,
-#: debuggable path); ``"streaming"`` hands the simulator a lazy
-#: :class:`RequestStream` instead.  Summaries are byte-identical.
-WORKLOAD_MODES = ("materialized", "streaming")
 
 
 def _app_probs(generator: "WorkloadGenerator") -> np.ndarray | None:
@@ -92,11 +87,12 @@ def _app_probs(generator: "WorkloadGenerator") -> np.ndarray | None:
 class RequestStream(ABC):
     """An ordered, lazy stream of ``(arrival_ms, Request)`` pairs.
 
-    Iterating yields requests in arrival order with consecutive
-    ``request_id`` values starting at 0.  The simulator pulls one pair at a
-    time — scheduling arrival *k+1* only once arrival *k* has fired — so
-    the event queue and the workload layer stay small regardless of the
-    total request count.
+    Iterating yields requests in non-decreasing arrival order (generated
+    streams number them 0, 1, 2, ...).  The simulator pulls one chunk of
+    pairs at a time and the next chunk only once the last arrival of the
+    previous one has fired, so the event queue and the workload layer stay
+    small regardless of the total request count.  It rejects a stream
+    whose arrivals go backwards.
     """
 
     @abstractmethod
@@ -109,13 +105,11 @@ class RequestStream(ABC):
         application name.
 
         The simulator registers these (and warms the initial container
-        pool) before the first arrival, exactly like the upfront pass over
-        a materialized request list.  Count streams return precisely the
-        applications that *will* appear, in first-appearance order — the
-        same set and order a materialized run derives from its request
-        list, which is part of the byte-identity guarantee.  Duration
-        streams cannot know appearances without consuming the stream, so
-        they declare every application of their generator.
+        pool) before the first arrival, in this order.  Count and list
+        streams return precisely the applications that *will* appear, in
+        first-appearance order.  Duration streams cannot know appearances
+        without consuming the stream, so they declare every application of
+        their generator.
         """
 
     def iter_chunks(
@@ -123,7 +117,7 @@ class RequestStream(ABC):
     ) -> Iterator[list[tuple[float, Request]]]:
         """Yield the stream's pairs in lists of up to ``chunk_size``.
 
-        The fast event loop pulls arrivals through this instead of one
+        The simulator pulls arrivals through this instead of one
         ``next()`` per request, amortising the generator re-entry cost.
         The pairs and their order are exactly those of :meth:`__iter__`;
         only the last chunk may be short.  Subclasses may override with a
@@ -146,10 +140,8 @@ class CountRequestStream(RequestStream):
     """Lazy stream of a fixed number of requests.
 
     The arrival timestamps and application picks are drawn at construction
-    with the same two bulk RNG calls as
-    :meth:`~repro.workloads.generator.WorkloadGenerator.generate` — the
-    byte-identity anchor — and retained as compact numpy arrays (one float64
-    and one int64 per request).  ``Request`` objects are built only as the
+    with two bulk RNG calls and retained as compact numpy arrays (one
+    float64 and one int64 per request).  ``Request`` objects are built only as the
     stream is iterated, and a fresh iteration builds fresh objects, so one
     stream can drive several runs of the *same* workload (requests carry
     mutable runtime state and must never be shared across runs).
@@ -164,7 +156,7 @@ class CountRequestStream(RequestStream):
     ) -> None:
         ensure_positive_int(num_requests, "num_requests")
         self._generator = generator
-        # Exactly generate()'s draw order: all intervals, then all picks.
+        # All intervals, then all picks.
         self._arrivals = generator.arrival_process.arrival_times(
             num_requests, generator.rng, start_ms=start_ms
         )
@@ -178,11 +170,8 @@ class CountRequestStream(RequestStream):
     def __iter__(self) -> Iterator[tuple[float, Request]]:
         generator = self._generator
         applications = generator.applications
-        factory = generator.workflow_factory
         for req_id in range(len(self._arrivals)):
             workflow = applications[int(self._app_indices[req_id])]
-            if factory is not None:
-                workflow = factory(workflow)
             arrival = float(self._arrivals[req_id])
             yield arrival, Request(
                 request_id=req_id,
@@ -197,12 +186,11 @@ class CountRequestStream(RequestStream):
         """Chunked iteration over the pre-drawn arrays, bypassing the
         generator protocol of :meth:`__iter__` (no frame suspension per
         request).  Pair-for-pair identical to ``__iter__`` — same array
-        reads, same ``slo_ms`` call order, same factory application.
+        reads, same ``slo_ms`` call order.
         """
         ensure_positive_int(chunk_size, "chunk_size")
         generator = self._generator
         applications = generator.applications
-        factory = generator.workflow_factory
         arrivals = self._arrivals
         indices = self._app_indices
         total = len(arrivals)
@@ -210,8 +198,6 @@ class CountRequestStream(RequestStream):
             chunk: list[tuple[float, Request]] = []
             for req_id in range(start, min(start + chunk_size, total)):
                 workflow = applications[int(indices[req_id])]
-                if factory is not None:
-                    workflow = factory(workflow)
                 arrival = float(arrivals[req_id])
                 chunk.append(
                     (
@@ -227,14 +213,7 @@ class CountRequestStream(RequestStream):
             yield chunk
 
     def workflows(self) -> dict[str, Workflow]:
-        if self._generator.workflow_factory is not None:
-            raise ValueError(
-                "a streaming simulation cannot pre-register factory-built "
-                "workflows (the factory runs per request, at yield time); "
-                "use materialized generation with workflow_factory"
-            )
-        # First-appearance order of the app indices, mirroring the
-        # setdefault scan a materialized run does over its request list.
+        # First-appearance order of the app indices.
         _, first_index = np.unique(self._app_indices, return_index=True)
         workflows: dict[str, Workflow] = {}
         for position in np.sort(first_index):
@@ -290,7 +269,6 @@ class DurationRequestStream(RequestStream):
         generator = self._generator
         rng = generator.rng
         applications = generator.applications
-        factory = generator.workflow_factory
         probs = _app_probs(generator)
         intervals = generator.arrival_process.interval_stream(rng)
         bound = self._start_ms + self._duration_ms
@@ -310,8 +288,6 @@ class DurationRequestStream(RequestStream):
                 return
             app_idx = int(rng.choice(len(applications), p=probs))
             workflow = applications[app_idx]
-            if factory is not None:
-                workflow = factory(workflow)
             yield clock, Request(
                 request_id=req_id,
                 workflow=workflow,
@@ -321,15 +297,34 @@ class DurationRequestStream(RequestStream):
             req_id += 1
 
     def workflows(self) -> dict[str, Workflow]:
-        if self._generator.workflow_factory is not None:
-            raise ValueError(
-                "a streaming simulation cannot pre-register factory-built "
-                "workflows (the factory runs per request, at yield time); "
-                "use materialized generation with workflow_factory"
-            )
         # Which applications appear is unknown until the stream is consumed,
         # so a duration-streamed run declares (and warms) all of them.
         workflows: dict[str, Workflow] = {}
         for workflow in self._generator.applications:
             workflows.setdefault(workflow.name, workflow)
         return workflows
+
+
+class ListRequestStream(RequestStream):
+    """An explicit request list replayed as a stream.
+
+    The requests are stable-sorted by ``arrival_ms`` once, at construction:
+    a list given out of order still arrives in time order, and requests
+    with equal arrival times keep the list's order.  :meth:`workflows`
+    reports the applications in the list's own first-appearance order.
+    Iterating yields the list's request objects themselves, so a list
+    drives one run only (requests carry mutable runtime state).
+    """
+
+    def __init__(self, requests: Sequence[Request]) -> None:
+        self._workflows: dict[str, Workflow] = {}
+        for request in requests:
+            self._workflows.setdefault(request.app_name, request.workflow)
+        self._requests = sorted(requests, key=attrgetter("arrival_ms"))
+
+    def __iter__(self) -> Iterator[tuple[float, Request]]:
+        for request in self._requests:
+            yield request.arrival_ms, request
+
+    def workflows(self) -> dict[str, Workflow]:
+        return dict(self._workflows)

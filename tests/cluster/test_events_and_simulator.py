@@ -6,6 +6,7 @@ from dataclasses import asdict, dataclass
 
 import pytest
 
+from repro.cluster import simulator
 from repro.cluster.controller import ControllerConfig
 from repro.cluster.events import (
     Event,
@@ -16,11 +17,13 @@ from repro.cluster.simulator import EventLoop, Simulation, SimulationConfig
 from repro.experiments.runner import (
     EXPERIMENT_SPACE,
     build_profile_store,
+    build_request_stream,
     build_requests,
     make_policy,
 )
 from repro.workloads.applications import image_classification
 from repro.workloads.request import Request
+from repro.workloads.stream import RequestStream
 
 
 def make_request(arrival_ms: float = 0.0) -> Request:
@@ -369,3 +372,89 @@ class TestCachedDispatchPrecedence:
         assert armed
         assert late  # ticks after the mid-run registration went through it
         assert asdict(summary) == asdict(baseline)
+
+
+# ----------------------------------------------------------------------
+# The arrival stream: chunked refill, arrival order, empty workloads
+# ----------------------------------------------------------------------
+class ListedStream(RequestStream):
+    """Yields the given requests in the given order, sorted or not."""
+
+    def __init__(self, requests) -> None:
+        self._requests = list(requests)
+
+    def __iter__(self):
+        return ((request.arrival_ms, request) for request in self._requests)
+
+    def workflows(self):
+        return {request.app_name: request.workflow for request in self._requests}
+
+
+def pending_arrivals(simulation: Simulation) -> int:
+    return sum(isinstance(entry[3], RequestArrivalEvent) for entry in simulation.events._real)
+
+
+class TestArrivalStream:
+    def _simulation(self, store, workload, policy: str = "ESG") -> Simulation:
+        return Simulation(
+            policy=make_policy(policy),
+            requests=workload,
+            profile_store=store,
+            config=SimulationConfig(seed=3),
+            setting_name="moderate-normal",
+        )
+
+    @pytest.mark.parametrize("kind", ["list", "stream"])
+    def test_pending_arrivals_never_exceed_one_chunk(self, sim_store, monkeypatch, kind):
+        """The queue holds at most ARRIVAL_CHUNK arrivals, however long the
+        workload: the next chunk is pulled only when the last one fires."""
+        monkeypatch.setattr(simulator, "ARRIVAL_CHUNK", 4)
+        build = build_requests if kind == "list" else build_request_stream
+        simulation = self._simulation(sim_store, build("moderate-normal", 120, 42, sim_store))
+        peaks = [pending_arrivals(simulation)]
+        simulation.on_event(lambda sim, event: peaks.append(pending_arrivals(sim)))
+        summary = simulation.run()
+        assert summary.num_completed == summary.num_requests == 120
+        assert max(peaks) == 4
+
+    def test_every_arrival_is_handled_once_at_its_time(self, sim_store, monkeypatch):
+        monkeypatch.setattr(simulator, "ARRIVAL_CHUNK", 4)
+        requests = build_requests("moderate-normal", 30, 7, sim_store)
+        simulation = self._simulation(sim_store, requests, policy="INFless")
+        handled: list[tuple[int, float]] = []
+
+        @simulation.on_event
+        def watch(sim, event):
+            if isinstance(event, RequestArrivalEvent):
+                handled.append((event.request.request_id, sim.now_ms))
+
+        summary = simulation.run()
+        assert summary.num_completed == summary.num_requests == 30
+        assert handled == [(r.request_id, r.arrival_ms) for r in requests]
+
+    @pytest.mark.parametrize("order", ["reversed", "swapped-across-chunks"])
+    def test_backwards_stream_raises(self, sim_store, monkeypatch, order):
+        """An arrival earlier than the one before it would be handled late;
+        the simulation refuses it, at construction or mid-run."""
+        monkeypatch.setattr(simulator, "ARRIVAL_CHUNK", 2)
+        requests = build_requests("moderate-normal", 8, 3, sim_store)
+        if order == "reversed":
+            listed, before, early = requests[::-1], requests[7], requests[6]
+        else:
+            listed = [requests[0], requests[2], requests[1], *requests[3:]]
+            before, early = requests[2], requests[1]
+        with pytest.raises(ValueError, match="non-decreasing") as excinfo:
+            self._simulation(sim_store, ListedStream(listed)).run()
+        message = str(excinfo.value)
+        assert f"request {early.request_id} arrives at {early.arrival_ms!r} ms" in message
+        assert f"previous arrival at {before.arrival_ms!r} ms" in message
+
+    def test_explicit_list_is_replayed_in_arrival_order(self, sim_store):
+        ordered = self._simulation(sim_store, build_requests("moderate-normal", 12, 3, sim_store))
+        backwards = build_requests("moderate-normal", 12, 3, sim_store)[::-1]
+        assert asdict(self._simulation(sim_store, backwards).run()) == asdict(ordered.run())
+
+    @pytest.mark.parametrize("workload", [[], ListedStream([])], ids=["list", "stream"])
+    def test_empty_workload_rejected(self, sim_store, workload):
+        with pytest.raises(ValueError, match="at least one request"):
+            self._simulation(sim_store, workload)

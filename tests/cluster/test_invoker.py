@@ -55,15 +55,6 @@ class TestResourceAccounting:
             invoker.reserve(Configuration(1, 4, 2))
         assert invoker.available_vgpus == 6  # only the first reservation holds
 
-    def test_fragmentation_score_prefers_tight_fit(self, invoker):
-        small = Configuration(1, 2, 1)
-        large = Configuration(1, 8, 4)
-        assert invoker.fragmentation_score_after(large) < invoker.fragmentation_score_after(small)
-
-    def test_remaining_after(self, invoker):
-        rem_cpu, rem_gpu = invoker.remaining_after(Configuration(1, 10, 3))
-        assert (rem_cpu, rem_gpu) == (6, 4)
-
     @given(
         st.lists(
             st.tuples(st.integers(1, 8), st.integers(1, 4)),
@@ -100,7 +91,6 @@ class TestContainers:
         container = invoker.create_warm_container("deblur", now_ms=0.0)
         container.assign_task()
         assert invoker.resident_container("deblur", 10.0) is container
-        assert invoker.warm_idle_container("deblur", 10.0) is None
 
     def test_starting_container_counts_as_any_but_not_warm(self, invoker):
         container = Container(
@@ -114,8 +104,3 @@ class TestContainers:
         container = Container(function_name="deblur", invoker_id=5)
         with pytest.raises(ValueError):
             invoker.add_container(container)
-
-    def test_warm_function_names(self, invoker):
-        invoker.create_warm_container("deblur", now_ms=0.0)
-        invoker.create_warm_container("classification", now_ms=0.0)
-        assert invoker.warm_function_names(0.0) == ["classification", "deblur"]

@@ -54,15 +54,10 @@ class TestParser:
         )
         assert _cluster_from_args(args).num_invokers == 12
 
-    def test_workload_mode_option(self):
-        from repro.experiments.cli import _config_from_args
-
-        args = build_parser().parse_args(["fig6"])
-        assert args.workload_mode == "materialized"
-        args = build_parser().parse_args(["fig6", "--workload-mode", "streaming"])
-        assert _config_from_args(args).workload_mode == "streaming"
+    def test_workload_mode_flag_was_removed(self, capsys):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["fig6", "--workload-mode", "bogus"])
+            build_parser().parse_args(["fig6", "--workload-mode", "streaming"])
+        assert "unrecognized arguments: --workload-mode" in capsys.readouterr().err
 
     def test_invalid_topology_and_invoker_count_fail_cleanly(self, capsys):
         with pytest.raises(SystemExit):

@@ -140,9 +140,8 @@ class TestSummaryOnlyResults:
         )
         result = execute_spec(spec)
         assert result.metrics is None
-        assert result.requests == []
         full = execute_spec(replace(spec, summary_only=False))
-        assert full.metrics is not None and full.requests
+        assert full.metrics is not None
         assert result.summary == full.summary
 
     def test_truncated_runs_say_so_in_the_summary(self):

@@ -57,6 +57,14 @@ class TestBuilders:
         assert config.seed == 9
         assert config.num_requests == 10
 
+    def test_workload_mode_is_streaming_only(self):
+        assert ExperimentConfig().workload_mode == "streaming"
+        assert ExperimentConfig(workload_mode="streaming") == ExperimentConfig()
+        with pytest.raises(ValueError, match="workload mode 'materialized' was removed"):
+            ExperimentConfig(workload_mode="materialized")
+        with pytest.raises(ValueError, match="unknown workload mode"):
+            ExperimentConfig(workload_mode="bogus")
+
 
 class TestRunExperiment:
     @pytest.fixture(scope="class")
@@ -95,14 +103,14 @@ class TestRunMatrix:
         by_policy = summaries_by_policy(results, "strict-light")
         assert set(by_policy) == {"ESG", "INFless"}
 
-    def test_matrix_uses_identical_workloads_per_policy(self):
+    def test_matrix_uses_identical_workloads_per_policy(self, task_log):
         config = ExperimentConfig(num_requests=10, seed=4)
-        results = run_matrix(["ESG", "FaST-GShare"], ["moderate-normal"], config=config)
-        esg_requests = results[("moderate-normal", "ESG")].requests
-        fast_requests = results[("moderate-normal", "FaST-GShare")].requests
-        assert [(r.arrival_ms, r.app_name) for r in esg_requests] == [
-            (r.arrival_ms, r.app_name) for r in fast_requests
-        ]
+        with task_log().capturing() as log:
+            run_matrix(["ESG", "FaST-GShare"], ["moderate-normal"], config=config)
+        # The two cells run one after the other, each arriving all 10.
+        arrivals = [(r.arrival_ms, r.app_name) for r in log.requests]
+        assert len(arrivals) == 20
+        assert arrivals[:10] == arrivals[10:]
 
     def test_all_settings_registered(self):
         assert set(WORKLOAD_SETTINGS) == {"strict-light", "moderate-normal", "relaxed-heavy"}

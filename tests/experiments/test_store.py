@@ -113,16 +113,28 @@ class TestSpecKey:
     def test_doc_mentions_schema_version(self):
         assert spec_key_doc(_spec())["schema"] == STORE_SCHEMA_VERSION
 
-    def test_schema_4_has_no_retired_modes(self):
-        """The simulator has one event loop, one cluster index and one
-        metrics collector, so the key document names none of their modes
-        (schema 3 dropped the loop mode, schema 4 the metrics and index
-        modes; older keys are misses)."""
-        assert STORE_SCHEMA_VERSION == 4
+    def test_schema_5_has_no_retired_modes(self):
+        """The simulator has one event loop, one cluster index, one metrics
+        collector and one workload path, so the key document names none of
+        their modes (schema 3 dropped the loop mode, schema 4 the metrics
+        and index modes, schema 5 the workload mode; older keys are
+        misses)."""
+        assert STORE_SCHEMA_VERSION == 5
         config = spec_key_doc(_spec())["config"]
-        assert not {"loop_mode", "metrics_mode"} & set(config)
+        assert set(config) == {
+            "num_requests",
+            "seed",
+            "noise_sigma",
+            "space",
+            "cluster",
+            "cluster_pinned",
+            "controller",
+            "burstiness",
+            "max_time_ms",
+            "churn",
+            "autoscale",
+        }
         assert "index_mode" not in config["cluster"]
-        assert set(config) >= {"workload_mode", "cluster"}
 
     def test_key_is_stable_across_hash_randomisation(self):
         """PYTHONHASHSEED (and process boundaries) must not move keys."""
@@ -258,7 +270,6 @@ class TestEngineWithStore:
             )
             assert blob(a) == blob(b) == blob(c), spec
             assert a.metrics is b.metrics is c.metrics is None
-            assert c.requests == []
             assert c.scenario_name == b.scenario_name
 
     def test_warm_run_executes_nothing(self, tmp_path, monkeypatch):
@@ -289,8 +300,7 @@ class TestEngineWithStore:
             [full], on_cell=lambda i, s, r, cached: flags.append(cached)
         )
         assert flags == [False]
-        assert result.metrics is not None
-        assert result.requests  # the live run kept its request objects
+        assert result.metrics is not None  # the live run kept its collector
         # A second full-result run still cannot be served from a summary...
         flags.clear()
         ExperimentEngine(1, store=store).run(

@@ -1,11 +1,11 @@
-"""Acceptance parity: autoscaled runs are byte-identical across every mode axis.
+"""Acceptance parity: autoscaled runs are byte-identical across worker processes.
 
 The feedback loop observes live queues and injects prewarm events mid-run.
 These tests extend the parity matrices to adaptive runs: for identical
 ``(scenario, autoscale spec, seed)`` the RunSummary must be byte-identical
 across
 
-* workload materialized vs. streaming,
+* the workload given as an explicit request list vs. the default stream,
 * engine ``n_jobs`` 1 vs. 4 and the spawn multiprocessing context.
 
 The summaries themselves, for both autoscalers on both scenarios, are
@@ -31,6 +31,7 @@ from repro.experiments.runner import (
     build_profile_store,
     run_experiment,
 )
+from repro.workloads.scenarios import get_scenario
 
 AUTOSCALE_SPECS = ("threshold-default", "pid-default")
 SCENARIOS = ("diurnal-normal", "bursty-onoff-heavy")
@@ -49,28 +50,25 @@ def store():
     return build_profile_store()
 
 
-def assert_byte_identical(a, b) -> None:
-    assert asdict(a.summary) == asdict(b.summary)
-    assert a.summary == b.summary
-
-
 class TestAutoscaleWorkloadParity:
     @pytest.mark.parametrize("spec_name", AUTOSCALE_SPECS)
     def test_fully_streaming_matches_materialized(self, store, spec_name):
+        config = BASE.with_overrides(autoscale=spec_name)
         streamed = run_experiment(
-            "ESG",
-            config=BASE.with_overrides(autoscale=spec_name, workload_mode="streaming"),
-            profile_store=store,
-            scenario="diurnal-normal",
+            "ESG", config=config, profile_store=store, scenario="diurnal-normal"
+        )
+        requests = get_scenario("diurnal-normal").build_requests(
+            config.num_requests, config.seed, store
         )
         materialized = run_experiment(
             "ESG",
-            config=BASE.with_overrides(autoscale=spec_name),
+            config=config,
             profile_store=store,
             scenario="diurnal-normal",
+            requests=requests,
         )
-        assert_byte_identical(streamed, materialized)
-        assert streamed.requests == []
+        assert asdict(streamed.summary) == asdict(materialized.summary)
+        assert streamed.summary == materialized.summary
 
 
 class TestAutoscaleEngineParity:
@@ -107,7 +105,6 @@ class TestAutoscaleActuallyBites:
         from repro.cluster.controller import ControllerConfig
         from repro.cluster.simulator import Simulation, SimulationConfig
         from repro.experiments.runner import make_policy
-        from repro.workloads.scenarios import get_scenario
 
         scenario = get_scenario("diurnal-normal")
         # A 3-invoker cluster under 24 diurnal requests: the ramp builds a

@@ -1,10 +1,10 @@
-"""Acceptance parity: churn runs are byte-identical across every mode axis.
+"""Acceptance parity: churn runs are byte-identical across worker processes.
 
 Capacity churn mutates the cluster mid-run.  These tests extend the
 parity matrices to churn scenarios: for identical ``(scenario, seed)`` the
 RunSummary must be byte-identical across
 
-* workload materialized vs. streaming,
+* the workload given as an explicit request list vs. the default stream,
 * engine ``n_jobs`` 1 vs. 4 and the spawn multiprocessing context.
 
 The summaries themselves, for every policy on both churn scenarios, are
@@ -23,21 +23,16 @@ from repro.experiments.runner import (
     build_profile_store,
     run_experiment,
 )
+from repro.workloads.scenarios import get_scenario
 
 CHURN_SCENARIOS = ("harvest-severe-normal", "churn-eviction-fail")
 
 BASE = ExperimentConfig(num_requests=16)
-STREAMING = ExperimentConfig(num_requests=16, workload_mode="streaming")
 
 
 @pytest.fixture(scope="module")
 def store():
     return build_profile_store()
-
-
-def assert_byte_identical(a, b) -> None:
-    assert asdict(a.summary) == asdict(b.summary)
-    assert a.summary == b.summary
 
 
 class TestChurnActuallyBites:
@@ -66,10 +61,13 @@ class TestChurnActuallyBites:
 class TestChurnWorkloadParity:
     @pytest.mark.parametrize("scenario", CHURN_SCENARIOS)
     def test_fully_streaming_matches_materialized(self, store, scenario):
-        streamed = run_experiment("ESG", config=STREAMING, profile_store=store, scenario=scenario)
-        materialized = run_experiment("ESG", config=BASE, profile_store=store, scenario=scenario)
-        assert_byte_identical(streamed, materialized)
-        assert streamed.requests == []
+        streamed = run_experiment("ESG", config=BASE, profile_store=store, scenario=scenario)
+        requests = get_scenario(scenario).build_requests(BASE.num_requests, BASE.seed, store)
+        materialized = run_experiment(
+            "ESG", config=BASE, profile_store=store, scenario=scenario, requests=requests
+        )
+        assert asdict(streamed.summary) == asdict(materialized.summary)
+        assert streamed.summary == materialized.summary
 
 
 class TestChurnEngineParity:

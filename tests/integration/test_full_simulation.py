@@ -25,7 +25,8 @@ CONFIG = ExperimentConfig(num_requests=30, seed=17)
 @pytest.fixture(scope="module")
 def runs(task_log):
     """One scaled-down run per policy under the moderate-normal setting,
-    with the tasks it ran (from its task completion events)."""
+    with the requests it ran (built here and passed in) and the tasks it
+    ran (from its task completion events)."""
     store = build_profile_store(CONFIG.space)
     out = {}
     for name in DEFAULT_POLICIES:
@@ -40,18 +41,23 @@ def runs(task_log):
             result = run_experiment(
                 policy, "moderate-normal", config=CONFIG, profile_store=store, requests=requests
             )
-        out[name] = (result, log.tasks)
+        out[name] = (result, requests, log.tasks)
     return out
 
 
 @pytest.fixture(scope="module")
 def results(runs):
-    return {name: result for name, (result, _) in runs.items()}
+    return {name: result for name, (result, _, _) in runs.items()}
+
+
+@pytest.fixture(scope="module")
+def requests(runs):
+    return {name: run_requests for name, (_, run_requests, _) in runs.items()}
 
 
 @pytest.fixture(scope="module")
 def tasks(runs):
-    return {name: run_tasks for name, (_, run_tasks) in runs.items()}
+    return {name: run_tasks for name, (_, _, run_tasks) in runs.items()}
 
 
 class TestEveryPolicyCompletesTheWorkload:
@@ -62,9 +68,8 @@ class TestEveryPolicyCompletesTheWorkload:
         assert summary.num_completed == CONFIG.num_requests
 
     @pytest.mark.parametrize("name", DEFAULT_POLICIES)
-    def test_every_stage_of_every_request_ran_exactly_once(self, results, tasks, name):
-        result = results[name]
-        for request in result.requests:
+    def test_every_stage_of_every_request_ran_exactly_once(self, requests, tasks, name):
+        for request in requests[name]:
             assert set(request.stage_completion_ms) == set(request.workflow.stage_ids())
         # Tasks carry each (request, stage) exactly once.
         seen: set[tuple[int, str]] = set()
@@ -73,11 +78,11 @@ class TestEveryPolicyCompletesTheWorkload:
                 key = (job.request.request_id, job.stage_id)
                 assert key not in seen, f"{key} scheduled twice by {name}"
                 seen.add(key)
-        assert len(seen) == sum(r.workflow.num_stages for r in result.requests)
+        assert len(seen) == sum(r.workflow.num_stages for r in requests[name])
 
     @pytest.mark.parametrize("name", DEFAULT_POLICIES)
-    def test_stage_order_respected(self, results, name):
-        for request in results[name].requests:
+    def test_stage_order_respected(self, requests, name):
+        for request in requests[name]:
             order = request.workflow.topological_order()
             for src, dst in request.workflow.edges():
                 assert request.stage_completion_ms[src] <= request.stage_completion_ms[dst]
@@ -93,13 +98,13 @@ class TestEveryPolicyCompletesTheWorkload:
         assert per_app == pytest.approx(result.summary.total_cost_cents)
 
     @pytest.mark.parametrize("name", DEFAULT_POLICIES)
-    def test_latency_covers_every_task_of_the_request(self, results, tasks, name):
+    def test_latency_covers_every_task_of_the_request(self, requests, tasks, name):
         # A task starts after its job was ready (so after the arrival) and
         # ends before the request's last sink does.
         for task in tasks[name]:
             for job in task.jobs:
                 assert job.request.latency_ms >= task.duration_ms
-        for request in results[name].requests:
+        for request in requests[name]:
             assert request.latency_ms > 0
 
     def test_warm_experiment_cluster_has_no_cold_starts(self, results):

@@ -42,11 +42,8 @@ class TestRequest:
 
     def test_stage_completion_progression(self, request_obj):
         assert not request_obj.is_complete
-        assert request_obj.stage_is_ready("s1")
-        assert not request_obj.stage_is_ready("s2")
 
         request_obj.record_stage_completion("s1", 200.0, invoker_id=3)
-        assert request_obj.stage_is_ready("s2")
         assert request_obj.remaining_stage_ids() == ["s2", "s3"]
         assert not request_obj.is_complete
 

@@ -20,6 +20,8 @@ from repro.workloads.arrival import (
     iter_trace_intervals,
 )
 from repro.workloads.generator import MODERATE_NORMAL, RELAXED_HEAVY, WorkloadGenerator
+from repro.workloads.request import Request
+from repro.workloads.stream import ListRequestStream
 from repro.workloads.traces import NORMAL_INTERVALS
 
 
@@ -114,12 +116,6 @@ class TestCountRequestStream:
             expected.setdefault(request.app_name, request.workflow)
         workflows = make_generator(small_store).stream(60).workflows()
         assert list(workflows) == list(expected)
-
-    def test_workflows_with_factory_raises(self, small_store):
-        generator = make_generator(small_store, workflow_factory=lambda wf: wf)
-        stream = generator.stream(5)
-        with pytest.raises(ValueError, match="workflow_factory"):
-            stream.workflows()
 
     def test_nonlooping_trace_too_short_raises(self, small_store):
         generator = make_generator(
@@ -226,6 +222,30 @@ class TestDurationRequestStream:
         generator = make_generator(small_store, app_weights=(1.0, 0.0, 0.0, 0.0))
         requests = generator.generate_for_duration(1_000.0)
         assert {r.app_name for r in requests} == {"image_classification"}
+
+
+class TestListRequestStream:
+    def test_replays_the_list_stably_sorted_by_arrival(self, small_store):
+        requests = make_generator(small_store).generate(5)
+        tied = Request(
+            request_id=99,
+            workflow=requests[2].workflow,
+            arrival_ms=requests[2].arrival_ms,
+            slo_ms=requests[2].slo_ms,
+        )
+        listed = [requests[3], tied, requests[0], requests[4], requests[2], requests[1]]
+        pairs = list(ListRequestStream(listed))
+        assert [request for _, request in pairs] == [
+            requests[0], requests[1], tied, requests[2], requests[3], requests[4]
+        ]
+        assert all(arrival_ms == request.arrival_ms for arrival_ms, request in pairs)
+
+    def test_workflows_in_the_lists_first_appearance_order(self, small_store):
+        backwards = make_generator(small_store).generate(60)[::-1]
+        expected: dict[str, object] = {}
+        for request in backwards:
+            expected.setdefault(request.app_name, request.workflow)
+        assert list(ListRequestStream(backwards).workflows()) == list(expected)
 
 
 class TestTraceFileReplayProcess:
