@@ -6,7 +6,7 @@ buckets, warm index, event-driven expiry, dirty-queue scheduling).
 
 Two timings are reported per run:
 
-* ``tick_s`` — wall time spent handling ``SchedulerTickEvent`` (the whole
+* ``tick_s`` — wall time inside ``controller.on_tick`` (the whole
   controller round including the policy's plan search), and
 * ``platform_s`` — ``tick_s`` minus the time spent inside ``policy.plan``:
   the platform-side scheduling-pass cost the cluster indexes target.  The
@@ -41,7 +41,6 @@ from conftest import bench_requests, run_once
 
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.controller import ControllerConfig
-from repro.cluster.events import SchedulerTickEvent
 from repro.cluster.simulator import Simulation, SimulationConfig
 from repro.experiments.runner import build_profile_store, make_policy
 from repro.workloads.scenarios import get_scenario
@@ -92,13 +91,17 @@ def timed_run(store, scenario, num_invokers: int, requests: int):
         setting_name=scenario.setting,
     )
     tick_acc = [0.0]
+    controller = simulation.controller
+    inner_tick = controller.on_tick
 
-    def timed_tick(sim, event):
+    def timed_tick(now_ms):
         start = time.perf_counter()
-        event.apply(sim)
-        tick_acc[0] += time.perf_counter() - start
+        try:
+            inner_tick(now_ms)
+        finally:
+            tick_acc[0] += time.perf_counter() - start
 
-    simulation.add_handler(SchedulerTickEvent, timed_tick)
+    controller.on_tick = timed_tick
     summary = simulation.run()
     return summary, tick_acc[0], plan_acc[0]
 

@@ -55,7 +55,6 @@ BUCKETS: tuple[tuple[str, tuple[str, ...]], ...] = (
             "cluster/cluster.py",
             "cluster/invoker.py",
             "cluster/container.py",
-            "cluster/gpu.py",
             "cluster/tasks.py",
         ),
     ),

@@ -54,7 +54,6 @@ from repro.cluster.events import (
     SchedulerTickEvent,
     TaskCompletionEvent,
 )
-from repro.cluster.gpu import GpuDevice
 from repro.cluster.invoker import Invoker
 from repro.cluster.metrics import MetricsCollector, MetricsConfig, RunSummary
 from repro.cluster.policy_api import (
@@ -120,7 +119,6 @@ __all__ = [
     "InvokerJoinEvent",
     "InvokerLeaveEvent",
     "InvokerResizeEvent",
-    "GpuDevice",
     "Invoker",
     "MetricsCollector",
     "MetricsConfig",

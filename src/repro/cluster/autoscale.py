@@ -23,20 +23,19 @@ disabling the static :class:`~repro.cluster.prewarm.PrewarmManager`
 clamped delta:
 
 * scale **up**: place a ``STARTING`` container on the invoker chosen by
-  :meth:`~repro.cluster.prewarm.PrewarmManager._pick_invoker` (which skips
+  :meth:`~repro.cluster.prewarm.PrewarmManager.pick_invoker` (which skips
   churn tombstones) and push a
-  :class:`~repro.cluster.events.PrewarmCompleteEvent` through the
-  controller's ``event_sink`` — exactly the plan mechanism of the static
-  prewarmer, so the container participates in keep-alive, eviction and
-  metrics identically;
+  :class:`~repro.cluster.events.PrewarmCompleteEvent` onto the simulation's
+  event loop — exactly the plan mechanism of the static prewarmer, so the
+  container participates in keep-alive, eviction and metrics identically;
 * scale **down**: retire warm *idle* containers (most-loaded invokers
   first; busy and starting containers are never touched).
 
 Determinism contract
 --------------------
 Controllers read virtual time from events only — no wall clock, no RNG.
-Event hooks fire after every handled event, and ``event_sink`` is the
-shared event queue, so actuations receive identical ``(time_ms,
+Event hooks fire after every handled event, and actuations go onto the
+one shared event loop, so they receive identical ``(time_ms,
 sort_priority, counter)`` keys everywhere: adaptive runs are byte-identical
 across workload modes and worker processes, like every other run (pinned by
 ``tests/integration/test_autoscale_parity.py`` and the golden corpus).
@@ -531,7 +530,7 @@ class Autoscaler:
         """
         from repro.cluster.prewarm import PrewarmManager
 
-        return PrewarmManager._pick_invoker(cluster, function_name, now_ms)
+        return PrewarmManager.pick_invoker(cluster, function_name)
 
     def _actuate(
         self, simulation: "Simulation", state: AutoscaleState, delta: int
@@ -546,27 +545,20 @@ class Autoscaler:
             missing = target - state.residents
             if missing <= 0:
                 return 0, ()
-            from repro.cluster.container import Container, ContainerState
             from repro.cluster.events import PrewarmCompleteEvent
 
             cold_ms = self._cold_ms.get(fn)
             if cold_ms is None:
                 cold_ms = simulation.profile_store.profile(fn).spec.cold_start_ms
                 self._cold_ms[fn] = cold_ms
-            event_sink = simulation.controller.event_sink
+            events = simulation.events
             launched: list[int] = []
             for _ in range(missing):
                 invoker_id = self._pick_invoker(cluster, fn, now_ms)
                 if invoker_id is None:
                     break
-                container = Container(
-                    function_name=fn,
-                    invoker_id=invoker_id,
-                    state=ContainerState.STARTING,
-                    warm_at_ms=now_ms + cold_ms,
-                )
-                cluster.invoker(invoker_id).add_container(container)
-                event_sink(PrewarmCompleteEvent(time_ms=now_ms + cold_ms, container=container))
+                container = cluster.invoker(invoker_id).start_container(fn, now_ms + cold_ms)
+                events.push(PrewarmCompleteEvent(time_ms=now_ms + cold_ms, container=container))
                 launched.append(invoker_id)
             return len(launched), tuple(launched)
         floor = spec.min_residents

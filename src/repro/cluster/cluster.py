@@ -197,10 +197,9 @@ class ClusterState:
     # ------------------------------------------------------------------
     # Index maintenance (invoked by the invokers' change callbacks)
     # ------------------------------------------------------------------
-    def _capacity_changed(self, invoker: Invoker) -> None:
-        i = invoker.invoker_id
+    def _capacity_changed(self, i: int, free_vcpus: int, free_vgpus: int) -> None:
         old = self._bucket_of[i]
-        new = (invoker.total_vcpus - invoker._used_vcpus, invoker.gpu.total_vgpus - invoker.gpu._used_vgpus)
+        new = (free_vcpus, free_vgpus)
         if new == old:
             return
         self.capacity_epoch += 1
@@ -310,6 +309,46 @@ class ClusterState:
             return False
         return any(self.invokers[i].has_warm_container(function_name, now_ms) for i in members)
 
+    def best_warm_invoker(
+        self,
+        function_name: str,
+        config: Configuration,
+        now_ms: float,
+        *,
+        exclude: int | None = None,
+    ) -> int | None:
+        """The id of the fitting node with a resident container of the function
+        and the most free vGPUs, then vCPUs (ties to the lowest id).
+
+        ESG_Dispatch's warm step; ``exclude`` skips one node (the home node,
+        already tried).  The warm-index set is walked unsorted: the
+        ``(vgpus, vcpus, -id)`` key is unique per node, so the winner cannot
+        depend on the order, and the time-dependent residency check runs
+        only for a node whose key would win.
+        """
+        members = self._warm_index.get(function_name)
+        if not members:
+            return None
+        need_vcpus = config.vcpus
+        need_vgpus = config.vgpus
+        bucket_of = self._bucket_of
+        invokers = self.invokers
+        best_key: tuple[int, int, int] | None = None
+        best_id: int | None = None
+        for i in members:
+            if i == exclude:
+                continue
+            free_vcpus, free_vgpus = bucket_of[i]
+            if free_vcpus < need_vcpus or free_vgpus < need_vgpus:
+                continue
+            key = (free_vgpus, free_vcpus, -i)
+            if (best_key is None or key > best_key) and invokers[i].has_warm_container(
+                function_name, now_ms
+            ):
+                best_key = key
+                best_id = i
+        return best_id
+
     def most_available_invoker(self, config: Configuration) -> Invoker | None:
         """The fitting invoker with the most free resources (ties by id).
 
@@ -416,43 +455,27 @@ class ClusterState:
 
         The invoker stays in the list so ids (and the home hash, which only
         changes on joins) remain stable; with zero total capacity no
-        placement rule can ever select it again.
+        placement rule can ever select it again.  Re-bucketing it to
+        ``(0, 0)`` bumps no epoch when the node had no free capacity left.
         Returns the containers that were force-stopped.  In-flight task
         bookkeeping (requeue/fail, metrics) is the controller's job.
         """
         invoker = self.invoker(invoker_id)
         if not invoker.active:
             return []
-        evicted = invoker.evict_all_containers()
         self._total_vcpus -= invoker.total_vcpus
-        self._total_vgpus -= invoker.gpu.total_vgpus
-        invoker.total_vcpus = 0
-        invoker.total_vgpus = 0
-        invoker.gpu.total_vgpus = 0
-        invoker._used_vcpus = 0
-        invoker.gpu._used_vgpus = 0
-        invoker.active = False
-        # Re-bucket to (0, 0) (no epoch bump when the node had no free
-        # capacity left).
-        invoker._capacity_changed()
-        return evicted
+        self._total_vgpus -= invoker.total_vgpus
+        return invoker.leave()
 
     def apply_resize(self, invoker_id: int, vcpus: int, vgpus: int) -> tuple[int, int]:
         """Re-target a node's capacity (harvested-VM shrink/grow).
 
-        Clamped to ``max(1, target, in_use)``: harvesting only takes idle
-        resources, never cores/slices under running tasks.  Returns the
-        applied ``(vcpus, vgpus)``; a departed node is left untouched.
+        See :meth:`Invoker.resize` for the clamp.  Returns the applied
+        ``(vcpus, vgpus)``; a departed node is left untouched.
         """
         invoker = self.invoker(invoker_id)
-        if not invoker.active:
-            return (invoker.total_vcpus, invoker.gpu.total_vgpus)
-        new_vcpus = max(1, vcpus, invoker._used_vcpus)
-        new_vgpus = max(1, vgpus, invoker.gpu._used_vgpus)
-        self._total_vcpus += new_vcpus - invoker.total_vcpus
-        self._total_vgpus += new_vgpus - invoker.gpu.total_vgpus
-        invoker.total_vcpus = new_vcpus
-        invoker.total_vgpus = new_vgpus
-        invoker.gpu.total_vgpus = new_vgpus
-        invoker._capacity_changed()
+        old_vcpus, old_vgpus = invoker.total_vcpus, invoker.total_vgpus
+        new_vcpus, new_vgpus = invoker.resize(vcpus, vgpus)
+        self._total_vcpus += new_vcpus - old_vcpus
+        self._total_vgpus += new_vgpus - old_vgpus
         return (new_vcpus, new_vgpus)

@@ -25,6 +25,8 @@ DEFAULT_KEEP_ALIVE_MS: float = 10 * 60 * 1000.0
 
 _container_ids = itertools.count()
 
+_INF = float("inf")
+
 
 class ContainerState(enum.Enum):
     """Lifecycle states of a container."""
@@ -54,8 +56,10 @@ class Container:
     active_tasks: int = 0
     container_id: int = field(default_factory=lambda: next(_container_ids))
     #: Lifecycle listener installed by the owning invoker; receives
-    #: ``(container, old_state, new_state)`` after every state change so the
-    #: invoker/cluster indexes stay incrementally consistent.
+    #: ``(container, old_state, new_state)`` after every state change that
+    #: starts or ends residency (WARM <-> BUSY keeps the container resident
+    #: and is not reported), so the invoker/cluster indexes stay
+    #: incrementally consistent.
     _listener: Callable[["Container", ContainerState, ContainerState], None] | None = field(
         default=None, repr=False, compare=False
     )
@@ -89,11 +93,15 @@ class Container:
 
     def assign_task(self) -> None:
         """A task starts executing in this container."""
-        if self.state == ContainerState.STOPPED:
+        state = self.state
+        if state is ContainerState.STOPPED:
             raise RuntimeError(f"container {self.container_id} is stopped")
         self.active_tasks += 1
-        self.expires_at_ms = float("inf")
-        self._transition(ContainerState.BUSY)
+        self.expires_at_ms = _INF
+        if state is ContainerState.STARTING:
+            self._transition(ContainerState.BUSY)
+        else:
+            self.state = ContainerState.BUSY
 
     def release_task(self, now_ms: float, keep_alive_ms: float = DEFAULT_KEEP_ALIVE_MS) -> None:
         """A task finished; when the last one leaves, the container idles warm."""
@@ -101,8 +109,9 @@ class Container:
             raise RuntimeError(f"container {self.container_id} has no active task to release")
         self.active_tasks -= 1
         if self.active_tasks == 0:
+            # BUSY -> WARM: the container stays resident.
             self.expires_at_ms = now_ms + keep_alive_ms
-            self._transition(ContainerState.WARM)
+            self.state = ContainerState.WARM
 
     def mark_stopped(self) -> None:
         """Unload the container."""
@@ -112,6 +121,16 @@ class Container:
             )
         self.expires_at_ms = float("-inf")
         self._transition(ContainerState.STOPPED)
+
+    def expire(self, deadline_ms: float) -> None:
+        """Unload the container if ``deadline_ms`` is still its armed keep-alive.
+
+        Keep-alive timers are cancelled lazily: a container that was
+        re-armed, went busy or was stopped no longer matches the deadline
+        it armed, and the stale timer is a no-op.
+        """
+        if self.state is ContainerState.WARM and self.expires_at_ms == deadline_ms:
+            self.mark_stopped()
 
     def mark_evicted(self) -> None:
         """Force-stop regardless of active tasks (the node was evicted).
@@ -130,19 +149,16 @@ class Container:
     # Queries
     # ------------------------------------------------------------------
     def is_resident(self, now_ms: float) -> bool:
-        """True if the function is loaded on the node (warm start possible)."""
-        if self.state == ContainerState.BUSY:
-            return True
-        return (
-            self.state == ContainerState.WARM
-            and self.warm_at_ms <= now_ms
-            and now_ms < self.expires_at_ms
+        """True if the function is loaded on the node (warm start possible).
+
+        A busy container is resident; an idle warm one only inside its warm
+        window, from the end of its cold start until its keep-alive expires.
+        """
+        state = self.state
+        return state is ContainerState.BUSY or (
+            state is ContainerState.WARM and self.warm_at_ms <= now_ms < self.expires_at_ms
         )
 
     def is_warm_idle(self, now_ms: float) -> bool:
         """True if the container is resident and currently idle."""
-        return (
-            self.state == ContainerState.WARM
-            and self.warm_at_ms <= now_ms
-            and now_ms < self.expires_at_ms
-        )
+        return self.state is ContainerState.WARM and self.is_resident(now_ms)

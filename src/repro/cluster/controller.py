@@ -16,14 +16,13 @@ import itertools
 import time as _time
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Literal
+from typing import TYPE_CHECKING, Literal
 
 from repro.cluster.cluster import ClusterState
 from repro.cluster.container import Container, ContainerState
 from repro.cluster.datatransfer import DataTransferModel
 from repro.cluster.events import (
     ContainerExpireEvent,
-    Event,
     PrewarmCompleteEvent,
     TaskCompletionEvent,
 )
@@ -39,6 +38,9 @@ from repro.profiles.profiler import ProfileStore
 from repro.utils.validation import ensure_positive, ensure_positive_int
 from repro.workloads.dag import Workflow
 from repro.workloads.request import Job, Request
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
+    from repro.cluster.simulator import EventLoop
 
 __all__ = ["ControllerConfig", "Controller"]
 
@@ -86,17 +88,13 @@ class Controller:
     runtime_perf_model: PerformanceModel
     pricing: PricingModel
     metrics: MetricsCollector
+    #: The simulation's event loop: every event the controller emits
+    #: (task completions, keep-alive expiries, prewarm completions) is
+    #: pushed onto it.
+    events: "EventLoop" = field(repr=False)
     transfer_model: DataTransferModel = field(default_factory=DataTransferModel)
     config: ControllerConfig = field(default_factory=ControllerConfig)
     prewarmer: PrewarmManager | None = None
-    #: Callback used to emit new events into the simulation's event loop.
-    event_sink: Callable[[Event], None] = field(default=lambda event: None)
-    #: The simulation's :class:`~repro.cluster.simulator.EventLoop`, set by
-    #: the simulator so the hot dispatch/expiry paths can push heap entries
-    #: directly instead of going through ``event_sink``; ``None`` keeps
-    #: every emission on the sink callback (for an embedder that wires a
-    #: custom sink).
-    event_loop: "object | None" = field(default=None, repr=False)
 
     _queues: dict[tuple[str, str], AFWQueue] = field(default_factory=dict, repr=False)
     _workflows: dict[str, Workflow] = field(default_factory=dict, repr=False)
@@ -201,26 +199,28 @@ class Controller:
     # ------------------------------------------------------------------
     def queue_for(self, app_name: str, stage_id: str) -> AFWQueue:
         """Return (creating if needed) the AFW queue of (app, stage)."""
-        key = (app_name, stage_id)
-        if key not in self._queues:
+        queue = self._queues.get((app_name, stage_id))
+        if queue is None:
             workflow = self._workflows[app_name]
-            self._queues[key] = AFWQueue(
+            queue = AFWQueue(
                 app_name=app_name,
                 stage_id=stage_id,
                 function_name=workflow.function_of(stage_id),
                 workflow=workflow,
                 size_listener=self._queue_size_changed,
             )
+            self._queues[queue.key] = queue
             self._sorted_keys = None
-        return self._queues[key]
+        return queue
 
     def _queue_size_changed(self, queue: AFWQueue, delta: int) -> None:
         """Maintain the non-empty set and pending counter on queue mutation."""
         self._pending_jobs += delta
+        key = (queue.app_name, queue.stage_id)
         if queue.jobs:
-            self._nonempty.add(queue.key)
+            self._nonempty.add(key)
         else:
-            self._nonempty.discard(queue.key)
+            self._nonempty.discard(key)
 
     def _all_keys_sorted(self) -> list[tuple[str, str]]:
         """The sorted queue keys, cached (queues are created, never removed)."""
@@ -251,33 +251,18 @@ class Controller:
         self.metrics.register_request(request)
         topo = workflow.topology()
         queues = self._queues
-        nonempty = self._nonempty
         for stage_id in topo.sources:
-            key = (app_name, stage_id)
-            queue = queues.get(key)
+            queue = queues.get((app_name, stage_id))
             if queue is None:
                 queue = self.queue_for(app_name, stage_id)
-            # Inlined ``queue.push``: the job key always matches the
-            # queue here, so the defensive validation and the listener
-            # indirection reduce to the append plus the two counters.
-            queue.jobs.append(Job(request=request, stage_id=stage_id, ready_ms=now_ms))
-            self._pending_jobs += 1
-            nonempty.add(key)
+            queue.push(Job(request=request, stage_id=stage_id, ready_ms=now_ms))
         prewarmer = self.prewarmer
         if prewarmer is not None:
             for stage in topo.stages:
                 prewarmer.observe_arrival(app_name, stage.function_name, now_ms)
 
     def on_task_completion(self, task: Task, now_ms: float) -> None:
-        """Release resources, advance requests, enqueue successor jobs.
-
-        The resource release mutates the counters directly (the
-        reserve/release pairing is controller-internal, so the defensive
-        re-validation is skipped) and ends in the single capacity
-        notification of ``Invoker.release``; stage bookkeeping reads the
-        workflow's cached topology, and the request-completion time is the
-        ``max`` over its sinks' completion times.
-        """
+        """Release resources, advance requests, enqueue successor jobs."""
         if self._churn:
             if task.task_id in self._cancelled_tasks:
                 # The task's invoker left mid-flight: resources and container
@@ -286,31 +271,11 @@ class Controller:
                 return
             self._inflight.pop(task.task_id, None)
         invoker_id = task.invoker_id
-        invoker = self.cluster.invokers[invoker_id]
-        config = task.config
-        invoker.gpu._used_vgpus -= config.vgpus
-        invoker._used_vcpus -= config.vcpus
-        # Inlined ``invoker._capacity_changed`` (one frame less per event).
-        if not invoker._suspend_capacity_notify:
-            capacity_cb = invoker._on_capacity_change
-            if capacity_cb is not None:
-                capacity_cb(invoker)
-        container = self._task_containers.pop(task.task_id, None)
-        if container is not None:
-            # Inlined ``container.release_task``: the reserve/assign pairing
-            # guarantees an active BUSY container, and the BUSY -> WARM
-            # transition is invisible to the invoker's state listener (both
-            # states are resident), so only the counters change.
-            container.active_tasks -= 1
-            if container.active_tasks == 0:
-                container.expires_at_ms = now_ms + invoker.keep_alive_ms
-                container.state = ContainerState.WARM
-                self._arm_expiry(container)
+        container = self._task_containers.pop(task.task_id)
+        self.cluster.invokers[invoker_id].finish_task(container, task.config, now_ms)
+        self._arm_expiry(container)
 
         stage_id = task.stage_id
-        app_name = task.app_name
-        metrics = self.metrics
-        queues = self._queues
         for job in task.jobs:
             request = job.request
             if self._churn and request.evicted_ms is not None:
@@ -318,41 +283,13 @@ class Controller:
                 # tasks still release resources above, but the request's DAG
                 # does not advance any further.
                 continue
-            topo = request.workflow.topology()
-            scm = request.stage_completion_ms
-            if stage_id in scm:
-                raise ValueError(
-                    f"stage {stage_id!r} of request {request.request_id} completed twice"
-                )
-            was_complete = request.completed_ms is not None
-            scm[stage_id] = now_ms
-            request.stage_invoker[stage_id] = invoker_id
-            sinks = topo.sinks
-            for sink in sinks:
-                if sink not in scm:
-                    break
+            if request.record_stage_completion(stage_id, now_ms, invoker_id):
+                self.metrics.record_completion(request)
             else:
-                if len(sinks) == 1:
-                    request.completed_ms = scm[sinks[0]]
-                else:
-                    request.completed_ms = max(scm[sink] for sink in sinks)
-                if not was_complete:
-                    metrics.record_completion(request)
-            successors = topo.succ[stage_id]
-            if successors:
-                pred_of = topo.pred
-                for succ in successors:
-                    for pred in pred_of[succ]:
-                        if pred not in scm:
-                            break
-                    else:
-                        key = (app_name, succ)
-                        queue = queues.get(key)
-                        if queue is None:
-                            queue = self.queue_for(app_name, succ)
-                        queue.jobs.append(Job(request=request, stage_id=succ, ready_ms=now_ms))
-                        self._pending_jobs += 1
-                        self._nonempty.add(key)
+                for succ in request.ready_successors(stage_id):
+                    self.queue_for(task.app_name, succ).push(
+                        Job(request=request, stage_id=succ, ready_ms=now_ms)
+                    )
 
     def on_prewarm_complete(self, container: Container, now_ms: float) -> None:
         """A prewarmed container finished its cold start."""
@@ -378,28 +315,17 @@ class Controller:
                 self._expiry_heap,
                 (deadline, next(self._expiry_seq), container),
             )
-            fe = self.event_loop
-            if fe is not None:
-                # Inlined ``EventLoop.push`` for the housekeeping heap:
-                # ContainerExpireEvent keeps the default sort priority 1 and
-                # its deadline (now + keep-alive) is always >= 0.
-                heapq.heappush(
-                    fe._housekeeping,
-                    (deadline, 1, next(fe._counter), ContainerExpireEvent(time_ms=deadline, container=container)),
-                )
-            else:
-                self.event_sink(ContainerExpireEvent(time_ms=deadline, container=container))
+            # The deadline (now + keep-alive) is always >= 0.
+            self.events.push_housekeeping(
+                ContainerExpireEvent(time_ms=deadline, container=container)
+            )
 
     def _drain_expired_containers(self, now_ms: float) -> None:
         """Stop every armed container whose deadline has passed (<= now)."""
         heap = self._expiry_heap
         while heap and heap[0][0] <= now_ms:
             deadline, _seq, container = heapq.heappop(heap)
-            if (
-                container.state is ContainerState.WARM
-                and container.expires_at_ms == deadline
-            ):
-                container.mark_stopped()
+            container.expire(deadline)
 
     def on_tick(self, now_ms: float) -> None:
         """One controller round: expire containers, prewarm, scan queues."""
@@ -409,18 +335,13 @@ class Controller:
         self._drain_expired_containers(now_ms)
         if self.prewarmer is not None and self.config.prewarm_enabled:
             for plan in self.prewarmer.plan(self.cluster, now_ms):
-                container = self._find_starting_container(plan.invoker_id, plan.function_name)
+                invoker = self.cluster.invoker(plan.invoker_id)
+                container = invoker.starting_container(plan.function_name)
                 if container is not None:
-                    self.event_sink(
+                    self.events.push(
                         PrewarmCompleteEvent(time_ms=plan.ready_at_ms, container=container)
                     )
         self.run_scheduling_pass(now_ms)
-
-    def _find_starting_container(self, invoker_id: int, function_name: str) -> Container | None:
-        for container in self.cluster.invoker(invoker_id).containers_for(function_name):
-            if container.state == ContainerState.STARTING:
-                return container
-        return None
 
     # ------------------------------------------------------------------
     # Cluster churn (join / leave / resize housekeeping events)
@@ -476,8 +397,9 @@ class Controller:
                     request = job.request
                     if request.evicted_ms is not None or request.completed_ms is not None:
                         continue
-                    queue = self.queue_for(task.app_name, task.stage_id)
-                    queue.push(Job(request=request, stage_id=task.stage_id, ready_ms=now_ms))
+                    self.queue_for(task.app_name, task.stage_id).push(
+                        Job(request=request, stage_id=task.stage_id, ready_ms=now_ms)
+                    )
                     requeued += 1
             else:
                 for job in task.jobs:
@@ -494,26 +416,9 @@ class Controller:
         self._purge_request_jobs(request)
 
     def _purge_request_jobs(self, request: Request) -> None:
-        """Drop every queued job of ``request`` (it will never be scheduled).
-
-        Rebuilds each affected deque in place and maintains the pending
-        counter / non-empty set directly, the same way the dispatch path
-        does.
-        """
+        """Drop every queued job of ``request`` (it will never be scheduled)."""
         for key in self._all_keys_sorted():
-            queue = self._queues[key]
-            jobs = queue.jobs
-            if not jobs:
-                continue
-            kept = [job for job in jobs if job.request is not request]
-            removed = len(jobs) - len(kept)
-            if not removed:
-                continue
-            jobs.clear()
-            jobs.extend(kept)
-            self._pending_jobs -= removed
-            if not jobs:
-                self._nonempty.discard(key)
+            self._queues[key].drop_request(request)
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -738,13 +643,7 @@ class Controller:
         if overhead_ms is None:
             overhead_ms = measured_ms
 
-        # Inlined ``metrics.record_overhead`` (live collector).
-        if not 0.0 <= overhead_ms < _INF:
-            raise ValueError(
-                f"policy {self.policy.name!r} reported a scheduling overhead of "
-                f"{overhead_ms!r} ms; it must be finite and >= 0"
-            )
-        self.metrics.overhead_ms_samples.append(overhead_ms)
+        self.metrics.record_overhead(overhead_ms)
         if decision.used_preplanned:
             self.metrics.record_plan_attempt(miss=decision.plan_miss)
         qlen = len(queue.jobs)
@@ -757,13 +656,7 @@ class Controller:
             else:
                 config = candidate
             invoker_id = select_invoker(config, queue, now_ms)
-            if invoker_id is None:
-                continue
-            invoker = invokers[invoker_id]
-            if config.vcpus > invoker.total_vcpus - invoker._used_vcpus:
-                continue
-            gpu = invoker.gpu
-            if config.vgpus > gpu.total_vgpus - gpu._used_vgpus:
+            if invoker_id is None or not invokers[invoker_id].can_fit(config):
                 continue
             self._dispatch(queue, config, invoker_id, now_ms, overhead_ms)
             return True
@@ -823,17 +716,16 @@ class Controller:
     ) -> Task:
         """Create the task, charge its latency components, reserve resources.
 
-        The container is a warm start if the function is resident on the
-        node, else a new container cold-starts there (and then stays
-        resident).  Data transfer is local when the predecessor stage ran
-        on this node; source stages fetch the user input from remote
-        storage.  The per-dispatch constant costs are memoized (the
-        function spec, the clipped configuration, the two possible transfer
-        latencies and the price rate are each pure in run-constant inputs),
-        and the residency scan and resource reservation mutate the counters
-        the invoker and container methods would.  The floats are
-        ``duration = cold + transfer + exec``, ``finish = (dispatch +
-        overhead) + duration`` and ``cost = rate * duration``.
+        The invoker seats the task (a warm start if the function is resident
+        on the node, else a new container cold-starts there and then stays
+        resident) and reserves its resources.  Data transfer is local when
+        the predecessor stage ran on this node; source stages fetch the
+        user input from remote storage.  The per-dispatch constant costs
+        are memoized (the function spec, the clipped configuration, the two
+        possible transfer latencies and the price rate are each pure in
+        run-constant inputs).  The floats are ``duration = cold + transfer +
+        exec``, ``finish = (dispatch + overhead) + duration`` and ``cost =
+        rate * duration``.
         """
         invoker = self.cluster.invokers[invoker_id]
         function_name = queue.function_name
@@ -841,50 +733,14 @@ class Controller:
         if spec is None:
             spec = self.profile_store.profile(function_name).spec
             self._spec_cache[function_name] = spec
-        job_deque = queue.jobs
-        qlen = len(job_deque)
         batch = config.batch_size
-        # Inlined ``queue.pop_batch``: callers guarantee a non-empty queue
-        # and a positive batch, so validation and the listener indirection
-        # reduce to the poplefts plus the two counters.
+        qlen = len(queue.jobs)
         njobs = batch if batch < qlen else qlen
-        popleft = job_deque.popleft
-        jobs = [popleft() for _ in range(njobs)]
-        self._pending_jobs -= njobs
-        if not job_deque:
-            self._nonempty.discard((queue.app_name, queue.stage_id))
+        jobs = queue.pop_batch(njobs)
         effective = self._config_with_batch(config, njobs) if njobs != batch else config
-
-        container = None
-        for candidate in invoker._live.get(function_name, ()):
-            state = candidate.state
-            if state is ContainerState.BUSY or (
-                state is ContainerState.WARM
-                and candidate.warm_at_ms <= now_ms < candidate.expires_at_ms
-            ):
-                container = candidate
-                break
-        if container is not None:
-            cold_ms = 0.0
-            # Inlined ``container.assign_task``: the container is resident
-            # (WARM or BUSY), and the WARM -> BUSY edge is invisible to the
-            # invoker's state listener, so only the counters change.
-            container.active_tasks += 1
-            container.expires_at_ms = _INF
-            container.state = ContainerState.BUSY
-        else:
-            cold_ms = spec.cold_start_ms
-            container = Container(
-                function_name=function_name,
-                invoker_id=invoker_id,
-                state=ContainerState.STARTING,
-                warm_at_ms=now_ms + cold_ms,
-            )
-            invoker.add_container(container)
-            # STARTING -> BUSY must go through the listener (it maintains
-            # the resident-candidate index), so the cold path keeps the
-            # regular transition.
-            container.assign_task()
+        container, cold_ms = invoker.start_task(
+            function_name, effective, now_ms, spec.cold_start_ms
+        )
 
         transfers = self._transfer_cache.get(function_name)
         if transfers is None:
@@ -899,28 +755,12 @@ class Controller:
         stage_id = queue.stage_id
         transfer_ms = 0.0
         for job in jobs:
-            request = job.request
-            preds = request.workflow.topology().pred[stage_id]
-            if not preds:
+            if job.request.predecessor_invoker(stage_id) == invoker_id:
+                job_transfer = local_transfer
+                metrics.local_transfers += 1
+            else:
                 job_transfer = remote_transfer
                 metrics.remote_transfers += 1
-            else:
-                stage_invoker = request.stage_invoker
-                if len(preds) == 1:
-                    pred_invoker = stage_invoker.get(preds[0])
-                else:
-                    done = [p for p in preds if p in stage_invoker]
-                    if done:
-                        scm = request.stage_completion_ms
-                        pred_invoker = stage_invoker[max(done, key=scm.__getitem__)]
-                    else:
-                        pred_invoker = None
-                if pred_invoker == invoker_id:
-                    job_transfer = local_transfer
-                    metrics.local_transfers += 1
-                else:
-                    job_transfer = remote_transfer
-                    metrics.remote_transfers += 1
             if job_transfer > transfer_ms:
                 transfer_ms = job_transfer
 
@@ -949,48 +789,12 @@ class Controller:
             self._rate_cache[rate_key] = rate
         task.cost_cents = rate * duration_ms
 
-        invoker.gpu._used_vgpus += effective.vgpus
-        invoker._used_vcpus += effective.vcpus
-        # Inlined ``invoker._capacity_changed`` (one frame less per task).
-        if not invoker._suspend_capacity_notify:
-            capacity_cb = invoker._on_capacity_change
-            if capacity_cb is not None:
-                capacity_cb(invoker)
         self._task_containers[task.task_id] = container
         if self._churn:
             self._inflight[task.task_id] = task
-
-        # ``metrics.record_task(task)`` on the values already in hand: the
-        # start kind, then ``fold_task`` with ``start = dispatch +
-        # overhead`` and ``task.waiting_ms()`` as the same left-to-right
-        # fold (the genexp sum starts at (int) 0, whose first addition is
-        # exact).
-        if cold_ms > 0.0:
-            metrics.cold_starts += 1
-        else:
-            metrics.warm_starts += 1
-        waiting = 0
-        for job in jobs:
-            delay = now_ms - job.ready_ms
-            waiting += delay if delay > 0.0 else 0.0
-        metrics.fold_task(
-            queue.app_name,
-            task.cost_cents,
-            now_ms + charged_overhead,
-            duration_ms,
-            effective.vcpus,
-            effective.vgpus,
-            waiting / njobs,
+        metrics.record_task(task)
+        # The finish time is >= now_ms >= 0.
+        self.events.push_real(
+            TaskCompletionEvent(time_ms=now_ms + charged_overhead + duration_ms, task=task)
         )
-
-        finish = now_ms + charged_overhead + duration_ms
-        fe = self.event_loop
-        if fe is not None:
-            # Inlined ``EventLoop.push``: TaskCompletionEvent is a real
-            # (non-housekeeping) event with the default sort priority 1, and
-            # ``finish`` >= ``now_ms`` >= 0 so the push-time validation is
-            # statically satisfied.
-            heapq.heappush(fe._real, (finish, 1, next(fe._counter), TaskCompletionEvent(time_ms=finish, task=task)))
-        else:
-            self.event_sink(TaskCompletionEvent(time_ms=finish, task=task))
         return task

@@ -2,11 +2,10 @@
 
 Dispatch is polymorphic: every concrete event implements :meth:`Event.apply`,
 which receives the :class:`~repro.cluster.simulator.Simulation` and performs
-the state transition.  The simulator routes events through a handler
-registry whose default entry simply calls ``event.apply(simulation)``, so
-new scenario types can either subclass :class:`Event` (and implement
-``apply``) or register an external handler via
-:meth:`Simulation.register_handler` — no ``isinstance`` chain to extend.
+the state transition by calling the owner of that state (the controller,
+a container).  The simulator calls ``event.apply(simulation)`` for every
+event it pops, so a new scenario type only has to subclass :class:`Event`
+and implement ``apply`` — no ``isinstance`` chain to extend.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, ClassVar
 
-from repro.cluster.container import Container, ContainerState
+from repro.cluster.container import Container
 from repro.cluster.tasks import Task
 from repro.workloads.request import Request
 
@@ -63,9 +62,7 @@ class Event:
 
     def apply(self, simulation: "Simulation") -> None:
         """Perform this event's state transition on ``simulation``."""
-        raise NotImplementedError(
-            f"{type(self).__name__} implements neither apply() nor a registered handler"
-        )
+        raise NotImplementedError(f"{type(self).__name__} does not implement apply()")
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,8 +92,7 @@ class SchedulerTickEvent(Event):
     """Periodic controller tick: scan the AFW queues round-robin.
 
     The simulator resets its tick-pending flag itself when it pops one of
-    these (so shadowing this handler cannot stall re-scheduling); ``apply``
-    only has to run the controller scan.
+    these; ``apply`` only has to run the controller scan.
     """
 
     def apply(self, simulation: "Simulation") -> None:
@@ -128,12 +124,7 @@ class ContainerExpireEvent(Event):
     container: Container = field(compare=False)
 
     def apply(self, simulation: "Simulation") -> None:
-        container = self.container
-        if (
-            container.state is ContainerState.WARM
-            and container.expires_at_ms == self.time_ms
-        ):
-            container.mark_stopped()
+        self.container.expire(self.time_ms)
 
 
 @dataclass(frozen=True, slots=True)

@@ -344,20 +344,33 @@ class MetricsCollector:
         self._waiting_ms.append(waiting_ms)
 
     def record_task(self, task: Task) -> None:
-        """Record a dispatched task: its start kind and :meth:`fold_task`."""
-        if task.was_cold_start:
+        """Record a dispatched task: its start kind and :meth:`fold_task`.
+
+        The task's derived times are computed here from its fields, with
+        the same float operations as :attr:`Task.start_ms`,
+        :attr:`Task.duration_ms` and :meth:`Task.waiting_ms` (whose
+        ``sum`` starts at int 0, so its first addition is exact).
+        """
+        cold_ms = task.cold_start_ms
+        if cold_ms > 0.0:
             self.cold_starts += 1
         else:
             self.warm_starts += 1
+        dispatch_ms = task.dispatch_ms
+        jobs = task.jobs
+        waiting = 0
+        for job in jobs:
+            delay = dispatch_ms - job.ready_ms
+            waiting += delay if delay > 0.0 else 0.0
         config = task.config
         self.fold_task(
             task.app_name,
             task.cost_cents,
-            task.start_ms,
-            task.duration_ms,
+            dispatch_ms + task.overhead_ms,
+            cold_ms + task.transfer_ms + task.exec_ms,
             config.vcpus,
             config.vgpus,
-            task.waiting_ms(),
+            waiting / len(jobs),
         )
 
     def record_overhead(self, overhead_ms: float) -> None:
@@ -374,13 +387,6 @@ class MetricsCollector:
         self.plan_attempts += 1
         if miss:
             self.plan_misses += 1
-
-    def record_transfer(self, *, local: bool) -> None:
-        """Record one inter-stage data transfer."""
-        if local:
-            self.local_transfers += 1
-        else:
-            self.remote_transfers += 1
 
     def record_forced_min_dispatch(self) -> None:
         """Record a queue dispatched with the minimum config after rechecks."""

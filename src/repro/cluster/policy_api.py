@@ -66,11 +66,12 @@ class AFWQueue:
         return (self.app_name, self.stage_id)
 
     # ------------------------------------------------------------------
-    # Mutation (controller only)
+    # Mutation (controller only): every change to ``jobs`` goes through
+    # these three methods, and each reports its size change.
     # ------------------------------------------------------------------
     def push(self, job: Job) -> None:
         """Append a job (jobs are kept in ready-time order)."""
-        if job.stage_id != self.stage_id or job.app_name != self.app_name:
+        if job.stage_id != self.stage_id or job.request.workflow.name != self.app_name:
             raise ValueError(
                 f"job for ({job.app_name}, {job.stage_id}) pushed to queue {self.key}"
             )
@@ -80,16 +81,28 @@ class AFWQueue:
 
     def pop_batch(self, batch_size: int) -> list[Job]:
         """Remove and return the ``batch_size`` oldest jobs."""
-        if batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        if batch_size > len(self.jobs):
+        jobs = self.jobs
+        if not 0 < batch_size <= len(jobs):
             raise ValueError(
-                f"queue {self.key} holds {len(self.jobs)} jobs; cannot pop {batch_size}"
+                f"queue {self.key} holds {len(jobs)} jobs; cannot pop a batch of {batch_size}"
             )
-        batch = [self.jobs.popleft() for _ in range(batch_size)]
+        popleft = jobs.popleft
+        batch = [popleft() for _ in range(batch_size)]
         if self.size_listener is not None:
             self.size_listener(self, -batch_size)
         return batch
+
+    def drop_request(self, request: Request) -> int:
+        """Remove every job of ``request``, keeping the others' order; returns the count."""
+        jobs = self.jobs
+        kept = [job for job in jobs if job.request is not request]
+        removed = len(jobs) - len(kept)
+        if removed:
+            jobs.clear()
+            jobs.extend(kept)
+            if self.size_listener is not None:
+                self.size_listener(self, -removed)
+        return removed
 
     # ------------------------------------------------------------------
     # Read-only views (policies)

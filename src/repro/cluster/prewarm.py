@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 from repro.cluster.cluster import ClusterState
-from repro.cluster.container import Container, ContainerState
 from repro.profiles.profiler import ProfileStore
 from repro.utils.stats import EWMA
 from repro.utils.validation import ensure_non_negative, ensure_positive
@@ -95,10 +94,7 @@ class PrewarmManager:
     def observe_arrival(self, app_name: str, function_name: str, now_ms: float) -> None:
         """Record one job arrival for (application, function) at ``now_ms``.
 
-        ``now_ms`` comes from the event loop, which already validated it,
-        and the steady-state path (known key, prior arrival) inlines the
-        EWMA fold with the exact same float expression as
-        :meth:`EWMA.update`.
+        ``now_ms`` comes from the event loop, which already validated it.
         """
         demand = self._demand.get((app_name, function_name))
         if demand is None:
@@ -112,12 +108,7 @@ class PrewarmManager:
             interval = now_ms - last
             if interval < 0.1:
                 interval = 0.1
-            ewma = demand.interval_ewma
-            value = ewma._value
-            ewma._value = (
-                interval if value is None else ewma.alpha * interval + (1.0 - ewma.alpha) * value
-            )
-            ewma._count += 1
+            demand.interval_ewma.update(interval)
         demand.last_arrival_ms = now_ms
         demand.observed_arrivals += 1
         self._desired_dirty.add(function_name)
@@ -158,7 +149,7 @@ class PrewarmManager:
         total_rate_per_ms = 0.0
         # The function's demands in first-arrival order.
         for demand in self._by_function.get(function_name, ()):
-            interval = demand.interval_ewma._value
+            interval = demand.interval_ewma.value
             if interval is None or demand.observed_arrivals < 2:
                 # Too few observations: assume one instance is enough.
                 continue
@@ -201,7 +192,7 @@ class PrewarmManager:
                 continue
             cold_start_ms = self.profile_store.profile(fn).spec.cold_start_ms
             for _ in range(missing):
-                invoker_id = self._pick_invoker(cluster, fn, now_ms)
+                invoker_id = self.pick_invoker(cluster, fn)
                 if invoker_id is None:
                     break
                 plans.append(
@@ -213,20 +204,14 @@ class PrewarmManager:
                 )
                 # Immediately register the starting container so the next
                 # iteration sees it as resident.
-                container = Container(
-                    function_name=fn,
-                    invoker_id=invoker_id,
-                    state=ContainerState.STARTING,
-                    warm_at_ms=now_ms + cold_start_ms,
-                )
-                cluster.invoker(invoker_id).add_container(container)
+                cluster.invoker(invoker_id).start_container(fn, now_ms + cold_start_ms)
         return plans
 
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
     @staticmethod
-    def _pick_invoker(cluster: ClusterState, function_name: str, now_ms: float) -> int | None:
+    def pick_invoker(cluster: ClusterState, function_name: str) -> int | None:
         """Choose a node for a new container: fewest containers of the function, then most free vGPUs.
 
         This linear walk only runs when a prewarm container is actually

@@ -12,21 +12,13 @@ import gc
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.cluster.churn import ChurnSchedule
 from repro.cluster.cluster import ClusterConfig, ClusterState
 from repro.cluster.controller import Controller, ControllerConfig
 from repro.cluster.datatransfer import DataTransferModel
-from repro.cluster.container import ContainerState
-from repro.cluster.events import (
-    ContainerExpireEvent,
-    Event,
-    PrewarmCompleteEvent,
-    RequestArrivalEvent,
-    SchedulerTickEvent,
-    TaskCompletionEvent,
-)
+from repro.cluster.events import Event, RequestArrivalEvent, SchedulerTickEvent
 from repro.cluster.metrics import MetricsCollector, MetricsConfig, RunSummary
 from repro.cluster.policy_api import SchedulingContext, SchedulingPolicy
 from repro.cluster.prewarm import PrewarmManager
@@ -47,13 +39,10 @@ __all__ = [
     "EventLoop",
     "SimulationConfig",
     "Simulation",
-    "EventHandler",
     "SimulationHook",
     "EventHook",
 ]
 
-#: A registered event handler: receives the simulation and the event.
-EventHandler = Callable[["Simulation", Event], None]
 #: An observer invoked with only the simulation (progress / horizon hooks).
 SimulationHook = Callable[["Simulation"], None]
 #: An observer invoked after every handled event.
@@ -106,6 +95,22 @@ class EventLoop:
             heapq.heappush(self._housekeeping, entry)
         else:
             heapq.heappush(self._real, entry)
+
+    def push_real(self, event: Event) -> None:
+        """Schedule a productive event of the default sort priority.
+
+        For callers whose event times are >= 0 by construction: the same
+        entry :meth:`push` makes for such an event, without its time check
+        and routing.
+        """
+        heapq.heappush(self._real, (event.time_ms, 1, next(self._counter), event))
+
+    def push_housekeeping(self, event: Event) -> None:
+        """Schedule a housekeeping event of the default sort priority.
+
+        The counterpart of :meth:`push_real` for housekeeping events.
+        """
+        heapq.heappush(self._housekeeping, (event.time_ms, 1, next(self._counter), event))
 
     def pop(self) -> Event:
         """Remove and return the earliest event."""
@@ -194,20 +199,14 @@ class Simulation:
     ``Event.sort_priority``).  A stream whose arrivals go backwards raises
     ``ValueError``.
 
-    Event dispatch is table-driven: :meth:`register_handler` maps an event
-    type to a handler, and the base :class:`Event` entry falls back to the
-    event's own :meth:`Event.apply`.  Observers can watch a run without
-    subclassing through the hook API (:meth:`on_event`, :meth:`on_progress`,
-    :meth:`on_horizon_reached`).
+    Every event performs its own state transition: the loop calls
+    ``event.apply(simulation)``, so a new event type only has to implement
+    :meth:`Event.apply`.  Observers can watch a run without subclassing
+    through the hook API (:meth:`on_event`, :meth:`on_progress`,
+    :meth:`on_horizon_reached`); to instrument a layer, wrap the method
+    of the instance that owns it (``simulation.controller.on_tick``, for
+    example).
     """
-
-    #: Class-level handler registry; the base ``Event`` entry dispatches to
-    #: ``event.apply(simulation)`` so new event types work out of the box.
-    _handlers: ClassVar[dict[type, EventHandler]] = {}
-    #: Bumped on every :meth:`register_handler` call; the loop's
-    #: per-instance dispatch cache compares against it each event so
-    #: registrations made mid-run take effect immediately.
-    _handlers_version: ClassVar[int] = 0
 
     def __init__(
         self,
@@ -235,17 +234,9 @@ class Simulation:
         self._tick_scheduled = False
         self._processed_events = 0
         self._truncated = False
-        self._instance_handlers: dict[type, EventHandler] = {}
         self._event_hooks: list[EventHook] = []
         self._progress_hooks: list[tuple[SimulationHook, int]] = []
         self._horizon_hooks: list[SimulationHook] = []
-        #: Dispatch cache: concrete event type -> resolved dispatch record
-        #: (see :meth:`_dispatch_record`).  Invalidated whenever the class
-        #: registry version moves or an instance handler is added.
-        self._dispatch_cache: dict[
-            type, tuple[EventHandler | None, bool, bool, bool]
-        ] = {}
-        self._dispatch_version = Simulation._handlers_version
 
         if runtime_perf_model is None:
             runtime_perf_model = NoisyPerformanceModel(
@@ -266,11 +257,10 @@ class Simulation:
             runtime_perf_model=self.runtime_perf_model,
             pricing=profile_store.pricing,
             metrics=self.metrics,
+            events=self.events,
             transfer_model=self.transfer_model,
             config=self.config.controller,
             prewarmer=prewarmer,
-            event_sink=self.events.push,
-            event_loop=self.events,
         )
 
         workflows = dict(stream.workflows())
@@ -357,93 +347,6 @@ class Simulation:
         return True
 
     # ------------------------------------------------------------------
-    # Event dispatch
-    # ------------------------------------------------------------------
-    @classmethod
-    def register_handler(
-        cls, event_type: type[Event], handler: EventHandler | None = None
-    ) -> Callable[[EventHandler], EventHandler] | EventHandler:
-        """Register ``handler`` for ``event_type`` (usable as a decorator).
-
-        The most derived registered type along the event's MRO wins, so a
-        handler for a subclass shadows the base :class:`Event` entry (which
-        dispatches to :meth:`Event.apply`).
-        """
-        if not (isinstance(event_type, type) and issubclass(event_type, Event)):
-            raise TypeError(f"event_type must be an Event subclass, got {event_type!r}")
-
-        def _register(fn: EventHandler) -> EventHandler:
-            cls._handlers[event_type] = fn
-            # Assign on Simulation explicitly (not ``cls``): a subclass
-            # bump would shadow the class variable and hide later updates
-            # from instances comparing against Simulation._handlers_version.
-            Simulation._handlers_version += 1
-            return fn
-
-        if handler is not None:
-            return _register(handler)
-        return _register
-
-    def add_handler(self, event_type: type[Event], handler: EventHandler) -> None:
-        """Register ``handler`` for ``event_type`` on this simulation only.
-
-        Instance handlers take precedence over the class-level registry,
-        so one experiment can instrument its run without changing dispatch
-        for every other :class:`Simulation` in the process.
-        """
-        if not (isinstance(event_type, type) and issubclass(event_type, Event)):
-            raise TypeError(f"event_type must be an Event subclass, got {event_type!r}")
-        self._instance_handlers[event_type] = handler
-        self._dispatch_cache.clear()
-
-    def _dispatch_record(
-        self, event_type: type
-    ) -> tuple[EventHandler | None, bool, bool, bool]:
-        """Resolve and cache dispatch for one concrete event type.
-
-        The record is ``(handler, housekeeping, is_tick, is_arrival)``.
-        Resolution walks the instance registrations first (along the event
-        type's MRO), then the class registry, so an instance handler for a
-        *base* type still beats a class handler for the exact type —
-        :meth:`add_handler`'s precedence promise.  When resolution lands on
-        the default base-Event entry, a core event type is routed to its
-        module-level trampoline, and any other type stores ``None`` and the
-        loop calls ``event.apply(self)`` directly, skipping one indirection
-        on the hot path.
-        """
-        mro = event_type.__mro__
-        handler: EventHandler | None = None
-        for klass in mro:
-            handler = self._instance_handlers.get(klass)
-            if handler is not None:
-                break
-        if handler is None:
-            for klass in mro:
-                handler = self._handlers.get(klass)
-                if handler is not None:
-                    break
-        if handler is None:
-            raise TypeError(
-                f"no handler registered for event type {event_type.__name__}"
-            )
-        if handler is _apply_dispatch:
-            # The default entry would call ``event.apply(self)``, which for
-            # the core event types just forwards to a controller method.
-            # Dispatching straight to a module-level trampoline saves that
-            # intermediate frame on every event; exact-type keying means any
-            # subclass with an overridden ``apply`` (or a registered
-            # handler, resolved above) is untouched.
-            handler = _FAST_APPLY.get(event_type)
-        record = (
-            handler,
-            bool(event_type.housekeeping),
-            issubclass(event_type, SchedulerTickEvent),
-            issubclass(event_type, RequestArrivalEvent),
-        )
-        self._dispatch_cache[event_type] = record
-        return record
-
-    # ------------------------------------------------------------------
     # Hooks
     # ------------------------------------------------------------------
     def on_event(self, hook: EventHook) -> EventHook:
@@ -453,8 +356,7 @@ class Simulation:
 
     def on_progress(self, hook: SimulationHook, *, every_events: int = 1000) -> SimulationHook:
         """Call ``hook(simulation)`` every ``every_events`` processed events."""
-        if every_events <= 0:
-            raise ValueError(f"every_events must be positive, got {every_events}")
+        ensure_positive_int(every_events, "every_events")
         self._progress_hooks.append((hook, every_events))
         return hook
 
@@ -477,16 +379,14 @@ class Simulation:
         the loop drains them only while productive events remain, exactly
         like the per-tick expiry scan stops when the workload does.
 
-        Per-event constant costs are stripped: handlers, the housekeeping
-        flag and the tick/arrival engine invariants come from the per-type
-        dispatch cache instead of MRO walks and ``isinstance`` checks; hook
-        loops are skipped outright while no hooks are registered; the split
-        heaps are popped inline instead of through :meth:`EventLoop.pop`;
-        the tick reschedule check reads the controller's pending-job counter
-        without a method call; and the cyclic garbage collector is paused
-        for the duration of the drain — the loop allocates and drops large
-        object graphs (jobs, tasks, events) that are all acyclic, so
-        collector sweeps only add pauses.
+        Per-event constant costs are stripped: the split heaps are popped
+        inline instead of through :meth:`EventLoop.pop`, and the heap an
+        event came from tells whether it is housekeeping; the tick and
+        arrival engine invariants are keyed on the event's exact type; hook
+        loops are skipped outright while no hooks are registered; and the
+        cyclic garbage collector is paused for the duration of the drain —
+        the loop allocates and drops large object graphs (jobs, tasks,
+        events) that are all acyclic, so collector sweeps only add pauses.
         """
         events = self.events
         config = self.config
@@ -494,12 +394,12 @@ class Simulation:
         max_events = config.max_events
         max_time_ms = config.max_time_ms
         tick_interval_ms = config.controller.tick_interval_ms
-        dispatch_cache = self._dispatch_cache
         real = events._real
         housekeeping_heap = events._housekeeping
         heappop = heapq.heappop
         heappush = heapq.heappush
         counter = events._counter
+        has_pending_work = controller.has_pending_work
 
         event_hooks = self._event_hooks
         progress_hooks = self._progress_hooks
@@ -520,32 +420,25 @@ class Simulation:
                     break
                 if housekeeping_heap and housekeeping_heap[0] < real[0]:
                     event = heappop(housekeeping_heap)[3]
+                    housekeeping = True
                 else:
                     event = heappop(real)[3]
+                    housekeeping = False
                 time_ms = event.time_ms
                 if time_ms > self.now_ms:
                     self.now_ms = time_ms
-                if self._dispatch_version != Simulation._handlers_version:
-                    dispatch_cache.clear()
-                    self._dispatch_version = Simulation._handlers_version
-                record = dispatch_cache.get(type(event))
-                if record is None:
-                    record = self._dispatch_record(type(event))
-                handler, housekeeping, is_tick, is_arrival = record
-                if is_tick:
+                kind = type(event)
+                if kind is SchedulerTickEvent:
                     # Engine-owned invariant: the pending tick is consumed the
-                    # moment it is popped, no matter which handler runs it.
+                    # moment it is popped.
                     self._tick_scheduled = False
-                elif is_arrival:
+                elif kind is RequestArrivalEvent:
                     # Popping the last arrival of a chunk pushes the next
-                    # chunk, whichever handler runs it.
+                    # chunk, ahead of anything the arrival itself pushes.
                     self._pending_arrivals -= 1
                     if self._pending_arrivals == 0:
                         self._push_arrival_chunk()
-                if handler is None:
-                    event.apply(self)
-                else:
-                    handler(self, event)
+                event.apply(self)
                 # Housekeeping events are free: counting them against
                 # max_events (or the progress cadence) would let the expiry
                 # timers move where a capped run stops.
@@ -559,10 +452,10 @@ class Simulation:
                     for progress_hook, every in progress_hooks:
                         if processed % every == 0:
                             progress_hook(self)
-                if not self._tick_scheduled and controller._pending_jobs > 0:
+                if not self._tick_scheduled and has_pending_work():
                     self._tick_scheduled = True
-                    # Inlined ``events.push`` (tick times are never negative;
-                    # ticks are real events with the default sort priority 1).
+                    # Inlined ``events.push_real`` (tick times are never
+                    # negative; ticks have the default sort priority).
                     tick_time = self.now_ms + tick_interval_ms
                     heappush(
                         real,
@@ -594,53 +487,3 @@ class Simulation:
     def pricing(self) -> PricingModel:
         """The pricing model the run uses."""
         return self.profile_store.pricing
-
-
-# Default dispatch: any event type without a more specific handler applies
-# itself.  Registered once at import time; experiments can shadow it for
-# individual event types via ``Simulation.register_handler``.  Named (not a
-# lambda) so the loop's dispatch cache can recognise it by identity and
-# call ``event.apply`` without the extra indirection.
-def _apply_dispatch(simulation: Simulation, event: Event) -> None:
-    event.apply(simulation)
-
-
-Simulation.register_handler(Event, _apply_dispatch)
-
-
-# Trampolines: each mirrors the corresponding ``Event.apply`` body
-# exactly, skipping the ``apply`` frame.  Keyed by *exact* concrete type in
-# ``_FAST_APPLY`` — subclasses (which may override ``apply``) never match and
-# keep the default ``event.apply`` route.
-def _fast_arrival_apply(simulation: Simulation, event: "RequestArrivalEvent") -> None:
-    simulation.controller.on_request_arrival(event.request, simulation.now_ms)
-
-
-def _fast_completion_apply(simulation: Simulation, event: "TaskCompletionEvent") -> None:
-    simulation.controller.on_task_completion(event.task, simulation.now_ms)
-
-
-def _fast_tick_apply(simulation: Simulation, event: SchedulerTickEvent) -> None:
-    simulation.controller.on_tick(simulation.now_ms)
-
-
-def _fast_prewarm_apply(simulation: Simulation, event: "PrewarmCompleteEvent") -> None:
-    simulation.controller.on_prewarm_complete(event.container, simulation.now_ms)
-
-
-def _fast_expire_apply(simulation: Simulation, event: "ContainerExpireEvent") -> None:
-    container = event.container
-    if (
-        container.state is ContainerState.WARM
-        and container.expires_at_ms == event.time_ms
-    ):
-        container.mark_stopped()
-
-
-_FAST_APPLY: dict[type, EventHandler] = {
-    RequestArrivalEvent: _fast_arrival_apply,
-    TaskCompletionEvent: _fast_completion_apply,
-    SchedulerTickEvent: _fast_tick_apply,
-    PrewarmCompleteEvent: _fast_prewarm_apply,
-    ContainerExpireEvent: _fast_expire_apply,
-}

@@ -17,39 +17,9 @@ configuration needs.
 from __future__ import annotations
 
 from repro.cluster.cluster import ClusterState
-from repro.cluster.container import ContainerState
-from repro.cluster.invoker import Invoker
 from repro.profiles.configuration import Configuration
 
 __all__ = ["locality_first_invoker"]
-
-_BUSY = ContainerState.BUSY
-_WARM = ContainerState.WARM
-_STARTING = ContainerState.STARTING
-
-
-def _has_resident(invoker: Invoker, function_name: str, now_ms: float) -> bool:
-    """Inlined ``invoker.has_warm_container``: any WARM/BUSY live container."""
-    for container in invoker._live.get(function_name, ()):
-        state = container.state
-        if state is _BUSY or (
-            state is _WARM and container.warm_at_ms <= now_ms < container.expires_at_ms
-        ):
-            return True
-    return False
-
-
-def _has_any(invoker: Invoker, function_name: str, now_ms: float) -> bool:
-    """Inlined ``invoker.has_any_container``: resident or starting container."""
-    for container in invoker._live.get(function_name, ()):
-        state = container.state
-        if (
-            state is _BUSY
-            or state is _STARTING
-            or (state is _WARM and container.warm_at_ms <= now_ms < container.expires_at_ms)
-        ):
-            return True
-    return False
 
 
 def locality_first_invoker(
@@ -84,20 +54,14 @@ def locality_first_invoker(
         The selected invoker id, or ``None`` when no node can currently host
         the configuration.
 
-    Residency checks walk the invokers' live-container lists directly,
-    capacity checks read the resource counters without the ``can_fit``
-    indirection, and the warm-node argmax of step 3 iterates the cluster's
-    warm-index set unsorted: its ``(vgpus, vcpus, -id)`` key is unique per
-    node, so the winner cannot depend on iteration order.
+    Step 3 is :meth:`ClusterState.best_warm_invoker`.
     """
     invokers = cluster.invokers
-    need_vcpus = config.vcpus
-    need_vgpus = config.vgpus
 
     candidates = cluster.warm_candidate_ids(function_name)
     any_warm_elsewhere = False
     for i in candidates:
-        if _has_resident(invokers[i], function_name, now_ms):
+        if invokers[i].has_warm_container(function_name, now_ms):
             any_warm_elsewhere = True
             break
 
@@ -107,56 +71,26 @@ def locality_first_invoker(
     #    transfer, and the controller knows both costs from the profiles.
     if predecessor_invoker_id is not None:
         predecessor = invokers[predecessor_invoker_id]
-        if (
-            need_vcpus <= predecessor.total_vcpus - predecessor._used_vcpus
-            and need_vgpus
-            <= predecessor.gpu.total_vgpus - predecessor.gpu._used_vgpus
-            and (
-                _has_any(predecessor, function_name, now_ms) or not any_warm_elsewhere
-            )
+        if predecessor.can_fit(config) and (
+            not any_warm_elsewhere or predecessor.has_any_container(function_name, now_ms)
         ):
             return predecessor_invoker_id
 
     # 2. Home invoker.
     home_id = cluster.home_invoker_id(app_name, function_name)
     home = invokers[home_id]
-    home_fits = (
-        need_vcpus <= home.total_vcpus - home._used_vcpus
-        and need_vgpus <= home.gpu.total_vgpus - home.gpu._used_vgpus
-    )
-    if home_fits and (_has_any(home, function_name, now_ms) or not any_warm_elsewhere):
+    home_fits = home.can_fit(config)
+    if home_fits and (not any_warm_elsewhere or home.has_any_container(function_name, now_ms)):
         return home_id
 
     # 3. Other warm invokers (most available resources first).
-    best_key: tuple[int, int, int] | None = None
-    best_id: int | None = None
-    for i in candidates:
-        if i == home_id:
-            continue
-        invoker = invokers[i]
-        if not _has_resident(invoker, function_name, now_ms):
-            continue
-        avail_vcpus = invoker.total_vcpus - invoker._used_vcpus
-        gpu = invoker.gpu
-        avail_vgpus = gpu.total_vgpus - gpu._used_vgpus
-        if need_vcpus > avail_vcpus or need_vgpus > avail_vgpus:
-            continue
-        key = (avail_vgpus, avail_vcpus, -i)
-        if best_key is None or key > best_key:
-            best_key = key
-            best_id = i
+    best_id = cluster.best_warm_invoker(function_name, config, now_ms, exclude=home_id)
     if best_id is not None:
         return best_id
 
     # 3b. Locality / home fallbacks without the warm-container requirement.
-    if predecessor_invoker_id is not None:
-        predecessor = invokers[predecessor_invoker_id]
-        if (
-            need_vcpus <= predecessor.total_vcpus - predecessor._used_vcpus
-            and need_vgpus
-            <= predecessor.gpu.total_vgpus - predecessor.gpu._used_vgpus
-        ):
-            return predecessor_invoker_id
+    if predecessor_invoker_id is not None and invokers[predecessor_invoker_id].can_fit(config):
+        return predecessor_invoker_id
     if home_fits:
         return home_id
 

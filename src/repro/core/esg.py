@@ -434,22 +434,8 @@ class ESGPolicy(SchedulingPolicy):
         self, config: Configuration, queue: AFWQueue, now_ms: float
     ) -> int | None:
         """ESG_Dispatch: predecessor node, home node, warm nodes, cold node."""
-        predecessor_id = None
         jobs = queue.jobs
-        if jobs:
-            request = jobs[0].request
-            preds = request.workflow.topology().pred[queue.stage_id]
-            if preds:
-                # Inlined Request.predecessor_invoker over the cached
-                # topology (identical latest-finishing tie-break).
-                stage_invoker = request.stage_invoker
-                if len(preds) == 1:
-                    predecessor_id = stage_invoker.get(preds[0])
-                else:
-                    done = [p for p in preds if p in stage_invoker]
-                    if done:
-                        scm = request.stage_completion_ms
-                        predecessor_id = stage_invoker[max(done, key=scm.__getitem__)]
+        predecessor_id = jobs[0].request.predecessor_invoker(queue.stage_id) if jobs else None
         return locality_first_invoker(
             self.context.cluster,
             queue.app_name,

@@ -115,18 +115,42 @@ class Request:
     # ------------------------------------------------------------------
     # Stage bookkeeping
     # ------------------------------------------------------------------
-    def record_stage_completion(self, stage_id: str, finish_ms: float, invoker_id: int) -> None:
-        """Record that ``stage_id`` finished at ``finish_ms`` on ``invoker_id``."""
-        if stage_id not in self.workflow:
+    def record_stage_completion(self, stage_id: str, finish_ms: float, invoker_id: int) -> bool:
+        """Record that ``stage_id`` finished at ``finish_ms`` on ``invoker_id``.
+
+        Returns True when this completion finishes the request: every sink
+        stage is done, and ``completed_ms`` becomes the latest sink's
+        completion time.
+        """
+        topo = self.workflow.topology()
+        if stage_id not in topo.pred:
             raise KeyError(f"{stage_id!r} is not a stage of {self.workflow.name!r}")
-        if stage_id in self.stage_completion_ms:
+        scm = self.stage_completion_ms
+        if stage_id in scm:
             raise ValueError(f"stage {stage_id!r} of request {self.request_id} completed twice")
-        self.stage_completion_ms[stage_id] = finish_ms
+        scm[stage_id] = finish_ms
         self.stage_invoker[stage_id] = invoker_id
-        if all(sink in self.stage_completion_ms for sink in self.workflow.sinks()):
-            self.completed_ms = max(
-                self.stage_completion_ms[sink] for sink in self.workflow.sinks()
-            )
+        sinks = topo.sinks
+        for sink in sinks:
+            if sink not in scm:
+                return False
+        was_complete = self.completed_ms is not None
+        self.completed_ms = scm[sinks[0]] if len(sinks) == 1 else max(scm[s] for s in sinks)
+        return not was_complete
+
+    def ready_successors(self, stage_id: str) -> list[str]:
+        """Successors of the completed ``stage_id`` whose predecessors have all completed."""
+        topo = self.workflow.topology()
+        scm = self.stage_completion_ms
+        pred_of = topo.pred
+        ready = []
+        for succ in topo.succ[stage_id]:
+            for pred in pred_of[succ]:
+                if pred not in scm:
+                    break
+            else:
+                ready.append(succ)
+        return ready
 
     def remaining_stage_ids(self) -> list[str]:
         """Stages not yet completed, in topological order."""
@@ -138,14 +162,21 @@ class Request:
     def predecessor_invoker(self, stage_id: str) -> int | None:
         """Invoker that ran the (latest-finishing) predecessor of ``stage_id``.
 
-        Used by ESG_Dispatch's data-locality policy; ``None`` for source
-        stages or when no predecessor has completed yet.
+        Used by ESG_Dispatch's data-locality policy and the controller's
+        transfer costing; ``None`` for source stages or when no predecessor
+        has completed yet.  Ties go to the first such predecessor in edge
+        order.
         """
-        preds = [p for p in self.workflow.predecessors(stage_id) if p in self.stage_invoker]
+        preds = self.workflow.topology().pred[stage_id]
         if not preds:
             return None
-        latest = max(preds, key=lambda p: self.stage_completion_ms[p])
-        return self.stage_invoker[latest]
+        stage_invoker = self.stage_invoker
+        if len(preds) == 1:
+            return stage_invoker.get(preds[0])
+        done = [p for p in preds if p in stage_invoker]
+        if not done:
+            return None
+        return stage_invoker[max(done, key=self.stage_completion_ms.__getitem__)]
 
 
 @dataclass

@@ -108,8 +108,9 @@ class RequestStream(ABC):
         pool) before the first arrival, in this order.  Count and list
         streams return precisely the applications that *will* appear, in
         first-appearance order.  Duration streams cannot know appearances
-        without consuming the stream, so they declare every application of
-        their generator.
+        without consuming the stream, so they declare every application
+        their generator can pick (a positive weight in ``app_weights``),
+        in the generator's order.
         """
 
     def iter_chunks(
@@ -298,10 +299,14 @@ class DurationRequestStream(RequestStream):
 
     def workflows(self) -> dict[str, Workflow]:
         # Which applications appear is unknown until the stream is consumed,
-        # so a duration-streamed run declares (and warms) all of them.
+        # so a duration-streamed run declares (and warms) every application
+        # the generator can pick; a zero-weight one can never arrive.
+        generator = self._generator
+        weights = generator.app_weights
         workflows: dict[str, Workflow] = {}
-        for workflow in self._generator.applications:
-            workflows.setdefault(workflow.name, workflow)
+        for index, workflow in enumerate(generator.applications):
+            if weights is None or weights[index] > 0:
+                workflows.setdefault(workflow.name, workflow)
         return workflows
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from recording_loop import RecordingLoop
 
 from repro.cluster.autoscale import (
     AUTOSCALE_SPECS,
@@ -308,7 +309,7 @@ class TestActuation:
         before = simulation.cluster.resident_container_count(fn)
         state = make_state(function_name=fn, queue_depth=9, residents=before)
         pushed: list = []
-        simulation.controller.event_sink = pushed.append
+        simulation.events = RecordingLoop(pushed)
         applied, targets = autoscaler._actuate(simulation, state, 2)
         assert applied == 2
         assert len(targets) == 2

@@ -35,8 +35,9 @@ from repro.cluster.events import (
 )
 from repro.cluster.metrics import MetricsCollector
 from repro.cluster.prewarm import PrewarmManager
-from repro.cluster.simulator import _fast_expire_apply
+from repro.cluster.simulator import EventLoop
 from repro.experiments.runner import make_policy
+from repro.profiles.configuration import Configuration
 from repro.profiles.perf_model import AnalyticalPerformanceModel
 from repro.profiles.pricing import PricingModel
 from repro.profiles.profiler import ProfileStore
@@ -168,7 +169,7 @@ class TestClusterChurn:
         assert cluster.total_vcpus() == 5 * 8
         assert cluster.total_available_vcpus() == 5 * 8
         custom = cluster.apply_join(vcpus=2, vgpus=1)
-        assert (custom.total_vcpus, custom.gpu.total_vgpus) == (2, 1)
+        assert (custom.total_vcpus, custom.total_vgpus) == (2, 1)
         assert cluster.total_vgpus() == 5 * 4 + 1
 
     def test_leave_tombstones_and_conserves_capacity(self):
@@ -178,7 +179,7 @@ class TestClusterChurn:
         assert [c.state for c in evicted] == [ContainerState.STOPPED]
         invoker = cluster.invoker(1)
         assert not invoker.active
-        assert invoker.total_vcpus == 0 and invoker.gpu.total_vgpus == 0
+        assert invoker.total_vcpus == 0 and invoker.total_vgpus == 0
         assert len(cluster) == 4  # ids stay dense and stable
         assert cluster.total_vcpus() == 3 * 8
         assert cluster.total_available_vcpus() == 3 * 8
@@ -189,14 +190,13 @@ class TestClusterChurn:
     def test_resize_clamps_to_used_and_one(self):
         cluster = small_cluster()
         invoker = cluster.invoker(0)
-        invoker._used_vcpus = 4
-        invoker.gpu._used_vgpus = 2
+        invoker.reserve(Configuration(batch_size=1, vcpus=4, vgpus=2))
         applied = cluster.apply_resize(0, 1, 1)
         assert applied == (4, 2)  # harvest never takes busy resources
         assert cluster.total_vcpus() == 3 * 8 + 4
         grown = cluster.apply_resize(0, 16, 8)
         assert grown == (16, 8)
-        assert invoker.total_vgpus == invoker.gpu.total_vgpus == 8
+        assert invoker.total_vgpus == 8
         assert cluster.total_vgpus() == 3 * 4 + 8
 
     def test_resize_of_departed_node_is_a_no_op(self):
@@ -220,8 +220,6 @@ class TestIndexedChurnConsistency:
         assert cluster._bucket_of[0] == (0, 0)
         joined = cluster.apply_join()
         # The new node answers capacity queries through the bucket index.
-        from repro.profiles.configuration import Configuration
-
         fitting = cluster.invokers_that_fit(Configuration(batch_size=1, vcpus=8, vgpus=4))
         assert joined in fitting
         assert cluster.invoker(0) not in fitting
@@ -255,11 +253,11 @@ class TestContainerEviction:
     def test_prewarmer_never_picks_a_departed_node(self, store):
         cluster = small_cluster()
         cluster.apply_leave(0)
-        picked = PrewarmManager._pick_invoker(cluster, "classification", 0.0)
+        picked = PrewarmManager.pick_invoker(cluster, "classification")
         assert picked == 1  # fewest containers, lowest active id
         for i in (1, 2, 3):
             cluster.apply_leave(i)
-        assert PrewarmManager._pick_invoker(cluster, "classification", 0.0) is None
+        assert PrewarmManager.pick_invoker(cluster, "classification") is None
 
 
 # ----------------------------------------------------------------------
@@ -269,8 +267,9 @@ class TestExpiryUnderEviction:
     """A node eviction must defeat every pending keep-alive timer.
 
     ``mark_evicted`` leaves the container STOPPED with ``expires_at_ms``
-    at -inf, so the ``WARM and expires_at_ms == deadline`` guard fails at
-    all three lazy-cancellation sites.
+    at -inf, so the ``WARM and expires_at_ms == deadline`` guard of
+    ``Container.expire`` fails for both of its callers: the expiry event
+    and the controller's drain heap.
     """
 
     def armed_container(self) -> tuple[Container, float]:
@@ -286,11 +285,12 @@ class TestExpiryUnderEviction:
         ContainerExpireEvent(time_ms=deadline, container=container).apply(None)
         assert container.state is ContainerState.STOPPED
 
-    def test_expire_trampoline_is_a_no_op_after_eviction(self):
+    def test_container_expire_is_a_no_op_after_eviction(self):
         container, deadline = self.armed_container()
         container.mark_evicted()
-        _fast_expire_apply(None, ContainerExpireEvent(time_ms=deadline, container=container))
+        container.expire(deadline)
         assert container.state is ContainerState.STOPPED
+        assert container.expires_at_ms == float("-inf")
 
     def test_drain_heap_skips_evicted_containers(self, store):
         cluster = small_cluster()
@@ -301,6 +301,7 @@ class TestExpiryUnderEviction:
             runtime_perf_model=AnalyticalPerformanceModel(),
             pricing=PricingModel(),
             metrics=MetricsCollector(),
+            events=EventLoop(),
         )
         container, deadline = self.armed_container()
         survivor = cluster.invoker(1).create_warm_container("classification", 0.0)

@@ -55,6 +55,19 @@ def scan_best_fitting(cluster: ClusterState, config: Configuration, key):
     )
 
 
+def scan_best_warm(cluster: ClusterState, fn: str, config: Configuration, now_ms: float, exclude):
+    """ESG's warm step by brute force: most free vGPUs, then vCPUs, then lowest id."""
+    warm = [
+        inv
+        for inv in cluster.invokers
+        if inv.invoker_id != exclude and inv.can_fit(config) and inv.has_warm_container(fn, now_ms)
+    ]
+    if not warm:
+        return None
+    best = max(warm, key=lambda inv: (inv.available_vgpus, inv.available_vcpus, -inv.invoker_id))
+    return best.invoker_id
+
+
 def assert_matches_scan(cluster: ClusterState, now_ms: float, functions=FUNCTIONS) -> None:
     """Every indexed query equals the brute-force scan over the invokers."""
     invokers = cluster.invokers
@@ -84,6 +97,11 @@ def assert_matches_scan(cluster: ClusterState, now_ms: float, functions=FUNCTION
         assert cluster.resident_container_count(fn) == sum(
             1 for inv in invokers for c in inv.containers_for(fn) if c.state in _LIVE
         )
+        for cfg in QUERY_CONFIGS:
+            for exclude in (None, 0):
+                assert cluster.best_warm_invoker(
+                    fn, cfg, now_ms, exclude=exclude
+                ) == scan_best_warm(cluster, fn, cfg, now_ms, exclude)
     free_vcpus = sum(inv.available_vcpus for inv in invokers)
     free_vgpus = sum(inv.available_vgpus for inv in invokers)
     assert cluster.total_available_vcpus() == free_vcpus
@@ -137,14 +155,14 @@ class TestIndexParityUnderRandomOperations:
                 stop_expired(cluster, now)
             assert_matches_scan(cluster, now)
 
-    def test_direct_gpu_mutation_keeps_capacity_index_fresh(self):
+    def test_vgpu_heavy_reservations_keep_capacity_index_fresh(self):
         cluster = ClusterState(config=ClusterConfig(num_invokers=4))
-        # Bypass Invoker.reserve entirely: the GPU's change hook must still
-        # keep the bucket index consistent.
-        cluster.invoker(2).gpu.allocate(5)
+        # Mostly-vGPU reservations move a node along the vGPU axis only.
+        cluster.invoker(2).reserve(Configuration(1, 1, 5))
         assert_matches_scan(cluster, 0.0)
-        cluster.invoker(2).gpu.release(3)
+        cluster.invoker(2).release(Configuration(1, 1, 3))
         assert_matches_scan(cluster, 0.0)
+        assert cluster.invoker(2).available_vgpus == 5
 
     def test_churn_keeps_indexes_consistent(self):
         cluster = ClusterState(config=ClusterConfig(num_invokers=4))

@@ -73,3 +73,29 @@ class TestLifecycle:
 
     def test_container_ids_are_unique(self):
         assert make_container().container_id != make_container().container_id
+
+
+class TestLifecycleListener:
+    """The owning invoker hears residency changes only."""
+
+    def test_warm_busy_edges_are_not_reported(self):
+        seen = []
+        c = make_container(state=ContainerState.STARTING, warm_at_ms=100.0)
+        c.bind_listener(lambda container, old, new: seen.append((old, new)))
+        c.assign_task()  # STARTING -> BUSY: becomes resident
+        c.release_task(200.0, keep_alive_ms=1000.0)  # BUSY -> WARM
+        c.assign_task()  # WARM -> BUSY
+        c.release_task(300.0, keep_alive_ms=1000.0)
+        c.expire(c.expires_at_ms)  # WARM -> STOPPED
+        assert seen == [
+            (ContainerState.STARTING, ContainerState.BUSY),
+            (ContainerState.WARM, ContainerState.STOPPED),
+        ]
+
+    def test_expire_ignores_a_stale_deadline(self):
+        c = make_container(state=ContainerState.WARM)
+        c.mark_warm(0.0, keep_alive_ms=100.0)
+        c.expire(50.0)
+        assert c.state is ContainerState.WARM
+        c.expire(100.0)
+        assert c.state is ContainerState.STOPPED

@@ -8,6 +8,7 @@ recheck list) without depending on the ESG search.
 from __future__ import annotations
 
 import pytest
+from recording_loop import RecordingLoop
 
 from repro.cluster.controller import ControllerConfig
 from repro.cluster.cluster import ClusterConfig
@@ -201,7 +202,7 @@ def _many_app_requests(num_apps: int, slo_ms: float = 500_000.0) -> list[Request
 
 
 def _standalone_controller(store, policy, num_invokers: int = 1):
-    """A controller wired up outside a Simulation (events collected to a list)."""
+    """A controller wired up outside a Simulation (pushed events also collected to a list)."""
     from repro.cluster.cluster import ClusterState
     from repro.cluster.controller import Controller
     from repro.cluster.metrics import MetricsCollector
@@ -217,7 +218,7 @@ def _standalone_controller(store, policy, num_invokers: int = 1):
         runtime_perf_model=AnalyticalPerformanceModel(),
         pricing=store.pricing,
         metrics=MetricsCollector(policy_name=policy.name, setting_name="test"),
-        event_sink=events.append,
+        events=RecordingLoop(events),
     )
     policy.bind(
         SchedulingContext(

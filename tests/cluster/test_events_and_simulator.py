@@ -215,10 +215,15 @@ class TestSimulationHooks:
         assert progress_ticks == list(range(10, simulation.processed_events + 1, 10))
         assert not summary.truncated
 
-    def test_progress_hook_rejects_nonpositive_interval(self, sim_store):
+    @pytest.mark.parametrize(
+        "every_events, error",
+        [(0, ValueError), (-3, ValueError), (2.5, TypeError), (True, TypeError)],
+    )
+    def test_progress_hook_rejects_nonpositive_interval(self, sim_store, every_events, error):
         simulation = make_simulation(sim_store)
-        with pytest.raises(ValueError):
-            simulation.on_progress(lambda sim: None, every_events=0)
+        with pytest.raises(error, match="every_events"):
+            simulation.on_progress(lambda sim: None, every_events=every_events)
+        assert simulation.run().num_completed > 0  # the rejected hook never fires
 
 
 @dataclass(frozen=True)
@@ -242,60 +247,20 @@ class TestEventDispatch:
         simulation.run()
         assert simulation.probe_applied
 
-    def test_registered_handler_shadows_apply(self, sim_store):
-        calls: list[float] = []
-        Simulation.register_handler(ProbeEvent, lambda sim, event: calls.append(event.time_ms))
-        try:
-            simulation = make_simulation(sim_store)
-            simulation.probe_applied = False
-            simulation.events.push(ProbeEvent(time_ms=0.0))
-            simulation.run()
-            assert calls == [0.0]
-            assert not simulation.probe_applied
-        finally:
-            del Simulation._handlers[ProbeEvent]
-
-    def test_event_without_apply_or_handler_raises(self, sim_store):
+    def test_event_without_apply_raises(self, sim_store):
         simulation = make_simulation(sim_store)
         simulation.events.push(OpaqueEvent(time_ms=0.0))
-        with pytest.raises(NotImplementedError):
+        with pytest.raises(NotImplementedError, match="OpaqueEvent does not implement apply"):
             simulation.run()
 
-    def test_register_handler_rejects_non_event_types(self):
-        with pytest.raises(TypeError):
-            Simulation.register_handler(int, lambda sim, event: None)
 
-    def test_instance_handler_scoped_to_one_simulation(self, sim_store):
-        calls: list[float] = []
-        instrumented = make_simulation(sim_store)
-        instrumented.add_handler(ProbeEvent, lambda sim, event: calls.append(event.time_ms))
-        instrumented.events.push(ProbeEvent(time_ms=0.0))
-        instrumented.probe_applied = False
-        instrumented.run()
-        assert calls == [0.0]
-        assert not instrumented.probe_applied  # instance handler shadowed apply()
+class TestInstrumentingByWrapping:
+    """A run is instrumented by wrapping the owner's method on the instance.
 
-        # A sibling simulation is unaffected: ProbeEvent falls back to apply().
-        plain = make_simulation(sim_store)
-        plain.probe_applied = False
-        plain.events.push(ProbeEvent(time_ms=0.0))
-        plain.run()
-        assert plain.probe_applied
-        assert calls == [0.0]
-
-    def test_add_handler_rejects_non_event_types(self, sim_store):
-        with pytest.raises(TypeError):
-            make_simulation(sim_store).add_handler(int, lambda sim, event: None)
-
-
-class TestCachedDispatchPrecedence:
-    """The dispatch cache must preserve the documented handler precedence.
-
-    The loop substitutes module-level trampolines for the core event types
-    *only* when resolution lands on the default base-``Event`` entry.
-    Instance handlers (``add_handler``) and class registrations
-    (``register_handler``) are resolved first, so they must still win —
-    including when added mid-run, after the cache is already hot.
+    Every core event's ``apply`` calls its owner through the simulation
+    (``simulation.controller.on_tick(...)``), so a wrapper installed on the
+    controller instance sees every call, and a wrapper that forwards leaves
+    the run unchanged.
     """
 
     def _make_simulation(self, store):
@@ -308,69 +273,46 @@ class TestCachedDispatchPrecedence:
             setting_name="moderate-normal",
         )
 
-    def test_instance_handler_beats_arrival_trampoline(self, sim_store):
-        baseline = self._make_simulation(sim_store).run()
+    def _wrap(self, owner, name: str, calls: list[float]) -> None:
+        inner = getattr(owner, name)
 
+        def counting(*args):
+            calls.append(args[-1])
+            return inner(*args)
+
+        setattr(owner, name, counting)
+
+    def test_arrival_wrapper_sees_every_arrival(self, sim_store):
+        baseline = self._make_simulation(sim_store).run()
         instrumented = self._make_simulation(sim_store)
         seen: list[float] = []
-
-        def counting_handler(sim, event):
-            seen.append(event.time_ms)
-            event.apply(sim)
-
-        instrumented.add_handler(RequestArrivalEvent, counting_handler)
+        self._wrap(instrumented.controller, "on_request_arrival", seen)
         summary = instrumented.run()
-
-        # The handler intercepted every arrival (the trampoline did not
-        # bypass it) and, since it forwarded to apply(), the run is
-        # unchanged.
         assert len(seen) == summary.num_requests
         assert asdict(summary) == asdict(baseline)
 
-    def test_class_handler_beats_tick_trampoline(self, sim_store):
+    def test_tick_wrapper_sees_every_tick(self, sim_store):
         baseline = self._make_simulation(sim_store).run()
+        instrumented = self._make_simulation(sim_store)
         ticks: list[float] = []
-
-        def counting_tick(sim, event):
-            ticks.append(event.time_ms)
-            event.apply(sim)
-
-        Simulation.register_handler(SchedulerTickEvent, counting_tick)
-        try:
-            summary = self._make_simulation(sim_store).run()
-        finally:
-            del Simulation._handlers[SchedulerTickEvent]
-            Simulation._handlers_version += 1
-
-        assert ticks  # at least one tick fired through the handler
+        self._wrap(instrumented.controller, "on_tick", ticks)
+        popped: list[float] = []
+        instrumented.on_event(
+            lambda sim, event: popped.append(event.time_ms)
+            if isinstance(event, SchedulerTickEvent)
+            else None
+        )
+        summary = instrumented.run()
+        assert ticks and ticks == popped
         assert asdict(summary) == asdict(baseline)
 
-    def test_mid_run_registration_invalidates_hot_cache(self, sim_store):
-        """Registrations made after dispatch has already cached the
-        trampoline must take effect immediately (the version check)."""
+    def test_completion_wrapper_sees_every_task(self, sim_store):
         baseline = self._make_simulation(sim_store).run()
-        simulation = self._make_simulation(sim_store)
-        late: list[float] = []
-        armed = False
-
-        @simulation.on_event
-        def register_late(sim, event):
-            nonlocal armed
-            if not armed and sim.processed_events >= 5:
-                armed = True
-                Simulation.register_handler(
-                    SchedulerTickEvent,
-                    lambda s, e: (late.append(e.time_ms), e.apply(s)),
-                )
-
-        try:
-            summary = simulation.run()
-        finally:
-            Simulation._handlers.pop(SchedulerTickEvent, None)
-            Simulation._handlers_version += 1
-
-        assert armed
-        assert late  # ticks after the mid-run registration went through it
+        instrumented = self._make_simulation(sim_store)
+        finished: list[float] = []
+        self._wrap(instrumented.controller, "on_task_completion", finished)
+        summary = instrumented.run()
+        assert len(finished) == summary.cold_starts + summary.warm_starts
         assert asdict(summary) == asdict(baseline)
 
 

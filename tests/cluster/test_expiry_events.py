@@ -170,12 +170,14 @@ class TestIndexedSimulationExpires:
             ),
             setting_name="moderate-normal",
         )
-        sim.run()
-        stopped = sum(
-            1
+        # The initial warm pool: every function on every invoker.
+        initial = [
+            container
             for invoker in sim.cluster
-            for containers in invoker._containers.values()
-            for c in containers
-            if c.state is ContainerState.STOPPED
-        )
+            for fn in store.function_names()
+            for container in invoker.containers_for(fn)
+        ]
+        assert initial
+        sim.run()
+        stopped = sum(1 for c in initial if c.state is ContainerState.STOPPED)
         assert stopped > 0

@@ -20,6 +20,7 @@ from collections import Counter
 from dataclasses import asdict
 
 import pytest
+from recording_loop import RecordingLoop
 
 from repro.baselines import AquatopePolicy, FaSTGSharePolicy, INFlessPolicy, OrionPolicy
 from repro.cluster.cluster import ClusterConfig, ClusterState
@@ -225,8 +226,8 @@ def build_controller(
     controller_cls: type[Controller] = Controller,
     **controller_config,
 ) -> Controller:
-    """A controller over 16-vCPU nodes with no queued work; events go to
-    ``events`` (discarded when ``None``)."""
+    """A controller over 16-vCPU nodes with no queued work; every event it
+    pushes is also appended to ``events`` (when given)."""
     cluster = ClusterState(config=ClusterConfig(num_invokers=num_invokers))
     controller = controller_cls(
         policy=policy,
@@ -235,8 +236,8 @@ def build_controller(
         runtime_perf_model=AnalyticalPerformanceModel(),
         pricing=store.pricing,
         metrics=MetricsCollector(policy_name=policy.name, setting_name="test"),
+        events=RecordingLoop(events),
         config=ControllerConfig(**controller_config),
-        event_sink=(lambda event: None) if events is None else events.append,
     )
     policy.bind(
         SchedulingContext(

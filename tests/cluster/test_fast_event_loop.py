@@ -142,6 +142,39 @@ def test_fuzz_housekeeping_heavy_mix(seed):
         assert_observables_agree(loop, ref)
 
 
+def push_fast(loop: EventLoop, event) -> None:
+    """Push through the unchecked path the controller uses where it applies."""
+    if event.sort_priority != 1:
+        loop.push(event)
+    elif event.housekeeping:
+        loop.push_housekeeping(event)
+    else:
+        loop.push_real(event)
+
+
+@pytest.mark.parametrize("seed", [8, 9, 10])
+def test_fuzz_fast_pushes_match_push(seed):
+    """``push_real``/``push_housekeeping`` make exactly the entries ``push``
+    makes for default-priority events: mixed with checked pushes, the pop
+    sequence and every query still match the reference."""
+    rng = random.Random(seed)
+    request = _shared_request()
+    container = _shared_container()
+    loop, ref = EventLoop(), ReferenceLoop()
+
+    for _ in range(1500):
+        if len(ref) and rng.random() < 0.45:
+            assert loop.pop() is ref.pop()
+        else:
+            event = make_event(rng, request, container)
+            push_fast(loop, event)
+            ref.push(event)
+        assert_observables_agree(loop, ref)
+    while len(ref):
+        assert loop.pop() is ref.pop()
+    assert loop.empty
+
+
 class TestEventLoopEdges:
     """The non-fuzz edge contract of the split heaps."""
 

@@ -116,13 +116,20 @@ class TestPlanAndTransfers:
         metrics.record_plan_attempt(miss=True)
         assert metrics.plan_miss_rate() == pytest.approx(2 / 3)
 
-    def test_transfer_counters(self):
-        metrics = MetricsCollector()
-        metrics.record_transfer(local=True)
-        metrics.record_transfer(local=False)
-        metrics.record_transfer(local=True)
-        assert metrics.local_transfers == 2
-        assert metrics.remote_transfers == 1
+    def test_each_dispatched_job_counts_one_transfer(self, task_log):
+        """The controller counts one local or remote transfer per job it dispatches."""
+        log = task_log()
+        with log.capturing():
+            result = run_experiment(
+                "ESG",
+                config=ExperimentConfig(num_requests=12),
+                profile_store=build_profile_store(),
+                scenario="paper-moderate-normal",
+            )
+        summary = result.summary
+        jobs = sum(len(task.jobs) for task in log.tasks + log.in_flight_tasks())
+        assert summary.local_transfers + summary.remote_transfers == jobs
+        assert summary.local_transfers > 0 and summary.remote_transfers > 0
 
     @pytest.mark.parametrize("overhead", [-1.0, float("nan"), float("inf")])
     def test_overhead_outside_zero_to_inf_rejected(self, overhead):

@@ -96,12 +96,12 @@ class TestPlanning:
 
 
 class TestPickInvoker:
-    """Placement walk of :meth:`PrewarmManager._pick_invoker` — shared by the
+    """Placement walk of :meth:`PrewarmManager.pick_invoker` — shared by the
     static prewarmer and the autoscaler's scale-up actuation."""
 
     def test_prefers_fewest_containers_then_most_free_vgpus(self, cluster):
         cluster.invoker(0).create_warm_container("deblur", 0.0)
-        picked = PrewarmManager._pick_invoker(cluster, "deblur", 10.0)
+        picked = PrewarmManager.pick_invoker(cluster, "deblur")
         # Invoker 0 already hosts the function; an empty peer wins.
         assert picked != 0
         assert cluster.invoker(picked).container_count("deblur") == 0
@@ -111,12 +111,12 @@ class TestPickInvoker:
         # though lower ids would otherwise win the tie on emptiness.
         for invoker_id in (0, 1, 3):
             cluster.apply_leave(invoker_id)
-        assert PrewarmManager._pick_invoker(cluster, "deblur", 10.0) == 2
+        assert PrewarmManager.pick_invoker(cluster, "deblur") == 2
 
     def test_all_inactive_yields_none(self, cluster):
         for invoker_id in range(4):
             cluster.apply_leave(invoker_id)
-        assert PrewarmManager._pick_invoker(cluster, "deblur", 10.0) is None
+        assert PrewarmManager.pick_invoker(cluster, "deblur") is None
 
 
 class TestProfileCacheDeterminism:

@@ -453,7 +453,7 @@ def test_harness_catches_planted_tombstone_placement(store: ProfileStore):
                 return invoker.invoker_id  # planted bug
         from repro.cluster.prewarm import PrewarmManager
 
-        return PrewarmManager._pick_invoker(cluster, function_name, now_ms)
+        return PrewarmManager.pick_invoker(cluster, function_name)
 
     caught: list[str] = []
     for seed in range(8):

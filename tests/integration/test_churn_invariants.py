@@ -79,7 +79,7 @@ def fuzz_schedule(seed: int, cluster_config: ClusterConfig) -> ChurnSchedule:
 def capacity_violations(cluster: ClusterState) -> list[str]:
     problems: list[str] = []
     sum_vcpus = sum(inv.total_vcpus for inv in cluster)
-    sum_vgpus = sum(inv.gpu.total_vgpus for inv in cluster)
+    sum_vgpus = sum(inv.total_vgpus for inv in cluster)
     if cluster.total_vcpus() != sum_vcpus:
         problems.append(
             f"total_vcpus counter {cluster.total_vcpus()} != scan sum {sum_vcpus}"
@@ -106,10 +106,10 @@ def capacity_violations(cluster: ClusterState) -> list[str]:
                 f"invoker {inv.invoker_id}: used_vcpus {inv.used_vcpus} "
                 f"outside [0, {inv.total_vcpus}]"
             )
-        if not 0 <= inv.used_vgpus <= inv.gpu.total_vgpus:
+        if not 0 <= inv.used_vgpus <= inv.total_vgpus:
             problems.append(
                 f"invoker {inv.invoker_id}: used_vgpus {inv.used_vgpus} "
-                f"outside [0, {inv.gpu.total_vgpus}]"
+                f"outside [0, {inv.total_vgpus}]"
             )
     return problems
 
@@ -128,7 +128,7 @@ def tombstone_violations(cluster: ClusterState) -> list[str]:
             )
         if inv.used_vcpus or inv.used_vgpus:
             problems.append(f"departed invoker {inv.invoker_id} holds reservations")
-        if inv.total_vcpus or inv.gpu.total_vgpus:
+        if inv.total_vcpus or inv.total_vgpus:
             problems.append(f"departed invoker {inv.invoker_id} kept capacity")
     return problems
 

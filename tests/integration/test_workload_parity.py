@@ -13,6 +13,8 @@ must not care which of the two it was fed.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.cluster import simulator
@@ -27,6 +29,9 @@ from repro.experiments.runner import (
     make_policy,
     run_experiment,
 )
+from repro.utils.rng import derive_rng
+from repro.workloads.applications import build_paper_applications
+from repro.workloads.generator import MODERATE_NORMAL, WorkloadGenerator
 from repro.workloads.scenarios import get_scenario
 
 PAPER_SCENARIOS = (
@@ -153,3 +158,44 @@ class TestStreamingSimulationMechanics:
         streaming_peak = peak_queue(scenario.build_stream(num_requests, 42, store))
         materialized_peak = peak_queue(scenario.build_requests(num_requests, 42, store))
         assert materialized_peak == streaming_peak
+
+
+class TestDurationStreams:
+    """A duration stream declares only the applications it can draw.
+
+    The simulator registers, warms and binds every declared application
+    before the first arrival, so declaring a zero-weight application would
+    warm containers for requests that can never come and make the streamed
+    run differ from the same window materialized as a list.
+    """
+
+    DURATION_MS = 2_000.0
+
+    def generator(self, store) -> WorkloadGenerator:
+        return WorkloadGenerator(
+            applications=build_paper_applications(),
+            setting=MODERATE_NORMAL,
+            profile_store=store,
+            rng=derive_rng(5, "duration-parity"),
+            app_weights=(1, 0, 0, 0),
+        )
+
+    def run(self, store, workload):
+        return Simulation(
+            policy=make_policy("ESG"),
+            requests=workload,
+            profile_store=store,
+            config=SimulationConfig(seed=5),
+            setting_name="moderate-normal",
+        ).run()
+
+    def test_zero_weight_applications_are_not_declared(self, store):
+        stream = self.generator(store).stream_for_duration(self.DURATION_MS)
+        first = build_paper_applications()[0].name
+        assert list(stream.workflows()) == [first]
+
+    def test_list_and_stream_give_identical_summaries(self, store):
+        listed = self.run(store, self.generator(store).generate_for_duration(self.DURATION_MS))
+        streamed = self.run(store, self.generator(store).stream_for_duration(self.DURATION_MS))
+        assert listed.num_requests > 0
+        assert asdict(listed) == asdict(streamed)

@@ -79,6 +79,46 @@ class TestRequest:
         assert request_obj.predecessor_invoker("s2") == 7
 
 
+class TestDagProgress:
+    """Stage rules on a split/join DAG: a -> (b, c) -> d."""
+
+    def make(self, diamond_workflow) -> Request:
+        return Request(request_id=9, workflow=diamond_workflow, arrival_ms=0.0, slo_ms=1e4)
+
+    def test_only_the_last_sink_completes_the_request(self, diamond_workflow):
+        request = self.make(diamond_workflow)
+        assert request.record_stage_completion("a", 10.0, invoker_id=0) is False
+        assert request.record_stage_completion("b", 20.0, invoker_id=1) is False
+        assert request.record_stage_completion("c", 30.0, invoker_id=2) is False
+        assert request.record_stage_completion("d", 40.0, invoker_id=2) is True
+        assert request.completed_ms == 40.0
+
+    def test_a_join_is_ready_once_every_predecessor_completed(self, diamond_workflow):
+        request = self.make(diamond_workflow)
+        request.record_stage_completion("a", 10.0, invoker_id=0)
+        assert request.ready_successors("a") == ["b", "c"]
+        request.record_stage_completion("c", 20.0, invoker_id=2)
+        assert request.ready_successors("c") == []
+        request.record_stage_completion("b", 30.0, invoker_id=1)
+        assert request.ready_successors("b") == ["d"]
+
+    def test_join_takes_the_latest_finishing_predecessor(self, diamond_workflow):
+        request = self.make(diamond_workflow)
+        request.record_stage_completion("a", 10.0, invoker_id=0)
+        assert request.predecessor_invoker("d") is None
+        request.record_stage_completion("c", 30.0, invoker_id=2)
+        assert request.predecessor_invoker("d") == 2  # only c has finished
+        request.record_stage_completion("b", 50.0, invoker_id=1)
+        assert request.predecessor_invoker("d") == 1  # b finished last
+
+    def test_join_tie_goes_to_the_first_predecessor(self, diamond_workflow):
+        request = self.make(diamond_workflow)
+        request.record_stage_completion("a", 10.0, invoker_id=0)
+        request.record_stage_completion("c", 30.0, invoker_id=2)
+        request.record_stage_completion("b", 30.0, invoker_id=1)
+        assert request.predecessor_invoker("d") == 1  # b precedes c in edge order
+
+
 class TestJob:
     def test_function_and_app_names(self, request_obj):
         job = Job(request=request_obj, stage_id="s2", ready_ms=150.0)
