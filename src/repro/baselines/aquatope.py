@@ -24,12 +24,15 @@ simulates the same application and SLO many times trains it once.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.baselines.bo import BayesianOptimizer
 from repro.cluster.policy_api import AFWQueue, SchedulingContext, SchedulingDecision, SchedulingPolicy
 from repro.profiles.configuration import Configuration
 from repro.utils.rng import derive_rng
+from repro.utils.validation import ensure_positive_int
 from repro.workloads.dag import Workflow
 
 __all__ = ["AquatopePolicy"]
@@ -77,9 +80,21 @@ class AquatopePolicy(SchedulingPolicy):
             seed, as training happens offline).
         """
         super().__init__()
-        self.bootstrap = bootstrap
+        # Checked here: a bad value would otherwise fail only inside the
+        # first run's training, with an error naming neither setting.
+        if not isinstance(rounds, int) or isinstance(rounds, bool):
+            raise TypeError(f"rounds must be an int, got {rounds!r} ({type(rounds).__name__})")
+        if rounds < 0:
+            raise ValueError(f"rounds must be >= 0, got {rounds}")
+        for label, value in (
+            ("latency_penalty", latency_penalty),
+            ("sample_noise_sigma", sample_noise_sigma),
+        ):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{label} must be finite and >= 0, got {value!r}")
+        self.bootstrap = ensure_positive_int(bootstrap, "bootstrap")
         self.rounds = rounds
-        self.samples_per_round = samples_per_round
+        self.samples_per_round = ensure_positive_int(samples_per_round, "samples_per_round")
         self.latency_penalty = latency_penalty
         self.sample_noise_sigma = sample_noise_sigma
         self.seed = seed

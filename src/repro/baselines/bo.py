@@ -7,6 +7,11 @@ GP surrogate with an RBF kernel and expected-improvement acquisition over
 the unit hypercube, following the training protocol described in
 Section 4.2 of the ESG paper (100 bootstrapping samples, 50 rounds, five
 configurations sampled per round).
+
+Scipy is imported inside the three methods that call it, never at module
+level: a process loads it on its first BO fit, so every run that does not
+train Aquatope starts without it (docs/performance.md, "Start-up and
+memory"). ``tests/integration/test_startup_imports.py`` guards this.
 """
 
 from __future__ import annotations
@@ -15,8 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.stats import norm
 
 __all__ = ["GaussianProcess", "BayesianOptimizer", "BOResult"]
 
@@ -45,6 +48,8 @@ class GaussianProcess:
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "GaussianProcess":
         """Fit the GP to observations ``x`` (n x d) and ``y`` (n,)."""
+        from scipy.linalg import cho_factor, cho_solve
+
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.asarray(y, dtype=float).ravel()
         if x.shape[0] != y.shape[0]:
@@ -72,6 +77,8 @@ class GaussianProcess:
 
     def predict(self, x_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and standard deviation at ``x_new`` (m x d)."""
+        from scipy.linalg import cho_solve
+
         if self._x is None or self._alpha is None or self._chol is None:
             raise RuntimeError("GaussianProcess.predict called before fit")
         x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
@@ -141,6 +148,8 @@ class BayesianOptimizer:
     @staticmethod
     def expected_improvement(mean: np.ndarray, std: np.ndarray, best_y: float) -> np.ndarray:
         """EI of candidate points for a minimisation problem."""
+        from scipy.stats import norm
+
         improvement = best_y - mean
         z = improvement / std
         return improvement * norm.cdf(z) + std * norm.pdf(z)

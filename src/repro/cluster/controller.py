@@ -335,12 +335,9 @@ class Controller:
         self._drain_expired_containers(now_ms)
         if self.prewarmer is not None and self.config.prewarm_enabled:
             for plan in self.prewarmer.plan(self.cluster, now_ms):
-                invoker = self.cluster.invoker(plan.invoker_id)
-                container = invoker.starting_container(plan.function_name)
-                if container is not None:
-                    self.events.push(
-                        PrewarmCompleteEvent(time_ms=plan.ready_at_ms, container=container)
-                    )
+                self.events.push(
+                    PrewarmCompleteEvent(time_ms=plan.ready_at_ms, container=plan.container)
+                )
         self.run_scheduling_pass(now_ms)
 
     # ------------------------------------------------------------------

@@ -216,13 +216,6 @@ class Invoker:
                 return container
         return None
 
-    def starting_container(self, function_name: str) -> Container | None:
-        """The first container of the function still in its cold start, or ``None``."""
-        for container in self._live.get(function_name, ()):
-            if container.state is _STARTING:
-                return container
-        return None
-
     def has_warm_container(self, function_name: str, now_ms: float) -> bool:
         """True if a warm-start is possible for the function right now."""
         return self.resident_container(function_name, now_ms) is not None

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.cluster.cluster import ClusterState
+from repro.cluster.container import Container
 from repro.profiles.profiler import ProfileStore
 from repro.utils.stats import EWMA
 from repro.utils.validation import ensure_non_negative, ensure_positive
@@ -30,11 +31,14 @@ __all__ = ["PrewarmManager", "PrewarmPlan"]
 
 @dataclass(frozen=True)
 class PrewarmPlan:
-    """A request to start one container ahead of demand."""
+    """One container started ahead of demand, and when it turns warm."""
 
     function_name: str
     invoker_id: int
     ready_at_ms: float
+    #: The STARTING container the plan created: its completion event goes
+    #: to this container, not to another cold start of the function.
+    container: Container = field(compare=False)
 
 
 @dataclass
@@ -195,16 +199,10 @@ class PrewarmManager:
                 invoker_id = self.pick_invoker(cluster, fn)
                 if invoker_id is None:
                     break
-                plans.append(
-                    PrewarmPlan(
-                        function_name=fn,
-                        invoker_id=invoker_id,
-                        ready_at_ms=now_ms + cold_start_ms,
-                    )
-                )
-                # Immediately register the starting container so the next
-                # iteration sees it as resident.
-                cluster.invoker(invoker_id).start_container(fn, now_ms + cold_start_ms)
+                ready_at_ms = now_ms + cold_start_ms
+                # Registered at once, so the next iteration sees it as resident.
+                container = cluster.invoker(invoker_id).start_container(fn, ready_at_ms)
+                plans.append(PrewarmPlan(fn, invoker_id, ready_at_ms, container))
         return plans
 
     # ------------------------------------------------------------------

@@ -160,6 +160,25 @@ class TestAquatope:
 
         assert plan_latency(0.8) <= plan_latency(3.0) * 1.25
 
+    @pytest.mark.parametrize(
+        "overrides, error, message",
+        [
+            ({"bootstrap": 0}, ValueError, "bootstrap must be a positive integer, got 0"),
+            ({"rounds": -3}, ValueError, "rounds must be >= 0, got -3"),
+            ({"rounds": 1.5}, TypeError, r"rounds must be an int, got 1\.5"),
+            ({"samples_per_round": 2.5}, TypeError, r"samples_per_round must be an int, got 2\.5"),
+            ({"latency_penalty": float("nan")}, ValueError, "latency_penalty must be finite"),
+            ({"sample_noise_sigma": -1.0}, ValueError, "sample_noise_sigma must be finite"),
+        ],
+    )
+    def test_bad_settings_rejected_at_construction(self, overrides, error, message):
+        with pytest.raises(error, match=message):
+            AquatopePolicy(**overrides)
+
+    def test_zero_rounds_and_zero_noise_are_valid(self):
+        policy = AquatopePolicy(rounds=0, latency_penalty=0.0, sample_noise_sigma=0.0)
+        assert (policy.rounds, policy.latency_penalty, policy.sample_noise_sigma) == (0, 0.0, 0.0)
+
     def test_on_bind_clears_trained_plans(self, fast_aquatope, small_store):
         wf = image_classification()
         slo = 1.2 * small_store.minimum_config_latency_ms(wf.function_names())

@@ -167,14 +167,6 @@ class TestContainers:
         assert invoker.has_any_container("segmentation", 10.0)
         assert not invoker.has_warm_container("segmentation", 10.0)
 
-    def test_starting_container_finds_the_first_cold_start(self, invoker):
-        assert invoker.starting_container("deblur") is None
-        invoker.create_warm_container("deblur", now_ms=0.0)
-        first = invoker.start_container("deblur", warm_at_ms=500.0)
-        invoker.start_container("deblur", warm_at_ms=600.0)
-        assert invoker.starting_container("deblur") is first
-        assert first.state is ContainerState.STARTING and first.warm_at_ms == 500.0
-
     def test_add_container_checks_owner(self, invoker):
         container = Container(function_name="deblur", invoker_id=5)
         with pytest.raises(ValueError):

@@ -5,7 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.cluster import ClusterConfig, ClusterState
+from repro.cluster.container import ContainerState
+from repro.cluster.controller import ControllerConfig
 from repro.cluster.prewarm import PrewarmManager
+from repro.experiments import ExperimentConfig, run_experiment
+from repro.workloads.applications import build_paper_applications
 
 
 @pytest.fixture()
@@ -74,6 +78,11 @@ class TestPlanning:
             assert plan.function_name == "background_removal"
             assert plan.ready_at_ms > 100.0
             assert cluster.invoker(plan.invoker_id).has_any_container("background_removal", 100.0)
+            container = plan.container
+            assert container.state is ContainerState.STARTING
+            assert container.warm_at_ms == plan.ready_at_ms
+            assert container in cluster.invoker(plan.invoker_id).containers_for(plan.function_name)
+        assert len({id(plan.container) for plan in plans}) == len(plans)
 
     def test_plan_does_not_duplicate_resident_containers(self, manager, cluster):
         for i in range(10):
@@ -93,6 +102,41 @@ class TestPlanning:
             PrewarmManager(profile_store=small_store, safety_factor=0.0)
         with pytest.raises(ValueError):
             PrewarmManager(profile_store=small_store, max_warm_per_function=0)
+
+
+class TestCompletionsReachTheirContainers:
+    """Each prewarm completion warms the container its plan started.
+
+    On one or two nodes the prewarmer keeps several cold starts of one
+    function in flight per node; a completion sent to the node's first
+    STARTING container instead would leave the later ones STARTING forever
+    (33 of 39 on one node, 24 of 36 on two).  The fault is the
+    controller's, whatever the policy: INFless shows it in about a second,
+    where ESG on the same overloaded nodes takes 20-30 s.
+    """
+
+    @pytest.mark.parametrize("num_invokers", [1, 2])
+    def test_no_container_is_left_starting(self, num_invokers, task_log):
+        config = ExperimentConfig(
+            num_requests=200,
+            seed=1,
+            cluster=ClusterConfig(num_invokers=num_invokers),
+            controller=ControllerConfig(initial_warm="home"),
+        )
+        log = task_log()
+        with log.capturing():
+            run_experiment("INFless", "moderate-normal", config=config)
+        (simulation,) = log.simulations
+        functions = {fn for wf in build_paper_applications() for fn in wf.function_names()}
+        containers = [
+            container
+            for invoker in simulation.cluster
+            for fn in functions
+            for container in invoker.containers_for(fn)
+        ]
+        assert simulation.metrics.prewarm_count > 0
+        starting = [c for c in containers if c.state is ContainerState.STARTING]
+        assert starting == []
 
 
 class TestPickInvoker:
