@@ -19,21 +19,26 @@ do).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from typing import Sequence
 
 from repro.cluster.policy_api import AFWQueue, SchedulingDecision, SchedulingContext, SchedulingPolicy
 from repro.core.dispatch import locality_first_invoker
 from repro.core.dominator import SLODistribution, distribute_slo
-from repro.core.esg_1q import StageSearchSpec, esg_1q_search
+from repro.core.esg_1q import IntervalStore, SearchMemo, StageSearchSpec, esg_1q_search
 from repro.profiles.configuration import Configuration
 from repro.profiles.profiler import FunctionProfile, ProfileEntry
-from repro.utils.validation import ensure_positive_int
+from repro.utils.validation import ensure_bool, ensure_positive_int
 from repro.workloads.request import Request
 
 __all__ = ["ESGPolicy"]
 
 #: Plans the interval store holds before it is cleared.
 PLAN_CACHE_LIMIT = 4096
+
+#: ESG_1Q results shared by every policy instance of this process, keyed by
+#: value (see :class:`~repro.core.esg_1q.SearchMemo`).  Policies search
+#: through it only while their plan cache is on.
+_SEARCH_MEMO = SearchMemo()
 
 
 class ESGPolicy(SchedulingPolicy):
@@ -105,11 +110,17 @@ class ESGPolicy(SchedulingPolicy):
             re-runs the search.  ``plan_cache=False`` is the reference path.
             With ``adaptive=False`` the whole-workflow search of a request's
             first stage is memoized too, keyed by (app, stage, clamped
-            queue length, SLO): it reads nothing else.
+            queue length, SLO): it reads nothing else.  While the cache is
+            on, a search it cannot answer goes through a process-wide
+            :class:`~repro.core.esg_1q.SearchMemo`, so another run of the
+            process that searched the same stages at a target in the same
+            interval answers it.
         name:
             Override the reported policy name (used by the ablation study).
         """
         super().__init__()
+        if isinstance(safety_margin, bool) or not isinstance(safety_margin, (int, float)):
+            raise TypeError(f"safety_margin must be a number, got {safety_margin!r}")
         if not 0.0 <= safety_margin < 1.0:
             raise ValueError(f"safety_margin must be in [0, 1), got {safety_margin}")
         if per_expansion_ms is not None and not (
@@ -120,9 +131,9 @@ class ESGPolicy(SchedulingPolicy):
             )
         self.k = ensure_positive_int(k, "k")
         self.group_size = ensure_positive_int(group_size, "group_size")
-        self.adaptive = adaptive
-        self._gpu_sharing = gpu_sharing
-        self._batching = batching
+        self.adaptive = ensure_bool(adaptive, "adaptive")
+        self._gpu_sharing = ensure_bool(gpu_sharing, "gpu_sharing")
+        self._batching = ensure_bool(batching, "batching")
         self.safety_margin = safety_margin
         self.max_paths = ensure_positive_int(max_paths, "max_paths")
         self.per_expansion_ms = per_expansion_ms
@@ -137,21 +148,16 @@ class ESGPolicy(SchedulingPolicy):
         if name is not None:
             self.name = name
         self._distributions: dict[str, SLODistribution] = {}
-        self._plan_cache_enabled = plan_cache and per_expansion_ms is not None
-        #: The interval store: per ``(app, stage, clamped queue length)``,
-        #: parallel lists ``(his, los, decisions)`` sorted by ``hi``, where
-        #: ``decisions[i]`` answers every quota in ``(los[i], his[i]]``.
-        #: Distinct searches give disjoint intervals.
-        self._plan_cache: dict[
-            tuple[str, str, int], tuple[list[float], list[float], list[SchedulingDecision]]
-        ] = {}
-        self._plan_cache_size = 0
-        #: Memo for :meth:`_group_and_target` on *fresh* requests
-        #: (no stage completed yet): their remaining-stage set is the whole
-        #: workflow, so the group stages and both fraction sums are a pure
-        #: function of (app, stage).  Only the remaining-budget factor is
-        #: per-request; it is applied with the original operation order.
-        self._fresh_group_cache: dict[tuple[str, str], tuple[tuple[str, ...], float, float]] = {}
+        self._plan_cache_enabled = (
+            ensure_bool(plan_cache, "plan_cache") and per_expansion_ms is not None
+        )
+        #: The interval store: decisions by ``(app, stage, clamped queue
+        #: length)``, each answering the quotas of its search's interval.
+        self._plan_cache = IntervalStore()
+        #: Memo for :meth:`_group_and_target`: ``(group stages, group
+        #: fraction, remaining fraction)`` by (app, stage, completed stages)
+        #: for requests of an app's registered workflow.
+        self._group_cache: dict[tuple, tuple[tuple[str, ...], float, float]] = {}
         #: Search inputs by (function, stage, first-stage batch cap); see
         #: :meth:`_stage_specs`.
         self._spec_cache: dict[tuple[str, str, int | None], StageSearchSpec] = {}
@@ -173,12 +179,19 @@ class ESGPolicy(SchedulingPolicy):
         self.invalidate_plan_cache()
 
     def invalidate_plan_cache(self) -> None:
-        """Drop memoized plans (call after changing profiles or distributions)."""
+        """Drop memoized plans (call after changing profiles or distributions).
+
+        The process-wide search memo is keyed by value and stays.
+        """
         self._plan_cache.clear()
-        self._plan_cache_size = 0
-        self._fresh_group_cache.clear()
+        self._group_cache.clear()
         self._spec_cache.clear()
         self._static_plans.clear()
+
+    @property
+    def _plan_cache_size(self) -> int:
+        """Decisions held by the interval store, under all keys."""
+        return self._plan_cache.size
 
     def distribution_for(self, app_name: str) -> SLODistribution:
         """The SLO distribution of an application (computed lazily if needed)."""
@@ -212,15 +225,12 @@ class ESGPolicy(SchedulingPolicy):
             if length > self._largest_batch:
                 length = self._largest_batch
             cache_key = (queue.app_name, queue.stage_id, length)
-            plans = self._plan_cache.get(cache_key)
-            if plans is not None:
-                his, los, decisions = plans
-                at = bisect_left(his, target_ms)
-                if at < len(his) and los[at] < target_ms:
-                    return decisions[at]
+            decision = self._plan_cache.find(cache_key, target_ms)
+            if decision is not None:
+                return decision
         stages = self._stage_specs(queue, group_stage_ids)
         result = esg_1q_search(
-            stages, target_ms, k=self.k, max_paths=self.max_paths
+            stages, target_ms, k=self.k, max_paths=self.max_paths, memo=self._search_memo()
         )
         candidates = result.candidate_configs()
         best = result.best
@@ -231,19 +241,14 @@ class ESGPolicy(SchedulingPolicy):
             reported_overhead_ms=self._modeled_overhead_ms(result.expansions),
         )
         if cache_key is not None:
-            if self._plan_cache_size >= PLAN_CACHE_LIMIT:
-                self._plan_cache.clear()
-                self._plan_cache_size = 0
-            plans = self._plan_cache.get(cache_key)
-            if plans is None:
-                plans = self._plan_cache[cache_key] = ([], [], [])
-            his, los, decisions = plans
-            at = bisect_left(his, result.target_hi)
-            his.insert(at, result.target_hi)
-            los.insert(at, result.target_lo)
-            decisions.insert(at, decision)
-            self._plan_cache_size += 1
+            self._plan_cache.add(
+                cache_key, result.target_lo, result.target_hi, decision, PLAN_CACHE_LIMIT
+            )
         return decision
+
+    def _search_memo(self) -> SearchMemo | None:
+        """The process-wide search memo, while the plan cache is on."""
+        return _SEARCH_MEMO if self._plan_cache_enabled else None
 
     def _modeled_overhead_ms(self, expansions: int) -> float | None:
         """Deterministic overhead estimate (None = let the controller measure)."""
@@ -251,7 +256,7 @@ class ESGPolicy(SchedulingPolicy):
             return None
         return expansions * self.per_expansion_ms
 
-    def _group_and_target(self, queue: AFWQueue, now_ms: float) -> tuple[list[str], float]:
+    def _group_and_target(self, queue: AFWQueue, now_ms: float) -> tuple[tuple[str, ...], float]:
         """Determine the remaining group stages and their latency quota.
 
         The quota follows the dominator-based distribution but is applied to
@@ -266,46 +271,25 @@ class ESGPolicy(SchedulingPolicy):
         else:
             request = queue.most_urgent_request(now_ms)
         if (
-            not request.stage_completion_ms
-            and self._context is not None
+            self._context is not None
             and self._context.workflows.get(queue.app_name) is request.workflow
         ):
-            # Fresh request of the app's registered workflow: the remaining
-            # set is every stage, so everything except the budget factor is
-            # memoizable per (app, stage).  Factory-built per-request
-            # workflows fail the identity check and take the exact path.
-            key = (queue.app_name, queue.stage_id)
-            cached = self._fresh_group_cache.get(key)
-            if cached is None:
-                cached = self._fresh_group_and_fractions(queue, request)
-                self._fresh_group_cache[key] = cached
-            group_ids, group_remaining, remaining_total = cached
-            group_stage_ids = list(group_ids)
-            # Inlined ``request.remaining_budget_ms``: same (arrival + slo)
-            # - now association as the deadline_ms property composition.
-            remaining_budget = request.arrival_ms + request.slo_ms - now_ms
-            headroom = 1.0 - self.safety_margin
-            if remaining_total <= 0.0:
-                return group_stage_ids, remaining_budget * headroom
-            return (
-                group_stage_ids,
-                remaining_budget * headroom * group_remaining / remaining_total,
-            )
-
-        dist = self.distribution_for(queue.app_name)
-        group = dist.group_of(queue.stage_id)
-        group_stage_ids = list(group.stages_from(queue.stage_id))
-
-        remaining_budget = request.remaining_budget_ms(now_ms)
-        remaining = set(request.remaining_stage_ids())
-        remaining.add(queue.stage_id)
-
-        # Summed in sorted order: float addition is not associative, and set
-        # iteration order varies with hash randomisation across processes.
-        remaining_total = sum(dist.stage_fraction(sid) for sid in sorted(remaining))
-        group_remaining = sum(
-            dist.stage_fraction(sid) for sid in group_stage_ids if sid in remaining
-        )
+            # A request of the app's registered workflow: the group stages
+            # and both fraction sums depend on (app, stage, completed
+            # stages) alone.  Factory-built per-request workflows fail the
+            # identity check and take the exact path.
+            key = (queue.app_name, queue.stage_id, frozenset(request.stage_completion_ms))
+            shares = self._group_cache.get(key)
+            if shares is None:
+                if len(self._group_cache) >= PLAN_CACHE_LIMIT:
+                    self._group_cache.clear()
+                shares = self._group_cache[key] = self._group_shares(queue, request)
+        else:
+            shares = self._group_shares(queue, request)
+        group_stage_ids, group_remaining, remaining_total = shares
+        # Inlined ``request.remaining_budget_ms``: the same (arrival + slo)
+        # - now association as its deadline_ms composition.
+        remaining_budget = request.arrival_ms + request.slo_ms - now_ms
         headroom = 1.0 - self.safety_margin
         if remaining_total <= 0.0:
             return group_stage_ids, remaining_budget * headroom
@@ -314,23 +298,25 @@ class ESGPolicy(SchedulingPolicy):
             remaining_budget * headroom * group_remaining / remaining_total,
         )
 
-    def _fresh_group_and_fractions(
+    def _group_shares(
         self, queue: AFWQueue, request: Request
     ) -> tuple[tuple[str, ...], float, float]:
-        """Compute the memoized fresh-request triple with the exact float
-        fold order of :meth:`_group_and_target`'s general path."""
+        """The group's remaining stages, their summed fraction and the summed
+        fraction of every stage the request has left."""
         dist = self.distribution_for(queue.app_name)
         group = dist.group_of(queue.stage_id)
-        group_stage_ids = list(group.stages_from(queue.stage_id))
+        group_stage_ids = tuple(group.stages_from(queue.stage_id))
         remaining = set(request.remaining_stage_ids())
         remaining.add(queue.stage_id)
+        # Summed in sorted order: float addition is not associative, and set
+        # iteration order varies with hash randomisation across processes.
         remaining_total = sum(dist.stage_fraction(sid) for sid in sorted(remaining))
         group_remaining = sum(
             dist.stage_fraction(sid) for sid in group_stage_ids if sid in remaining
         )
-        return tuple(group_stage_ids), group_remaining, remaining_total
+        return group_stage_ids, group_remaining, remaining_total
 
-    def _stage_specs(self, queue: AFWQueue, stage_ids: list[str]) -> list[StageSearchSpec]:
+    def _stage_specs(self, queue: AFWQueue, stage_ids: Sequence[str]) -> list[StageSearchSpec]:
         """Build the per-stage search inputs, applying the ablation filters.
 
         Only the queue's own stage, when it leads ``stage_ids``, is capped at
@@ -400,7 +386,13 @@ class ESGPolicy(SchedulingPolicy):
             if memo is None:
                 stage_ids = queue.workflow.topological_order()
                 stages = self._stage_specs(queue, stage_ids)
-                result = esg_1q_search(stages, request.slo_ms, k=self.k, max_paths=self.max_paths)
+                result = esg_1q_search(
+                    stages,
+                    request.slo_ms,
+                    k=self.k,
+                    max_paths=self.max_paths,
+                    memo=self._search_memo(),
+                )
                 best = result.best
                 memo = (best.as_plan(stage_ids) if best is not None else None, result.expansions)
                 if self._plan_cache_enabled:

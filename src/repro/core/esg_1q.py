@@ -44,24 +44,44 @@ a time prune at ``b`` lowers ``target_hi`` to ``b``'s bound and, past the
 first entry tried, raises ``target_lo`` to the bound of ``b - 1``.  (The
 bisection guess is not a check.)  Every target in the interval replays the
 same search, counts and truncation included, which lets
-:class:`~repro.core.esg.ESGPolicy` answer nearby quotas from one search.
+:class:`~repro.core.esg.ESGPolicy` answer nearby quotas from one search,
+and a :class:`SearchMemo` answer them across runs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time as _time
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from operator import itemgetter
-from typing import Sequence
+from typing import Any, Hashable, Sequence
 
 from repro.core.bounds import SuffixBounds
 from repro.profiles.configuration import Configuration
 from repro.profiles.profiler import FunctionProfile, ProfileEntry
 from repro.utils.validation import ensure_positive_int
 
-__all__ = ["StageSearchSpec", "PathCandidate", "ESG1QResult", "esg_1q_search"]
+__all__ = [
+    "StageSearchSpec",
+    "PathCandidate",
+    "ESG1QResult",
+    "IntervalStore",
+    "SearchMemo",
+    "esg_1q_search",
+]
+
+#: Stage contents a process has given a :attr:`StageSearchSpec.value_id`,
+#: cleared when it holds :data:`VALUE_IDS_LIMIT` of them.  Ids come from a
+#: counter that never repeats, so a key built before a clear can only miss.
+_VALUE_IDS: dict[tuple, int] = {}
+_NEXT_VALUE_ID = itertools.count()
+VALUE_IDS_LIMIT = 1024
+
+#: Results a :class:`SearchMemo` holds before it is cleared.
+SEARCH_MEMO_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -149,6 +169,28 @@ class StageSearchSpec:
         """
         return self._suffix_min_costs
 
+    @cached_property
+    def value_id(self) -> int:
+        """An int shared by every spec of equal content in this process.
+
+        The content is the stage id, the function and the ``(config,
+        latency, per-job cost)`` rows: everything the search reads of the
+        spec.  Computed on first use.  A :class:`SearchMemo` keys on it:
+        each run builds its own specs, and a lookup then hashes a few ints
+        instead of every row.
+        """
+        content = (
+            self.stage_id,
+            self.function_name,
+            tuple(zip(self._configs, self._latencies, self._costs)),
+        )
+        value_id = _VALUE_IDS.get(content)
+        if value_id is None:
+            if len(_VALUE_IDS) >= VALUE_IDS_LIMIT:
+                _VALUE_IDS.clear()
+            value_id = _VALUE_IDS[content] = next(_NEXT_VALUE_ID)
+        return value_id
+
 
 @dataclass(frozen=True)
 class PathCandidate:
@@ -207,6 +249,92 @@ class ESG1QResult:
         return out
 
 
+class IntervalStore(dict):
+    """Values that each answer an interval ``(lo, hi]`` of targets, by key.
+
+    Under each key it keeps parallel lists ``(his, los, values)`` sorted by
+    ``hi``, where ``values[i]`` answers every target in ``(los[i],
+    his[i]]``.  The intervals under one key must be disjoint, as those of
+    distinct searches are, so the only one that can hold a target is the
+    first with ``hi >= target``: a lookup is one bisection.  :attr:`size`
+    counts the values under all keys.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.size = 0
+
+    def find(self, key: Hashable, target: float) -> Any:
+        """The value whose interval under ``key`` holds ``target``, or None."""
+        intervals = self.get(key)
+        if intervals is not None:
+            his, los, values = intervals
+            at = bisect_left(his, target)
+            if at < len(his) and los[at] < target:
+                return values[at]
+        return None
+
+    def add(self, key: Hashable, lo: float, hi: float, value: Any, limit: int) -> None:
+        """Store ``value`` for ``(lo, hi]`` under ``key``; a store already
+        holding ``limit`` values is cleared first."""
+        if self.size >= limit:
+            self.clear()
+        intervals = self.get(key)
+        if intervals is None:
+            intervals = self[key] = ([], [], [])
+        his, los, values = intervals
+        at = bisect_left(his, hi)
+        his.insert(at, hi)
+        los.insert(at, lo)
+        values.insert(at, value)
+        self.size += 1
+
+    def clear(self) -> None:
+        super().clear()
+        self.size = 0
+
+
+class SearchMemo(IntervalStore):
+    """ESG_1Q results by value, for :func:`esg_1q_search`'s ``memo``.
+
+    The key is everything the search reads except the target: the stages'
+    :attr:`~StageSearchSpec.value_id`, ``k``, ``max_paths`` and
+    ``max_expansions``.  Each result answers the targets in its own
+    ``(target_lo, target_hi]``, which replay the search exactly, so a memo
+    can serve every run of a process.  Holds at most
+    :data:`SEARCH_MEMO_LIMIT` results and is cleared when full.
+    """
+
+    def search(
+        self,
+        stages: Sequence[StageSearchSpec],
+        target_latency_ms: float,
+        *,
+        k: int,
+        max_paths: int,
+        max_expansions: int,
+    ) -> ESG1QResult:
+        """The stored result for ``target_latency_ms``, or a new search's.
+
+        A replay is a copy of the stored result with the caller's target
+        as ``target_latency_ms`` and ``search_time_ms=0.0``: no search ran.
+        """
+        key = (tuple(stage.value_id for stage in stages), k, max_paths, max_expansions)
+        stored = self.find(key, target_latency_ms)
+        if stored is not None:
+            return replace(
+                stored,
+                paths=list(stored.paths),
+                target_latency_ms=target_latency_ms,
+                search_time_ms=0.0,
+            )
+        result = esg_1q_search(
+            stages, target_latency_ms, k=k, max_paths=max_paths, max_expansions=max_expansions
+        )
+        self.add(key, result.target_lo, result.target_hi, result, SEARCH_MEMO_LIMIT)
+        return result
+
+
 #: Sort keys of the search's ``(cost, latency, configs)`` path tuples.  Sorting
 #: on the whole tuple would compare configurations and reorder cost ties.
 _BY_COST = itemgetter(0)
@@ -236,6 +364,7 @@ def esg_1q_search(
     k: int = 5,
     max_paths: int = 5000,
     max_expansions: int = 2_000_000,
+    memo: SearchMemo | None = None,
 ) -> ESG1QResult:
     """Run the ESG_1Q search over ``stages`` with a latency target.
 
@@ -258,6 +387,10 @@ def esg_1q_search(
     max_expansions:
         Safety cap on the total number of path extensions examined, checked
         before each partial path is extended.
+    memo:
+        Answer from, and store into, this :class:`SearchMemo`: a target
+        inside a stored result's interval gets that result, with the same
+        paths, feasibility, counts and interval as a search.
 
     Returns
     -------
@@ -275,6 +408,10 @@ def esg_1q_search(
     ensure_positive_int(max_expansions, "max_expansions")
     if math.isnan(target_latency_ms):
         raise ValueError(f"target_latency_ms must not be NaN, got {target_latency_ms!r}")
+    if memo is not None:
+        return memo.search(
+            stages, target_latency_ms, k=k, max_paths=max_paths, max_expansions=max_expansions
+        )
     if target_latency_ms <= 0:
         # A non-positive budget can legitimately happen when a request has
         # already blown its deadline; nothing can meet it, so return the

@@ -3,12 +3,24 @@
 from __future__ import annotations
 
 __all__ = [
+    "ensure_bool",
     "ensure_positive",
     "ensure_positive_int",
     "ensure_non_negative",
     "ensure_in_range",
     "find_duplicates",
 ]
+
+
+def ensure_bool(value: bool, name: str) -> bool:
+    """Return ``value`` if it is a bool, else raise ``TypeError``.
+
+    A flag must not be merely truthy: ``"false"`` or ``0`` from a stored
+    override would otherwise be taken as a switch position.
+    """
+    if not isinstance(value, bool):
+        raise TypeError(f"{name} must be a bool, got {value!r} ({type(value).__name__})")
+    return value
 
 
 def ensure_positive(value: float, name: str) -> float:

@@ -22,7 +22,7 @@ import random
 import pytest
 from esg_1q_oracle import esg_1q_search as oracle_search
 
-from repro.core.esg_1q import StageSearchSpec, esg_1q_search
+from repro.core.esg_1q import SearchMemo, StageSearchSpec, esg_1q_search
 from repro.experiments.runner import EXPERIMENT_SPACE
 from repro.profiles.configuration import Configuration
 from repro.profiles.profiler import ProfileEntry, ProfileStore
@@ -296,3 +296,69 @@ def test_non_positive_targets_share_one_interval():
         result = esg_1q_search(stages, target)
         assert (result.target_lo, result.target_hi) == (-math.inf, 0.0)
         assert not result.feasible
+
+
+def interval(result) -> tuple[float, float]:
+    return (result.target_lo, result.target_hi)
+
+
+def assert_memo_replays(
+    stages: list[StageSearchSpec], target: float, rng: random.Random, **kwargs
+) -> int:
+    """A :class:`SearchMemo` answers its whole interval like a search.
+
+    After one search through a fresh memo, the memo must answer ``hi``,
+    just above ``lo`` and random points in between from that one result,
+    with the paths, feasibility, counts and interval that a memo-less
+    search returns there.  A finite ``lo`` lies outside the interval, so
+    there the memo must search again.  Returns the number of targets probed.
+    """
+    memo = SearchMemo()
+    first = esg_1q_search(stages, target, memo=memo, **kwargs)
+    fresh = esg_1q_search(stages, target, **kwargs)
+    assert outcome(first) == outcome(fresh)
+    assert interval(first) == interval(fresh)
+    lo, hi = interval(first)
+    probes = [hi, math.nextafter(lo, math.inf), *interior_points(lo, hi, rng, 3)]
+    for probe in probes:
+        replay = esg_1q_search(stages, probe, memo=memo, **kwargs)
+        expected = esg_1q_search(stages, probe, **kwargs)
+        assert replayed(replay) == replayed(expected), (probe, (lo, hi), target, kwargs)
+        assert interval(replay) == interval(expected) == (lo, hi), (probe, target, kwargs)
+        assert replay.target_latency_ms == probe
+    assert memo.size == 1, (target, kwargs)
+    if lo > -math.inf:
+        at_lo = esg_1q_search(stages, lo, memo=memo, **kwargs)
+        assert outcome(at_lo) == outcome(esg_1q_search(stages, lo, **kwargs)), (target, kwargs)
+        assert interval(at_lo) != (lo, hi) and memo.size == 2
+    return len(probes)
+
+
+def test_random_stage_lists_replay_through_the_memo():
+    rng = random.Random(27182)
+    probes = 0
+    for _ in range(150):
+        stages = random_stages(rng)
+        for target in targets_for(stages, rng):
+            probes += assert_memo_replays(stages, target, rng, **random_caps(rng))
+    assert probes >= 150 * 7 * 2
+
+
+def test_rounding_sensitive_sums_replay_through_the_memo():
+    rng = random.Random(31415)
+    probes = 0
+    for _ in range(400):
+        stages, targets = rounding_stages(rng)
+        for target in (*targets, 0.0):
+            probes += assert_memo_replays(stages, target, rng, k=rng.randint(1, 3))
+    assert probes >= 400 * 4 * 2
+
+
+def test_real_profiles_replay_through_the_memo(experiment_store):
+    rng = random.Random(16180)
+    probes = 0
+    for _ in range(40):
+        stages = profile_stages(experiment_store, rng)
+        for target in targets_for(stages, rng):
+            probes += assert_memo_replays(stages, target, rng, **random_caps(rng))
+    assert probes >= 40 * 7 * 2

@@ -394,3 +394,67 @@ class TestDispatchIntegration:
         request.record_stage_completion("s1", 5.0, invoker_id=2)
         chosen = bound_esg.select_invoker(small_store.space.minimum, queue, now_ms=10.0)
         assert chosen == 2
+
+
+class TestFlagTypes:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"adaptive": "false"},
+            {"adaptive": None},
+            {"gpu_sharing": "false"},
+            {"gpu_sharing": 0},
+            {"batching": 1},
+            {"batching": "no"},
+            {"plan_cache": 0},
+            {"plan_cache": "off"},
+            {"safety_margin": False},
+            {"safety_margin": True},
+            {"safety_margin": "0.1"},
+        ],
+        ids=repr,
+    )
+    def test_mistyped_flag_rejected(self, overrides):
+        with pytest.raises(TypeError, match=next(iter(overrides))):
+            ESGPolicy(**overrides)
+
+    def test_stored_override_string_rejected_through_make_policy(self):
+        from repro.experiments import make_policy
+
+        with pytest.raises(TypeError, match="gpu_sharing"):
+            make_policy("ESG", gpu_sharing="false")
+
+    def test_integer_margin_accepted(self):
+        assert ESGPolicy(safety_margin=0).safety_margin == 0
+
+
+class TestGroupMemo:
+    def test_memo_answers_as_the_exact_path(self, bound_esg, small_store):
+        """Requests of a registered workflow are answered from the
+        (app, stage, completed stages) memo; an equal factory-built
+        workflow takes the exact path.  Both must give the same group
+        stages and the same quota, bit for bit, in every completion state,
+        on the memo's first and on later lookups."""
+        copies = {wf.name: wf for wf in build_paper_applications()}
+        checked = 0
+        for app, workflow in bound_esg.context.workflows.items():
+            order = workflow.topological_order()
+            for position, stage in enumerate(order):
+                for done in range(position + 1):
+                    for request_id, (slo_factor, now) in enumerate(((1.3, 2.0), (2.5, 7.5))):
+                        answers = []
+                        for wf in (workflow, copies[app]):
+                            queue = make_queue(wf, stage)
+                            request = add_request(
+                                queue, request_id, slo_factor=slo_factor, store=small_store
+                            )
+                            for sid in order[:done]:
+                                request.record_stage_completion(sid, 1.0, invoker_id=0)
+                            group, target = bound_esg._group_and_target(queue, now)
+                            answers.append((tuple(group), repr(target)))
+                        assert answers[0] == answers[1], (app, stage, order[:done])
+                        checked += 1
+        assert checked > 40
+        keys = bound_esg._group_cache.keys()
+        assert {key[0] for key in keys} == set(bound_esg.context.workflows)
+        assert len(keys) * 2 == checked
