@@ -29,10 +29,16 @@ import math
 import numpy as np
 
 from repro.baselines.bo import BayesianOptimizer
-from repro.cluster.policy_api import AFWQueue, SchedulingContext, SchedulingDecision, SchedulingPolicy
+from repro.cluster.policy_api import (
+    AFWQueue,
+    SchedulingContext,
+    SchedulingDecision,
+    SchedulingPolicy,
+    preplanned_decision,
+)
 from repro.profiles.configuration import Configuration
 from repro.utils.rng import derive_rng
-from repro.utils.validation import ensure_positive_int
+from repro.utils.validation import ensure_number, ensure_positive_int
 from repro.workloads.dag import Workflow
 
 __all__ = ["AquatopePolicy"]
@@ -49,8 +55,6 @@ class AquatopePolicy(SchedulingPolicy):
     """Offline-BO-trained static per-stage configurations."""
 
     name = "Aquatope"
-    #: Always reports 0.0 scheduling overhead, so plan timing is skippable.
-    deterministic_overhead = True
 
     def __init__(
         self,
@@ -81,16 +85,17 @@ class AquatopePolicy(SchedulingPolicy):
         """
         super().__init__()
         # Checked here: a bad value would otherwise fail only inside the
-        # first run's training, with an error naming neither setting.
-        if not isinstance(rounds, int) or isinstance(rounds, bool):
-            raise TypeError(f"rounds must be an int, got {rounds!r} ({type(rounds).__name__})")
-        if rounds < 0:
-            raise ValueError(f"rounds must be >= 0, got {rounds}")
+        # first run's training, with an error naming no setting.
+        for label, value in (("rounds", rounds), ("seed", seed)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{label} must be an int, got {value!r} ({type(value).__name__})")
+            if value < 0:
+                raise ValueError(f"{label} must be >= 0, got {value}")
         for label, value in (
             ("latency_penalty", latency_penalty),
             ("sample_noise_sigma", sample_noise_sigma),
         ):
-            if not (math.isfinite(value) and value >= 0):
+            if not (math.isfinite(ensure_number(value, label)) and value >= 0):
                 raise ValueError(f"{label} must be finite and >= 0, got {value!r}")
         self.bootstrap = ensure_positive_int(bootstrap, "bootstrap")
         self.rounds = rounds
@@ -207,19 +212,6 @@ class AquatopePolicy(SchedulingPolicy):
         trained = self.plan_for(request.workflow, request.slo_ms)
         if request.static_plan is None:
             request.static_plan = dict(trained)
-        planned = request.static_plan.get(queue.stage_id)
-        if planned is None:
-            return None
-        miss = planned.batch_size > len(queue)
-        if miss:
-            request.plan_miss_count += 1
-            planned = planned.with_batch(max(1, len(queue)))
         # "Aquatope ... has negligible scheduling overhead" — the lookup is
         # charged as zero; training happens offline.
-        return SchedulingDecision(
-            candidates=[planned],
-            planned_path=dict(request.static_plan),
-            used_preplanned=True,
-            plan_miss=miss,
-            reported_overhead_ms=0.0,
-        )
+        return preplanned_decision(queue, request.static_plan)

@@ -25,8 +25,6 @@ __all__ = ["EnumerationPolicy"]
 class EnumerationPolicy(SchedulingPolicy):
     """Per-function enumeration under a service-time stage sub-SLO."""
 
-    #: Always reports 0.0 scheduling overhead, so plan timing is skippable.
-    deterministic_overhead = True
     #: plan() reads the queue's length and head job and the profiles,
     #: select_invoker() the free capacity; neither reads ``now_ms`` or
     #: writes anything the run can observe.
@@ -92,11 +90,10 @@ class EnumerationPolicy(SchedulingPolicy):
             # Nothing meets the stage budget: fall back to the fastest option.
             feasible = [e for e in entries if e.latency_ms <= stage_slo] or [entries[0]]
             ranked = sorted(feasible, key=self.rank_key)
-            # A single scan of the profile table: report zero overhead (like
-            # Aquatope's lookup) so runs stay deterministic across machines.
+            # A single scan of the profile table: charged no overhead, like
+            # Aquatope's lookup.
             decision = SchedulingDecision(
-                candidates=[e.config for e in ranked[: self.num_candidates]],
-                reported_overhead_ms=0.0,
+                candidates=[e.config for e in ranked[: self.num_candidates]]
             )
             if len(self._decisions) >= 4096:
                 self._decisions.clear()

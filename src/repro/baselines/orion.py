@@ -29,8 +29,14 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from repro.cluster.policy_api import AFWQueue, SchedulingDecision, SchedulingPolicy
+from repro.cluster.policy_api import (
+    AFWQueue,
+    SchedulingDecision,
+    SchedulingPolicy,
+    preplanned_decision,
+)
 from repro.profiles.configuration import Configuration
+from repro.utils.validation import ensure_bool, ensure_number
 from repro.workloads.dag import Workflow
 
 __all__ = ["OrionPolicy", "OrionSearchResult"]
@@ -97,18 +103,18 @@ class OrionPolicy(SchedulingPolicy):
         # NaN passes a bare ``<= 0`` check and only fails mid-run, at the
         # first search's expansion budget (which must be finite too).
         for label, value in (("cutoff_ms", cutoff_ms), ("per_expansion_ms", per_expansion_ms)):
-            if not (math.isfinite(value) and value > 0):
+            if not (math.isfinite(ensure_number(value, label)) and value > 0):
                 raise ValueError(f"{label} must be positive and finite, got {value!r}")
         if not math.isfinite(cutoff_ms / per_expansion_ms):
             budget = f"{cutoff_ms!r} / {per_expansion_ms!r}"
             raise ValueError(f"cutoff_ms / per_expansion_ms overflows: {budget}")
-        if not (math.isfinite(p95_factor) and p95_factor >= 1.0):
+        if not (math.isfinite(ensure_number(p95_factor, "p95_factor")) and p95_factor >= 1.0):
             raise ValueError(f"p95_factor must be finite and >= 1, got {p95_factor!r}")
         self.cutoff_ms = cutoff_ms
         self.per_expansion_ms = per_expansion_ms
         self.p95_factor = p95_factor
-        self.count_search_overhead = count_search_overhead
-        self.bundling = bundling
+        self.count_search_overhead = ensure_bool(count_search_overhead, "count_search_overhead")
+        self.bundling = ensure_bool(bundling, "bundling")
         self._searches = 0
         #: Search outcomes of this run keyed by (workflow, rounded SLO): the
         #: first SLO seen in a rounding bucket decides the bucket.  The
@@ -281,23 +287,9 @@ class OrionPolicy(SchedulingPolicy):
         if request.static_plan is None:
             result = self._resolve(request.workflow, request.slo_ms)
             request.static_plan = dict(result.plan)
-            overhead = result.search_time_ms
-
-        planned = request.static_plan.get(queue.stage_id)
-        if planned is None:
-            return None
-        miss = planned.batch_size > len(queue)
-        if miss:
-            request.plan_miss_count += 1
-            planned = planned.with_batch(max(1, len(queue)))
-        reported = overhead if self.count_search_overhead else 0.0
-        return SchedulingDecision(
-            candidates=[planned],
-            planned_path=dict(request.static_plan),
-            used_preplanned=True,
-            plan_miss=miss,
-            reported_overhead_ms=reported,
-        )
+            if self.count_search_overhead:
+                overhead = result.search_time_ms
+        return preplanned_decision(queue, request.static_plan, overhead)
 
     def on_bind(self, context) -> None:
         """Reset the per-run cache (the process-level memo is keyed by value)."""

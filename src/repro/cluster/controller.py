@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import time as _time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Literal
@@ -61,13 +60,9 @@ class ControllerConfig:
     #: After this many failed recheck rounds a queue is force-dispatched with
     #: the minimum configuration ("to ensure progress", Section 3.1).
     recheck_rounds_before_min: int = 3
-    #: Whether the measured / reported scheduling overhead delays the task.
-    count_overhead_in_latency: bool = True
     #: Initial warm container placement: one per (app, stage) on its home
     #: invoker, on every invoker, or nowhere.
     initial_warm: Literal["home", "all", "none"] = "home"
-    #: Enable the EWMA prewarmer.
-    prewarm_enabled: bool = True
 
     def __post_init__(self) -> None:
         ensure_positive(self.tick_interval_ms, "tick_interval_ms")
@@ -143,14 +138,11 @@ class Controller:
     _inflight: dict[int, Task] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        # Policies that model their scheduling overhead deterministically
-        # let the controller skip the wall-clock measurement around plan().
-        self._skip_plan_timing: bool = getattr(self.policy, "deterministic_overhead", False)
         # Failed-attempt memo, kept only for policies with pure decisions
         # (``SchedulingPolicy.pure_decisions``).  Maps the key of each queue
-        # whose last attempt failed to ``(stamp, attempt)``: the stamp of
-        # the state it failed in (see :meth:`_stamp`) and what it recorded,
-        # ``(overhead_ms, decision)`` or ``()`` when plan() declined.
+        # whose last attempt failed to ``(stamp, decision)``: the stamp of
+        # the state it failed in (see :meth:`_stamp`) and the decision whose
+        # candidates all failed, or ``None`` when plan() declined.
         # ``_failed_forced`` maps the queues whose last forced-minimum
         # dispatch failed to the stamp of that failure.
         pure = getattr(self.policy, "pure_decisions", False)
@@ -333,7 +325,7 @@ class Controller:
         # tick-time expiry does not depend on how same-timestamp events
         # happen to be ordered in the simulation heap.
         self._drain_expired_containers(now_ms)
-        if self.prewarmer is not None and self.config.prewarm_enabled:
+        if self.prewarmer is not None:
             for plan in self.prewarmer.plan(self.cluster, now_ms):
                 self.events.push(
                     PrewarmCompleteEvent(time_ms=plan.ready_at_ms, container=plan.container)
@@ -556,23 +548,25 @@ class Controller:
         samples = metrics.overhead_ms_samples
         was_parked = set(parked)
         newly_parked = []
-        listed = [attempts[key][0] for key in parked if attempts[key]]
+        listed = [
+            attempts[key].reported_overhead_ms for key in parked if attempts[key] is not None
+        ]
         for key in visits:
-            attempt = attempts[key]
-            if attempt:
-                samples.append(attempt[0])
+            decision = attempts[key]
+            if decision is not None:
+                samples.append(decision.reported_overhead_ms)
             if key not in was_parked:
                 newly_parked.append(key)
-                if attempt:
-                    listed.append(attempt[0])
+                if decision is not None:
+                    listed.append(decision.reported_overhead_ms)
             samples.extend(listed)
         for key, seen in rounds.items():
-            attempt = attempts[key]
-            if attempt and attempt[1].used_preplanned:
+            decision = attempts[key]
+            if decision is not None and decision.used_preplanned:
                 # Every non-empty queue is visited: one attempt, then one
                 # per recheck round.
                 metrics.plan_attempts += seen + 1
-                if attempt[1].plan_miss:
+                if decision.plan_miss:
                     metrics.plan_misses += seen + 1
             queues[key].recheck_rounds += seen
         for key in self._recheck:
@@ -614,32 +608,18 @@ class Controller:
         if failed is not None:
             entry = failed.get(key)
             if entry is not None and self._stamp_matches(entry[0], queue):
-                attempt = entry[1]
-                if attempt:
-                    overhead_ms, decision = attempt
-                    self.metrics.overhead_ms_samples.append(overhead_ms)
+                decision = entry[1]
+                if decision is not None:
+                    self.metrics.overhead_ms_samples.append(decision.reported_overhead_ms)
                     if decision.used_preplanned:
                         self.metrics.record_plan_attempt(miss=decision.plan_miss)
                 return False
-        if self._skip_plan_timing:
-            # The policy models its overhead deterministically, so the
-            # wall-clock measurement around plan() would be discarded.
-            decision = self.policy.plan(queue, now_ms)
-            measured_ms = 0.0
-        else:
-            # repro: allow[REP001] measured-overhead fallback for policies that do not model their overhead — the measurement is discarded whenever reported_overhead_ms is set, and all built-in policies set it
-            start = _time.perf_counter()
-            decision = self.policy.plan(queue, now_ms)
-            # repro: allow[REP001] second half of the fallback measurement above
-            measured_ms = (_time.perf_counter() - start) * 1000.0
+        decision = self.policy.plan(queue, now_ms)
         if decision is None:
             if failed is not None:
-                failed[key] = (self._stamp(queue), ())
+                failed[key] = (self._stamp(queue), None)
             return False
         overhead_ms = decision.reported_overhead_ms
-        if overhead_ms is None:
-            overhead_ms = measured_ms
-
         self.metrics.record_overhead(overhead_ms)
         if decision.used_preplanned:
             self.metrics.record_plan_attempt(miss=decision.plan_miss)
@@ -658,7 +638,7 @@ class Controller:
             self._dispatch(queue, config, invoker_id, now_ms, overhead_ms)
             return True
         if failed is not None:
-            failed[key] = (self._stamp(queue), (overhead_ms, decision))
+            failed[key] = (self._stamp(queue), decision)
         return False
 
     def _force_minimum_dispatch(self, queue: AFWQueue, now_ms: float) -> bool:
@@ -762,7 +742,6 @@ class Controller:
                 transfer_ms = job_transfer
 
         exec_ms = self.runtime_perf_model.latency_ms(spec, effective)
-        charged_overhead = overhead_ms if self.config.count_overhead_in_latency else 0.0
         duration_ms = cold_ms + transfer_ms + exec_ms
 
         task = Task(
@@ -773,7 +752,7 @@ class Controller:
             config=effective,
             invoker_id=invoker_id,
             dispatch_ms=now_ms,
-            overhead_ms=charged_overhead,
+            overhead_ms=overhead_ms,
             cold_start_ms=cold_ms,
             transfer_ms=transfer_ms,
             exec_ms=exec_ms,
@@ -792,6 +771,6 @@ class Controller:
         metrics.record_task(task)
         # The finish time is >= now_ms >= 0.
         self.events.push_real(
-            TaskCompletionEvent(time_ms=now_ms + charged_overhead + duration_ms, task=task)
+            TaskCompletionEvent(time_ms=now_ms + overhead_ms + duration_ms, task=task)
         )
         return task

@@ -375,7 +375,16 @@ class MetricsCollector:
 
     def record_overhead(self, overhead_ms: float) -> None:
         """Record one scheduling-overhead sample (one plan() invocation)."""
-        if not 0.0 <= overhead_ms < float("inf"):
+        try:
+            valid = 0.0 <= overhead_ms < math.inf
+        except TypeError:
+            # None or a string: the controller reads no clock, so a policy
+            # must model its overhead.
+            raise TypeError(
+                f"policy {self.policy_name!r} reported a scheduling overhead of "
+                f"{overhead_ms!r}; it must be a number of ms (0.0 when not modeled)"
+            ) from None
+        if not valid:
             raise ValueError(
                 f"policy {self.policy_name!r} reported a scheduling overhead of "
                 f"{overhead_ms!r} ms; it must be finite and >= 0"

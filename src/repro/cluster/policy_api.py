@@ -19,7 +19,7 @@ from __future__ import annotations
 import abc
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro.cluster.cluster import ClusterState
 from repro.cluster.datatransfer import DataTransferModel
@@ -34,6 +34,7 @@ __all__ = [
     "SchedulingContext",
     "SchedulingDecision",
     "SchedulingPolicy",
+    "preplanned_decision",
 ]
 
 
@@ -172,28 +173,24 @@ class SchedulingDecision:
         Configuration priority queue for the *current* stage, best first
         (for ESG: lowest estimated resource cost).  The controller tries
         them in order until one fits on some invoker.
-    planned_path:
-        Optional full per-stage plan (used by static planners and for
-        diagnostics).
     used_preplanned:
         True when the decision comes from a configuration planned ahead of
-        time (static planners such as Orion and Aquatope).  The controller
-        counts these as "plan attempts" for the Table 4 miss-rate metric.
+        time (see :func:`preplanned_decision`).  The controller counts these
+        as "plan attempts" for the Table 4 miss-rate metric.
     plan_miss:
         True when a pre-planned configuration could not be applied (e.g. its
         batch size exceeds the queue length) — the Table 4 metric.
     reported_overhead_ms:
-        If set, the controller charges this value as scheduling overhead
-        instead of the measured wall-clock planning time (used by Orion's
-        search-cutoff experiment, where the overhead is a controlled
-        variable).
+        The modeled scheduling overhead of the decision, a finite number of
+        ms ``>= 0``: the controller records it and delays the task by it.
+        The controller never reads a clock, so a decision that models no
+        overhead is charged 0.0.
     """
 
     candidates: Sequence[Configuration]
-    planned_path: dict[str, Configuration] | None = None
     used_preplanned: bool = False
     plan_miss: bool = False
-    reported_overhead_ms: float | None = None
+    reported_overhead_ms: float = 0.0
 
     def __post_init__(self) -> None:
         if len(self.candidates) == 0:
@@ -205,27 +202,45 @@ class SchedulingDecision:
         return self.candidates[0]
 
 
+def preplanned_decision(
+    queue: AFWQueue, plan: Mapping[str, Configuration], overhead_ms: float = 0.0
+) -> SchedulingDecision | None:
+    """The decision of a static planner (Orion, Aquatope, static ESG).
+
+    ``plan`` maps each stage to the configuration planned for it ahead of
+    time; ``None`` when it plans nothing for the queue's stage.  A planned
+    batch larger than the (non-empty) queue cannot be formed: it is clipped
+    to the queue length and the decision counts as a plan miss (Table 4).
+    """
+    planned = plan.get(queue.stage_id)
+    if planned is None:
+        return None
+    miss = planned.batch_size > len(queue)
+    if miss:
+        planned = planned.with_batch(len(queue))
+    return SchedulingDecision(
+        candidates=[planned],
+        used_preplanned=True,
+        plan_miss=miss,
+        reported_overhead_ms=overhead_ms,
+    )
+
+
 class SchedulingPolicy(abc.ABC):
     """Interface implemented by ESG and by every baseline scheduler."""
 
     #: Human-readable policy name used in reports and figures.
     name: str = "abstract"
 
-    #: Policies whose :attr:`SchedulingDecision.reported_overhead_ms` is
-    #: always a deterministic model (never ``None``) may set this to let the
-    #: controller skip the wall-clock plan timing entirely — the measured
-    #: value would be discarded in favour of the reported one anyway.
-    deterministic_overhead: bool = False
-
     #: Policies whose :meth:`plan` and :meth:`select_invoker` are
     #: deterministic functions of the queue, ``now_ms`` and the cluster
-    #: state, write nothing the run can observe (private memo caches are
-    #: fine) and report a modeled overhead may set this.  The controller
-    #: then remembers a queue's failed attempt, stamped with the cluster's
-    #: capacity epoch, the queue's length and head job and the scheduling
-    #: pass, and replays its records instead of calling the policy again
-    #: while the stamp still matches.  Planners that write per-request
-    #: state (``static_plan``, ``plan_miss_count``) must leave it ``False``.
+    #: state and write nothing the run can observe (private memo caches are
+    #: fine) may set this.  The controller then remembers a queue's failed
+    #: attempt, stamped with the cluster's capacity epoch, the queue's
+    #: length and head job and the scheduling pass, and replays its records
+    #: instead of calling the policy again while the stamp still matches.
+    #: Planners that write per-request state (``static_plan``) must leave
+    #: it ``False``.
     pure_decisions: bool = False
 
     #: Policies with :attr:`pure_decisions` whose :meth:`plan` and
@@ -300,19 +315,6 @@ class SchedulingPolicy(abc.ABC):
             if warm_fallback is None:
                 warm_fallback = candidate
         return warm_fallback
-
-    # ------------------------------------------------------------------
-    # Capability flags used by the ablation study
-    # ------------------------------------------------------------------
-    @property
-    def uses_gpu_sharing(self) -> bool:
-        """False when the policy always grabs whole GPUs (ablation)."""
-        return True
-
-    @property
-    def uses_batching(self) -> bool:
-        """False when the policy never batches jobs (ablation)."""
-        return True
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"

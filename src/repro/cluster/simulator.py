@@ -247,9 +247,7 @@ class Simulation:
         self.runtime_perf_model = runtime_perf_model
         self.transfer_model = transfer_model or DataTransferModel()
 
-        prewarmer = PrewarmManager(
-            profile_store=profile_store, enabled=self.config.controller.prewarm_enabled
-        )
+        prewarmer = PrewarmManager(profile_store=profile_store)
         self.controller = Controller(
             policy=policy,
             cluster=self.cluster,

@@ -21,13 +21,19 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from repro.cluster.policy_api import AFWQueue, SchedulingDecision, SchedulingContext, SchedulingPolicy
+from repro.cluster.policy_api import (
+    AFWQueue,
+    SchedulingContext,
+    SchedulingDecision,
+    SchedulingPolicy,
+    preplanned_decision,
+)
 from repro.core.dispatch import locality_first_invoker
 from repro.core.dominator import SLODistribution, distribute_slo
 from repro.core.esg_1q import IntervalStore, SearchMemo, StageSearchSpec, esg_1q_search
 from repro.profiles.configuration import Configuration
 from repro.profiles.profiler import FunctionProfile, ProfileEntry
-from repro.utils.validation import ensure_bool, ensure_positive_int
+from repro.utils.validation import ensure_bool, ensure_number, ensure_positive_int
 from repro.workloads.request import Request
 
 __all__ = ["ESGPolicy"]
@@ -56,7 +62,7 @@ class ESGPolicy(SchedulingPolicy):
         batching: bool = True,
         safety_margin: float = 0.12,
         max_paths: int = 5000,
-        per_expansion_ms: float | None = 0.001,
+        per_expansion_ms: float = 0.001,
         plan_cache: bool = True,
         name: str | None = None,
     ) -> None:
@@ -92,9 +98,7 @@ class ESGPolicy(SchedulingPolicy):
             ``expansions * per_expansion_ms`` (the same idiom Orion uses),
             keeping runs deterministic and machine-independent; the default
             is calibrated so the distribution lands in the paper's 3-8 ms
-            range.  Pass ``None`` to fall back to the controller's
-            wall-clock measurement of ``plan()``; otherwise it must be
-            finite and ``>= 0``.
+            range.  A finite number ``>= 0``.
         plan_cache:
             Answer :meth:`plan` from earlier searches where they provably
             apply.  Under a key ``(app, stage, queue length clamped to the
@@ -105,9 +109,7 @@ class ESGPolicy(SchedulingPolicy):
             A quota inside a stored interval returns that search's decision,
             byte-identical to a fresh search's (the modeled overhead
             included).  The store is bounded (:data:`PLAN_CACHE_LIMIT`
-            plans) and only active when ``per_expansion_ms`` models
-            overhead deterministically — wall-clock measurement mode always
-            re-runs the search.  ``plan_cache=False`` is the reference path.
+            plans).  ``plan_cache=False`` is the reference path.
             With ``adaptive=False`` the whole-workflow search of a request's
             first stage is memoized too, keyed by (app, stage, clamped
             queue length, SLO): it reads nothing else.  While the cache is
@@ -119,16 +121,10 @@ class ESGPolicy(SchedulingPolicy):
             Override the reported policy name (used by the ablation study).
         """
         super().__init__()
-        if isinstance(safety_margin, bool) or not isinstance(safety_margin, (int, float)):
-            raise TypeError(f"safety_margin must be a number, got {safety_margin!r}")
-        if not 0.0 <= safety_margin < 1.0:
+        if not 0.0 <= ensure_number(safety_margin, "safety_margin") < 1.0:
             raise ValueError(f"safety_margin must be in [0, 1), got {safety_margin}")
-        if per_expansion_ms is not None and not (
-            math.isfinite(per_expansion_ms) and per_expansion_ms >= 0
-        ):
-            raise ValueError(
-                f"per_expansion_ms must be None or finite and >= 0, got {per_expansion_ms!r}"
-            )
+        if not 0.0 <= ensure_number(per_expansion_ms, "per_expansion_ms") < math.inf:
+            raise ValueError(f"per_expansion_ms must be finite and >= 0, got {per_expansion_ms!r}")
         self.k = ensure_positive_int(k, "k")
         self.group_size = ensure_positive_int(group_size, "group_size")
         self.adaptive = ensure_bool(adaptive, "adaptive")
@@ -137,20 +133,15 @@ class ESGPolicy(SchedulingPolicy):
         self.safety_margin = safety_margin
         self.max_paths = ensure_positive_int(max_paths, "max_paths")
         self.per_expansion_ms = per_expansion_ms
-        # With a modeled overhead the wall-clock plan timing is discarded
-        # anyway, so the controller may skip measuring it.
-        self.deterministic_overhead = per_expansion_ms is not None
         # Adaptive plans write no request state, and a modeled overhead is
         # the same on every retry, so the controller may replay a failed
         # attempt instead of repeating it.  Static plans write
-        # ``static_plan`` and ``plan_miss_count``.
-        self.pure_decisions = adaptive and per_expansion_ms is not None
+        # ``static_plan``.
+        self.pure_decisions = self.adaptive
         if name is not None:
             self.name = name
         self._distributions: dict[str, SLODistribution] = {}
-        self._plan_cache_enabled = (
-            ensure_bool(plan_cache, "plan_cache") and per_expansion_ms is not None
-        )
+        self._plan_cache_enabled = ensure_bool(plan_cache, "plan_cache")
         #: The interval store: decisions by ``(app, stage, clamped queue
         #: length)``, each answering the quotas of its search's interval.
         self._plan_cache = IntervalStore()
@@ -210,7 +201,7 @@ class ESGPolicy(SchedulingPolicy):
         if queue.is_empty:
             return None
         if not self.adaptive:
-            preplanned = self._preplanned_decision(queue, now_ms)
+            preplanned = self._static_decision(queue)
             if preplanned is not None:
                 return preplanned
 
@@ -232,13 +223,9 @@ class ESGPolicy(SchedulingPolicy):
         result = esg_1q_search(
             stages, target_ms, k=self.k, max_paths=self.max_paths, memo=self._search_memo()
         )
-        candidates = result.candidate_configs()
-        best = result.best
-        planned = best.as_plan(group_stage_ids) if best is not None else None
         decision = SchedulingDecision(
-            candidates=candidates,
-            planned_path=planned,
-            reported_overhead_ms=self._modeled_overhead_ms(result.expansions),
+            candidates=result.candidate_configs(),
+            reported_overhead_ms=result.expansions * self.per_expansion_ms,
         )
         if cache_key is not None:
             self._plan_cache.add(
@@ -249,12 +236,6 @@ class ESGPolicy(SchedulingPolicy):
     def _search_memo(self) -> SearchMemo | None:
         """The process-wide search memo, while the plan cache is on."""
         return _SEARCH_MEMO if self._plan_cache_enabled else None
-
-    def _modeled_overhead_ms(self, expansions: int) -> float | None:
-        """Deterministic overhead estimate (None = let the controller measure)."""
-        if self.per_expansion_ms is None:
-            return None
-        return expansions * self.per_expansion_ms
 
     def _group_and_target(self, queue: AFWQueue, now_ms: float) -> tuple[tuple[str, ...], float]:
         """Determine the remaining group stages and their latency quota.
@@ -369,13 +350,12 @@ class ESGPolicy(SchedulingPolicy):
     # ------------------------------------------------------------------
     # Static (non-adaptive) variant used for ablation
     # ------------------------------------------------------------------
-    def _preplanned_decision(self, queue: AFWQueue, now_ms: float) -> SchedulingDecision | None:
+    def _static_decision(self, queue: AFWQueue) -> SchedulingDecision | None:
         """Reuse (or create) a whole-workflow plan instead of re-searching."""
-        job = queue.oldest_job()
-        request = job.request
+        request = queue.oldest_job().request
         # Reusing an existing plan is a dictionary lookup; only the initial
         # whole-workflow search carries a modeled cost.
-        plan_overhead_ms = 0.0 if self.per_expansion_ms is not None else None
+        overhead_ms = 0.0
         if request.static_plan is None:
             # First stage of this request: plan the whole workflow once.  The
             # search reads the workflow, the first stage's batch cap (see
@@ -403,21 +383,8 @@ class ESGPolicy(SchedulingPolicy):
             if plan is None:
                 return None
             request.static_plan = dict(plan)
-            plan_overhead_ms = self._modeled_overhead_ms(expansions)
-        planned = request.static_plan.get(queue.stage_id)
-        if planned is None:
-            return None
-        miss = planned.batch_size > len(queue)
-        if miss:
-            request.plan_miss_count += 1
-            planned = planned.with_batch(max(1, len(queue)))
-        return SchedulingDecision(
-            candidates=[planned],
-            planned_path=dict(request.static_plan),
-            used_preplanned=True,
-            plan_miss=miss,
-            reported_overhead_ms=plan_overhead_ms,
-        )
+            overhead_ms = expansions * self.per_expansion_ms
+        return preplanned_decision(queue, request.static_plan, overhead_ms)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -436,16 +403,3 @@ class ESGPolicy(SchedulingPolicy):
             now_ms,
             predecessor_invoker_id=predecessor_id,
         )
-
-    # ------------------------------------------------------------------
-    # Ablation flags
-    # ------------------------------------------------------------------
-    @property
-    def uses_gpu_sharing(self) -> bool:
-        """False for the "without GPU sharing" ablation variant."""
-        return self._gpu_sharing
-
-    @property
-    def uses_batching(self) -> bool:
-        """False for the "without batching" ablation variant."""
-        return self._batching

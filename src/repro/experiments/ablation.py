@@ -11,19 +11,17 @@ batching the cost rises while hit rates stay comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - type-only
     from repro.experiments.store import ResultStore
 
-from repro.core.esg import ESGPolicy
-from repro.experiments.engine import ExperimentEngine, RunSpec, resolve_n_jobs
+from repro.experiments.engine import ExperimentEngine, RunSpec
 from repro.experiments.report import format_percent, format_table
-from repro.experiments.runner import ExperimentConfig, run_experiment
+from repro.experiments.runner import ExperimentConfig
 
 __all__ = [
     "AblationRow",
-    "ablation_variants",
     "ablation_variant_overrides",
     "run_figure12",
     "render_figure12",
@@ -52,62 +50,35 @@ def ablation_variant_overrides() -> dict[str, dict[str, object]]:
     }
 
 
-def ablation_variants() -> dict[str, ESGPolicy]:
-    """The three ESG variants of the Figure 12 ablation."""
-    return {
-        label: ESGPolicy(**overrides)
-        for label, overrides in ablation_variant_overrides().items()
-    }
-
-
 def run_figure12(
     *,
     setting: str = "relaxed-heavy",
     config: ExperimentConfig | None = None,
-    variants: Iterable[tuple[str, ESGPolicy]] | None = None,
     n_jobs: int | None = 1,
     store: "ResultStore | str | None" = None,
 ) -> list[AblationRow]:
     """Run the ablation study under a heavy workload.
 
-    The default variant set runs through the experiment engine (so
-    ``n_jobs`` parallelises it, and a ``store`` makes repeat renders load
-    every cached cell — the variant *label* stays out of the cache key;
-    the constructor overrides that define the variant are what hash);
-    passing live policy objects via ``variants`` forces the sequential
-    in-process path (no caching).
+    The variants (:func:`ablation_variant_overrides`) run through the
+    experiment engine, so ``n_jobs`` parallelises them and a ``store``
+    makes repeat renders load every cached cell.  The variant *label*
+    stays out of the cache key; the constructor overrides that define the
+    variant are what hash.
     """
     config = config or ExperimentConfig()
-    if variants is None:
-        specs = [
-            RunSpec(
-                policy="ESG",
-                setting=setting,
-                config=config,
-                policy_overrides=overrides,
-                label=label,
-                summary_only=True,
-            )
-            for label, overrides in ablation_variant_overrides().items()
-        ]
-        labels = [spec.label for spec in specs]
-        summaries = [r.summary for r in ExperimentEngine(n_jobs, store=store).run(specs)]
-    else:
-        items = list(variants)
-        if store is not None:
-            raise ValueError(
-                "run_figure12 with store= requires the default variants; "
-                "live policy objects bypass the spec-keyed cache"
-            )
-        if resolve_n_jobs(n_jobs) != 1:
-            raise ValueError(
-                "run_figure12 with n_jobs != 1 requires the default variants; "
-                "live policy objects cannot be shipped to worker processes"
-            )
-        labels = [label for label, _ in items]
-        summaries = [
-            run_experiment(policy, setting, config=config).summary for _, policy in items
-        ]
+    specs = [
+        RunSpec(
+            policy="ESG",
+            setting=setting,
+            config=config,
+            policy_overrides=overrides,
+            label=label,
+            summary_only=True,
+        )
+        for label, overrides in ablation_variant_overrides().items()
+    ]
+    labels = [spec.label for spec in specs]
+    summaries = [r.summary for r in ExperimentEngine(n_jobs, store=store).run(specs)]
     raw = [
         (
             label,

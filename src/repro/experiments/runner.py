@@ -30,7 +30,7 @@ from repro.core.esg import ESGPolicy
 from repro.profiles.configuration import ConfigurationSpace
 from repro.profiles.profiler import ProfileStore
 from repro.utils.rng import derive_rng
-from repro.utils.validation import ensure_positive, find_duplicates
+from repro.utils.validation import ensure_positive
 from repro.workloads.applications import build_paper_applications
 from repro.workloads.generator import WORKLOAD_SETTINGS, WorkloadGenerator, WorkloadSetting
 from repro.workloads.request import Request
@@ -380,7 +380,7 @@ def run_setting(
 
 
 def run_matrix(
-    policies: Iterable[SchedulingPolicy | str] = DEFAULT_POLICIES,
+    policies: Iterable[str] = DEFAULT_POLICIES,
     settings: Iterable[WorkloadSetting | str] = tuple(WORKLOAD_SETTINGS),
     *,
     config: ExperimentConfig | None = None,
@@ -395,85 +395,32 @@ def run_matrix(
     mutable runtime state, so they cannot be shared across runs) — the
     arrival times and application picks are identical.
 
-    ``n_jobs`` controls parallelism: 1 (default) runs in-process; larger
-    values fan the independent cells out across worker processes (``None``
-    or 0 uses every core).  Summaries are identical either way because each
-    run is fully determined by its seed.  Parallel execution requires
-    policies given as *names* — live policy objects cannot be rebuilt in a
-    worker; use :class:`repro.experiments.engine.RunSpec` overrides instead.
+    Policies are given by name (a live object raises ``TypeError``; vary a
+    policy's constructor through :class:`repro.experiments.engine.RunSpec`
+    overrides instead), and the cells run through
+    :class:`~repro.experiments.engine.ExperimentEngine`, which refuses
+    colliding cells before any simulation runs.  ``n_jobs`` controls
+    parallelism: 1 (default) runs in-process; larger values fan the
+    independent cells out across worker processes (``None`` or 0 uses every
+    core).  Summaries are identical either way because each run is fully
+    determined by its seed.
 
     ``store`` (a :class:`~repro.experiments.store.ResultStore` or path)
     makes repeat matrices incremental: cells whose summary is cached load
     without simulating (when ``summary_only=True``), and executed cells
-    persist their summaries for the next caller.  Like parallelism, it
-    requires policies given as names.
+    persist their summaries for the next caller.
     """
     # Imported here because engine builds on this module's primitives.
-    from repro.experiments.engine import ExperimentEngine, RunSpec, resolve_n_jobs
+    from repro.experiments.engine import ExperimentEngine, RunSpec
 
     config = config or ExperimentConfig()
     policy_list = list(policies)
-    setting_objs = [
-        WORKLOAD_SETTINGS[s] if isinstance(s, str) else s for s in settings
-    ]
-    if all(isinstance(p, str) for p in policy_list):
-        specs = [
-            RunSpec(
-                policy=policy,
-                setting=setting,
-                config=config,
-                summary_only=summary_only,
-            )
-            for setting in setting_objs
-            for policy in policy_list
-        ]
-        return ExperimentEngine(n_jobs, store=store).run_keyed(specs)
-
-    if store is not None or summary_only:
-        raise ValueError(
-            "run_matrix with store= or summary_only= requires policy names "
-            "(strings); live policy objects bypass the spec-keyed cache"
-        )
-    if resolve_n_jobs(n_jobs) != 1:
-        raise ValueError(
-            "run_matrix with n_jobs != 1 requires policy names (strings); "
-            "live policy objects cannot be shipped to worker processes"
-        )
-    # Same guarantee as ExperimentEngine.run_keyed, checked before any
-    # simulation runs: never let two matrix cells silently overwrite.
-    # (Names only are taken from these throwaway builds — the loop below
-    # still constructs a fresh policy per cell for string entries, because
-    # policies accumulate run state.)
-    duplicates = find_duplicates(
-        (make_policy(policy) if isinstance(policy, str) else policy).name
+    specs = [
+        RunSpec(policy=policy, setting=setting, config=config, summary_only=summary_only)
+        for setting in settings
         for policy in policy_list
-    )
-    if duplicates:
-        raise ValueError(
-            "run_matrix would silently overwrite result cells for duplicate "
-            f"policy names: {', '.join(repr(n) for n in duplicates)}; "
-            "give each policy variant a distinct name"
-        )
-    duplicate_settings = find_duplicates(setting.name for setting in setting_objs)
-    if duplicate_settings:
-        raise ValueError(
-            "run_matrix would silently overwrite result cells for duplicate "
-            f"setting names: {', '.join(repr(n) for n in duplicate_settings)}; "
-            "give each setting a distinct name"
-        )
-    profile_store = build_profile_store(config.space)
-    results: dict[tuple[str, str], RunResult] = {}
-    for setting_obj in setting_objs:
-        for policy in policy_list:
-            policy_obj = make_policy(policy) if isinstance(policy, str) else policy
-            result = run_experiment(
-                policy_obj,
-                setting_obj,
-                config=config,
-                profile_store=profile_store,
-            )
-            results[(setting_obj.name, policy_obj.name)] = result
-    return results
+    ]
+    return ExperimentEngine(n_jobs, store=store).run_keyed(specs)
 
 
 def run_scenario_matrix(
@@ -504,8 +451,6 @@ def run_scenario_matrix(
     config = config or ExperimentConfig()
     scenario_list = list(scenarios)
     policy_list = list(policies)
-    if not all(isinstance(p, str) for p in policy_list):
-        raise ValueError("run_scenario_matrix requires policy names (strings)")
     specs = [
         RunSpec(
             policy=policy, scenario=scenario, config=config, summary_only=summary_only

@@ -81,7 +81,9 @@ __all__ = [
 #: v3: the event-loop mode left the key document (the simulator has one loop).
 #: v4: the metrics mode and the cluster's index mode left the key document.
 #: v5: the workload mode left the key document.
-STORE_SCHEMA_VERSION = 5
+#: v6: the controller's ``count_overhead_in_latency`` and ``prewarm_enabled``
+#: fields left the key document (overhead is always modeled and charged).
+STORE_SCHEMA_VERSION = 6
 
 #: The payload kind the store holds today: a bare :class:`RunSummary`.
 SUMMARY_KIND = "summary"

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import numbers
+
 __all__ = [
     "ensure_bool",
+    "ensure_number",
     "ensure_positive",
     "ensure_positive_int",
     "ensure_non_negative",
@@ -20,6 +23,18 @@ def ensure_bool(value: bool, name: str) -> bool:
     """
     if not isinstance(value, bool):
         raise TypeError(f"{name} must be a bool, got {value!r} ({type(value).__name__})")
+    return value
+
+
+def ensure_number(value: float, name: str) -> float:
+    """Return ``value`` if it is a real number, else raise ``TypeError``.
+
+    A bool is refused: ``True`` from a stored override would otherwise be
+    taken as 1.  So are numeric strings such as ``"0.1"``.  The value is
+    returned unconverted; range checks are the caller's.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {value!r} ({type(value).__name__})")
     return value
 
 

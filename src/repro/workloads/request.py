@@ -53,9 +53,6 @@ class Request:
     #: Full-application configuration plan computed up-front by static
     #: planners (Orion, Aquatope); ``None`` for adaptive schedulers.
     static_plan: dict[str, "Configuration"] | None = None
-    #: Number of times a pre-planned configuration could not be applied
-    #: (batch size larger than the queue, Table 4 of the paper).
-    plan_miss_count: int = 0
     #: Set when the final stage completes.
     completed_ms: float | None = None
     #: Set when the request is terminally failed because a node eviction

@@ -169,6 +169,9 @@ class TestAquatope:
             ({"samples_per_round": 2.5}, TypeError, r"samples_per_round must be an int, got 2\.5"),
             ({"latency_penalty": float("nan")}, ValueError, "latency_penalty must be finite"),
             ({"sample_noise_sigma": -1.0}, ValueError, "sample_noise_sigma must be finite"),
+            ({"latency_penalty": True}, TypeError, "latency_penalty must be a number, got True"),
+            ({"seed": 1.5}, TypeError, r"seed must be an int, got 1\.5"),
+            ({"seed": -1}, ValueError, "seed must be >= 0, got -1"),
         ],
     )
     def test_bad_settings_rejected_at_construction(self, overrides, error, message):

@@ -158,6 +158,21 @@ class TestPlanning:
         with pytest.raises(ValueError, match=message):
             OrionPolicy(**overrides)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"count_search_overhead": "false"},
+            {"bundling": "no"},
+            {"per_expansion_ms": True},
+            {"cutoff_ms": True},
+            {"p95_factor": True},
+        ],
+        ids=repr,
+    )
+    def test_mistyped_arguments_rejected(self, overrides):
+        with pytest.raises(TypeError, match=next(iter(overrides))):
+            OrionPolicy(**overrides)
+
 
 @pytest.fixture()
 def searches(monkeypatch) -> list:

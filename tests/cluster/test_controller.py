@@ -7,6 +7,9 @@ recheck list) without depending on the ESG search.
 
 from __future__ import annotations
 
+import json
+from dataclasses import asdict
+
 import pytest
 from recording_loop import RecordingLoop
 
@@ -60,9 +63,7 @@ def make_requests(n: int, spacing_ms: float = 50.0, slo_ms: float = 2000.0) -> l
     ]
 
 
-def build_simulation(
-    policy, requests, store, *, initial_warm="all", noise=0.0, cluster=None, count_overhead=True
-):
+def build_simulation(policy, requests, store, *, initial_warm="all", noise=0.0, cluster=None):
     return Simulation(
         policy=policy,
         requests=requests,
@@ -71,9 +72,7 @@ def build_simulation(
             seed=7,
             noise_sigma=noise,
             cluster=cluster or ClusterConfig(num_invokers=4),
-            controller=ControllerConfig(
-                initial_warm=initial_warm, count_overhead_in_latency=count_overhead
-            ),
+            controller=ControllerConfig(initial_warm=initial_warm),
         ),
         setting_name="test",
     )
@@ -156,15 +155,19 @@ class TestEndToEndMechanics:
         summary = sim.run()
         assert summary.local_transfers + summary.remote_transfers > 0
 
-    def test_deterministic_given_seed(self, store):
-        """With measured wall-clock overhead excluded, a run is fully reproducible."""
+    def test_decision_without_overhead_is_charged_zero_and_reproducible(self, store, task_log):
+        """The controller reads no clock: a decision that models no overhead
+        is charged 0.0, and a run is a function of its seed."""
 
         def run_once():
-            sim = build_simulation(
-                FixedConfigPolicy(), make_requests(4), store, noise=0.05, count_overhead=False
+            log = task_log()
+            sim = log.attach(
+                build_simulation(FixedConfigPolicy(), make_requests(4), store, noise=0.05)
             )
             summary = sim.run()
-            return summary.total_cost_cents, summary.mean_latency_ms
+            assert log.tasks and all(task.overhead_ms == 0.0 for task in log.tasks)
+            assert set(sim.metrics.overhead_ms_samples) == {0.0}
+            return json.dumps(asdict(summary), sort_keys=True)
 
         assert run_once() == run_once()
 
@@ -353,6 +356,20 @@ class TestReportedOverhead:
         sim = build_simulation(OverheadPolicy(overhead), make_requests(2), store)
         with pytest.raises(ValueError, match=f"policy 'overhead-probe' reported .*{overhead!r} ms"):
             sim.run()
+
+    @pytest.mark.parametrize("overhead", [None, "0.5"], ids=repr)
+    def test_non_number_fails_at_the_first_plan(self, store, overhead):
+        """The controller reads no clock: a policy must model its overhead."""
+        policy = OverheadPolicy(overhead)
+        sim = build_simulation(policy, make_requests(2), store)
+        with pytest.raises(TypeError, match=f"policy 'overhead-probe' reported .*{overhead!r}"):
+            sim.run()
+        assert policy.plan_calls == 1
+
+    def test_reported_overhead_delays_the_task(self, store, task_log):
+        log = task_log()
+        log.attach(build_simulation(OverheadPolicy(2.5), make_requests(1), store)).run()
+        assert log.tasks and all(task.overhead_ms == 2.5 for task in log.tasks)
 
     def test_nan_overhead_of_a_baseline_fails_the_run(self, store):
         """A NaN overhead passes an ``overhead < 0`` check and would poison

@@ -137,7 +137,6 @@ class PerAppPolicy(SchedulingPolicy):
     declines to plan), calls counted."""
 
     name = "per-app"
-    deterministic_overhead = True
     pure_decisions = True
 
     def __init__(self, configs: dict[str, Configuration | None], *, pure: bool = True) -> None:
@@ -168,7 +167,6 @@ class PerQueuePolicy(SchedulingPolicy):
     the memo off."""
 
     name = "per-queue"
-    deterministic_overhead = True
     pure_decisions = True
     time_invariant_decisions = True
 
@@ -371,9 +369,8 @@ class TestImpurePolicies:
             OrionPolicy,
             lambda: AquatopePolicy(bootstrap=5, rounds=1, samples_per_round=1),
             lambda: ESGPolicy(adaptive=False),
-            lambda: ESGPolicy(per_expansion_ms=None),
         ],
-        ids=["Orion", "Aquatope", "ESG-static", "ESG-measured-overhead"],
+        ids=["Orion", "Aquatope", "ESG-static"],
     )
     def test_every_retry_calls_plan(self, store, make) -> None:
         policy = make()

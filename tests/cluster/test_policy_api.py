@@ -11,6 +11,7 @@ from repro.cluster.policy_api import (
     SchedulingContext,
     SchedulingDecision,
     SchedulingPolicy,
+    preplanned_decision,
 )
 from repro.profiles.configuration import Configuration
 from repro.workloads.applications import image_classification
@@ -104,6 +105,37 @@ class TestSchedulingDecision:
         a, b = Configuration(1, 1, 1), Configuration(2, 2, 2)
         assert SchedulingDecision(candidates=[a, b]).best is a
 
+    def test_overhead_defaults_to_zero(self):
+        decision = SchedulingDecision(candidates=[Configuration(1, 1, 1)])
+        assert decision.reported_overhead_ms == 0.0
+        assert not decision.used_preplanned and not decision.plan_miss
+
+
+class TestPreplannedDecision:
+    def test_planned_batch_that_fits_is_used_as_is(self):
+        queue = make_queue("s2")
+        for i in range(4):
+            queue.push(make_job(queue, i))
+        planned = Configuration(4, 2, 1)
+        decision = preplanned_decision(queue, {"s1": Configuration(1, 1, 1), "s2": planned}, 1.5)
+        assert decision.candidates == [planned]
+        assert decision.used_preplanned and not decision.plan_miss
+        assert decision.reported_overhead_ms == 1.5
+
+    def test_batch_larger_than_the_queue_is_clipped_and_missed(self):
+        queue = make_queue("s2")
+        for i in range(3):
+            queue.push(make_job(queue, i))
+        decision = preplanned_decision(queue, {"s2": Configuration(8, 2, 1)})
+        assert decision.candidates == [Configuration(3, 2, 1)]
+        assert decision.used_preplanned and decision.plan_miss
+        assert decision.reported_overhead_ms == 0.0
+
+    def test_unplanned_stage_gives_no_decision(self):
+        queue = make_queue("s3")
+        queue.push(make_job(queue, 0))
+        assert preplanned_decision(queue, {"s1": Configuration(1, 1, 1)}) is None
+
 
 class _MinimalPolicy(SchedulingPolicy):
     """Always proposes the minimum configuration."""
@@ -159,7 +191,3 @@ class TestSchedulingPolicy:
         for invoker in bound_policy.context.cluster:
             invoker.reserve(Configuration(1, 16, 7))
         assert bound_policy.select_invoker(Configuration(1, 1, 1), queue, 0.0) is None
-
-    def test_capability_flags_default_true(self, bound_policy):
-        assert bound_policy.uses_gpu_sharing
-        assert bound_policy.uses_batching

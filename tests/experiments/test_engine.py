@@ -20,6 +20,7 @@ from repro.experiments.runner import (
     ExperimentConfig,
     run_experiment,
     run_matrix,
+    run_scenario_matrix,
 )
 from repro.workloads.generator import WORKLOAD_SETTINGS
 
@@ -182,9 +183,13 @@ class TestParallelParity:
             assert seq.summary == par.summary
 
     def test_policy_objects_rejected_when_parallel(self):
-        with pytest.raises(ValueError, match="policy names"):
+        with pytest.raises(TypeError, match="policy name"):
             run_matrix([ESGPolicy()], ["strict-light"], config=SMALL, n_jobs=2)
 
-    def test_policy_objects_still_work_sequentially(self):
-        results = run_matrix([ESGPolicy(k=2)], ["strict-light"], config=SMALL, n_jobs=1)
-        assert set(results) == {("strict-light", "ESG")}
+    def test_policy_objects_rejected_sequentially(self):
+        with pytest.raises(TypeError, match="policy name"):
+            run_matrix([ESGPolicy(k=2)], ["strict-light"], config=SMALL, n_jobs=1)
+
+    def test_scenario_matrix_rejects_policy_objects(self):
+        with pytest.raises(TypeError, match="policy name"):
+            run_scenario_matrix(["poisson-normal"], [ESGPolicy()], config=SMALL)

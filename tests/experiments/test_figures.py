@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.esg import ESGPolicy
-from repro.experiments.ablation import ablation_variants, render_figure12, run_figure12
+from repro.experiments.ablation import render_figure12, run_figure12
 from repro.experiments.end_to_end import (
     figure6_rows,
     figure7_curves,
@@ -127,19 +126,11 @@ class TestFigure11:
 
 
 class TestFigure12:
-    def test_ablation_variants(self):
-        variants = ablation_variants()
-        assert set(variants) == {"ESG", "ESG w/o GPU sharing", "ESG w/o batching"}
-        assert not variants["ESG w/o GPU sharing"].uses_gpu_sharing
-        assert not variants["ESG w/o batching"].uses_batching
-
     def test_ablation_rows(self):
-        variants = [
-            ("ESG", ESGPolicy()),
-            ("ESG w/o batching", ESGPolicy(batching=False, name="ESG w/o batching")),
-        ]
-        rows = run_figure12(config=SMALL, variants=variants)
-        assert [r.variant for r in rows] == ["ESG", "ESG w/o batching"]
+        rows = run_figure12(config=SMALL)
+        assert [r.variant for r in rows] == ["ESG", "ESG w/o GPU sharing", "ESG w/o batching"]
         esg_row = rows[0]
         assert esg_row.cost_normalized_to_esg == pytest.approx(1.0)
+        # The overrides reach the policy: whole GPUs hold more vGPU time.
+        assert rows[1].total_vgpu_ms > esg_row.total_vgpu_ms
         assert "Figure 12" in render_figure12(rows)

@@ -117,11 +117,11 @@ class TestRunMatrix:
 
     def test_duplicate_policy_names_rejected_before_running(self):
         config = ExperimentConfig(num_requests=6, seed=1)
-        with pytest.raises(ValueError, match="duplicate policy names: 'ESG'"):
-            run_matrix([ESGPolicy(), ESGPolicy(k=2)], ["strict-light"], config=config)
+        with pytest.raises(ValueError, match="colliding cells: \\('strict-light', 'ESG'\\)"):
+            run_matrix(["ESG", "esg"], ["strict-light"], config=config)
 
     def test_duplicate_setting_names_rejected_before_running(self):
         config = ExperimentConfig(num_requests=6, seed=1)
         setting = WORKLOAD_SETTINGS["strict-light"]
-        with pytest.raises(ValueError, match="duplicate setting names"):
-            run_matrix([ESGPolicy()], [setting, setting], config=config)
+        with pytest.raises(ValueError, match="colliding cells"):
+            run_matrix(["ESG"], [setting, "strict-light"], config=config)

@@ -113,13 +113,14 @@ class TestSpecKey:
     def test_doc_mentions_schema_version(self):
         assert spec_key_doc(_spec())["schema"] == STORE_SCHEMA_VERSION
 
-    def test_schema_5_has_no_retired_modes(self):
+    def test_schema_6_has_no_retired_modes(self):
         """The simulator has one event loop, one cluster index, one metrics
-        collector and one workload path, so the key document names none of
-        their modes (schema 3 dropped the loop mode, schema 4 the metrics
-        and index modes, schema 5 the workload mode; older keys are
-        misses)."""
-        assert STORE_SCHEMA_VERSION == 5
+        collector and one workload path, and the controller always charges
+        the modeled overhead, so the key document names none of their modes
+        (schema 3 dropped the loop mode, schema 4 the metrics and index
+        modes, schema 5 the workload mode, schema 6 the controller's
+        overhead and prewarm switches; older keys are misses)."""
+        assert STORE_SCHEMA_VERSION == 6
         config = spec_key_doc(_spec())["config"]
         assert set(config) == {
             "num_requests",
@@ -135,6 +136,8 @@ class TestSpecKey:
             "autoscale",
         }
         assert "index_mode" not in config["cluster"]
+        assert "count_overhead_in_latency" not in config["controller"]
+        assert "prewarm_enabled" not in config["controller"]
 
     def test_key_is_stable_across_hash_randomisation(self):
         """PYTHONHASHSEED (and process boundaries) must not move keys."""

@@ -78,9 +78,7 @@ def test_static_planning_replays_through_the_memo(monkeypatch):
     "overrides",
     [
         {"plan_cache": False},
-        {"per_expansion_ms": None},
         {"adaptive": False, "plan_cache": False},
-        {"adaptive": False, "per_expansion_ms": None},
     ],
     ids=repr,
 )

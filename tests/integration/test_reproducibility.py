@@ -2,19 +2,12 @@
 
 from __future__ import annotations
 
-from repro.cluster.controller import ControllerConfig
 from repro.core.esg import ESGPolicy
 from repro.experiments.runner import ExperimentConfig, run_experiment
 
 
-def run_esg(seed: int, *, count_overhead: bool = False, **policy_kwargs):
-    config = ExperimentConfig(
-        num_requests=20,
-        seed=seed,
-        controller=ControllerConfig(
-            initial_warm="all", count_overhead_in_latency=count_overhead
-        ),
-    )
+def run_esg(seed: int, **policy_kwargs):
+    config = ExperimentConfig(num_requests=20, seed=seed)
     policy = ESGPolicy(**policy_kwargs)
     return run_experiment(policy, "moderate-normal", config=config)
 

@@ -7,6 +7,7 @@ import pytest
 from repro.utils.validation import (
     ensure_in_range,
     ensure_non_negative,
+    ensure_number,
     ensure_positive,
     ensure_positive_int,
 )
@@ -27,6 +28,18 @@ class TestEnsurePositive:
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="x must be > 0, got nan"):
             ensure_positive(float("nan"), "x")
+
+
+class TestEnsureNumber:
+    def test_accepts_ints_and_floats_unconverted(self):
+        assert ensure_number(0, "x") == 0 and type(ensure_number(0, "x")) is int
+        assert ensure_number(0.25, "x") == 0.25
+        assert ensure_number(float("nan"), "x") != 0  # range checks are the caller's
+
+    @pytest.mark.parametrize("value", [True, False, "0.1", None], ids=repr)
+    def test_rejects_bools_strings_and_none(self, value):
+        with pytest.raises(TypeError, match=rf"x must be a number, got {value!r} \("):
+            ensure_number(value, "x")
 
 
 class TestEnsurePositiveInt:
