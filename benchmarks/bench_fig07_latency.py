@@ -14,7 +14,7 @@ def test_fig07_end_to_end_latency_curves(benchmark, bench_config, bench_jobs):
         benchmark,
         run_end_to_end,
         DEFAULT_POLICIES,
-        ("relaxed-heavy",),
+        ("paper-relaxed-heavy",),
         config=bench_config,
         n_jobs=bench_jobs,
     )

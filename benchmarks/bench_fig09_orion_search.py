@@ -12,7 +12,7 @@ def test_fig09_orion_search_tradeoff(benchmark, bench_config, bench_jobs):
         benchmark,
         run_figure9,
         (1.0, 10.0, 50.0, 100.0, 500.0, 1000.0, 2000.0),
-        setting="strict-light",
+        scenario="paper-strict-light",
         config=bench_config,
         n_jobs=bench_jobs,
     )

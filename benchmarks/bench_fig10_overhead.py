@@ -11,13 +11,14 @@ from repro.experiments.overhead import (
     run_bruteforce_comparison,
     run_figure10,
 )
+from repro.workloads.scenarios import PAPER_SCENARIOS
 
 
 def test_fig10_esg_scheduling_overhead(benchmark, bench_config, bench_jobs):
     distributions = run_once(
         benchmark,
         run_figure10,
-        ("strict-light", "moderate-normal", "relaxed-heavy"),
+        PAPER_SCENARIOS,
         config=bench_config,
         group_size=3,
         n_jobs=bench_jobs,

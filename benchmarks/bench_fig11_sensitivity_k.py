@@ -12,7 +12,7 @@ def test_fig11_sensitivity_to_k(benchmark, bench_config, bench_jobs):
         benchmark,
         run_figure11,
         (1, 5, 20, 40, 80),
-        setting="strict-light",
+        scenario="paper-strict-light",
         config=bench_config,
         n_jobs=bench_jobs,
     )

@@ -9,7 +9,7 @@ from repro.experiments.ablation import render_figure12, run_figure12
 
 def test_fig12_gpu_sharing_and_batching_ablation(benchmark, bench_config, bench_jobs):
     rows = run_once(
-        benchmark, run_figure12, setting="relaxed-heavy", config=bench_config, n_jobs=bench_jobs
+        benchmark, run_figure12, scenario="paper-relaxed-heavy", config=bench_config, n_jobs=bench_jobs
     )
     print()
     print(render_figure12(rows))

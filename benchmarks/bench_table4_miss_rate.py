@@ -5,6 +5,7 @@ from __future__ import annotations
 from conftest import run_once
 
 from repro.experiments.miss_rate import render_table4, run_table4
+from repro.workloads.scenarios import PAPER_SCENARIOS
 
 
 def test_table4_preplanned_miss_rate(benchmark, bench_config, bench_jobs):
@@ -12,7 +13,7 @@ def test_table4_preplanned_miss_rate(benchmark, bench_config, bench_jobs):
         benchmark,
         run_table4,
         ("Orion", "Aquatope"),
-        ("strict-light", "moderate-normal", "relaxed-heavy"),
+        PAPER_SCENARIOS,
         config=bench_config,
         n_jobs=bench_jobs,
     )

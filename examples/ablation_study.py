@@ -25,7 +25,7 @@ def main() -> None:
     config = ExperimentConfig(num_requests=num_requests, seed=21)
 
     print(f"Running the GPU-sharing / batching ablation ({num_requests} requests, heavy load)...\n")
-    rows = run_figure12(setting="relaxed-heavy", config=config, n_jobs=n_jobs)
+    rows = run_figure12(scenario="paper-relaxed-heavy", config=config, n_jobs=n_jobs)
 
     print(f"{'variant':<22} {'SLO hit':>8} {'cost/ESG':>9} {'vGPU-seconds':>13} {'mean wait':>10}")
     for row in rows:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Quickstart: schedule one small DNN-workflow workload with ESG.
 
-Runs a strict-light workload (a random mix of the paper's four
+Runs the paper's strict-light scenario (a random mix of the paper's four
 applications) on the emulated 16-node GPU cluster, once with ESG and once
 with the INFless baseline, and prints the headline metrics.  The two runs
 are described as picklable ``RunSpec``s and executed by the
@@ -30,7 +30,7 @@ def main() -> None:
         f"on 16 emulated GPU nodes...\n"
     )
     specs = [
-        RunSpec(policy=policy, setting="strict-light", config=config)
+        RunSpec(policy, "paper-strict-light", config=config)
         for policy in ("ESG", "INFless")
     ]
     results = ExperimentEngine(n_jobs=2).run(specs)

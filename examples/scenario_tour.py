@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.experiments import ExperimentConfig, run_scenario_matrix
+from repro.experiments import ExperimentConfig, run_matrix
 from repro.experiments.scenario_sweep import render_scenario_list
 from repro.workloads import scenario_names
 
@@ -42,7 +42,7 @@ def main() -> None:
         f"\nRunning {len(policies)} schedulers x {len(tour)} scenarios "
         f"({num_requests} requests each, {n_jobs} worker processes)...\n"
     )
-    results = run_scenario_matrix(
+    results = run_matrix(
         tour, policies, config=ExperimentConfig(num_requests=num_requests, seed=42), n_jobs=n_jobs
     )
 

@@ -17,7 +17,7 @@ The package is organised as:
 Quickstart::
 
     from repro import quick_simulation
-    summary = quick_simulation(policy="esg", setting="strict-light", num_requests=50)
+    summary = quick_simulation(policy="esg", scenario="paper-strict-light", num_requests=50)
     print(summary.slo_hit_rate, summary.total_cost_cents)
 """
 
@@ -56,7 +56,7 @@ __all__ = [
 
 def quick_simulation(
     policy: str = "esg",
-    setting: str = "strict-light",
+    scenario: str = "paper-strict-light",
     num_requests: int = 50,
     seed: int = 42,
 ):
@@ -65,8 +65,7 @@ def quick_simulation(
     Convenience entry point used by the README quickstart; see
     :mod:`repro.experiments.runner` for the full-control API.
     """
-    from repro.experiments.runner import run_setting
+    from repro.experiments.runner import ExperimentConfig, run_experiment
 
-    return run_setting(
-        policy_name=policy, setting_name=setting, num_requests=num_requests, seed=seed
-    )
+    config = ExperimentConfig(num_requests=num_requests, seed=seed)
+    return run_experiment(policy, scenario, config=config).summary

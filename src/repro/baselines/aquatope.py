@@ -38,7 +38,7 @@ from repro.cluster.policy_api import (
 )
 from repro.profiles.configuration import Configuration
 from repro.utils.rng import derive_rng
-from repro.utils.validation import ensure_number, ensure_positive_int
+from repro.utils.validation import ensure_non_negative_int, ensure_number, ensure_positive_int
 from repro.workloads.dag import Workflow
 
 __all__ = ["AquatopePolicy"]
@@ -86,11 +86,8 @@ class AquatopePolicy(SchedulingPolicy):
         super().__init__()
         # Checked here: a bad value would otherwise fail only inside the
         # first run's training, with an error naming no setting.
-        for label, value in (("rounds", rounds), ("seed", seed)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"{label} must be an int, got {value!r} ({type(value).__name__})")
-            if value < 0:
-                raise ValueError(f"{label} must be >= 0, got {value}")
+        ensure_non_negative_int(rounds, "rounds")
+        ensure_non_negative_int(seed, "seed")
         for label, value in (
             ("latency_penalty", latency_penalty),
             ("sample_noise_sigma", sample_noise_sigma),

@@ -44,7 +44,6 @@ from repro.cluster.container import Container, ContainerState
 from repro.cluster.controller import Controller, ControllerConfig
 from repro.cluster.datatransfer import DataTransferModel
 from repro.cluster.events import (
-    ContainerExpireEvent,
     Event,
     InvokerJoinEvent,
     InvokerLeaveEvent,
@@ -105,7 +104,6 @@ __all__ = [
     "get_churn_spec",
     "churn_spec_names",
     "resolve_churn",
-    "ContainerExpireEvent",
     "Container",
     "ContainerState",
     "Controller",

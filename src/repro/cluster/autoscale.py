@@ -17,8 +17,9 @@ The :class:`Autoscaler` is a pure *observer*: it attaches to a built
 API — the simulator core is untouched — and takes over prewarm authority by
 disabling the static :class:`~repro.cluster.prewarm.PrewarmManager`
 (``prewarmer.enabled = False``; observation continues, plans stop).  Every
-``decide_interval_ms`` of *virtual* time it snapshots an
-:class:`AutoscaleState` per observed function, asks its
+``decide_interval_ms`` of *virtual* time (on the first event at or after
+the pass is due) it stops the containers whose keep-alive has run out,
+snapshots an :class:`AutoscaleState` per observed function, asks its
 :class:`AutoscalePolicy` for an :class:`AutoscaleAction`, and applies the
 clamped delta:
 
@@ -55,7 +56,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.utils.validation import ensure_positive_int
+from repro.utils.validation import ensure_non_negative_int, ensure_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.simulator import Simulation
@@ -307,10 +308,7 @@ class AutoscaleSpec:
             ensure_positive_int(getattr(self, name), name)
         if self.decide_interval_ms <= 0:
             raise ValueError("decide_interval_ms must be > 0")
-        if not isinstance(self.min_residents, int) or isinstance(self.min_residents, bool):
-            raise TypeError(f"min_residents must be an int, got {self.min_residents!r}")
-        if self.min_residents < 0:
-            raise ValueError("min_residents must be >= 0")
+        ensure_non_negative_int(self.min_residents, "min_residents")
         if self.max_residents < self.min_residents:
             raise ValueError("max_residents must be >= min_residents")
         if self.low_watermark >= self.high_watermark:
@@ -479,6 +477,9 @@ class Autoscaler:
     def _decide(self, simulation: "Simulation", now_ms: float) -> None:
         """One decision pass: observe, decide and actuate per function."""
         controller = simulation.controller
+        # A decision can fall between ticks: stop the containers whose
+        # keep-alive has run out first, so ``residents`` never counts one.
+        controller.expire_due(now_ms)
         cluster = simulation.cluster
         window_ms = now_ms - self._last_decide_ms
         depths: dict[str, int] = {}

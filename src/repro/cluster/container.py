@@ -138,8 +138,8 @@ class Container:
         Unlike :meth:`mark_stopped` this drops any in-flight work: the
         controller decides separately whether that work is requeued or
         failed.  Resetting ``expires_at_ms`` to ``-inf`` makes every armed
-        :class:`~repro.cluster.events.ContainerExpireEvent` miss its lazy
-        cancellation guard, so stale expiry timers become no-ops.
+        keep-alive deadline miss :meth:`expire`'s lazy cancellation guard,
+        so stale expiry entries become no-ops.
         """
         self.active_tasks = 0
         self.expires_at_ms = float("-inf")

@@ -20,11 +20,7 @@ from typing import TYPE_CHECKING, Literal
 from repro.cluster.cluster import ClusterState
 from repro.cluster.container import Container, ContainerState
 from repro.cluster.datatransfer import DataTransferModel
-from repro.cluster.events import (
-    ContainerExpireEvent,
-    PrewarmCompleteEvent,
-    TaskCompletionEvent,
-)
+from repro.cluster.events import PrewarmCompleteEvent, TaskCompletionEvent
 from repro.cluster.metrics import MetricsCollector
 from repro.cluster.policy_api import AFWQueue, SchedulingPolicy
 from repro.cluster.prewarm import PrewarmManager
@@ -294,25 +290,21 @@ class Controller:
     def _arm_expiry(self, container: Container) -> None:
         """Schedule the container's keep-alive expiry.
 
-        The deadline goes to two places: the controller's expiry heap
-        (drained at every tick, so a tick never sees a container at or past
-        its deadline) and a :class:`ContainerExpireEvent` in the simulation
-        loop (the wake-up between ticks).  Re-arming is handled lazily on
-        both: a stale entry whose deadline no longer matches the container's
+        The deadline goes onto the controller's expiry heap, drained by
+        :meth:`expire_due` at every tick and before every autoscaler
+        decision, so neither sees a container at or past its deadline;
+        between them :meth:`Container.is_resident` already reads an
+        expired container as gone.  Re-arming is handled lazily: a stale
+        entry whose deadline no longer matches the container's
         ``expires_at_ms`` is a no-op.
         """
         if container.state is ContainerState.WARM and container.expires_at_ms != _INF:
-            deadline = container.expires_at_ms
             heapq.heappush(
                 self._expiry_heap,
-                (deadline, next(self._expiry_seq), container),
-            )
-            # The deadline (now + keep-alive) is always >= 0.
-            self.events.push_housekeeping(
-                ContainerExpireEvent(time_ms=deadline, container=container)
+                (container.expires_at_ms, next(self._expiry_seq), container),
             )
 
-    def _drain_expired_containers(self, now_ms: float) -> None:
+    def expire_due(self, now_ms: float) -> None:
         """Stop every armed container whose deadline has passed (<= now)."""
         heap = self._expiry_heap
         while heap and heap[0][0] <= now_ms:
@@ -324,7 +316,7 @@ class Controller:
         # Amortised O(due), and inclusive (``expires_at <= now`` expires):
         # tick-time expiry does not depend on how same-timestamp events
         # happen to be ordered in the simulation heap.
-        self._drain_expired_containers(now_ms)
+        self.expire_due(now_ms)
         if self.prewarmer is not None:
             for plan in self.prewarmer.plan(self.cluster, now_ms):
                 self.events.push(

@@ -26,7 +26,6 @@ __all__ = [
     "TaskCompletionEvent",
     "SchedulerTickEvent",
     "PrewarmCompleteEvent",
-    "ContainerExpireEvent",
     "InvokerJoinEvent",
     "InvokerLeaveEvent",
     "InvokerResizeEvent",
@@ -44,10 +43,10 @@ class Event:
     ``slots=True``; they simply keep a ``__dict__``.
     """
 
-    #: Housekeeping events (e.g. container-expiry timers) never keep a run
-    #: alive on their own: the simulator drains them only while productive
-    #: events remain, and they are invisible to the horizon check, so
-    #: expiry stops when the workload does.
+    #: Housekeeping events (the churn schedule's join/leave/resize events)
+    #: never keep a run alive on their own: the simulator drains them only
+    #: while productive events remain, and they are invisible to the
+    #: horizon check, so churn stops when the workload does.
     housekeeping: ClassVar[bool] = False
 
     #: Tie-break rank among events scheduled for the same instant (lower
@@ -107,24 +106,6 @@ class PrewarmCompleteEvent(Event):
 
     def apply(self, simulation: "Simulation") -> None:
         simulation.controller.on_prewarm_complete(self.container, simulation.now_ms)
-
-
-@dataclass(frozen=True, slots=True)
-class ContainerExpireEvent(Event):
-    """An idle warm container's keep-alive timer elapses.
-
-    Scheduled by the controller whenever a container (re)arms its keep-alive.
-    Cancellation is lazy: if the container was re-armed, went busy, or was
-    already stopped, the armed deadline no longer matches ``time_ms`` and
-    the event is a no-op — the standard timer-heap idiom.
-    """
-
-    housekeeping: ClassVar[bool] = True
-
-    container: Container = field(compare=False)
-
-    def apply(self, simulation: "Simulation") -> None:
-        self.container.expire(self.time_ms)
 
 
 @dataclass(frozen=True, slots=True)

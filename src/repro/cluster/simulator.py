@@ -67,15 +67,15 @@ class EventLoop:
     run pops the same sequence as if every arrival had been pushed up
     front, even on exact time collisions.
 
-    Housekeeping events (``event.housekeeping``, e.g. container-expiry
-    timers) live in their own heap.  Both heaps draw from one shared
-    counter, so always popping the smaller head reproduces the pop sequence
-    of a single heap exactly (keys are unique because the counter is, so
-    the head comparison never ties).  The split makes the real-only queries
+    Housekeeping events (``event.housekeeping``: the churn schedule's
+    join/leave/resize events) live in their own heap.  Both heaps draw from
+    one shared counter, so always popping the smaller head reproduces the
+    pop sequence of a single heap exactly (keys are unique because the
+    counter is, so the head comparison never ties).  The split makes the real-only queries
     (:attr:`has_real`, :meth:`peek_real_time`) O(1) list checks: the
     simulator ends a run, and applies the horizon check, on *productive*
     events only.  Without this, a drained workload would be kept "running"
-    for ten more simulated minutes of keep-alive timers.
+    until the end of its churn schedule.
     """
 
     __slots__ = ("_real", "_housekeeping", "_counter")
@@ -104,13 +104,6 @@ class EventLoop:
         and routing.
         """
         heapq.heappush(self._real, (event.time_ms, 1, next(self._counter), event))
-
-    def push_housekeeping(self, event: Event) -> None:
-        """Schedule a housekeeping event of the default sort priority.
-
-        The counterpart of :meth:`push_real` for housekeeping events.
-        """
-        heapq.heappush(self._housekeeping, (event.time_ms, 1, next(self._counter), event))
 
     def pop(self) -> Event:
         """Remove and return the earliest event."""
@@ -372,10 +365,9 @@ class Simulation:
         The run stops early — marking the summary ``truncated`` — when the
         next pending event lies beyond ``max_time_ms`` (the event stays in
         the queue and ``now_ms`` never advances past the horizon) or when
-        ``max_events`` is exhausted.  Housekeeping events (container-expiry
-        timers) neither keep the run alive nor count toward the horizon:
-        the loop drains them only while productive events remain, exactly
-        like the per-tick expiry scan stops when the workload does.
+        ``max_events`` is exhausted.  Housekeeping events (churn) neither
+        keep the run alive nor count toward the horizon: the loop drains
+        them only while productive events remain.
 
         Per-event constant costs are stripped: the split heaps are popped
         inline instead of through :meth:`EventLoop.pop`, and the heap an
@@ -438,8 +430,8 @@ class Simulation:
                         self._push_arrival_chunk()
                 event.apply(self)
                 # Housekeeping events are free: counting them against
-                # max_events (or the progress cadence) would let the expiry
-                # timers move where a capped run stops.
+                # max_events (or the progress cadence) would let the churn
+                # schedule move where a capped run stops.
                 if not housekeeping:
                     processed += 1
                     self._processed_events = processed

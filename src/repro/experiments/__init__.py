@@ -34,13 +34,9 @@ from repro.experiments.runner import (
     ExperimentConfig,
     RunResult,
     build_profile_store,
-    build_request_stream,
-    build_requests,
     make_policy,
     run_experiment,
     run_matrix,
-    run_scenario_matrix,
-    run_setting,
 )
 from repro.experiments.scenario_sweep import (
     render_scenario_comparison,
@@ -75,8 +71,6 @@ __all__ = [
     "SweepCell",
     "SweepReport",
     "build_profile_store",
-    "build_request_stream",
-    "build_requests",
     "canonical_policy_key",
     "churn_rows",
     "execute_spec",
@@ -87,9 +81,7 @@ __all__ = [
     "run_churn_study",
     "run_experiment",
     "run_matrix",
-    "run_scenario_matrix",
     "run_scenario_sweep",
-    "run_setting",
     "run_sweep",
     "scenario_rows",
     "spec_key",

@@ -19,6 +19,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only
 from repro.experiments.engine import ExperimentEngine, RunSpec
 from repro.experiments.report import format_percent, format_table
 from repro.experiments.runner import ExperimentConfig
+from repro.workloads.scenarios import Scenario
 
 __all__ = [
     "AblationRow",
@@ -52,7 +53,7 @@ def ablation_variant_overrides() -> dict[str, dict[str, object]]:
 
 def run_figure12(
     *,
-    setting: str = "relaxed-heavy",
+    scenario: Scenario | str = "paper-relaxed-heavy",
     config: ExperimentConfig | None = None,
     n_jobs: int | None = 1,
     store: "ResultStore | str | None" = None,
@@ -68,8 +69,8 @@ def run_figure12(
     config = config or ExperimentConfig()
     specs = [
         RunSpec(
-            policy="ESG",
-            setting=setting,
+            "ESG",
+            scenario,
             config=config,
             policy_overrides=overrides,
             label=label,

@@ -30,7 +30,7 @@ from repro.experiments.runner import (
     DEFAULT_POLICIES,
     ExperimentConfig,
     RunResult,
-    run_scenario_matrix,
+    run_matrix,
 )
 
 __all__ = [
@@ -80,7 +80,7 @@ def run_churn_study(
     the capacity axis.  The study is summary-only, so with a ``store`` a
     repeat render over an unchanged grid executes zero simulations.
     """
-    return run_scenario_matrix(
+    return run_matrix(
         list(scenarios),
         policies,
         config=config,

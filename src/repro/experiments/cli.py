@@ -366,7 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
         "the determinism linter — its own options follow the subcommand, "
         "see 'esg-repro lint --help')",
     )
-    parser.add_argument("--requests", type=int, default=120, help="requests per run (default 120)")
+    parser.add_argument(
+        "--requests", type=_positive_int, default=120, help="requests per run (default 120)"
+    )
     parser.add_argument("--seed", type=int, default=42, help="experiment seed (default 42)")
     parser.add_argument(
         "--jobs",

@@ -26,7 +26,8 @@ from repro.experiments.runner import (
     RunResult,
     run_matrix,
 )
-from repro.workloads.generator import WORKLOAD_SETTINGS
+from repro.utils.validation import find_duplicates
+from repro.workloads.scenarios import PAPER_SCENARIOS, Scenario, resolve_scenario
 
 __all__ = [
     "Figure6Row",
@@ -81,14 +82,18 @@ class LatencyCurve:
 # ----------------------------------------------------------------------
 def run_end_to_end(
     policies: Iterable[str] = DEFAULT_POLICIES,
-    settings: Iterable[str] = tuple(WORKLOAD_SETTINGS),
+    scenarios: Iterable[Scenario | str] = PAPER_SCENARIOS,
     *,
     config: ExperimentConfig | None = None,
     n_jobs: int | None = 1,
     store: "ResultStore | str | None" = None,
     summary_only: bool = False,
 ) -> dict[tuple[str, str], RunResult]:
-    """Run the full (setting x policy) matrix used by Figures 6-8.
+    """Run the full (scenario x policy) matrix used by Figures 6-8.
+
+    Results are keyed by ``(setting_name, policy_name)``, the rows the
+    figures print, so two scenarios of one setting raise ``ValueError``
+    before any run.
 
     ``n_jobs`` fans the independent cells out across worker processes
     (1 = in-process, ``None``/0 = one per core); results are identical.
@@ -98,16 +103,25 @@ def run_end_to_end(
     warm store without a single simulation; Figures 7 and 8 read the raw
     metrics, so they must keep ``summary_only=False`` — their cells always
     execute, but still persist summaries that warm the cache for every
-    summary-level consumer (Figure 6, ``esg-repro sweep``, ...).
+    summary-level consumer (Figure 6, :func:`run_matrix`,
+    ``esg-repro sweep``, ...).
     """
-    return run_matrix(
+    scenario_list = [resolve_scenario(scenario) for scenario in scenarios]
+    repeated = find_duplicates(scenario.setting for scenario in scenario_list)
+    if repeated:
+        raise ValueError(
+            f"scenarios repeat setting(s) {', '.join(map(repr, repeated))}; Figures "
+            "6-8 key their rows by setting, so give each scenario its own setting"
+        )
+    results = run_matrix(
+        scenario_list,
         policies,
-        settings,
         config=config,
         n_jobs=n_jobs,
         store=store,
         summary_only=summary_only,
     )
+    return {(result.setting.name, policy): result for (_, policy), result in results.items()}
 
 
 # ----------------------------------------------------------------------

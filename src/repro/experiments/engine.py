@@ -1,7 +1,7 @@
 """Parallel experiment engine: picklable run specs and a process-pool executor.
 
 Every experiment run in this repository is seed-deterministic and mutually
-independent — a (policy, setting, config) triple fully determines its
+independent — a (policy, scenario, config) triple fully determines its
 :class:`~repro.cluster.metrics.RunSummary`.  That makes sweeps
 embarrassingly parallel: a :class:`RunSpec` captures one run as plain
 picklable data (policy *name* plus constructor overrides, never a live
@@ -35,8 +35,7 @@ from repro.experiments.store import ResultStore
 from repro.profiles.configuration import ConfigurationSpace
 from repro.profiles.profiler import ProfileStore
 from repro.utils.validation import find_duplicates
-from repro.workloads.generator import WORKLOAD_SETTINGS, WorkloadSetting
-from repro.workloads.scenarios import Scenario, get_scenario
+from repro.workloads.scenarios import Scenario, resolve_scenario
 
 __all__ = ["CellCallback", "RunSpec", "ExperimentEngine", "execute_spec", "resolve_n_jobs"]
 
@@ -55,31 +54,26 @@ class RunSpec:
     The policy is stored by *name* (plus keyword overrides for its
     constructor) rather than as an instance: policies accumulate run state,
     so shipping a fresh build recipe to each worker is both safer and
-    cheaper than pickling live objects.  The workload side is either a bare
-    ``setting`` name (paper arrivals, paper applications) or a ``scenario``
-    — a registered name or a :class:`~repro.workloads.scenarios.Scenario`
-    object — exactly one of the two must be given.
+    cheaper than pickling live objects.  The demand side is a ``scenario``:
+    a registered name or a :class:`~repro.workloads.scenarios.Scenario`
+    object.  Names are resolved against the global registry at construction
+    time and the resolved *object* is stored: scenarios are picklable by
+    design, so the spec carries the full demand bundle to workers — spawn
+    workers never consult their own (possibly empty) registry, and ad-hoc
+    unregistered scenarios work.  Anything else raises ``TypeError``.
     """
 
     policy: str
-    setting: str | WorkloadSetting | None = None
+    #: The scenario object; a registered name passed here is resolved to it.
+    scenario: Scenario
     config: ExperimentConfig = field(default_factory=ExperimentConfig)
     policy_overrides: Mapping[str, object] = field(default_factory=dict)
     #: Optional bookkeeping label (e.g. an ablation variant name).
     label: str | None = None
-    #: When True the run executes with a *streaming* workload (no request
-    #: list is materialised in the worker — arrivals are pulled lazily from
-    #: a RequestStream) and the result carries only the
-    #: :class:`RunSummary` (``metrics`` is ``None``): sweeps that read a few
-    #: summary scalars ship neither requests nor collectors over IPC.
+    #: When True the result carries only the :class:`RunSummary`
+    #: (``metrics`` is ``None``): sweeps that read a few summary scalars
+    #: ship no collectors over IPC, and the result store can serve the cell.
     summary_only: bool = False
-    #: A registered scenario name or a :class:`Scenario` object (mutually
-    #: exclusive with ``setting``).  Names are resolved against the global
-    #: registry at construction time and the resolved *object* is stored:
-    #: scenarios are picklable by design, so the spec carries the full
-    #: demand bundle to workers — spawn workers never consult their own
-    #: (possibly empty) registry, and ad-hoc unregistered scenarios work.
-    scenario: str | Scenario | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.policy, str):
@@ -87,35 +81,14 @@ class RunSpec:
                 "RunSpec.policy must be a policy name; pass constructor arguments "
                 f"via policy_overrides (got {type(self.policy).__name__})"
             )
-        if self.scenario is not None:
-            if self.setting is not None:
-                raise ValueError(
-                    "RunSpec takes a setting or a scenario, not both "
-                    f"(got setting={self.setting!r}, scenario={self.scenario!r})"
-                )
-            if isinstance(self.scenario, str):
-                # Resolve eagerly: a typo fails at spec construction in the
-                # parent process, and workers receive the resolved object.
-                object.__setattr__(self, "scenario", get_scenario(self.scenario))
-        elif self.setting is None:
-            raise ValueError("RunSpec needs a setting or a scenario")
-        elif isinstance(self.setting, str) and self.setting not in WORKLOAD_SETTINGS:
-            raise KeyError(
-                f"unknown workload setting {self.setting!r}; "
-                f"expected one of {', '.join(WORKLOAD_SETTINGS)}"
-            )
+        # Resolve eagerly: a typo fails at spec construction in the parent
+        # process, and workers receive the resolved object.
+        object.__setattr__(self, "scenario", resolve_scenario(self.scenario))
 
     @property
     def setting_name(self) -> str:
-        """Name of the workload setting this spec runs under."""
-        if self.scenario is not None:
-            return self.scenario.setting
-        return self.setting if isinstance(self.setting, str) else self.setting.name
-
-    @property
-    def workload_name(self) -> str:
-        """The scenario name when one is set, else the setting name."""
-        return self.scenario.name if self.scenario is not None else self.setting_name
+        """Name of the workload setting this spec's scenario runs under."""
+        return self.scenario.setting
 
     def build_policy(self) -> SchedulingPolicy:
         """Instantiate a fresh policy from the stored name and overrides."""
@@ -148,11 +121,7 @@ def execute_spec(spec: RunSpec) -> RunResult:
     """
     store = _profile_store_for(spec.config.space)
     result = run_experiment(
-        spec.build_policy(),
-        spec.setting,
-        config=spec.config,
-        profile_store=store,
-        scenario=spec.scenario,
+        spec.build_policy(), spec.scenario, config=spec.config, profile_store=store
     )
     if spec.summary_only:
         return RunResult(
@@ -281,10 +250,9 @@ class ExperimentEngine:
         return results  # type: ignore[return-value]  # every slot is filled
 
     def run_keyed(self, specs: Iterable[RunSpec]) -> dict[tuple[str, str], RunResult]:
-        """Execute ``specs``; key results by ``(workload_name, policy_name)``.
+        """Execute ``specs``; key results by ``(scenario_name, policy_name)``.
 
-        The workload name is the scenario name for scenario specs and the
-        setting name otherwise; the policy name is the *reported* one
+        The policy name is the *reported* one
         (``result.policy_name``), so overrides that rename a policy — e.g.
         ablation variants — key distinct cells.
 
@@ -296,19 +264,19 @@ class ExperimentEngine:
         checked by building the (cheap, unbound) policy objects up front.
         """
         spec_list = list(specs)
-        keys = [(spec.workload_name, spec.build_policy().name) for spec in spec_list]
+        keys = [(spec.scenario.name, spec.build_policy().name) for spec in spec_list]
         collisions = find_duplicates(keys)
         if collisions:
-            cells = ", ".join(f"({workload!r}, {policy!r})" for workload, policy in collisions)
+            cells = ", ".join(f"({scenario!r}, {policy!r})" for scenario, policy in collisions)
             raise ValueError(
                 "run_keyed would silently overwrite results for colliding "
                 f"cells: {cells}; give each variant a distinct reported name "
-                "via policy_overrides={'name': ...} (or distinct workloads)"
+                "via policy_overrides={'name': ...} (or distinct scenarios)"
             )
         results = self.run(spec_list)
         keyed: dict[tuple[str, str], RunResult] = {}
         for spec, result in zip(spec_list, results):
-            key = (spec.workload_name, result.policy_name)
+            key = (spec.scenario.name, result.policy_name)
             if key in keyed:
                 # Defensive: a policy whose reported name diverges from its
                 # construction-time name would bypass the pre-run check.

@@ -18,14 +18,17 @@ if TYPE_CHECKING:  # pragma: no cover - type-only
 from repro.experiments.engine import ExperimentEngine, RunSpec
 from repro.experiments.report import format_percent, format_table
 from repro.experiments.runner import ExperimentConfig
-from repro.workloads.generator import WORKLOAD_SETTINGS
+from repro.workloads.scenarios import PAPER_SCENARIOS, Scenario
 
 __all__ = ["MissRateRow", "run_table4", "render_table4"]
 
 
 @dataclass(frozen=True)
 class MissRateRow:
-    """Pre-planned configuration miss rate of one policy under one setting."""
+    """Pre-planned configuration miss rate of one policy under one setting.
+
+    ``setting`` is the name of the run scenario's workload setting.
+    """
 
     setting: str
     policy: str
@@ -42,7 +45,7 @@ class MissRateRow:
 
 def run_table4(
     policies: Iterable[str] = ("Orion", "Aquatope"),
-    settings: Iterable[str] = tuple(WORKLOAD_SETTINGS),
+    scenarios: Iterable[Scenario | str] = PAPER_SCENARIOS,
     *,
     config: ExperimentConfig | None = None,
     n_jobs: int | None = 1,
@@ -54,8 +57,8 @@ def run_table4(
     """
     config = config or ExperimentConfig()
     specs = [
-        RunSpec(policy=policy, setting=setting, config=config, summary_only=True)
-        for setting in settings
+        RunSpec(policy, scenario, config=config, summary_only=True)
+        for scenario in scenarios
         for policy in policies
     ]
     results = ExperimentEngine(n_jobs, store=store).run(specs)

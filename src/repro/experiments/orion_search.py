@@ -18,6 +18,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only
 from repro.experiments.engine import ExperimentEngine, RunSpec
 from repro.experiments.report import format_percent, format_table
 from repro.experiments.runner import ExperimentConfig
+from repro.workloads.scenarios import Scenario
 
 __all__ = ["OrionSearchPoint", "run_figure9", "render_figure9", "DEFAULT_CUTOFFS_MS"]
 
@@ -39,7 +40,7 @@ class OrionSearchPoint:
 def run_figure9(
     cutoffs_ms: Sequence[float] = DEFAULT_CUTOFFS_MS,
     *,
-    setting: str = "strict-light",
+    scenario: Scenario | str = "paper-strict-light",
     config: ExperimentConfig | None = None,
     n_jobs: int | None = 1,
     store: "ResultStore | str | None" = None,
@@ -56,8 +57,8 @@ def run_figure9(
     ]
     specs = [
         RunSpec(
-            policy="Orion",
-            setting=setting,
+            "Orion",
+            scenario,
             config=config,
             policy_overrides={"cutoff_ms": cutoff, "count_search_overhead": count_overhead},
             summary_only=True,

@@ -22,7 +22,7 @@ from repro.experiments.runner import ExperimentConfig, build_profile_store
 from repro.profiles.configuration import ConfigurationSpace
 from repro.utils.stats import SummaryStats, summarize
 from repro.workloads.applications import expanded_image_classification
-from repro.workloads.generator import WORKLOAD_SETTINGS
+from repro.workloads.scenarios import PAPER_SCENARIOS, Scenario
 
 __all__ = [
     "OverheadDistribution",
@@ -53,14 +53,16 @@ class OverheadDistribution:
 
 
 def run_figure10(
-    settings: Iterable[str] = tuple(WORKLOAD_SETTINGS),
+    scenarios: Iterable[Scenario | str] = PAPER_SCENARIOS,
     *,
     config: ExperimentConfig | None = None,
     group_size: int = 3,
     n_jobs: int | None = 1,
     store: "ResultStore | str | None" = None,
 ) -> list[OverheadDistribution]:
-    """Measure ESG's scheduling overhead distribution per setting.
+    """Measure ESG's scheduling overhead distribution per scenario.
+
+    Each distribution is labelled with its scenario's setting name.
 
     The distribution needs every raw overhead sample, so these cells always
     execute (the summary cache cannot serve them); with a ``store`` they
@@ -68,13 +70,8 @@ def run_figure10(
     """
     config = config or ExperimentConfig()
     specs = [
-        RunSpec(
-            policy="ESG",
-            setting=setting,
-            config=config,
-            policy_overrides={"group_size": group_size},
-        )
-        for setting in settings
+        RunSpec("ESG", scenario, config=config, policy_overrides={"group_size": group_size})
+        for scenario in scenarios
     ]
     results = ExperimentEngine(n_jobs, store=store).run(specs)
     return [

@@ -1,16 +1,19 @@
-"""Shared experiment runner: build workloads, run one (policy, setting) pair.
+"""Shared experiment runner: run one (policy, scenario) pair, or a matrix.
 
 All figure/table modules build on :func:`run_experiment` /
 :func:`run_matrix`, which guarantee that every policy sees exactly the same
 workload (same seed, same arrival times, same application picks) and the
 same platform configuration — the paper's "the only difference is the
-scheduling algorithm" methodology.
+scheduling algorithm" methodology.  A run's demand side is always a
+:class:`~repro.workloads.scenarios.Scenario` (a registered name or an
+object); the paper's three settings are the scenarios in
+:data:`~repro.workloads.scenarios.PAPER_SCENARIOS`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - engine/store build on this module
     from repro.experiments.store import ResultStore
@@ -29,27 +32,30 @@ from repro.cluster.simulator import Simulation, SimulationConfig
 from repro.core.esg import ESGPolicy
 from repro.profiles.configuration import ConfigurationSpace
 from repro.profiles.profiler import ProfileStore
-from repro.utils.rng import derive_rng
-from repro.utils.validation import ensure_positive
-from repro.workloads.applications import build_paper_applications
-from repro.workloads.generator import WORKLOAD_SETTINGS, WorkloadGenerator, WorkloadSetting
+from repro.utils.validation import (
+    ensure_non_negative,
+    ensure_non_negative_int,
+    ensure_number,
+    ensure_positive,
+    ensure_positive_int,
+)
+from repro.workloads.generator import WorkloadSetting
 from repro.workloads.request import Request
-from repro.workloads.scenarios import Scenario, get_scenario
+from repro.workloads.scenarios import PAPER_SCENARIOS, Scenario, resolve_scenario
 from repro.workloads.stream import RequestStream
 
 __all__ = [
     "DEFAULT_POLICIES",
     "EXPERIMENT_SPACE",
+    "POLICY_ALIASES",
+    "POLICY_CLASSES",
     "ExperimentConfig",
     "RunResult",
     "build_profile_store",
-    "build_request_stream",
-    "build_requests",
+    "canonical_policy_key",
     "make_policy",
     "run_experiment",
     "run_matrix",
-    "run_scenario_matrix",
-    "run_setting",
 ]
 
 #: Policy names in the order the paper's figures list them.
@@ -82,7 +88,6 @@ class ExperimentConfig:
     controller: ControllerConfig = field(
         default_factory=lambda: ControllerConfig(initial_warm="all")
     )
-    burstiness: float = 0.0
     #: Simulated-time hard stop; inf (default) = run until the event queue
     #: drains.  A scenario's ``horizon_ms`` applies when this is left at inf.
     max_time_ms: float = float("inf")
@@ -111,6 +116,10 @@ class ExperimentConfig:
     autoscale: "AutoscaleSpec | str | None" = None
 
     def __post_init__(self) -> None:
+        ensure_positive_int(self.num_requests, "num_requests")
+        ensure_non_negative_int(self.seed, "seed")
+        ensure_number(self.noise_sigma, "noise_sigma")
+        ensure_non_negative(self.noise_sigma, "noise_sigma")
         if self.workload_mode == "materialized":
             raise ValueError(
                 "workload mode 'materialized' was removed; the simulator always "
@@ -137,8 +146,8 @@ class RunResult:
     #: The run's collector; ``None`` for ``summary_only`` engine results
     #: and store hits (only the summary is kept).
     metrics: MetricsCollector | None
-    #: Name of the scenario the run was built from, when one was used.
-    scenario_name: str | None = None
+    #: Name of the scenario the run drew its demand from.
+    scenario_name: str
 
     @property
     def slo_hit_rate(self) -> float:
@@ -159,50 +168,38 @@ def build_profile_store(space: ConfigurationSpace | None = None) -> ProfileStore
     return ProfileStore.build(space=space or EXPERIMENT_SPACE)
 
 
-def _build_generator(
-    setting: WorkloadSetting | str,
-    seed: int,
-    profile_store: ProfileStore,
-    burstiness: float,
-) -> WorkloadGenerator:
-    if isinstance(setting, str):
-        setting = WORKLOAD_SETTINGS[setting]
-    return WorkloadGenerator(
-        applications=build_paper_applications(),
-        setting=setting,
-        profile_store=profile_store,
-        rng=derive_rng(seed, "workload", setting.name),
-        burstiness=burstiness,
-    )
+#: Policy classes by canonical key.
+POLICY_CLASSES: dict[str, type[SchedulingPolicy]] = {
+    "esg": ESGPolicy,
+    "infless": INFlessPolicy,
+    "fast-gshare": FaSTGSharePolicy,
+    "orion": OrionPolicy,
+    "aquatope": AquatopePolicy,
+}
+
+#: Other accepted spellings of a canonical key (matched after
+#: :func:`canonical_policy_key`'s normalisation).  :func:`make_policy` and
+#: the result store both read this one table, so an alias builds its class
+#: and addresses that class's cache cells.
+POLICY_ALIASES: dict[str, str] = {
+    "fastgshare": "fast-gshare",
+    "fast gshare": "fast-gshare",
+    "best-first": "orion",
+    "bfs": "orion",
+    "bo": "aquatope",
+}
 
 
-def build_requests(
-    setting: WorkloadSetting | str,
-    num_requests: int,
-    seed: int,
-    profile_store: ProfileStore,
-    *,
-    burstiness: float = 0.0,
-) -> list[Request]:
-    """Generate the request stream for one workload setting.
+def canonical_policy_key(name: str) -> str:
+    """The canonical key of a policy name (case-insensitive, ``_`` as ``-``).
 
-    The random stream depends only on ``seed`` and the setting name, so
-    every policy evaluated under the same (setting, seed) sees the same
-    arrivals and application mix.
+    ``"ESG"``, ``"esg"`` and ``"Orion"``/``"bfs"`` build the same policy
+    classes, so they must address the same cache cells.  Unknown names pass
+    through normalised: key computation is never stricter than execution
+    (:func:`make_policy` reports the unknown-policy error).
     """
-    return _build_generator(setting, seed, profile_store, burstiness).generate(num_requests)
-
-
-def build_request_stream(
-    setting: WorkloadSetting | str,
-    num_requests: int,
-    seed: int,
-    profile_store: ProfileStore,
-    *,
-    burstiness: float = 0.0,
-) -> RequestStream:
-    """Lazy counterpart of :func:`build_requests` (byte-identical requests)."""
-    return _build_generator(setting, seed, profile_store, burstiness).stream(num_requests)
+    key = name.strip().lower().replace("_", "-")
+    return POLICY_ALIASES.get(key, key)
 
 
 def make_policy(name: str, /, **overrides) -> SchedulingPolicy:
@@ -212,20 +209,12 @@ def make_policy(name: str, /, **overrides) -> SchedulingPolicy:
     constructors' display-name parameter, used by the ablation variants) can
     be forwarded alongside it.
     """
-    key = name.strip().lower().replace("_", "-")
-    if key in ("esg",):
-        return ESGPolicy(**overrides)
-    if key in ("infless",):
-        return INFlessPolicy(**overrides)
-    if key in ("fast-gshare", "fastgshare", "fast gshare"):
-        return FaSTGSharePolicy(**overrides)
-    if key in ("orion", "best-first", "bfs"):
-        return OrionPolicy(**overrides)
-    if key in ("aquatope", "bo"):
-        return AquatopePolicy(**overrides)
-    raise ValueError(
-        f"unknown policy {name!r}; expected one of {', '.join(DEFAULT_POLICIES)}"
-    )
+    cls = POLICY_CLASSES.get(canonical_policy_key(name))
+    if cls is None:
+        raise ValueError(
+            f"unknown policy {name!r}; expected one of {', '.join(DEFAULT_POLICIES)}"
+        )
+    return cls(**overrides)
 
 
 # ----------------------------------------------------------------------
@@ -233,20 +222,18 @@ def make_policy(name: str, /, **overrides) -> SchedulingPolicy:
 # ----------------------------------------------------------------------
 def run_experiment(
     policy: SchedulingPolicy | str,
-    setting: WorkloadSetting | str | None = None,
+    scenario: Scenario | str,
     *,
     config: ExperimentConfig | None = None,
     profile_store: ProfileStore | None = None,
     requests: Sequence[Request] | None = None,
-    scenario: Scenario | str | None = None,
 ) -> RunResult:
-    """Run one policy under one workload setting and return the full result.
+    """Run one policy on one scenario and return the full result.
 
-    ``scenario`` (a name or a :class:`~repro.workloads.scenarios.Scenario`)
-    replaces the ``setting`` argument with a complete demand bundle:
-    applications x setting x arrival process x horizon.  A paper-default
-    scenario (``paper-<setting>``) produces byte-identical results to
-    passing the bare setting.
+    ``scenario`` (a registered name or a
+    :class:`~repro.workloads.scenarios.Scenario`) is the run's complete
+    demand bundle: applications x setting x arrival process x horizon, plus
+    any pinned topology, churn or autoscale recipe.
 
     The workload is built as a lazy
     :class:`~repro.workloads.stream.RequestStream` the simulator pulls on
@@ -255,28 +242,14 @@ def run_experiment(
     order).
     """
     config = config or ExperimentConfig()
-    if scenario is not None:
-        if isinstance(scenario, str):
-            scenario = get_scenario(scenario)
-        if setting is not None:
-            given = setting if isinstance(setting, str) else setting.name
-            if given != scenario.setting:
-                raise ValueError(
-                    f"setting {given!r} conflicts with scenario "
-                    f"{scenario.name!r} (setting {scenario.setting!r}); "
-                    f"pass only one of the two"
-                )
-        setting = scenario.setting_obj
-    elif setting is None:
-        raise TypeError("run_experiment needs a setting or a scenario")
-    if isinstance(setting, str):
-        setting = WORKLOAD_SETTINGS[setting]
+    scenario = resolve_scenario(scenario)
+    setting = scenario.setting_obj
     if isinstance(policy, str):
         policy = make_policy(policy)
     if profile_store is None:
         profile_store = build_profile_store(config.space)
     max_time_ms = config.max_time_ms
-    if scenario is not None and scenario.horizon_ms is not None and max_time_ms == float("inf"):
+    if scenario.horizon_ms is not None and max_time_ms == float("inf"):
         max_time_ms = scenario.horizon_ms
     cluster_config = config.cluster
     default_cluster = ClusterConfig()
@@ -285,12 +258,7 @@ def run_experiment(
         and cluster_config.vcpus_per_invoker == default_cluster.vcpus_per_invoker
         and cluster_config.vgpus_per_invoker == default_cluster.vgpus_per_invoker
     )
-    if (
-        scenario is not None
-        and scenario.topology is not None
-        and not config.cluster_pinned
-        and shape_is_default
-    ):
+    if scenario.topology is not None and not config.cluster_pinned and shape_is_default:
         # Scenario-pinned cluster shape, applied when the experiment config
         # leaves the cluster *shape* at the paper default (mirrors
         # horizon_ms).  keep_alive_ms is an orthogonal knob and carries
@@ -304,34 +272,19 @@ def run_experiment(
             else cluster_config.keep_alive_ms
         )
         cluster_config = replace(topology.to_cluster_config(), keep_alive_ms=keep_alive_ms)
-    churn = config.churn
-    if churn is None and scenario is not None:
-        churn = scenario.churn
+    churn = config.churn if config.churn is not None else scenario.churn
     # Specs/names expand into a concrete schedule with this run's seed and
     # the *resolved* cluster config (a scenario-pinned topology changes the
     # invoker count the schedule draws targets from).
     churn_schedule = resolve_churn(churn, config.seed, cluster_config)
-    autoscale = config.autoscale
-    if autoscale is None and scenario is not None:
-        autoscale = scenario.autoscale
+    autoscale = config.autoscale if config.autoscale is not None else scenario.autoscale
     autoscale_spec = resolve_autoscale(autoscale)
     workload: Sequence[Request] | RequestStream
     if requests is not None:
         workload = requests
-    elif scenario is not None:
-        workload = scenario.build_stream(
-            scenario.num_requests or config.num_requests,
-            config.seed,
-            profile_store,
-            burstiness=config.burstiness,
-        )
     else:
-        workload = build_request_stream(
-            setting,
-            config.num_requests,
-            config.seed,
-            profile_store,
-            burstiness=config.burstiness,
+        workload = scenario.build_stream(
+            scenario.num_requests or config.num_requests, config.seed, profile_store
         )
 
     simulation = Simulation(
@@ -360,40 +313,30 @@ def run_experiment(
         setting=setting,
         summary=summary,
         metrics=simulation.metrics,
-        scenario_name=scenario.name if scenario is not None else None,
+        scenario_name=scenario.name,
     )
-
-
-def run_setting(
-    policy_name: str,
-    setting_name: str,
-    *,
-    num_requests: int = 120,
-    seed: int = 42,
-    **config_overrides,
-) -> RunSummary:
-    """Convenience wrapper returning only the :class:`RunSummary`."""
-    config = ExperimentConfig(num_requests=num_requests, seed=seed).with_overrides(
-        **config_overrides
-    )
-    return run_experiment(policy_name, setting_name, config=config).summary
 
 
 def run_matrix(
+    scenarios: Iterable[Scenario | str] = PAPER_SCENARIOS,
     policies: Iterable[str] = DEFAULT_POLICIES,
-    settings: Iterable[WorkloadSetting | str] = tuple(WORKLOAD_SETTINGS),
     *,
     config: ExperimentConfig | None = None,
     n_jobs: int | None = 1,
     store: "ResultStore | str | None" = None,
     summary_only: bool = False,
 ) -> dict[tuple[str, str], RunResult]:
-    """Run every (setting, policy) pair on identical workloads.
+    """Run every (scenario, policy) pair on identical workloads.
 
-    Returns a mapping keyed by ``(setting_name, policy_name)``.  Requests are
-    regenerated per policy from the same seed (each request object carries
-    mutable runtime state, so they cannot be shared across runs) — the
-    arrival times and application picks are identical.
+    Returns a mapping keyed by ``(scenario_name, policy_name)``, scenarios
+    outermost.  Each cell's workload is the scenario's full demand bundle,
+    identical for every policy in the row: requests are regenerated per
+    policy from the same seed (each request object carries mutable runtime
+    state, so they cannot be shared across runs).  Scenarios may be
+    registered names or ad-hoc (even unregistered)
+    :class:`~repro.workloads.scenarios.Scenario` objects; either way the
+    resolved object travels inside the spec, so worker processes never
+    depend on registry state.
 
     Policies are given by name (a live object raises ``TypeError``; vary a
     policy's constructor through :class:`repro.experiments.engine.RunSpec`
@@ -416,61 +359,9 @@ def run_matrix(
     config = config or ExperimentConfig()
     policy_list = list(policies)
     specs = [
-        RunSpec(policy=policy, setting=setting, config=config, summary_only=summary_only)
-        for setting in settings
+        RunSpec(policy, scenario, config=config, summary_only=summary_only)
+        for scenario in scenarios
         for policy in policy_list
     ]
     return ExperimentEngine(n_jobs, store=store).run_keyed(specs)
 
-
-def run_scenario_matrix(
-    scenarios: Iterable[Scenario | str],
-    policies: Iterable[str] = DEFAULT_POLICIES,
-    *,
-    config: ExperimentConfig | None = None,
-    n_jobs: int | None = 1,
-    summary_only: bool = False,
-    store: "ResultStore | str | None" = None,
-) -> dict[tuple[str, str], RunResult]:
-    """Run every (scenario, policy) pair; key results by those names.
-
-    The scenario axis generalises :func:`run_matrix`'s setting axis: each
-    cell's workload is the scenario's full demand bundle (applications x
-    setting x arrival process x horizon), identical for every policy in the
-    row.  Scenarios may be registered names or ad-hoc (even unregistered)
-    :class:`~repro.workloads.scenarios.Scenario` objects; either way the
-    resolved object travels inside the spec, so worker processes never
-    depend on registry state.  Parallelism and determinism follow the
-    engine's rules — results are byte-identical for any ``n_jobs``.
-    ``store`` adds incremental re-runs (see :func:`run_matrix`): with
-    ``summary_only=True`` a repeat matrix over an unchanged grid executes
-    zero simulations.
-    """
-    from repro.experiments.engine import ExperimentEngine, RunSpec
-
-    config = config or ExperimentConfig()
-    scenario_list = list(scenarios)
-    policy_list = list(policies)
-    specs = [
-        RunSpec(
-            policy=policy, scenario=scenario, config=config, summary_only=summary_only
-        )
-        for scenario in scenario_list
-        for policy in policy_list
-    ]
-    return ExperimentEngine(n_jobs, store=store).run_keyed(specs)
-
-
-# Mapping helpers used by several figure modules -------------------------------
-def summaries_by_policy(
-    results: Mapping[tuple[str, str], RunResult], setting_name: str
-) -> dict[str, RunSummary]:
-    """Extract ``policy -> summary`` for one setting from a matrix result."""
-    return {
-        policy: result.summary
-        for (setting, policy), result in results.items()
-        if setting == setting_name
-    }
-
-
-__all__.append("summaries_by_policy")

@@ -20,7 +20,7 @@ from repro.experiments.runner import (
     DEFAULT_POLICIES,
     ExperimentConfig,
     RunResult,
-    run_scenario_matrix,
+    run_matrix,
 )
 from repro.workloads.scenarios import SCENARIOS, Scenario, ScenarioRegistry
 
@@ -61,7 +61,7 @@ def run_scenario_sweep(
     """
     if scenarios is None:
         scenarios = SCENARIOS.names()
-    return run_scenario_matrix(
+    return run_matrix(
         scenarios,
         policies,
         config=config,

@@ -25,6 +25,7 @@ from repro.experiments.report import format_percent, format_table
 from repro.experiments.runner import ExperimentConfig, build_profile_store
 from repro.profiles.configuration import ConfigurationSpace
 from repro.workloads.applications import expanded_image_classification
+from repro.workloads.scenarios import Scenario
 
 __all__ = [
     "KSensitivityPoint",
@@ -55,7 +56,7 @@ class KSensitivityPoint:
 def run_figure11(
     k_values: Sequence[int] = DEFAULT_K_VALUES,
     *,
-    setting: str = "strict-light",
+    scenario: Scenario | str = "paper-strict-light",
     config: ExperimentConfig | None = None,
     n_jobs: int | None = 1,
     store: "ResultStore | str | None" = None,
@@ -67,8 +68,8 @@ def run_figure11(
     config = config or ExperimentConfig()
     specs = [
         RunSpec(
-            policy="ESG",
-            setting=setting,
+            "ESG",
+            scenario,
             config=config,
             policy_overrides={"k": k},
             summary_only=True,

@@ -1,10 +1,10 @@
 """Content-addressed result store: cache RunSummaries by spec identity.
 
 Every run in this repository is a pure function of its
-:class:`~repro.experiments.engine.RunSpec`: the policy recipe, the demand
-side (setting or scenario), the seed and the platform configuration fully
+:class:`~repro.experiments.engine.RunSpec`: the policy recipe, the
+scenario, the seed and the platform configuration fully
 determine the :class:`~repro.cluster.metrics.RunSummary` (the tier-1 parity
-suites pin this across processes and workload modes, and the golden corpus
+suites pin this across processes and worker counts, and the golden corpus
 pins the summaries themselves).  Re-simulating an identical cell is therefore pure
 waste — exactly the cell production experiment managers cache.
 
@@ -12,12 +12,11 @@ A :class:`ResultStore` keys each run by a **stable content hash** of the
 spec's code-relevant fields:
 
 * the canonical policy identity plus its constructor overrides,
-* the workload setting *or* the full scenario bundle (arrival process,
-  application mix, stream label, pinned topology, churn recipe, horizon),
+* the full scenario bundle (setting, arrival process, application mix,
+  stream label, pinned topology, churn recipe, autoscale recipe, horizon),
 * every :class:`~repro.experiments.runner.ExperimentConfig` knob that can
   change the simulated outcome — seed, request count, noise, configuration
-  space, cluster shape, controller, burstiness, horizon, churn, autoscale,
-  and the workload mode,
+  space, cluster shape, controller, horizon, churn and autoscale,
 * the store schema version (bumping it invalidates every older entry).
 
 Presentation-only fields are explicitly **excluded**: a spec's ``label``,
@@ -59,7 +58,7 @@ from typing import TYPE_CHECKING, Iterator, Mapping
 import numpy as np
 
 from repro.cluster.metrics import RunSummary
-from repro.workloads.generator import WORKLOAD_SETTINGS
+from repro.experiments.runner import canonical_policy_key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
     from repro.experiments.engine import RunSpec
@@ -83,7 +82,9 @@ __all__ = [
 #: v5: the workload mode left the key document.
 #: v6: the controller's ``count_overhead_in_latency`` and ``prewarm_enabled``
 #: fields left the key document (overhead is always modeled and charged).
-STORE_SCHEMA_VERSION = 6
+#: v7: the workload is always a scenario (no bare-setting documents), and
+#: the config's ``burstiness`` left the key document.
+STORE_SCHEMA_VERSION = 7
 
 #: The payload kind the store holds today: a bare :class:`RunSummary`.
 SUMMARY_KIND = "summary"
@@ -94,34 +95,6 @@ _PRESENTATION_FIELDS: dict[str, frozenset[str]] = {
     "repro.workloads.scenarios.Scenario": frozenset({"description"}),
     "repro.cluster.topology.ClusterTopology": frozenset({"description"}),
 }
-
-#: Alias table mirroring :func:`~repro.experiments.runner.make_policy`: every
-#: spelling that builds the same policy class hashes to the same key.
-_POLICY_ALIASES: dict[str, str] = {
-    "esg": "esg",
-    "infless": "infless",
-    "fast-gshare": "fast-gshare",
-    "fastgshare": "fast-gshare",
-    "fast gshare": "fast-gshare",
-    "orion": "orion",
-    "best-first": "orion",
-    "bfs": "orion",
-    "aquatope": "aquatope",
-    "bo": "aquatope",
-}
-
-
-def canonical_policy_key(name: str) -> str:
-    """Normalise a policy name exactly like ``make_policy``'s lookup.
-
-    ``"ESG"``, ``"esg"`` and ``"Orion"``/``"bfs"`` build the same policy
-    classes, so they must address the same cache cells.  Unknown names pass
-    through normalised — key computation must never be stricter than
-    execution (the engine reports the unknown-policy error, not the store).
-    """
-    key = name.strip().lower().replace("_", "-")
-    return _POLICY_ALIASES.get(key, key)
-
 
 # ----------------------------------------------------------------------
 # Canonicalisation
@@ -191,20 +164,11 @@ def spec_key_doc(spec: "RunSpec") -> dict[str, object]:
     if isinstance(autoscale, str):
         # A name and its resolved spec describe the same controller.
         autoscale = get_autoscale_spec(autoscale)
-    workload: dict[str, object]
-    if spec.scenario is not None:
-        workload = {"scenario": _canonical(spec.scenario)}
-    else:
-        setting = spec.setting
-        if isinstance(setting, str):
-            # A registered name and its resolved object address one cell.
-            setting = WORKLOAD_SETTINGS[setting]
-        workload = {"setting": _canonical(setting)}
     return {
         "schema": STORE_SCHEMA_VERSION,
         "policy": canonical_policy_key(spec.policy),
         "policy_overrides": _canonical(dict(spec.policy_overrides)),
-        "workload": workload,
+        "workload": {"scenario": _canonical(spec.scenario)},
         "config": {
             "num_requests": config.num_requests,
             "seed": config.seed,
@@ -213,7 +177,6 @@ def spec_key_doc(spec: "RunSpec") -> dict[str, object]:
             "cluster": _canonical(config.cluster),
             "cluster_pinned": config.cluster_pinned,
             "controller": _canonical(config.controller),
-            "burstiness": config.burstiness,
             "max_time_ms": config.max_time_ms,
             "churn": _canonical(churn),
             "autoscale": _canonical(autoscale),
@@ -353,22 +316,12 @@ class ResultStore:
         summary = self.get_summary(spec)
         if summary is None:
             return None
-        if spec.scenario is not None:
-            setting = spec.scenario.setting_obj
-            scenario_name = spec.scenario.name
-        else:
-            setting = (
-                WORKLOAD_SETTINGS[spec.setting]
-                if isinstance(spec.setting, str)
-                else spec.setting
-            )
-            scenario_name = None
         return RunResult(
             policy_name=summary.policy,
-            setting=setting,
+            setting=spec.scenario.setting_obj,
             summary=summary,
             metrics=None,
-            scenario_name=scenario_name,
+            scenario_name=spec.scenario.name,
         )
 
     # -- writes --------------------------------------------------------

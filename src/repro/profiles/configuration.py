@@ -18,7 +18,7 @@ and is shared by the ESG search, the baselines and the profiler.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.utils.validation import ensure_positive_int
 

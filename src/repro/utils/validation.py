@@ -10,6 +10,7 @@ __all__ = [
     "ensure_positive",
     "ensure_positive_int",
     "ensure_non_negative",
+    "ensure_non_negative_int",
     "ensure_in_range",
     "find_duplicates",
 ]
@@ -59,6 +60,15 @@ def ensure_non_negative(value: float, name: str) -> float:
     if not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
     return float(value)
+
+
+def ensure_non_negative_int(value: int, name: str) -> int:
+    """Return ``value`` if it is an integer >= 0 (a bool is refused)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {value!r} ({type(value).__name__})")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
 
 
 def ensure_in_range(value: float, low: float, high: float, name: str) -> float:

@@ -57,6 +57,7 @@ from repro.workloads.stream import (
     RequestStream,
 )
 from repro.workloads.scenarios import (
+    PAPER_SCENARIOS,
     SCENARIOS,
     Scenario,
     ScenarioRegistry,
@@ -99,6 +100,7 @@ __all__ = [
     "MODERATE_NORMAL",
     "RELAXED_HEAVY",
     "WORKLOAD_SETTINGS",
+    "PAPER_SCENARIOS",
     "Scenario",
     "ScenarioRegistry",
     "SCENARIOS",

@@ -125,11 +125,10 @@ class ArrivalProcess(ABC):
 class AzureIntervalProcess(ArrivalProcess):
     """The paper's arrival model: uniform Azure-derived interval sampling.
 
-    This is the default process everywhere; with ``burstiness=0`` its draws
-    are byte-identical to the pre-scenario code path (it delegates to
-    :func:`repro.workloads.traces.generate_intervals` on the same RNG
-    stream), which is what keeps the paper-default scenarios reproducing
-    the exact historical :class:`~repro.cluster.metrics.RunSummary` output.
+    This is the default process everywhere (it delegates to
+    :func:`repro.workloads.traces.generate_intervals`).  ``burstiness > 0``
+    adds the batch-scale rate drift: a scenario that wants it passes this
+    process as its ``arrival``.
     """
 
     interval_range: ArrivalIntervalRange

@@ -19,7 +19,7 @@ The *timing* of arrivals is pluggable: pass any
 :class:`~repro.workloads.arrival.ArrivalProcess` as ``arrival`` to replace
 the paper's uniform Azure-interval sampling with Poisson, bursty on/off,
 diurnal or trace-replay demand (leaving it ``None`` keeps the paper's
-process, byte-identical to the historical output).
+process).
 
 Examples
 --------
@@ -106,23 +106,20 @@ class WorkloadGenerator:
         ``L`` from which its SLO is derived.
     rng:
         Random generator for arrival intervals and application choice.
-    burstiness:
-        Passed through to the default interval generator (0.0 = the paper's
-        uniform sampling).  Ignored when ``arrival`` is given.
     app_weights:
         Optional non-uniform application mix (defaults to uniform).
     arrival:
         Optional :class:`~repro.workloads.arrival.ArrivalProcess` replacing
         the paper's uniform Azure-interval sampling.  ``None`` (default)
         uses :class:`~repro.workloads.arrival.AzureIntervalProcess` over the
-        setting's interval range — byte-identical to the pre-scenario code.
+        setting's interval range (pass one with ``burstiness > 0`` for the
+        batch-scale rate drift).
     """
 
     applications: Sequence[Workflow]
     setting: WorkloadSetting
     profile_store: ProfileStore
     rng: np.random.Generator
-    burstiness: float = 0.0
     app_weights: Sequence[float] | None = None
     arrival: ArrivalProcess | None = None
     _base_latency_cache: dict[str, float] = field(default_factory=dict, repr=False)
@@ -164,7 +161,7 @@ class WorkloadGenerator:
         """The effective arrival process (paper-default when none was given)."""
         if self.arrival is not None:
             return self.arrival
-        return AzureIntervalProcess(self.setting.intervals, burstiness=self.burstiness)
+        return AzureIntervalProcess(self.setting.intervals)
 
     def stream(self, num_requests: int, *, start_ms: float = 0.0) -> CountRequestStream:
         """Lazy stream of ``num_requests`` requests.

@@ -11,9 +11,9 @@ Determinism contract: a scenario's request stream is a pure function of
 ``(scenario, seed)``.  All randomness flows through one
 :func:`~repro.utils.rng.derive_rng` stream labelled by the scenario's
 ``stream`` name, so ``n_jobs=4`` workers reproduce ``n_jobs=1`` runs
-byte-for-byte.  The three ``paper-*`` scenarios pin ``stream`` to the
-workload-setting name and use the default Azure arrival process, which
-makes their output byte-identical to the pre-scenario code path.
+byte-for-byte.  The three ``paper-*`` scenarios (:data:`PAPER_SCENARIOS`)
+pin ``stream`` to the workload-setting name and use the default Azure
+arrival process, the request streams of the paper's Section 4.1.
 
 Examples
 --------
@@ -32,6 +32,7 @@ ValueError: scenario 'bursty-onoff-heavy' is already registered; pass replace=Tr
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
@@ -43,7 +44,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
 
 from repro.profiles.profiler import ProfileStore
 from repro.utils.rng import derive_rng
-from repro.workloads.applications import build_application, build_paper_applications
+from repro.utils.validation import ensure_number, ensure_positive, ensure_positive_int
+from repro.workloads.applications import (
+    APPLICATION_BUILDERS,
+    build_application,
+    build_paper_applications,
+)
 from repro.workloads.arrival import (
     ArrivalProcess,
     DiurnalProcess,
@@ -62,14 +68,20 @@ from repro.workloads.stream import RequestStream
 from repro.workloads.traces import HEAVY_INTERVALS, LIGHT_INTERVALS, NORMAL_INTERVALS
 
 __all__ = [
+    "PAPER_SCENARIOS",
     "Scenario",
     "ScenarioRegistry",
     "SCENARIOS",
     "register_scenario",
     "get_scenario",
     "scenario_names",
+    "resolve_scenario",
     "SAMPLE_TRACE_PATH",
 ]
+
+#: The paper's three evaluation situations (Section 4.1), one registered
+#: scenario per workload setting, in the order the figures list them.
+PAPER_SCENARIOS: tuple[str, ...] = tuple(f"paper-{setting}" for setting in WORKLOAD_SETTINGS)
 
 #: Bundled miniature Azure-style trace used by the trace-replay scenario.
 SAMPLE_TRACE_PATH = Path(__file__).parent / "data" / "azure_sample_trace.csv"
@@ -102,8 +114,7 @@ class Scenario:
         ``truncated`` in their :class:`~repro.cluster.metrics.RunSummary`.
     stream:
         RNG-stream label; defaults to the scenario name.  The ``paper-*``
-        scenarios pin it to the setting name for byte-identity with the
-        pre-scenario request builder.
+        scenarios pin it to the setting name.
     topology:
         Optional cluster shape — a registered
         :class:`~repro.cluster.topology.ClusterTopology` name or object.
@@ -170,26 +181,43 @@ class Scenario:
                 f"unknown workload setting {self.setting!r}; "
                 f"expected one of {', '.join(WORKLOAD_SETTINGS)}"
             )
-        if self.applications is not None and len(self.applications) == 0:
-            raise ValueError("applications must be None (paper apps) or non-empty")
+        # Every check below fails here, at registration or spec
+        # construction in the parent process, rather than when a run
+        # (possibly inside a worker) builds the workload.
+        if self.applications is not None:
+            if not isinstance(self.applications, tuple):
+                raise TypeError(
+                    "applications must be a tuple of application names, got "
+                    f"{self.applications!r} ({type(self.applications).__name__})"
+                )
+            if len(self.applications) == 0:
+                raise ValueError("applications must be None (paper apps) or non-empty")
+            for name in self.applications:
+                if name not in APPLICATION_BUILDERS:
+                    raise KeyError(
+                        f"applications: unknown application {name!r}; registered: "
+                        f"{', '.join(sorted(APPLICATION_BUILDERS))}"
+                    )
         if self.app_weights is not None:
-            # Mirror WorkloadGenerator's checks so a malformed scenario fails
-            # here, at registration/spec construction in the parent process,
-            # not at generation time inside a worker.
             num_apps = 4 if self.applications is None else len(self.applications)
             if len(self.app_weights) != num_apps:
                 raise ValueError(
                     "app_weights must have one weight per application "
                     f"({len(self.app_weights)} != {num_apps})"
                 )
-            if any(w < 0 for w in self.app_weights):
-                raise ValueError("app_weights must be non-negative")
+            for weight in self.app_weights:
+                ensure_number(weight, "app_weights")
+                if not (math.isfinite(weight) and weight >= 0):
+                    raise ValueError(
+                        f"app_weights must be finite and non-negative, got {weight!r}"
+                    )
             if sum(self.app_weights) <= 0:
                 raise ValueError("app_weights must not all be zero")
-        if self.num_requests is not None and self.num_requests <= 0:
-            raise ValueError(f"num_requests must be > 0, got {self.num_requests}")
-        if self.horizon_ms is not None and self.horizon_ms <= 0:
-            raise ValueError(f"horizon_ms must be > 0, got {self.horizon_ms}")
+        if self.num_requests is not None:
+            ensure_positive_int(self.num_requests, "num_requests")
+        if self.horizon_ms is not None:
+            ensure_number(self.horizon_ms, "horizon_ms")
+            ensure_positive(self.horizon_ms, "horizon_ms")
 
     # ------------------------------------------------------------------
     # Derived views
@@ -224,43 +252,25 @@ class Scenario:
             return build_paper_applications()
         return [build_application(name) for name in self.applications]
 
-    def build_generator(
-        self,
-        profile_store: ProfileStore,
-        seed: int,
-        *,
-        burstiness: float = 0.0,
-    ) -> WorkloadGenerator:
+    def build_generator(self, profile_store: ProfileStore, seed: int) -> WorkloadGenerator:
         """Build the workload generator with the scenario's derived RNG stream."""
         return WorkloadGenerator(
             applications=self.build_applications(),
             setting=self.setting_obj,
             profile_store=profile_store,
             rng=derive_rng(seed, "workload", self.stream_label),
-            burstiness=burstiness,
             app_weights=self.app_weights,
             arrival=self.arrival,
         )
 
     def build_requests(
-        self,
-        num_requests: int,
-        seed: int,
-        profile_store: ProfileStore,
-        *,
-        burstiness: float = 0.0,
+        self, num_requests: int, seed: int, profile_store: ProfileStore
     ) -> list[Request]:
         """Generate the deterministic request stream for ``(self, seed)``."""
-        generator = self.build_generator(profile_store, seed, burstiness=burstiness)
-        return generator.generate(num_requests)
+        return self.build_generator(profile_store, seed).generate(num_requests)
 
     def build_stream(
-        self,
-        num_requests: int,
-        seed: int,
-        profile_store: ProfileStore,
-        *,
-        burstiness: float = 0.0,
+        self, num_requests: int, seed: int, profile_store: ProfileStore
     ) -> RequestStream:
         """Lazy counterpart of :meth:`build_requests`.
 
@@ -269,8 +279,7 @@ class Scenario:
         for the same ``(self, seed)`` — the simulator pulls them on demand
         instead of holding them all.
         """
-        generator = self.build_generator(profile_store, seed, burstiness=burstiness)
-        return generator.stream(num_requests)
+        return self.build_generator(profile_store, seed).stream(num_requests)
 
     def mean_rate_per_s(self) -> float:
         """Long-run mean arrival rate of this scenario's process."""
@@ -337,17 +346,33 @@ def scenario_names() -> list[str]:
     return SCENARIOS.names()
 
 
+def resolve_scenario(scenario: "Scenario | str") -> Scenario:
+    """A :class:`Scenario` object for a registered name or a scenario.
+
+    Anything else (a bare workload-setting object, ``None``) raises
+    ``TypeError``: every run names the scenario it draws its demand from.
+    """
+    if isinstance(scenario, Scenario):
+        return scenario
+    if isinstance(scenario, str):
+        return get_scenario(scenario)
+    raise TypeError(
+        "expected a scenario name or a Scenario, got "
+        f"{scenario!r} ({type(scenario).__name__})"
+    )
+
+
 # ----------------------------------------------------------------------
 # Built-in scenarios
 # ----------------------------------------------------------------------
 def _register_builtin_scenarios() -> None:
     # The three paper evaluations.  ``stream`` pins the RNG label to the
-    # setting name so these reproduce the historical request streams (and
-    # hence RunSummary output) byte-for-byte.
-    for setting in ("strict-light", "moderate-normal", "relaxed-heavy"):
+    # setting name, which fixes the request streams the golden summaries
+    # were recorded from.
+    for name, setting in zip(PAPER_SCENARIOS, WORKLOAD_SETTINGS):
         register_scenario(
             Scenario(
-                name=f"paper-{setting}",
+                name=name,
                 description=f"Paper Section 4.1: four DNN apps, {setting} Azure arrivals",
                 setting=setting,
                 stream=setting,

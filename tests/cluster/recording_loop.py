@@ -25,7 +25,3 @@ class RecordingLoop(EventLoop):
     def push_real(self, event: Event) -> None:
         self.pushed.append(event)
         super().push_real(event)
-
-    def push_housekeeping(self, event: Event) -> None:
-        self.pushed.append(event)
-        super().push_housekeeping(event)

@@ -23,9 +23,11 @@ from repro.cluster.autoscale import (
 )
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.container import Container, ContainerState
+from repro.cluster.controller import ControllerConfig
 from repro.cluster.events import PrewarmCompleteEvent
 from repro.cluster.simulator import Simulation, SimulationConfig
-from repro.experiments.runner import build_profile_store, build_requests, make_policy
+from repro.experiments.runner import build_profile_store, make_policy
+from repro.workloads.scenarios import get_scenario
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +51,7 @@ def make_state(**overrides) -> AutoscaleState:
 def build_simulation(store, *, num_invokers: int = 4, seed: int = 3) -> Simulation:
     return Simulation(
         policy=make_policy("ESG"),
-        requests=build_requests("moderate-normal", 2, seed, store),
+        requests=get_scenario("paper-moderate-normal").build_requests(2, seed, store),
         profile_store=store,
         config=SimulationConfig(
             seed=seed, cluster=ClusterConfig(num_invokers=num_invokers)
@@ -384,3 +386,43 @@ class TestActuation:
         assert set(autoscaler.controllers) <= set(
             simulation.profile_store.function_names()
         )
+
+    @pytest.mark.parametrize("spec_name", ["threshold-default", "pid-default"])
+    def test_decisions_never_count_an_expired_container(self, store, spec_name):
+        """A decision can fall between ticks (after an idle gap, say).  The
+        containers whose keep-alive ran out by then stop first, so no
+        ``residents`` snapshot counts one."""
+        scenario = get_scenario("bursty-onoff-heavy")
+        simulation = Simulation(
+            policy=make_policy("ESG"),
+            requests=scenario.build_requests(120, 5, store),
+            profile_store=store,
+            config=SimulationConfig(
+                seed=5,
+                cluster=ClusterConfig(keep_alive_ms=2.0),
+                controller=ControllerConfig(initial_warm="home"),
+            ),
+            setting_name=scenario.setting,
+        )
+        autoscaler = Autoscaler(spec=get_autoscale_spec(spec_name)).attach(simulation)
+        functions = simulation.profile_store.function_names()
+        decided = [0]
+        expired_but_live: list[tuple[float, str]] = []
+
+        def after_each_decision(sim: Simulation, event: object) -> None:
+            if autoscaler.decisions == decided[0]:
+                return
+            decided[0] = autoscaler.decisions
+            now = sim.now_ms
+            expired_but_live.extend(
+                (now, container.function_name)
+                for invoker in sim.cluster
+                for fn in functions
+                for container in invoker.containers_for(fn)
+                if container.state is ContainerState.WARM and container.expires_at_ms <= now
+            )
+
+        simulation.on_event(after_each_decision)
+        simulation.run()
+        assert autoscaler.decisions > 0
+        assert not expired_but_live, expired_but_live[:5]

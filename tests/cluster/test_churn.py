@@ -3,8 +3,8 @@
 Covers the churn schedule/spec layer (validation, determinism, registry),
 the cluster membership mutations (join / leave / resize) in both index
 modes, eviction semantics of containers and the prewarmer, and the
-regression pins for stale :class:`ContainerExpireEvent` timers racing a
-node eviction at all three lazy-cancellation sites.
+regression pins for stale keep-alive deadlines racing a node eviction at
+both lazy-cancellation sites.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.cluster.cluster import ClusterConfig, ClusterState
 from repro.cluster.container import Container, ContainerState
 from repro.cluster.controller import Controller
 from repro.cluster.events import (
-    ContainerExpireEvent,
     InvokerJoinEvent,
     InvokerLeaveEvent,
     InvokerResizeEvent,
@@ -268,8 +267,7 @@ class TestExpiryUnderEviction:
 
     ``mark_evicted`` leaves the container STOPPED with ``expires_at_ms``
     at -inf, so the ``WARM and expires_at_ms == deadline`` guard of
-    ``Container.expire`` fails for both of its callers: the expiry event
-    and the controller's drain heap.
+    ``Container.expire`` fails for its caller, the controller's drain heap.
     """
 
     def armed_container(self) -> tuple[Container, float]:
@@ -278,12 +276,6 @@ class TestExpiryUnderEviction:
         deadline = container.expires_at_ms
         assert container.state is ContainerState.WARM and deadline > 0
         return container, deadline
-
-    def test_expire_event_apply_is_a_no_op_after_eviction(self):
-        container, deadline = self.armed_container()
-        container.mark_evicted()
-        ContainerExpireEvent(time_ms=deadline, container=container).apply(None)
-        assert container.state is ContainerState.STOPPED
 
     def test_container_expire_is_a_no_op_after_eviction(self):
         container, deadline = self.armed_container()
@@ -311,7 +303,7 @@ class TestExpiryUnderEviction:
                 (entry.expires_at_ms, next(controller._expiry_seq), entry),
             )
         container.mark_evicted()
-        controller._drain_expired_containers(deadline)
+        controller.expire_due(deadline)
         # The evicted container's entry popped as a no-op; the survivor's
         # live deadline still fired normally.
         assert not controller._expiry_heap

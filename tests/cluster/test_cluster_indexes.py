@@ -198,7 +198,8 @@ class TestIndexesAlongWholeRuns:
     def audit(self, store, task_log, policy, scenario, config=BASE):
         """Run with every query checked after each event.
 
-        Returns the run's summary, its event counts by type and its cluster.
+        Returns the run's summary, its event counts by type and the
+        simulation.
         """
         apps = build_paper_applications()
         functions = sorted({fn for app in apps for fn in app.function_names()})
@@ -213,7 +214,7 @@ class TestIndexesAlongWholeRuns:
             result = run_experiment(policy, config=config, profile_store=store, scenario=scenario)
         (simulation,) = log.simulations
         assert events["TaskCompletionEvent"] > 0
-        return result.summary, events, simulation.cluster
+        return result.summary, events, simulation
 
     @pytest.mark.parametrize("scenario", PAPER_SCENARIOS)
     def test_esg_on_the_paper_scenarios(self, store, task_log, scenario):
@@ -237,19 +238,34 @@ class TestIndexesAlongWholeRuns:
         assert events["PrewarmCompleteEvent"] > 0
 
     @pytest.mark.parametrize("keep_alive_ms", [2.0, 80.0])
-    def test_short_keep_alive(self, store, task_log, keep_alive_ms):
+    def test_short_keep_alive(self, store, task_log, monkeypatch, keep_alive_ms):
         config = self.WARM_AT_HOME.with_overrides(
             cluster=replace(self.BASE.cluster, keep_alive_ms=keep_alive_ms)
         )
-        summary, events, _ = self.audit(store, task_log, "ESG", "paper-moderate-normal", config)
+        # Record when the tick-time drain actually stops a container.
+        expired_at: list[float] = []
+        expire = Container.expire
+
+        def recording_expire(container, deadline_ms):
+            was_warm = container.state is ContainerState.WARM
+            expire(container, deadline_ms)
+            if was_warm and container.state is ContainerState.STOPPED:
+                expired_at.append(deadline_ms)
+
+        monkeypatch.setattr(Container, "expire", recording_expire)
+        summary, _, simulation = self.audit(
+            store, task_log, "ESG", "paper-moderate-normal", config
+        )
         assert summary.cold_starts > 0
-        assert events["ContainerExpireEvent"] > 0
+        # Containers expired mid-run, at deadlines before the run's end.
+        assert expired_at
+        assert min(expired_at) < simulation.now_ms
 
     @pytest.mark.parametrize("policy", ["ESG", "INFless"])
     def test_64_invokers(self, store, task_log, policy):
         config = self.BASE.with_overrides(cluster=replace(self.BASE.cluster, num_invokers=64))
-        _, _, cluster = self.audit(store, task_log, policy, "paper-moderate-normal", config)
-        assert len(cluster) == 64
+        _, _, simulation = self.audit(store, task_log, policy, "paper-moderate-normal", config)
+        assert len(simulation.cluster) == 64
 
 
 class TestIndexBackedReturnTypes:

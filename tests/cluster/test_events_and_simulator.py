@@ -14,16 +14,14 @@ from repro.cluster.events import (
     SchedulerTickEvent,
 )
 from repro.cluster.simulator import EventLoop, Simulation, SimulationConfig
-from repro.experiments.runner import (
-    EXPERIMENT_SPACE,
-    build_profile_store,
-    build_request_stream,
-    build_requests,
-    make_policy,
-)
+from repro.experiments.runner import EXPERIMENT_SPACE, build_profile_store, make_policy
 from repro.workloads.applications import image_classification
 from repro.workloads.request import Request
+from repro.workloads.scenarios import get_scenario
 from repro.workloads.stream import RequestStream
+
+#: The paper's moderate-normal workload, the requests these tests replay.
+PAPER = get_scenario("paper-moderate-normal")
 
 
 def make_request(arrival_ms: float = 0.0) -> Request:
@@ -151,7 +149,7 @@ def sim_store():
 
 
 def make_simulation(sim_store, **config_kwargs) -> Simulation:
-    requests = build_requests("moderate-normal", 6, 3, sim_store)
+    requests = PAPER.build_requests(6, 3, sim_store)
     config = SimulationConfig(
         seed=3, controller=ControllerConfig(initial_warm="all"), **config_kwargs
     )
@@ -264,7 +262,7 @@ class TestInstrumentingByWrapping:
     """
 
     def _make_simulation(self, store):
-        requests = build_requests("moderate-normal", 8, 3, store)
+        requests = PAPER.build_requests(8, 3, store)
         return Simulation(
             policy=make_policy("ESG"),
             requests=requests,
@@ -351,8 +349,8 @@ class TestArrivalStream:
         """The queue holds at most ARRIVAL_CHUNK arrivals, however long the
         workload: the next chunk is pulled only when the last one fires."""
         monkeypatch.setattr(simulator, "ARRIVAL_CHUNK", 4)
-        build = build_requests if kind == "list" else build_request_stream
-        simulation = self._simulation(sim_store, build("moderate-normal", 120, 42, sim_store))
+        build = PAPER.build_requests if kind == "list" else PAPER.build_stream
+        simulation = self._simulation(sim_store, build(120, 42, sim_store))
         peaks = [pending_arrivals(simulation)]
         simulation.on_event(lambda sim, event: peaks.append(pending_arrivals(sim)))
         summary = simulation.run()
@@ -361,7 +359,7 @@ class TestArrivalStream:
 
     def test_every_arrival_is_handled_once_at_its_time(self, sim_store, monkeypatch):
         monkeypatch.setattr(simulator, "ARRIVAL_CHUNK", 4)
-        requests = build_requests("moderate-normal", 30, 7, sim_store)
+        requests = PAPER.build_requests(30, 7, sim_store)
         simulation = self._simulation(sim_store, requests, policy="INFless")
         handled: list[tuple[int, float]] = []
 
@@ -379,7 +377,7 @@ class TestArrivalStream:
         """An arrival earlier than the one before it would be handled late;
         the simulation refuses it, at construction or mid-run."""
         monkeypatch.setattr(simulator, "ARRIVAL_CHUNK", 2)
-        requests = build_requests("moderate-normal", 8, 3, sim_store)
+        requests = PAPER.build_requests(8, 3, sim_store)
         if order == "reversed":
             listed, before, early = requests[::-1], requests[7], requests[6]
         else:
@@ -392,8 +390,8 @@ class TestArrivalStream:
         assert f"previous arrival at {before.arrival_ms!r} ms" in message
 
     def test_explicit_list_is_replayed_in_arrival_order(self, sim_store):
-        ordered = self._simulation(sim_store, build_requests("moderate-normal", 12, 3, sim_store))
-        backwards = build_requests("moderate-normal", 12, 3, sim_store)[::-1]
+        ordered = self._simulation(sim_store, PAPER.build_requests(12, 3, sim_store))
+        backwards = PAPER.build_requests(12, 3, sim_store)[::-1]
         assert asdict(self._simulation(sim_store, backwards).run()) == asdict(ordered.run())
 
     @pytest.mark.parametrize("workload", [[], ListedStream([])], ids=["list", "stream"])

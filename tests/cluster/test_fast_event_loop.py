@@ -7,8 +7,8 @@ popping the smaller head reproduces the pop sequence of one list sorted by
 loop and a brute-force sorted-list reference through seeded random
 push/pop interleavings built to stress the claim where it could break —
 exact-time collisions, ``sort_priority`` ties between arrivals and ticks,
-and dense mixes of housekeeping timers — and assert identical observable
-behaviour at every step.
+and dense mixes of housekeeping (churn) events — and assert identical
+observable behaviour at every step.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ import random
 
 import pytest
 
-from repro.cluster.container import Container
 from repro.cluster.events import (
-    ContainerExpireEvent,
+    InvokerResizeEvent,
     RequestArrivalEvent,
     SchedulerTickEvent,
 )
@@ -38,13 +37,13 @@ def _shared_request() -> Request:
     )
 
 
-def _shared_container() -> Container:
-    return Container(function_name="f", invoker_id=0)
+def _housekeeping(time_ms: float) -> InvokerResizeEvent:
+    return InvokerResizeEvent(time_ms=time_ms, invoker_id=0, vcpus=1, vgpus=1)
 
 
-def make_event(rng: random.Random, request: Request, container: Container):
+def make_event(rng: random.Random, request: Request):
     """One random event: tick (priority 1), arrival (priority 0, outranks
-    same-time ticks) or expiry timer (housekeeping, invisible to the
+    same-time ticks) or churn resize (housekeeping, invisible to the
     real-only queries)."""
     time_ms = rng.choice(TIME_PALETTE)
     kind = rng.randrange(3)
@@ -52,7 +51,7 @@ def make_event(rng: random.Random, request: Request, container: Container):
         return SchedulerTickEvent(time_ms=time_ms)
     if kind == 1:
         return RequestArrivalEvent(time_ms=time_ms, request=request)
-    return ContainerExpireEvent(time_ms=time_ms, container=container)
+    return _housekeeping(time_ms)
 
 
 class ReferenceLoop:
@@ -98,14 +97,13 @@ def test_fuzz_pop_sequences_identical(seed):
     and the reference, and every observable query agrees at every step."""
     rng = random.Random(seed)
     request = _shared_request()
-    container = _shared_container()
     loop, ref = EventLoop(), ReferenceLoop()
 
     for _ in range(2000):
         if len(ref) and rng.random() < 0.45:
             assert loop.pop() is ref.pop()
         else:
-            event = make_event(rng, request, container)
+            event = make_event(rng, request)
             loop.push(event)
             ref.push(event)
         assert_observables_agree(loop, ref)
@@ -119,11 +117,10 @@ def test_fuzz_pop_sequences_identical(seed):
 
 @pytest.mark.parametrize("seed", [5, 6, 7])
 def test_fuzz_housekeeping_heavy_mix(seed):
-    """Housekeeping-dominant workloads (the keep-alive-timer regime): the
+    """Housekeeping-dominant workloads (a dense churn schedule): the
     real-only queries must still track only productive events."""
     rng = random.Random(seed)
     request = _shared_request()
-    container = _shared_container()
     loop, ref = EventLoop(), ReferenceLoop()
 
     for _ in range(1000):
@@ -131,10 +128,10 @@ def test_fuzz_housekeeping_heavy_mix(seed):
         if len(ref) and roll < 0.4:
             assert loop.pop() is ref.pop()
         elif roll < 0.85 or not len(ref):
-            # 75% of pushes are expiry timers.
+            # 75% of pushes are housekeeping events.
             time_ms = rng.choice(TIME_PALETTE)
             if rng.random() < 0.75:
-                event = ContainerExpireEvent(time_ms=time_ms, container=container)
+                event = _housekeeping(time_ms)
             else:
                 event = RequestArrivalEvent(time_ms=time_ms, request=request)
             loop.push(event)
@@ -144,29 +141,26 @@ def test_fuzz_housekeeping_heavy_mix(seed):
 
 def push_fast(loop: EventLoop, event) -> None:
     """Push through the unchecked path the controller uses where it applies."""
-    if event.sort_priority != 1:
+    if event.sort_priority != 1 or event.housekeeping:
         loop.push(event)
-    elif event.housekeeping:
-        loop.push_housekeeping(event)
     else:
         loop.push_real(event)
 
 
 @pytest.mark.parametrize("seed", [8, 9, 10])
 def test_fuzz_fast_pushes_match_push(seed):
-    """``push_real``/``push_housekeeping`` make exactly the entries ``push``
-    makes for default-priority events: mixed with checked pushes, the pop
+    """``push_real`` makes exactly the entries ``push`` makes for
+    default-priority productive events: mixed with checked pushes, the pop
     sequence and every query still match the reference."""
     rng = random.Random(seed)
     request = _shared_request()
-    container = _shared_container()
     loop, ref = EventLoop(), ReferenceLoop()
 
     for _ in range(1500):
         if len(ref) and rng.random() < 0.45:
             assert loop.pop() is ref.pop()
         else:
-            event = make_event(rng, request, container)
+            event = make_event(rng, request)
             push_fast(loop, event)
             ref.push(event)
         assert_observables_agree(loop, ref)
@@ -188,7 +182,7 @@ class TestEventLoopEdges:
 
     def test_peek_real_time_with_only_housekeeping_raises(self):
         loop = EventLoop()
-        loop.push(ContainerExpireEvent(time_ms=5.0, container=_shared_container()))
+        loop.push(_housekeeping(5.0))
         assert not loop.has_real
         assert not loop.empty
         assert loop.peek_time() == 5.0
@@ -206,16 +200,15 @@ class TestEventLoopEdges:
 
     def test_housekeeping_interleaves_in_global_time_order(self):
         loop = EventLoop()
-        container = _shared_container()
-        expire_early = ContainerExpireEvent(time_ms=1.0, container=container)
+        early = _housekeeping(1.0)
         tick = SchedulerTickEvent(time_ms=2.0)
-        expire_late = ContainerExpireEvent(time_ms=3.0, container=container)
+        late = _housekeeping(3.0)
         loop.push(tick)
-        loop.push(expire_late)
-        loop.push(expire_early)
+        loop.push(late)
+        loop.push(early)
         assert loop.peek_time() == 1.0
         assert loop.peek_real_time() == 2.0
-        assert [loop.pop() for _ in range(3)] == [expire_early, tick, expire_late]
+        assert [loop.pop() for _ in range(3)] == [early, tick, late]
 
     def test_fifo_among_equal_keys(self):
         loop = EventLoop()

@@ -125,7 +125,7 @@ class TestCompletionsReachTheirContainers:
         )
         log = task_log()
         with log.capturing():
-            run_experiment("INFless", "moderate-normal", config=config)
+            run_experiment("INFless", "paper-moderate-normal", config=config)
         (simulation,) = log.simulations
         functions = {fn for wf in build_paper_applications() for fn in wf.function_names()}
         containers = [

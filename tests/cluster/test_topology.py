@@ -134,15 +134,14 @@ class TestRunnerAppliesScenarioTopology:
         """Run ESG on 6 requests; the highest invoker id a task ran on."""
         from repro.experiments.runner import ExperimentConfig, run_experiment
 
-        def run(*, scenario=None, setting=None, **config) -> int:
+        def run(scenario, **config) -> int:
             log = task_log()
             with log.capturing():
                 run_experiment(
                     "ESG",
-                    setting,
+                    scenario,
                     config=ExperimentConfig(num_requests=6, **config),
                     profile_store=store,
-                    scenario=scenario,
                 )
             return max(t.invoker_id for t in log.tasks)
 
@@ -151,15 +150,15 @@ class TestRunnerAppliesScenarioTopology:
     def test_scenario_topology_sizes_the_cluster(self, highest_invoker):
         # Sanity anchor: on the paper's 16 nodes, ESG's home-invoker hashing
         # spreads the four applications beyond nodes {0, 1}.
-        assert highest_invoker(setting="moderate-normal") > 1
-        assert highest_invoker(scenario=mini_scenario("t-mini-cluster")) <= 1
+        assert highest_invoker("paper-moderate-normal") > 1
+        assert highest_invoker(mini_scenario("t-mini-cluster")) <= 1
 
     def test_explicit_cluster_config_beats_scenario_topology(self, highest_invoker):
         # The explicit (non-default) cluster config wins over the scenario's
         # pinned topology, so placement spreads past the 2-node mini cluster.
         assert (
             highest_invoker(
-                scenario=mini_scenario("t-overridden"), cluster=ClusterConfig(num_invokers=8)
+                mini_scenario("t-overridden"), cluster=ClusterConfig(num_invokers=8)
             )
             > 1
         )
@@ -171,7 +170,7 @@ class TestRunnerAppliesScenarioTopology:
         # not silently disable the scenario's pinned topology.
         assert (
             highest_invoker(
-                scenario=mini_scenario("t-keepalive-topology"),
+                mini_scenario("t-keepalive-topology"),
                 cluster=ClusterConfig(keep_alive_ms=30_000.0),
             )
             <= 1
@@ -184,7 +183,7 @@ class TestRunnerAppliesScenarioTopology:
         # ClusterConfig; the pinned flag must still make it win.
         assert (
             highest_invoker(
-                scenario=mini_scenario("t-pinned-default"),
+                mini_scenario("t-pinned-default"),
                 cluster=ClusterConfig(),
                 cluster_pinned=True,
             )

@@ -14,8 +14,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 import repro
 from repro.cluster.autoscale import AutoscaleSpec, get_autoscale_spec
 from repro.experiments.engine import RunSpec
@@ -27,7 +25,7 @@ SMALL = ExperimentConfig(num_requests=6, seed=11)
 
 
 def _spec(**kwargs) -> RunSpec:
-    kwargs.setdefault("setting", "strict-light")
+    kwargs.setdefault("scenario", "paper-strict-light")
     kwargs.setdefault("config", SMALL)
     return RunSpec(policy="ESG", **kwargs)
 
@@ -69,8 +67,8 @@ class TestAutoscaleSpecKey:
     def test_scenario_carried_autoscale_participates(self):
         scenario = get_scenario("diurnal-normal")
         adaptive_scenario = dataclasses.replace(scenario, autoscale="threshold-default")
-        static = _spec(setting=None, scenario=scenario)
-        adaptive = _spec(setting=None, scenario=adaptive_scenario)
+        static = _spec(scenario=scenario)
+        adaptive = _spec(scenario=adaptive_scenario)
         assert spec_key(static) != spec_key(adaptive)
 
     def test_key_is_stable_across_hash_randomisation(self):
@@ -79,7 +77,7 @@ class TestAutoscaleSpecKey:
             "from repro.experiments.engine import RunSpec\n"
             "from repro.experiments.runner import ExperimentConfig\n"
             "from repro.experiments.store import spec_key\n"
-            "spec = RunSpec(policy='ESG', setting='strict-light',\n"
+            "spec = RunSpec(policy='ESG', scenario='paper-strict-light',\n"
             "               config=ExperimentConfig(num_requests=6, seed=11,\n"
             "                                       autoscale='threshold-default'))\n"
             "print(spec_key(spec))\n"

@@ -67,6 +67,13 @@ class TestParser:
             build_parser().parse_args(["fig6", "--num-invokers", "0"])
         assert "positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-4"])
+    def test_nonpositive_request_counts_are_usage_errors(self, capsys, value):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table4", "--requests", value])
+        assert exit_info.value.code == 2
+        assert "--requests: must be a positive integer" in capsys.readouterr().err
+
 
 class TestMain:
     def test_tables_command_prints_tables(self, capsys):

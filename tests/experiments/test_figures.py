@@ -35,15 +35,32 @@ SMALL = ExperimentConfig(num_requests=20, seed=5)
 
 @pytest.fixture(scope="module")
 def small_matrix():
-    """A tiny (2 policies x 2 settings) matrix shared by the figure tests."""
+    """A tiny (2 policies x 2 scenarios) matrix shared by the figure tests."""
     return run_end_to_end(
         policies=("ESG", "FaST-GShare"),
-        settings=("strict-light", "relaxed-heavy"),
+        scenarios=("paper-strict-light", "paper-relaxed-heavy"),
         config=SMALL,
     )
 
 
 class TestFigure6To8:
+    def test_matrix_is_keyed_by_setting(self, small_matrix):
+        assert list(small_matrix) == [
+            ("strict-light", "ESG"),
+            ("strict-light", "FaST-GShare"),
+            ("relaxed-heavy", "ESG"),
+            ("relaxed-heavy", "FaST-GShare"),
+        ]
+        assert small_matrix[("strict-light", "ESG")].scenario_name == "paper-strict-light"
+
+    def test_two_scenarios_of_one_setting_are_refused_before_running(self):
+        with pytest.raises(ValueError, match="'moderate-normal'"):
+            run_end_to_end(
+                policies=("ESG",),
+                scenarios=("paper-moderate-normal", "poisson-normal"),
+                config=SMALL,
+            )
+
     def test_figure6_rows_normalised_to_esg(self, small_matrix):
         rows = figure6_rows(small_matrix)
         assert len(rows) == 4
@@ -72,9 +89,12 @@ class TestFigure6To8:
 
 class TestTable4:
     def test_miss_rate_rows(self):
-        rows = run_table4(policies=("Aquatope",), settings=("relaxed-heavy",), config=SMALL)
+        rows = run_table4(
+            policies=("Aquatope",), scenarios=("paper-relaxed-heavy",), config=SMALL
+        )
         assert len(rows) == 1
         row = rows[0]
+        assert row.setting == "relaxed-heavy"
         assert row.plan_attempts > 0
         assert 0.0 <= row.miss_rate <= 1.0
         assert "Table 4" in render_table4(rows)
@@ -96,9 +116,10 @@ class TestFigure9:
 
 class TestFigure10:
     def test_overhead_distributions(self):
-        distributions = run_figure10(settings=("moderate-normal",), config=SMALL)
+        distributions = run_figure10(scenarios=("paper-moderate-normal",), config=SMALL)
         assert len(distributions) == 1
         dist = distributions[0]
+        assert dist.setting == "moderate-normal"
         assert dist.stats.count > 0
         assert dist.mean_ms >= 0.0
         assert "Figure 10" in render_figure10(distributions)

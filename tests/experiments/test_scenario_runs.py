@@ -1,9 +1,8 @@
 """Scenario execution through the runner, engine and CLI.
 
-Covers the PR-2 acceptance criteria: the paper-default scenario reproduces
-the pre-scenario RunSummary byte-for-byte, every new arrival process passes
-cross-process (spawn) determinism parity, and horizon truncation interacts
-correctly with the ``truncated`` flag.
+Covers scenario specs, cross-process (spawn) determinism parity of every
+arrival process, and how horizon truncation interacts with the
+``truncated`` flag.
 """
 
 from __future__ import annotations
@@ -14,11 +13,7 @@ import pytest
 
 from repro.experiments.cli import build_parser, main
 from repro.experiments.engine import ExperimentEngine, RunSpec, execute_spec
-from repro.experiments.runner import (
-    ExperimentConfig,
-    run_experiment,
-    run_scenario_matrix,
-)
+from repro.experiments.runner import ExperimentConfig, run_experiment, run_matrix
 from repro.experiments.scenario_sweep import (
     render_scenario_comparison,
     render_scenario_list,
@@ -43,14 +38,6 @@ class TestRunSpecScenarios:
         spec = RunSpec(policy="ESG", scenario="poisson-normal", config=SMALL)
         assert pickle.loads(pickle.dumps(spec)) == spec
 
-    def test_requires_setting_or_scenario(self):
-        with pytest.raises(ValueError, match="setting or a scenario"):
-            RunSpec(policy="ESG")
-
-    def test_rejects_both_setting_and_scenario(self):
-        with pytest.raises(ValueError, match="not both"):
-            RunSpec(policy="ESG", setting="strict-light", scenario="poisson-normal")
-
     def test_rejects_unknown_scenario_eagerly(self):
         with pytest.raises(KeyError, match="unknown scenario"):
             RunSpec(policy="ESG", scenario="no-such-scenario")
@@ -58,43 +45,23 @@ class TestRunSpecScenarios:
     def test_names_resolve_through_the_scenario(self):
         spec = RunSpec(policy="ESG", scenario="bursty-onoff-heavy", config=SMALL)
         assert spec.setting_name == "relaxed-heavy"
-        assert spec.workload_name == "bursty-onoff-heavy"
-        plain = RunSpec(policy="ESG", setting="strict-light", config=SMALL)
-        assert plain.workload_name == "strict-light"
+        assert spec.scenario.name == "bursty-onoff-heavy"
 
 
-class TestPaperDefaultByteIdentity:
-    def test_scenario_summary_identical_to_bare_setting(self):
-        """Acceptance: the paper-default scenario reproduces pre-PR output."""
-        for setting in ("strict-light", "moderate-normal"):
-            bare = run_experiment("ESG", setting, config=SMALL)
-            via = run_experiment("ESG", scenario=f"paper-{setting}", config=SMALL)
-            assert via.summary == bare.summary, setting
-            assert via.scenario_name == f"paper-{setting}"
-            assert bare.scenario_name is None
-
+class TestExecuteSpec:
     def test_execute_spec_matches_run_experiment(self):
         spec = RunSpec(policy="INFless", scenario="poisson-normal", config=SMALL)
         direct = run_experiment("INFless", scenario="poisson-normal", config=SMALL)
         assert execute_spec(spec).summary == direct.summary
-
-    def test_conflicting_setting_and_scenario_rejected(self):
-        with pytest.raises(ValueError, match="conflicts"):
-            run_experiment(
-                "ESG", "strict-light", scenario="paper-moderate-normal", config=SMALL
-            )
-
-    def test_setting_or_scenario_required(self):
-        with pytest.raises(TypeError, match="setting or a scenario"):
-            run_experiment("ESG", config=SMALL)
+        assert direct.scenario_name == "poisson-normal"
 
 
 class TestCrossProcessParity:
     def test_registry_scenario_n_jobs_4_matches_n_jobs_1(self):
         """Acceptance: n_jobs=4 parity on a registry scenario."""
         scenarios = ("paper-moderate-normal", "mixed-dags-normal")
-        sequential = run_scenario_matrix(scenarios, ("ESG", "INFless"), config=SMALL, n_jobs=1)
-        parallel = run_scenario_matrix(scenarios, ("ESG", "INFless"), config=SMALL, n_jobs=4)
+        sequential = run_matrix(scenarios, ("ESG", "INFless"), config=SMALL, n_jobs=1)
+        parallel = run_matrix(scenarios, ("ESG", "INFless"), config=SMALL, n_jobs=4)
         assert set(sequential) == set(parallel)
         for key in sequential:
             assert sequential[key].summary == parallel[key].summary, key
@@ -110,7 +77,7 @@ class TestCrossProcessParity:
         assert spawned[1].summary == in_process[0].summary
 
     def test_keyed_results_use_scenario_names(self):
-        results = run_scenario_matrix(("poisson-normal",), ("ESG",), config=SMALL)
+        results = run_matrix(("poisson-normal",), ("ESG",), config=SMALL)
         assert set(results) == {("poisson-normal", "ESG")}
         assert results[("poisson-normal", "ESG")].scenario_name == "poisson-normal"
 
@@ -128,7 +95,7 @@ class TestCrossProcessParity:
             arrival=PoissonProcess(rate_per_s=30.0),
         )
         assert adhoc.name not in SCENARIOS
-        results = run_scenario_matrix([adhoc], ("ESG",), config=SMALL, n_jobs=1)
+        results = run_matrix([adhoc], ("ESG",), config=SMALL, n_jobs=1)
         assert set(results) == {(adhoc.name, "ESG")}
         spec = RunSpec(policy="ESG", scenario=adhoc, config=SMALL)
         spawned = ExperimentEngine(n_jobs=2, mp_context="spawn").run([spec, spec])
@@ -158,9 +125,9 @@ class TestHorizonTruncation:
         result = run_experiment("ESG", scenario="paper-strict-light", config=SMALL)
         assert not result.summary.truncated
 
-    def test_config_horizon_applies_without_scenario(self):
+    def test_config_horizon_applies_to_unbounded_scenarios(self):
         config = SMALL.with_overrides(max_time_ms=30.0)
-        result = run_experiment("ESG", "relaxed-heavy", config=config)
+        result = run_experiment("ESG", "paper-relaxed-heavy", config=config)
         assert result.summary.truncated
 
 

@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.experiments.end_to_end import run_end_to_end
 from repro.experiments.engine import ExperimentEngine, RunSpec, execute_spec
-from repro.experiments.runner import DEFAULT_POLICIES, ExperimentConfig
+from repro.experiments.runner import DEFAULT_POLICIES, ExperimentConfig, run_matrix
 from repro.experiments.store import (
     STORE_SCHEMA_VERSION,
     SUMMARY_KIND,
@@ -22,14 +23,13 @@ from repro.experiments.store import (
     spec_key,
     spec_key_doc,
 )
-from repro.workloads.generator import WORKLOAD_SETTINGS
 from repro.workloads.scenarios import get_scenario
 
 SMALL = ExperimentConfig(num_requests=6, seed=11)
 
 
 def _spec(policy: str = "ESG", **kwargs) -> RunSpec:
-    kwargs.setdefault("setting", "strict-light")
+    kwargs.setdefault("scenario", "paper-strict-light")
     kwargs.setdefault("config", SMALL)
     return RunSpec(policy=policy, **kwargs)
 
@@ -74,9 +74,9 @@ class TestSpecKey:
         assert spec_key(base) == spec_key(_spec(label="renamed row"))
         assert spec_key(base) == spec_key(_spec(summary_only=True))
 
-    def test_setting_name_and_object_share_a_key(self):
-        assert spec_key(_spec(setting="strict-light")) == spec_key(
-            _spec(setting=WORKLOAD_SETTINGS["strict-light"])
+    def test_scenario_name_and_object_share_a_key(self):
+        assert spec_key(_spec(scenario="paper-strict-light")) == spec_key(
+            _spec(scenario=get_scenario("paper-strict-light"))
         )
 
     def test_churn_name_and_spec_share_a_key(self):
@@ -91,17 +91,15 @@ class TestSpecKey:
     def test_scenario_description_is_presentation_only(self):
         scenario = get_scenario("poisson-normal")
         renamed = dataclasses.replace(scenario, description="a brand new blurb")
-        assert spec_key(_spec(setting=None, scenario=scenario)) == spec_key(
-            _spec(setting=None, scenario=renamed)
-        )
+        assert spec_key(_spec(scenario=scenario)) == spec_key(_spec(scenario=renamed))
 
     @pytest.mark.parametrize(
         "variant",
         [
             lambda: _spec("INFless"),
             lambda: _spec(policy_overrides={"k": 9}),
-            lambda: _spec(setting="moderate-normal"),
-            lambda: _spec(setting=None, scenario="poisson-normal"),
+            lambda: _spec(scenario="paper-moderate-normal"),
+            lambda: _spec(scenario="poisson-normal"),
             lambda: _spec(config=ExperimentConfig(num_requests=7, seed=11)),
             lambda: _spec(config=ExperimentConfig(num_requests=6, seed=12)),
             lambda: _spec(config=ExperimentConfig(num_requests=6, churn="harvest-mild")),
@@ -113,15 +111,18 @@ class TestSpecKey:
     def test_doc_mentions_schema_version(self):
         assert spec_key_doc(_spec())["schema"] == STORE_SCHEMA_VERSION
 
-    def test_schema_6_has_no_retired_modes(self):
+    def test_schema_7_has_no_retired_modes(self):
         """The simulator has one event loop, one cluster index, one metrics
-        collector and one workload path, and the controller always charges
-        the modeled overhead, so the key document names none of their modes
-        (schema 3 dropped the loop mode, schema 4 the metrics and index
-        modes, schema 5 the workload mode, schema 6 the controller's
-        overhead and prewarm switches; older keys are misses)."""
-        assert STORE_SCHEMA_VERSION == 6
-        config = spec_key_doc(_spec())["config"]
+        collector and one workload path, the controller always charges the
+        modeled overhead, and every run names a scenario, so the key
+        document names none of their modes (schema 3 dropped the loop mode,
+        schema 4 the metrics and index modes, schema 5 the workload mode,
+        schema 6 the controller's overhead and prewarm switches, schema 7
+        bare settings and burstiness; older keys are misses)."""
+        assert STORE_SCHEMA_VERSION == 7
+        doc = spec_key_doc(_spec())
+        assert set(doc["workload"]) == {"scenario"}
+        config = doc["config"]
         assert set(config) == {
             "num_requests",
             "seed",
@@ -130,7 +131,6 @@ class TestSpecKey:
             "cluster",
             "cluster_pinned",
             "controller",
-            "burstiness",
             "max_time_ms",
             "churn",
             "autoscale",
@@ -145,7 +145,7 @@ class TestSpecKey:
             "from repro.experiments.engine import RunSpec\n"
             "from repro.experiments.runner import ExperimentConfig\n"
             "from repro.experiments.store import spec_key\n"
-            "spec = RunSpec(policy='ESG', setting='strict-light',\n"
+            "spec = RunSpec(policy='ESG', scenario='paper-strict-light',\n"
             "               config=ExperimentConfig(num_requests=6, seed=11),\n"
             "               policy_overrides={'k': 7, 'group_size': 2, 'name': 'x'})\n"
             "print(spec_key(spec))\n"
@@ -324,7 +324,7 @@ class TestEngineWithStore:
         specs = [
             RunSpec(
                 policy=policy,
-                setting="strict-light",
+                scenario="paper-strict-light",
                 config=ExperimentConfig(num_requests=6, seed=seed),
                 summary_only=True,
             )
@@ -343,6 +343,27 @@ class TestEngineWithStore:
         assert all(flags)
         for a, b in zip(cold, warm):
             assert a.summary == b.summary
+
+    def test_figures_and_matrices_share_cells(self, tmp_path, monkeypatch):
+        """Figure 6's matrix and a scenario matrix name the same paper
+        scenarios, so one store serves both."""
+        store = ResultStore(tmp_path / "store")
+        policies = ("ESG", "INFless")
+        figure = run_end_to_end(policies, config=SMALL, summary_only=True, store=store)
+
+        import repro.experiments.engine as engine_mod
+
+        def boom(item):
+            raise AssertionError(f"a cached cell executed {item[0]}")
+
+        monkeypatch.setattr(engine_mod, "_execute_spec_stored", boom)
+        matrix = run_matrix(
+            ["paper-moderate-normal"], policies, config=SMALL, summary_only=True, store=store
+        )
+        assert len(matrix) == len(policies)
+        for (scenario, policy), result in matrix.items():
+            assert scenario == "paper-moderate-normal"
+            assert result.summary == figure[("moderate-normal", policy)].summary
 
     def test_store_accepts_paths_and_strings(self, tmp_path):
         spec = _spec(summary_only=True)

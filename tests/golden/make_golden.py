@@ -22,10 +22,12 @@ in three groups:
   autoscalers on two adaptive scenarios (also warm only at home), and on
   a run truncated by ``max_time_ms``; ESG warm only at home with an 80 ms
   and a 2 ms keep-alive (containers expire mid-run, the 2 ms deadlines
-  on tick timestamps); ESG on a one-node cluster, where queues pile up on
-  the recheck list and drain by forced minimum dispatches; and ESG and
-  INFless on a 64-invoker cluster.  Cells already in ``esg/`` or
-  ``retry/`` are not repeated.
+  on tick timestamps); ESG and INFless under both autoscalers on
+  ``bursty-onoff-heavy`` with those two keep-alives (decision passes fall
+  between ticks while containers expire); ESG on a one-node cluster,
+  where queues pile up on the recheck list and drain by forced minimum
+  dispatches; and ESG and INFless on a 64-invoker cluster.  Cells already
+  in ``esg/`` or ``retry/`` are not repeated.
 
 ``test_golden_replay.py`` re-runs every case and compares the text byte
 for byte, so a change to any decision, count or float shows up there.
@@ -75,6 +77,8 @@ NON_PAPER_SCENARIOS = ("poisson-normal", "trace-replay-azure", "mixed-dags-norma
 CHURN_SCENARIOS = ("harvest-severe-normal", "churn-eviction-fail")
 AUTOSCALE_SPECS = ("threshold-default", "pid-default")
 AUTOSCALE_SCENARIOS = ("diurnal-normal", "bursty-onoff-heavy")
+#: Keep-alives short enough that containers expire mid-run.
+KEEP_ALIVES_MS = (80.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -182,7 +186,16 @@ def cases() -> list[Case]:
         Case("lattice", "ESG", "paper-moderate-normal", 0, num_requests=40, max_time_ms=300.0),
         *(
             Case("lattice", "ESG", "paper-moderate-normal", 0, initial_warm="home", keep_alive_ms=k)
-            for k in (80.0, 2.0)
+            for k in KEEP_ALIVES_MS
+        ),
+        *(
+            Case(
+                "lattice", p, "bursty-onoff-heavy", 0,
+                autoscale=a, initial_warm="home", keep_alive_ms=k,
+            )
+            for p in ("ESG", "INFless")
+            for a in AUTOSCALE_SPECS
+            for k in KEEP_ALIVES_MS
         ),
         Case("lattice", "ESG", "paper-moderate-normal", 0, num_requests=24, num_invokers=1),
         *(Case("lattice", p, "paper-moderate-normal", 0, num_invokers=64) for p in ("ESG", "INFless")),

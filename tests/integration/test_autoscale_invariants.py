@@ -45,12 +45,11 @@ from repro.cluster.churn import get_churn_spec
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.controller import ControllerConfig
 from repro.cluster.simulator import Simulation, SimulationConfig
-from repro.experiments.runner import (
-    build_profile_store,
-    build_requests,
-    make_policy,
-)
+from repro.experiments.runner import build_profile_store, make_policy
 from repro.profiles.profiler import ProfileStore
+from repro.workloads.arrival import AzureIntervalProcess
+from repro.workloads.generator import WORKLOAD_SETTINGS
+from repro.workloads.scenarios import Scenario, get_scenario
 
 CONTROLLER_SPECS = ("threshold-default", "pid-default")
 SEEDS_PER_CONTROLLER = 21
@@ -75,7 +74,18 @@ def fuzz_trace(seed: int, store: ProfileStore):
     # Small clusters back up deeply under bursts — that is where the EWMA
     # smoothing of the PID path still sees a sustained error.
     num_invokers = 2 + (seed % 3)
-    requests = build_requests(setting, num_requests, seed, store, burstiness=burstiness)
+    # The paper's Azure-interval arrivals with batch-scale rate drift, on
+    # the setting's own request stream.
+    scenario = Scenario(
+        name=f"fuzz-{setting}-bursty",
+        description="paper arrivals with rate drift",
+        setting=setting,
+        arrival=AzureIntervalProcess(
+            WORKLOAD_SETTINGS[setting].intervals, burstiness=burstiness
+        ),
+        stream=setting,
+    )
+    requests = scenario.build_requests(num_requests, seed, store)
     return requests, setting, initial_warm, num_invokers
 
 
@@ -386,7 +396,7 @@ class TestCheckersCatchForgedRecords:
     def _cluster(self, store: ProfileStore):
         simulation = Simulation(
             policy=make_policy("ESG"),
-            requests=build_requests("moderate-normal", 1, 0, store),
+            requests=get_scenario("paper-moderate-normal").build_requests(1, 0, store),
             profile_store=store,
             config=SimulationConfig(cluster=ClusterConfig(num_invokers=4)),
         )

@@ -37,10 +37,10 @@ from repro.cluster.simulator import Simulation, SimulationConfig
 from repro.experiments.runner import (
     DEFAULT_POLICIES,
     build_profile_store,
-    build_requests,
     make_policy,
 )
 from repro.profiles.profiler import ProfileStore
+from repro.workloads.scenarios import get_scenario
 
 SEEDS_PER_POLICY = 25
 NUM_REQUESTS = 8
@@ -208,7 +208,7 @@ def run_once(
 ) -> list[str]:
     """Run one churn simulation; return every invariant violation observed."""
     cluster_config = fuzz_cluster_config()
-    requests = build_requests("moderate-normal", NUM_REQUESTS, seed, store)
+    requests = get_scenario("paper-moderate-normal").build_requests(NUM_REQUESTS, seed, store)
     simulation = Simulation(
         policy=make_policy(policy_name),
         requests=requests,
@@ -274,7 +274,7 @@ def test_harness_catches_planted_corruption(store: ProfileStore):
     corruption mid-run and check the observer reports it."""
     schedule = fuzz_schedule(1, fuzz_cluster_config())
     cluster_config = fuzz_cluster_config()
-    requests = build_requests("moderate-normal", NUM_REQUESTS, 1, store)
+    requests = get_scenario("paper-moderate-normal").build_requests(NUM_REQUESTS, 1, store)
     simulation = Simulation(
         policy=make_policy("ESG"),
         requests=requests,

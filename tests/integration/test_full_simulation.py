@@ -14,12 +14,13 @@ from repro.experiments.runner import (
     DEFAULT_POLICIES,
     ExperimentConfig,
     build_profile_store,
-    build_requests,
     make_policy,
     run_experiment,
 )
+from repro.workloads.scenarios import get_scenario
 
 CONFIG = ExperimentConfig(num_requests=30, seed=17)
+PAPER = get_scenario("paper-moderate-normal")
 
 
 @pytest.fixture(scope="module")
@@ -35,11 +36,11 @@ def runs(task_log):
             {"bootstrap": 20, "rounds": 4, "samples_per_round": 2} if name == "Aquatope" else {}
         )
         policy = make_policy(name, **overrides)
-        requests = build_requests("moderate-normal", CONFIG.num_requests, CONFIG.seed, store)
+        requests = PAPER.build_requests(CONFIG.num_requests, CONFIG.seed, store)
         log = task_log()
         with log.capturing():
             result = run_experiment(
-                policy, "moderate-normal", config=CONFIG, profile_store=store, requests=requests
+                policy, PAPER, config=CONFIG, profile_store=store, requests=requests
             )
         out[name] = (result, requests, log.tasks)
     return out

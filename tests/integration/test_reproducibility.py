@@ -9,7 +9,7 @@ from repro.experiments.runner import ExperimentConfig, run_experiment
 def run_esg(seed: int, **policy_kwargs):
     config = ExperimentConfig(num_requests=20, seed=seed)
     policy = ESGPolicy(**policy_kwargs)
-    return run_experiment(policy, "moderate-normal", config=config)
+    return run_experiment(policy, "paper-moderate-normal", config=config)
 
 
 def esg_tasks(task_log, seed: int, **policy_kwargs):

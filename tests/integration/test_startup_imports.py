@@ -38,10 +38,10 @@ from repro.experiments import ExperimentConfig, run_experiment
 phases = {"imports": scipy_modules()}
 config = ExperimentConfig(num_requests=6, seed=3)
 for name in ("ESG", "INFless", "FaST-GShare", "Orion"):
-    run_experiment(name, "moderate-normal", config=config)
+    run_experiment(name, "paper-moderate-normal", config=config)
 phases["numpy-only policies"] = scipy_modules()
 aquatope = AquatopePolicy(bootstrap=4, rounds=1, samples_per_round=1)
-run_experiment(aquatope, "moderate-normal", config=config)
+run_experiment(aquatope, "paper-moderate-normal", config=config)
 phases["aquatope"] = scipy_modules()
 print(json.dumps(phases))
 """

@@ -18,27 +18,19 @@ from dataclasses import asdict
 import pytest
 
 from repro.cluster import simulator
-from repro.cluster.cluster import ClusterConfig
 from repro.cluster.simulator import Simulation, SimulationConfig
 from repro.experiments.runner import (
     DEFAULT_POLICIES,
     ExperimentConfig,
     RunResult,
     build_profile_store,
-    build_requests,
     make_policy,
     run_experiment,
 )
 from repro.utils.rng import derive_rng
 from repro.workloads.applications import build_paper_applications
 from repro.workloads.generator import MODERATE_NORMAL, WorkloadGenerator
-from repro.workloads.scenarios import get_scenario
-
-PAPER_SCENARIOS = (
-    "paper-strict-light",
-    "paper-moderate-normal",
-    "paper-relaxed-heavy",
-)
+from repro.workloads.scenarios import PAPER_SCENARIOS, get_scenario
 
 CONFIG = ExperimentConfig(num_requests=16)
 
@@ -52,10 +44,7 @@ def materialized_run(policy: str, scenario_name: str, store, config=CONFIG) -> R
     """The scenario's workload built up front as a list, then replayed."""
     scenario = get_scenario(scenario_name)
     requests = scenario.build_requests(
-        scenario.num_requests or config.num_requests,
-        config.seed,
-        store,
-        burstiness=config.burstiness,
+        scenario.num_requests or config.num_requests, config.seed, store
     )
     return run_experiment(
         policy, config=config, profile_store=store, scenario=scenario, requests=requests
@@ -87,14 +76,8 @@ class TestStreamingVsMaterializedSummaries:
         """Arrivals beyond the horizon are never handled, whether the
         workload came as a list or as a stream."""
         config = CONFIG.with_overrides(num_requests=40, max_time_ms=300.0)
-        materialized = run_experiment(
-            "ESG",
-            "moderate-normal",
-            config=config,
-            profile_store=store,
-            requests=build_requests("moderate-normal", 40, config.seed, store),
-        )
-        streaming = run_experiment("ESG", "moderate-normal", config=config, profile_store=store)
+        materialized = materialized_run("ESG", "paper-moderate-normal", store, config)
+        streaming = streamed_run("ESG", "paper-moderate-normal", store, config)
         assert materialized.summary.truncated
         assert materialized.summary == streaming.summary
 
@@ -129,12 +112,11 @@ class TestStreamingSimulationMechanics:
         never pending on top of the in-flight events."""
         scenario = get_scenario("paper-moderate-normal")
         num_requests = 120
-        # An infinite keep-alive arms no expiry timers, isolating the
-        # workload's own contribution to the queue.  The loop pulls
+        # The loop pulls
         # arrivals in chunks of ARRIVAL_CHUNK, larger than this workload,
         # so the chunk is shrunk to keep the bound observable.
         monkeypatch.setattr(simulator, "ARRIVAL_CHUNK", 4)
-        config = SimulationConfig(seed=42, cluster=ClusterConfig(keep_alive_ms=float("inf")))
+        config = SimulationConfig(seed=42)
 
         def peak_queue(workload) -> int:
             simulation = Simulation(

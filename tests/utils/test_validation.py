@@ -7,6 +7,7 @@ import pytest
 from repro.utils.validation import (
     ensure_in_range,
     ensure_non_negative,
+    ensure_non_negative_int,
     ensure_number,
     ensure_positive,
     ensure_positive_int,
@@ -77,6 +78,24 @@ class TestEnsureNonNegative:
 
     def test_accepts_infinity(self):
         assert ensure_non_negative(float("inf"), "x") == float("inf")
+
+
+class TestEnsureNonNegativeInt:
+    def test_accepts_zero_and_positive(self):
+        assert ensure_non_negative_int(0, "n") == 0
+        assert ensure_non_negative_int(7, "n") == 7
+
+    @pytest.mark.parametrize(
+        "value, error, message",
+        [
+            (-1, ValueError, "n must be >= 0, got -1"),
+            (1.5, TypeError, r"n must be an int, got 1\.5 \(float\)"),
+            (True, TypeError, r"n must be an int, got True \(bool\)"),
+        ],
+    )
+    def test_rejects_negative_float_and_bool(self, value, error, message):
+        with pytest.raises(error, match=message):
+            ensure_non_negative_int(value, "n")
 
 
 class TestEnsureInRange:

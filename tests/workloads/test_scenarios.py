@@ -12,6 +12,7 @@ from repro.workloads.arrival import PoissonProcess
 from repro.workloads.dag import Workflow
 from repro.workloads.generator import WORKLOAD_SETTINGS, WorkloadGenerator
 from repro.workloads.scenarios import (
+    PAPER_SCENARIOS,
     SCENARIOS,
     Scenario,
     ScenarioRegistry,
@@ -26,6 +27,7 @@ class TestRegistry:
         assert len(SCENARIOS) >= 6
 
     def test_paper_scenarios_cover_all_settings(self):
+        assert PAPER_SCENARIOS == tuple(f"paper-{setting}" for setting in WORKLOAD_SETTINGS)
         for setting in WORKLOAD_SETTINGS:
             scenario = get_scenario(f"paper-{setting}")
             assert scenario.setting == setting
@@ -103,14 +105,33 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="num_requests"):
             Scenario(name="x", description="d", setting="moderate-normal", num_requests=0)
 
+    @pytest.mark.parametrize(
+        "field, value, error, message",
+        [
+            ("applications", "image_classification", TypeError, "applications must be a tuple"),
+            ("applications", ("nope",), KeyError, "applications: unknown application 'nope'"),
+            ("app_weights", (1.0, float("nan"), 1.0, 1.0), ValueError, "app_weights"),
+            ("app_weights", (1.0, float("inf"), 1.0, 1.0), ValueError, "app_weights"),
+            ("app_weights", (1.0, "2", 1.0, 1.0), TypeError, "app_weights"),
+            ("num_requests", 2.5, TypeError, "num_requests"),
+            ("num_requests", True, TypeError, "num_requests"),
+            ("horizon_ms", float("nan"), ValueError, "horizon_ms"),
+            ("horizon_ms", "100", TypeError, "horizon_ms"),
+        ],
+    )
+    def test_bad_fields_fail_at_construction(self, field, value, error, message):
+        with pytest.raises(error, match=message):
+            Scenario(name="x", description="d", setting="moderate-normal", **{field: value})
+
     def test_scenarios_pickle(self):
         for scenario in SCENARIOS:
             assert pickle.loads(pickle.dumps(scenario)) == scenario
 
 
 class TestScenarioWorkloads:
-    def test_paper_scenario_requests_byte_identical_to_legacy_builder(self, small_store):
-        """The acceptance check: paper-default == pre-scenario code path."""
+    def test_paper_scenario_requests_are_the_setting_stream(self, small_store):
+        """A paper scenario draws the paper apps under Azure arrivals from
+        the RNG stream labelled with its setting's name."""
         scenario = get_scenario("paper-moderate-normal")
         via_scenario = scenario.build_requests(30, 42, small_store)
 
@@ -174,14 +195,13 @@ class TestScenarioWorkloads:
         assert {r.app_name for r in requests} == {"test_only_linear"}
 
     def test_unknown_application_name_fails_with_catalogue(self):
-        scenario = Scenario(
-            name="test-bad-app",
-            description="t",
-            setting="moderate-normal",
-            applications=("no_such_app",),
-        )
-        with pytest.raises(KeyError, match="unknown application"):
-            scenario.build_applications()
+        with pytest.raises(KeyError, match="unknown application 'no_such_app'.*vision_diamond"):
+            Scenario(
+                name="test-bad-app",
+                description="t",
+                setting="moderate-normal",
+                applications=("no_such_app",),
+            )
 
     def test_duplicate_application_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):

@@ -36,6 +36,9 @@ def make_generator(small_store, *, arrival=None, seed=17, label="stream", **kwar
     )
 
 
+#: The paper's Azure-interval sampling with batch-scale rate drift.
+BURSTY_AZURE = AzureIntervalProcess(NORMAL_INTERVALS, burstiness=0.4)
+
 #: Every streaming-capable arrival process, exercised by the exactness and
 #: stream-equivalence tests below.
 STREAMABLE_PROCESSES = {
@@ -334,13 +337,13 @@ class TestStreamSettingVariants:
         envelope remains available (only open-ended streaming rejects it)."""
 
         def build():
-            return make_generator(small_store, burstiness=0.4)
+            return make_generator(small_store, arrival=BURSTY_AZURE)
 
         eager = build().generate(30)
         lazy = build().stream(30).materialize()
         assert [r.arrival_ms for r in eager] == [r.arrival_ms for r in lazy]
 
     def test_duration_stream_with_burstiness_raises(self, small_store):
-        generator = make_generator(small_store, burstiness=0.4)
+        generator = make_generator(small_store, arrival=BURSTY_AZURE)
         with pytest.raises(ValueError, match="burstiness"):
             generator.generate_for_duration(500.0)
