@@ -720,18 +720,20 @@ class Controller:
             self._transfer_cache[function_name] = transfers
         local_transfer, remote_transfer = transfers
 
-        metrics = self.metrics
         stage_id = queue.stage_id
-        transfer_ms = 0.0
+        local = 0
         for job in jobs:
             if job.request.predecessor_invoker(stage_id) == invoker_id:
-                job_transfer = local_transfer
-                metrics.local_transfers += 1
-            else:
-                job_transfer = remote_transfer
-                metrics.remote_transfers += 1
-            if job_transfer > transfer_ms:
-                transfer_ms = job_transfer
+                local += 1
+        remote = njobs - local
+        metrics = self.metrics
+        metrics.record_transfers(local, remote)
+        # The batch waits for its slowest input.
+        transfer_ms = 0.0
+        if local and local_transfer > transfer_ms:
+            transfer_ms = local_transfer
+        if remote and remote_transfer > transfer_ms:
+            transfer_ms = remote_transfer
 
         exec_ms = self.runtime_perf_model.latency_ms(spec, effective)
         duration_ms = cold_ms + transfer_ms + exec_ms

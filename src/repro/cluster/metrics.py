@@ -397,6 +397,14 @@ class MetricsCollector:
         if miss:
             self.plan_misses += 1
 
+    def record_transfers(self, local: int, remote: int) -> None:
+        """Record one dispatch's input transfers: ``local`` jobs whose
+        predecessor ran on the task's node and ``remote`` others."""
+        if local < 0 or remote < 0:
+            raise ValueError(f"transfer counts must be >= 0, got {local} and {remote}")
+        self.local_transfers += local
+        self.remote_transfers += remote
+
     def record_forced_min_dispatch(self) -> None:
         """Record a queue dispatched with the minimum config after rechecks."""
         self.forced_min_dispatches += 1

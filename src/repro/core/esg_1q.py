@@ -44,8 +44,18 @@ a time prune at ``b`` lowers ``target_hi`` to ``b``'s bound and, past the
 first entry tried, raises ``target_lo`` to the bound of ``b - 1``.  (The
 bisection guess is not a check.)  Every target in the interval replays the
 same search, counts and truncation included, which lets
-:class:`~repro.core.esg.ESGPolicy` answer nearby quotas from one search,
-and a :class:`SearchMemo` answer them across runs.
+:class:`~repro.core.esg.ESGPolicy` answer nearby quotas from one search.
+
+Most of those checks only place a break point.  The ones that decide a
+path are made at ``p``, the entry that passed the cost blade: a survivor's
+bound lies below ``G``, a time-pruned segment's reaches it.  Every target in
+the search's *regime* ``(lo_R, hi_R]`` (``lo_R`` the largest survivor bound
+or 0, ``hi_R`` the smallest bound at ``p`` of a time-pruned segment) decides
+them the same way, so it keeps every survivor, the K-best threshold, the
+paths, their order and ``pruned_time``; only each time-pruned segment's
+break ``b`` moves, and with it the cost-pruned count and the interval.
+:meth:`ESG1QResult.regime_edges` lists the bounds where a break moves, and a
+:class:`SearchMemo` answers a whole regime, across runs, from one search.
 """
 
 from __future__ import annotations
@@ -231,6 +241,51 @@ class ESG1QResult:
     #: and these three counts.
     target_lo: float = -math.inf
     target_hi: float = math.inf
+    #: The search's regime ``(lo, hi]`` and its time-pruned segments
+    #: ``(path latency, remaining latency, latencies, j, b, p)`` that have
+    #: entries before ``p``, which :meth:`regime_edges` turns into the break
+    #: points; None means the regime is ``(target_lo, target_hi]``.
+    _regime: tuple[float, float, list[tuple]] | None = field(
+        default=None, repr=False, compare=False
+    )
+
+    def regime_edges(self) -> tuple[float, ...]:
+        """``(lo_R, *W, hi_R)``: the regime and the sorted bounds inside it.
+
+        Every target ``G`` in the regime ``(lo_R, hi_R]`` makes each check
+        that decides a path come out as this search's did, so it keeps the
+        paths, feasibility and ``pruned_time``; only a time-pruned
+        segment's break point moves.  ``W`` holds, with repeats, the bounds
+        in the regime of the entries before each such segment's ``p``: a
+        search at ``G`` expands ``bisect_left(W, G) - bisect_left(W,
+        target_latency_ms)`` more entries, all cost-pruned, and reports
+        ``G``'s neighbours in the edges as its ``(target_lo, target_hi]``.
+        The counts can reach ``max_expansions`` inside the regime, which
+        the caller checks.
+        """
+        if self._regime is None:
+            return (self.target_lo, self.target_hi)
+        lo, hi, segments = self._regime
+        bounds: list[float] = []
+        for path_latency, rest_latency, latencies, j, b, p in segments:
+            # Bounds are non-decreasing in the entry: those before b are
+            # below the searched target, the rest reach it.
+            e = b - 1
+            while e >= j:
+                bound = path_latency + latencies[e] + rest_latency
+                if bound <= lo:
+                    break
+                bounds.append(bound)
+                e -= 1
+            e = b
+            while e < p:
+                bound = path_latency + latencies[e] + rest_latency
+                if bound > hi:
+                    break
+                bounds.append(bound)
+                e += 1
+        bounds.sort()
+        return (lo, *bounds, hi)
 
     @property
     def best(self) -> PathCandidate | None:
@@ -254,10 +309,11 @@ class IntervalStore(dict):
 
     Under each key it keeps parallel lists ``(his, los, values)`` sorted by
     ``hi``, where ``values[i]`` answers every target in ``(los[i],
-    his[i]]``.  The intervals under one key must be disjoint, as those of
-    distinct searches are, so the only one that can hold a target is the
-    first with ``hi >= target``: a lookup is one bisection.  :attr:`size`
-    counts the values under all keys.
+    his[i]]``.  The intervals under one key are disjoint, as those of
+    distinct searches (or regimes) are, and :meth:`add` refuses one that
+    is not; so the only one that can hold a target is the first with ``hi
+    >= target``: a lookup is one bisection.  :attr:`size` counts the values
+    under all keys.
     """
 
     def __init__(self) -> None:
@@ -276,7 +332,11 @@ class IntervalStore(dict):
 
     def add(self, key: Hashable, lo: float, hi: float, value: Any, limit: int) -> None:
         """Store ``value`` for ``(lo, hi]`` under ``key``; a store already
-        holding ``limit`` values is cleared first."""
+        holding ``limit`` values is cleared first.
+
+        Raises ValueError if ``(lo, hi]`` overlaps an interval stored under
+        ``key``.  Only the two neighbours by ``hi`` can overlap it.
+        """
         if self.size >= limit:
             self.clear()
         intervals = self.get(key)
@@ -284,6 +344,14 @@ class IntervalStore(dict):
             intervals = self[key] = ([], [], [])
         his, los, values = intervals
         at = bisect_left(his, hi)
+        # The interval below ``at`` ends before ``hi``, the one at it no earlier.
+        below = at > 0 and lo < his[at - 1]
+        if below or (at < len(his) and los[at] < hi):
+            near = at - 1 if below else at
+            raise ValueError(
+                f"interval ({lo!r}, {hi!r}] overlaps ({los[near]!r}, {his[near]!r}] "
+                f"stored under key {key!r}"
+            )
         his.insert(at, hi)
         los.insert(at, lo)
         values.insert(at, value)
@@ -299,9 +367,11 @@ class SearchMemo(IntervalStore):
 
     The key is everything the search reads except the target: the stages'
     :attr:`~StageSearchSpec.value_id`, ``k``, ``max_paths`` and
-    ``max_expansions``.  Each result answers the targets in its own
-    ``(target_lo, target_hi]``, which replay the search exactly, so a memo
-    can serve every run of a process.  Holds at most
+    ``max_expansions``.  Each result answers the targets of its whole
+    regime (see :meth:`ESG1QResult.regime_edges`), and a replay equals the
+    search at its target, so a memo can serve every run of a process.  A
+    result whose counts could reach ``max_expansions`` inside its regime
+    answers only its own ``(target_lo, target_hi]``.  Holds at most
     :data:`SEARCH_MEMO_LIMIT` results and is cleared when full.
     """
 
@@ -317,22 +387,40 @@ class SearchMemo(IntervalStore):
         """The stored result for ``target_latency_ms``, or a new search's.
 
         A replay is a copy of the stored result with the caller's target
-        as ``target_latency_ms`` and ``search_time_ms=0.0``: no search ran.
+        as ``target_latency_ms``, ``search_time_ms=0.0``, and the counts
+        and interval of a search at that target.
         """
         key = (tuple(stage.value_id for stage in stages), k, max_paths, max_expansions)
-        stored = self.find(key, target_latency_ms)
-        if stored is not None:
-            return replace(
-                stored,
-                paths=list(stored.paths),
-                target_latency_ms=target_latency_ms,
-                search_time_ms=0.0,
+        found = self.find(key, target_latency_ms)
+        if found is None:
+            result = esg_1q_search(
+                stages, target_latency_ms, k=k, max_paths=max_paths, max_expansions=max_expansions
             )
-        result = esg_1q_search(
-            stages, target_latency_ms, k=k, max_paths=max_paths, max_expansions=max_expansions
+            edges = result.regime_edges()
+            last = len(edges) - 1
+            at = bisect_left(edges, target_latency_ms, 1, last)
+            # The counts grow with the target and peak at hi_R; a search
+            # that truncated is at the cap already.
+            if result.expansions + bisect_left(edges, edges[-1], 1, last) - at >= max_expansions:
+                edges = (result.target_lo, result.target_hi)
+                at = 1
+            # The edges stand in for the recorded segments from here on.
+            stored = replace(result, _regime=None)
+            self.add(key, edges[0], edges[-1], (stored, edges, at), SEARCH_MEMO_LIMIT)
+            return result
+        stored, edges, at_stored = found
+        at = bisect_left(edges, target_latency_ms, 1, len(edges) - 1)
+        moved = at - at_stored
+        return replace(
+            stored,
+            paths=list(stored.paths),
+            target_latency_ms=target_latency_ms,
+            search_time_ms=0.0,
+            expansions=stored.expansions + moved,
+            pruned_cost=stored.pruned_cost + moved,
+            target_lo=edges[at - 1],
+            target_hi=edges[at],
         )
-        self.add(key, result.target_lo, result.target_hi, result, SEARCH_MEMO_LIMIT)
-        return result
 
 
 #: Sort keys of the search's ``(cost, latency, configs)`` path tuples.  Sorting
@@ -447,9 +535,16 @@ def esg_1q_search(
     pruned_time = 0
     pruned_cost = 0
     truncated = False
-    # The targets that replay every time-blade check made so far.
+    # The targets that replay every time-blade check made so far: a
+    # survivor's bound (kept in regime_lo until the end), the bound before
+    # each break and the bound at it.
     target_lo = 0.0
     target_hi = math.inf
+    # The regime: the targets that decide every path as this search does.
+    regime_lo = 0.0
+    regime_hi = math.inf
+    segments: list[tuple] = []
+    no_bound = -math.inf
 
     last_index = len(stages) - 1
     for stage_index, stage in enumerate(stages):
@@ -493,6 +588,8 @@ def esg_1q_search(
                     p = next_cheaper[p]
                 bound = path_latency + latencies[p] + rest_latency
                 if bound >= target_latency_ms:
+                    if bound < regime_hi:
+                        regime_hi = bound
                     # The time blade breaks at b, the first entry in j..p
                     # whose bound reaches the target.  Bisecting the sorted
                     # latencies on the rearranged bound gives a guess; the
@@ -501,30 +598,36 @@ def esg_1q_search(
                     # so every target in (bound at b-1, bound at b] breaks
                     # at b too.
                     b = bisect_left(latencies, latency_room - path_latency, j, p)
+                    below = no_bound  # the bound at b-1, once b > j
                     while b > j:
                         bound = path_latency + latencies[b - 1] + rest_latency
                         if bound < target_latency_ms:
-                            if bound > target_lo:
-                                target_lo = bound
+                            below = bound
                             break
                         b -= 1
                     while True:
                         bound = path_latency + latencies[b] + rest_latency
                         if bound >= target_latency_ms:
                             break
-                        if bound > target_lo:
-                            target_lo = bound
+                        below = bound
                         b += 1
+                    if below > target_lo:
+                        target_lo = below
                     if bound < target_hi:
                         target_hi = bound
+                    # Only an entry before b above the regime's lo, or one
+                    # from b to p-1 not above its hi, can be a break point of
+                    # the regime; both ends only tighten from here on.
+                    if below > regime_lo or (b < p and bound <= regime_hi):
+                        segments.append((path_latency, rest_latency, latencies, j, b, p))
                     # Entries j..b-1 were expanded and cost-pruned; entry b
                     # was expanded and time-pruned.
                     expansions += b - j + 1
                     pruned_cost += b - j
                     pruned_time += 1
                     break
-                if bound > target_lo:
-                    target_lo = bound
+                if bound > regime_lo:
+                    regime_lo = bound
                 # Entries j..p-1 were expanded and cost-pruned; p survives
                 # and tightens the cost blade with its achievable completion.
                 expansions += p - j + 1
@@ -571,6 +674,7 @@ def esg_1q_search(
         pruned_cost=pruned_cost,
         search_time_ms=search_time_ms,
         stage_ids=tuple(s.stage_id for s in stages),
-        target_lo=target_lo,
+        target_lo=max(target_lo, regime_lo),
         target_hi=target_hi,
+        _regime=(regime_lo, regime_hi, segments),
     )

@@ -116,6 +116,20 @@ class TestPlanAndTransfers:
         metrics.record_plan_attempt(miss=True)
         assert metrics.plan_miss_rate() == pytest.approx(2 / 3)
 
+    def test_record_transfers_adds_both_counts(self):
+        metrics = MetricsCollector()
+        metrics.record_transfers(2, 1)
+        metrics.record_transfers(0, 3)
+        metrics.record_transfers(0, 0)
+        assert (metrics.local_transfers, metrics.remote_transfers) == (2, 4)
+        summary = metrics.summary()
+        assert (summary.local_transfers, summary.remote_transfers) == (2, 4)
+
+    @pytest.mark.parametrize("counts", [(-1, 0), (0, -1)])
+    def test_record_transfers_rejects_negative_counts(self, counts):
+        with pytest.raises(ValueError, match="transfer counts must be >= 0"):
+            MetricsCollector().record_transfers(*counts)
+
     def test_each_dispatched_job_counts_one_transfer(self, task_log):
         """The controller counts one local or remote transfer per job it dispatches."""
         log = task_log()

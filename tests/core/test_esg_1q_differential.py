@@ -11,7 +11,9 @@ counts are part of the byte-identity contract.
 
 The search also reports the interval ``(target_lo, target_hi]`` of targets
 that replay it, which ``ESGPolicy``'s plan cache trusts.  The interval
-campaigns run the oracle at both ends of it and inside it.
+campaigns run the oracle at both ends of it and inside it.  A
+:class:`SearchMemo` answers the wider regime around it; the memo campaigns
+compare every replay with a memo-less search.
 """
 
 from __future__ import annotations
@@ -302,16 +304,38 @@ def interval(result) -> tuple[float, float]:
     return (result.target_lo, result.target_hi)
 
 
+def stored_interval(memo: SearchMemo) -> tuple[float, float]:
+    """The ``(lo, hi]`` of a memo's only entry: a regime, or the narrow
+    interval a search that could reach ``max_expansions`` falls back to."""
+    ((his, los, _),) = memo.values()
+    assert len(his) == 1
+    return los[0], his[0]
+
+
+def assert_lo_searches_again(
+    stages: list[StageSearchSpec], memo: SearchMemo, target: float, **kwargs
+) -> None:
+    """A target at the stored entry's finite ``lo`` is outside it: the memo
+    searches again, adds one entry and returns the memo-less result, whose
+    interval ends at that ``lo``."""
+    lo, _ = stored_interval(memo)
+    if lo > -math.inf:
+        at_lo = esg_1q_search(stages, lo, memo=memo, **kwargs)
+        assert outcome(at_lo) == outcome(esg_1q_search(stages, lo, **kwargs)), (target, kwargs)
+        assert at_lo.target_hi == lo and memo.size == 2, (target, kwargs)
+
+
 def assert_memo_replays(
     stages: list[StageSearchSpec], target: float, rng: random.Random, **kwargs
 ) -> int:
-    """A :class:`SearchMemo` answers its whole interval like a search.
+    """A :class:`SearchMemo` answers the search's whole interval like a search.
 
     After one search through a fresh memo, the memo must answer ``hi``,
     just above ``lo`` and random points in between from that one result,
     with the paths, feasibility, counts and interval that a memo-less
-    search returns there.  A finite ``lo`` lies outside the interval, so
-    there the memo must search again.  Returns the number of targets probed.
+    search returns there.  The memo's entry starts at the regime's ``lo``,
+    or at the interval's: a target exactly there must search again.
+    Returns the number of targets probed.
     """
     memo = SearchMemo()
     first = esg_1q_search(stages, target, memo=memo, **kwargs)
@@ -327,10 +351,44 @@ def assert_memo_replays(
         assert interval(replay) == interval(expected) == (lo, hi), (probe, target, kwargs)
         assert replay.target_latency_ms == probe
     assert memo.size == 1, (target, kwargs)
-    if lo > -math.inf:
-        at_lo = esg_1q_search(stages, lo, memo=memo, **kwargs)
-        assert outcome(at_lo) == outcome(esg_1q_search(stages, lo, **kwargs)), (target, kwargs)
-        assert interval(at_lo) != (lo, hi) and memo.size == 2
+    assert_lo_searches_again(stages, memo, target, **kwargs)
+    return len(probes)
+
+
+def assert_regime_replays(
+    stages: list[StageSearchSpec], target: float, rng: random.Random, **kwargs
+) -> int:
+    """One memo entry answers its whole regime exactly like a search.
+
+    After one search through a fresh memo, the memo is probed at the
+    entry's ``hi`` and just above its ``lo``, at both ends of the first
+    search's narrow interval when they lie in the entry, at break points
+    and at random points inside it.  Every replay must equal a memo-less
+    search there in paths, tie order, feasibility, all three counts and
+    ``(target_lo, target_hi)``, and the memo must still hold one entry.
+    Returns the number of targets probed.
+    """
+    memo = SearchMemo()
+    first = esg_1q_search(stages, target, memo=memo, **kwargs)
+    assert outcome(first) == outcome(esg_1q_search(stages, target, **kwargs))
+    lo, hi = stored_interval(memo)
+    assert lo <= first.target_lo < target <= first.target_hi <= hi, (target, kwargs)
+    breaks = [edge for edge in first.regime_edges() if lo < edge <= hi]
+    probes = [
+        hi,
+        math.nextafter(lo, math.inf),
+        *(end for end in interval(first) if lo < end <= hi),
+        *rng.sample(breaks, min(2, len(breaks))),
+        *interior_points(lo, hi, rng, 3),
+    ]
+    for probe in probes:
+        replay = esg_1q_search(stages, probe, memo=memo, **kwargs)
+        expected = esg_1q_search(stages, probe, **kwargs)
+        assert replayed(replay) == replayed(expected), (probe, (lo, hi), target, kwargs)
+        assert interval(replay) == interval(expected), (probe, (lo, hi), target, kwargs)
+        assert replay.target_latency_ms == probe
+    assert memo.size == 1, (target, kwargs)
+    assert_lo_searches_again(stages, memo, target, **kwargs)
     return len(probes)
 
 
@@ -362,3 +420,34 @@ def test_real_profiles_replay_through_the_memo(experiment_store):
         for target in targets_for(stages, rng):
             probes += assert_memo_replays(stages, target, rng, **random_caps(rng))
     assert probes >= 40 * 7 * 2
+
+
+def test_random_stage_lists_replay_across_the_regime():
+    rng = random.Random(57721)
+    probes = 0
+    for _ in range(150):
+        stages = random_stages(rng)
+        for target in targets_for(stages, rng):
+            probes += assert_regime_replays(stages, target, rng, **random_caps(rng))
+    assert probes >= 150 * 7 * 5
+
+
+def test_rounding_sensitive_sums_replay_across_the_regime():
+    rng = random.Random(14142)
+    probes = 0
+    for _ in range(400):
+        stages, targets = rounding_stages(rng)
+        for target in (*targets, 0.0, -1.0):
+            caps = {"k": rng.randint(1, 3), "max_expansions": rng.choice(MAX_EXPANSIONS)}
+            probes += assert_regime_replays(stages, target, rng, **caps)
+    assert probes >= 400 * 5 * 5
+
+
+def test_real_profiles_replay_across_the_regime(experiment_store):
+    rng = random.Random(26535)
+    probes = 0
+    for _ in range(40):
+        stages = profile_stages(experiment_store, rng)
+        for target in targets_for(stages, rng):
+            probes += assert_regime_replays(stages, target, rng, **random_caps(rng))
+    assert probes >= 40 * 7 * 5

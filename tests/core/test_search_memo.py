@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+import pytest
+
 import repro.core.esg_1q as esg_1q
 from repro.core.esg_1q import IntervalStore, SearchMemo, StageSearchSpec, esg_1q_search
 from repro.profiles.configuration import Configuration
@@ -72,11 +74,21 @@ class TestReplay:
         assert first.target_latency_ms == 3.5
 
     def test_a_target_at_lo_searches_again(self):
+        # With k=1 the first entry sets the cost threshold, the two dear
+        # entries are cost-pruned and the cheap slow one is time-pruned, so
+        # the break moves between 1 and 4 with the target: the search at 3.5
+        # answers (3, 4], and its regime (1, 4] in the memo.
         memo = SearchMemo()
-        stages = [stage()]
-        first = esg_1q_search(stages, 1.5, memo=memo)
-        assert first.target_lo > 0.0
-        esg_1q_search(stages, first.target_lo, memo=memo)
+        stages = [stage(rows=((1.0, 1.0), (2.0, 5.0), (3.0, 5.0), (4.0, 0.5)))]
+        first = esg_1q_search(stages, 3.5, k=1, memo=memo)
+        assert (first.target_lo, first.target_hi) == (3.0, 4.0)
+        for target in (3.0, 2.0, 1.5):
+            replay = esg_1q_search(stages, target, k=1, memo=memo)
+            fresh = esg_1q_search(stages, target, k=1)
+            assert (replay.expansions, replay.pruned_cost) == (fresh.expansions, fresh.pruned_cost)
+            assert (replay.target_lo, replay.target_hi) == (fresh.target_lo, fresh.target_hi)
+        assert memo.size == 1
+        esg_1q_search(stages, 1.0, k=1, memo=memo)
         assert memo.size == 2
 
     def test_the_caps_are_part_of_the_key(self):
@@ -109,6 +121,26 @@ class TestIntervalStore:
         assert [store.find("key", t) for t in (1.5, 2.0, 2.5, math.inf)] == ["a", "a", "c", "c"]
         assert store.find("other", 1.5) is None
         assert store.size == 3 and len(store) == 1
+
+    def test_touching_intervals_are_accepted(self):
+        store = IntervalStore()
+        store.add("key", 1.0, 2.0, "a", limit=10)
+        store.add("key", 2.0, 3.0, "b", limit=10)
+        store.add("key", 0.0, 1.0, "c", limit=10)
+        assert [store.find("key", t) for t in (1.0, 2.0, 3.0)] == ["c", "a", "b"]
+
+    @pytest.mark.parametrize(
+        ("lo", "hi"),
+        [(0.0, 1.5), (1.5, 3.0), (1.2, 1.8), (0.0, 3.0), (1.0, 2.0)],
+        ids=["low-end", "high-end", "nested", "nesting", "equal"],
+    )
+    def test_an_overlap_raises(self, lo, hi):
+        store = IntervalStore()
+        store.add("key", 1.0, 2.0, "a", limit=10)
+        with pytest.raises(ValueError, match=r"overlaps \(1\.0, 2\.0\] stored under key 'key'"):
+            store.add("key", lo, hi, "b", limit=10)
+        store.add("other", lo, hi, "b", limit=10)
+        assert store.size == 2
 
     def test_clear_resets_the_size(self):
         store = IntervalStore()
